@@ -8,9 +8,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpd::enumerate::possibly_by_enumeration;
 use gpd::singular::{
-    chain_cover_sizes, possibly_singular_chains, possibly_singular_chains_par,
-    possibly_singular_subsets, possibly_singular_subsets_par,
+    chain_cover_sizes, possibly_singular_chains, possibly_singular_chains_budgeted,
+    possibly_singular_subsets, possibly_singular_subsets_budgeted,
 };
+use gpd::{Budget, BudgetMeter};
 use gpd_bench::singular_workload;
 use std::hint::black_box;
 
@@ -25,29 +26,43 @@ fn scan_count_growth(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("chains", groups), &groups, |b, _| {
             b.iter(|| black_box(possibly_singular_chains(&comp, &var, &phi)))
         });
+        let (budget, meter) = (Budget::unlimited(), BudgetMeter::new());
         group.bench_with_input(BenchmarkId::new("subsets_par4", groups), &groups, |b, _| {
-            b.iter(|| black_box(possibly_singular_subsets_par(&comp, &var, &phi, 4)))
+            b.iter(|| {
+                black_box(possibly_singular_subsets_budgeted(
+                    &comp, &var, &phi, 4, &budget, &meter, None,
+                ))
+            })
         });
         group.bench_with_input(BenchmarkId::new("chains_par4", groups), &groups, |b, _| {
-            b.iter(|| black_box(possibly_singular_chains_par(&comp, &var, &phi, 4)))
+            b.iter(|| {
+                black_box(possibly_singular_chains_budgeted(
+                    &comp, &var, &phi, 4, &budget, &meter, None,
+                ))
+            })
         });
     }
     group.finish();
 }
 
 fn parallel_speedup(c: &mut Criterion) {
-    // Wide unsatisfiable workload: all ∏kᵢ scans must run before the
-    // reject, so the thread-count sweep measures pure work division —
-    // no first-witness luck. Verdicts are identical across the sweep.
+    // Wide unsatisfiable workload: all ∏kᵢ combinations must be rejected,
+    // so the thread-count sweep measures pure work division — no
+    // early-witness luck. Verdicts are identical across the sweep.
     let mut group = c.benchmark_group("e5_parallel_unsat");
     group.sample_size(10);
     let (comp, var, phi) = gpd_bench::wide_unsat_singular_workload(12, 3, 4);
+    let (budget, meter) = (Budget::unlimited(), BudgetMeter::new());
     for &threads in &[0usize, 2, 4] {
         group.bench_with_input(
             BenchmarkId::new("subsets", threads),
             &threads,
             |b, &threads| {
-                b.iter(|| black_box(possibly_singular_subsets_par(&comp, &var, &phi, threads)))
+                b.iter(|| {
+                    black_box(possibly_singular_subsets_budgeted(
+                        &comp, &var, &phi, threads, &budget, &meter, None,
+                    ))
+                })
             },
         );
     }

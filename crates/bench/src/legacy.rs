@@ -151,7 +151,7 @@ fn scoped_for_each(threads: usize, count: usize, f: &(dyn Fn(usize) + Sync)) {
 /// through `Mutex`-locked shards and probing each level with a racy
 /// first-hit search, all on [`scoped_for_each`]'s per-wave thread
 /// scopes. Returns a lowest-*level* witness; which same-level cut wins
-/// is a race (the reason `gpd::enumerate::possibly_by_enumeration_par`
+/// is a race (the reason `gpd::enumerate::possibly_by_enumeration_budgeted`
 /// replaced it with the deterministic work-stealing sweeps). `report`
 /// measures this path against the replacement on identical workloads.
 pub fn possibly_level_sync(
@@ -225,7 +225,8 @@ mod tests {
 
     #[test]
     fn level_sync_agrees_with_deterministic_parallel_engine() {
-        use gpd::enumerate::possibly_by_enumeration_par;
+        use gpd::enumerate::possibly_by_enumeration_budgeted;
+        use gpd::{Budget, BudgetMeter};
         use rand::Rng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(79);
         for round in 0..20 {
@@ -237,7 +238,18 @@ mod tests {
             let phi = move |c: &Cut| (0..n).all(|p| x.value_at(c, p));
             for threads in [1, 4] {
                 let old = possibly_level_sync(&comp, &phi, threads);
-                let new = possibly_by_enumeration_par(&comp, &phi, threads);
+                let new = possibly_by_enumeration_budgeted(
+                    &comp,
+                    &phi,
+                    threads,
+                    &Budget::unlimited(),
+                    &BudgetMeter::new(),
+                    None,
+                )
+                .unwrap()
+                .value()
+                .cloned()
+                .expect("unlimited budgets always decide");
                 assert_eq!(old.is_some(), new.is_some(), "round {round}");
                 if let (Some(o), Some(w)) = (&old, &new) {
                     // Same lowest satisfying level; the legacy cut within

@@ -414,13 +414,16 @@ mod tests {
     #[test]
     fn wide_unsat_workload_rejects_at_every_thread_count() {
         let (comp, var, phi) = wide_unsat_singular_workload(3, 2, 3);
+        let (budget, meter) = (gpd::Budget::unlimited(), gpd::BudgetMeter::new());
         for threads in [0, 1, 2, 4] {
-            assert!(
-                gpd::singular::possibly_singular_subsets_par(&comp, &var, &phi, threads).is_none()
+            let subsets = gpd::singular::possibly_singular_subsets_budgeted(
+                &comp, &var, &phi, threads, &budget, &meter, None,
             );
-            assert!(
-                gpd::singular::possibly_singular_chains_par(&comp, &var, &phi, threads).is_none()
+            assert_eq!(subsets.unwrap().value(), Some(&None), "threads {threads}");
+            let chains = gpd::singular::possibly_singular_chains_budgeted(
+                &comp, &var, &phi, threads, &budget, &meter, None,
             );
+            assert_eq!(chains.unwrap().value(), Some(&None), "threads {threads}");
         }
     }
 
@@ -428,11 +431,13 @@ mod tests {
     /// benchmark inputs, so timing the budgeted paths measures overhead
     /// rather than a different search. An unlimited budget decides in
     /// one leg; a node-capped chain of resumed legs must converge to
-    /// the same rejection with every combination eliminated.
+    /// the same rejection with every combination eliminated. With three
+    /// wide clauses no single wave's dead-prefix skips reach the end of
+    /// the space, so a one-node cap interrupts between waves.
     #[test]
     fn budgeted_engines_match_the_benched_engines_on_e5() {
         use gpd::{Budget, BudgetMeter, Verdict};
-        let (comp, var, phi) = wide_unsat_singular_workload(3, 2, 3);
+        let (comp, var, phi) = wide_unsat_singular_workload(3, 3, 3);
         let unlimited = gpd::singular::possibly_singular_subsets_budgeted(
             &comp,
             &var,
@@ -454,7 +459,7 @@ mod tests {
             Verdict::Unknown(_) => panic!("an unlimited budget cannot run out"),
         }
 
-        let capped = Budget::unlimited().with_max_nodes(4);
+        let capped = Budget::unlimited().with_max_nodes(1);
         let mut resume = None;
         let mut legs = 0usize;
         loop {

@@ -10,7 +10,7 @@ use gpd::relational::{
     definitely_exact_sum, definitely_exact_sum_budgeted, definitely_sum, definitely_sum_budgeted,
     possibly_exact_sum, possibly_exact_sum_budgeted, possibly_sum,
 };
-use gpd::singular::{possibly_singular_budgeted, possibly_singular_par};
+use gpd::singular::possibly_singular_budgeted;
 use gpd::slice::{
     cnf_envelope, definitely_levelwise_sliced_budgeted, definitely_slice,
     possibly_singular_sliced_budgeted, possibly_slice, RegularPredicate, Slice,
@@ -538,7 +538,7 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
     let definitely = flags.has("definitely");
     let enumerate = flags.has("enumerate");
     // 0 = sequential (the default); N ≥ 2 fans the combinatorial CNF
-    // scans out over N workers with first-witness cancellation.
+    // scans out over N workers, with the sequential witness.
     let threads = flags.get_usize("threads", 0)?;
     let stats = flags.has("stats");
     let modality = if definitely { "Definitely" } else { "Possibly" };
@@ -634,102 +634,48 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
                 }
                 Some(env) => Some(Slice::build(comp, env)),
             };
+            let (budget, resume) = (&opts.budget, opts.resume.as_ref());
             if definitely {
                 // Checkpoints pin their engine name: resume through the
                 // sliced sweep only if it was taken there.
-                let sliced = match (&slice, opts.resume.as_ref()) {
-                    (Some(_), Some(cp)) => cp.detector() == DEFINITELY_LEVELWISE_SLICED,
-                    (Some(_), None) => true,
-                    (None, _) => false,
-                };
-                if opts.active {
-                    // The budget *is* the guard: the sweep stops at the
-                    // deadline/cap instead of running away.
-                    let verdict = if let (true, Some(sl)) = (sliced, &slice) {
-                        definitely_levelwise_sliced_budgeted(
-                            comp,
-                            sl,
-                            |cut| phi.eval(&truth, cut),
-                            threads,
-                            &opts.budget,
-                            &meter,
-                            opts.resume.as_ref(),
-                        )
-                    } else {
-                        definitely_levelwise_budgeted(
-                            comp,
-                            |cut| phi.eval(&truth, cut),
-                            threads,
-                            &opts.budget,
-                            &meter,
-                            opts.resume.as_ref(),
-                        )
-                    }
-                    .map_err(detect_error)?;
-                    render_bool_verdict(modality, expr, verdict, &opts)
-                } else if let Some(sl) = &slice {
+                let sliced = slice.as_ref().filter(|_| {
+                    resume.is_none_or(|cp| cp.detector() == DEFINITELY_LEVELWISE_SLICED)
+                });
+                if !opts.active {
+                    // Without a budget the sweep could run away; with one,
+                    // the budget *is* the guard: the sweep stops at the
+                    // deadline/cap.
                     guard_enumeration(comp, enumerate, "Definitely(cnf)")?;
-                    let verdict = gpd::slice::definitely_levelwise_sliced(
-                        comp,
-                        sl,
-                        |cut| phi.eval(&truth, cut),
-                        threads,
-                    );
-                    Ok(format!("{modality}({expr}): {verdict}\n"))
-                } else {
-                    guard_enumeration(comp, enumerate, "Definitely(cnf)")?;
-                    let verdict = definitely_by_enumeration(comp, |cut| phi.eval(&truth, cut));
-                    Ok(format!("{modality}({expr}): {verdict}\n"))
                 }
-            } else if opts.active {
+                let holds = |cut: &Cut| phi.eval(&truth, cut);
+                let verdict = match sliced {
+                    Some(sl) => definitely_levelwise_sliced_budgeted(
+                        comp, sl, holds, threads, budget, &meter, resume,
+                    ),
+                    None if opts.active => {
+                        definitely_levelwise_budgeted(comp, holds, threads, budget, &meter, resume)
+                    }
+                    None => Ok(Verdict::Decided(
+                        definitely_by_enumeration(comp, holds),
+                        Progress::default(),
+                    )),
+                }
+                .map_err(detect_error)?;
+                render_bool_verdict(modality, expr, verdict, &opts)
+            } else {
                 // The sliced odometer engines keep the unsliced engine
                 // names (the window prune preserves the combination
                 // shape), so checkpoints stay interchangeable.
-                let verdict = if let Some(sl) = &slice {
-                    possibly_singular_sliced_budgeted(
-                        comp,
-                        &truth,
-                        &phi,
-                        sl,
-                        threads,
-                        &opts.budget,
-                        &meter,
-                        opts.resume.as_ref(),
-                    )
-                } else {
-                    possibly_singular_budgeted(
-                        comp,
-                        &truth,
-                        &phi,
-                        threads,
-                        &opts.budget,
-                        &meter,
-                        opts.resume.as_ref(),
-                    )
+                let verdict = match &slice {
+                    Some(sl) => possibly_singular_sliced_budgeted(
+                        comp, &truth, &phi, sl, threads, budget, &meter, resume,
+                    ),
+                    None => possibly_singular_budgeted(
+                        comp, &truth, &phi, threads, budget, &meter, resume,
+                    ),
                 }
                 .map_err(detect_error)?;
                 render_witness_verdict(comp, modality, expr, verdict, &opts)
-            } else if let Some(sl) = &slice {
-                let verdict = possibly_singular_sliced_budgeted(
-                    comp,
-                    &truth,
-                    &phi,
-                    sl,
-                    threads,
-                    &Budget::unlimited(),
-                    &meter,
-                    None,
-                )
-                .map_err(detect_error)?;
-                render_witness_verdict(comp, modality, expr, verdict, &opts)
-            } else {
-                match possibly_singular_par(comp, &truth, &phi, threads) {
-                    Some(cut) => Ok(format!(
-                        "{modality}({expr}): true\n{}\n",
-                        describe_cut(comp, &cut)
-                    )),
-                    None => Ok(format!("{modality}({expr}): false\n")),
-                }
             }
         }
         PredicateSpec::Sum { name, op, k } => {
@@ -1117,15 +1063,21 @@ mod tests {
         let path = temp_trace("cnf-par", "token-ring", &["--n", "4", "--tokens", "1"]);
         let pred = "cnf has_token@0 | has_token@1 & !has_token@2 | !has_token@3";
         let seq = detect(&args(&[&path, "--pred", pred])).unwrap();
+        let witness = |out: &str| {
+            out.lines()
+                .find(|l| l.starts_with("witness cut:"))
+                .map(str::to_owned)
+        };
         for threads in ["1", "2", "4"] {
             let par = detect(&args(&[&path, "--pred", pred, "--threads", threads])).unwrap();
-            // The verdict line is identical at every thread count; only
-            // the witness frontier may differ.
+            // The verdict line and the witness frontier are identical at
+            // every thread count.
             assert_eq!(
                 par.lines().next().unwrap(),
                 seq.lines().next().unwrap(),
                 "threads = {threads}"
             );
+            assert_eq!(witness(&par), witness(&seq), "threads = {threads}");
         }
         assert!(matches!(
             detect(&args(&[&path, "--pred", pred, "--threads", "x"])),

@@ -35,53 +35,6 @@ where
     comp.consistent_cuts().find(|cut| predicate(cut))
 }
 
-/// [`possibly_by_enumeration`], parallel and **deterministic**: walks
-/// the lattice one event-count level at a time on the work-stealing
-/// sweeps of [`probe_level_budgeted`] / [`expand_level_budgeted`] (with
-/// an unlimited budget), keeping every level canonically sorted and
-/// probing it for its lowest-index witness.
-///
-/// The returned witness is therefore **byte-identical at every thread
-/// count**: the lowest cut (frontier-lexicographic) on the lowest
-/// satisfying level. Earlier revisions returned whichever same-level
-/// witness won the race; that racy level-synchronous walk survives only
-/// as a benchmark baseline (`gpd-bench`'s legacy module). Determinism
-/// keeps the exhaustive oracle usable for validating the parallel
-/// detectors at sizes where the sequential sweep falls behind.
-pub fn possibly_by_enumeration_par<F>(
-    comp: &Computation,
-    predicate: F,
-    threads: usize,
-) -> Option<Cut>
-where
-    F: Fn(&Cut) -> bool + Sync,
-{
-    let budget = Budget::unlimited();
-    let meter = BudgetMeter::new();
-    let packer = FrontierPacker::new(comp);
-    let total = comp.final_cut().event_count();
-    let mut k = 0usize;
-    let mut level: Vec<Cut> = vec![comp.initial_cut()];
-    loop {
-        match probe_level_budgeted(&predicate, threads, &level, &budget, &meter) {
-            Ok(hit @ Some(_)) => return hit,
-            Ok(None) => {}
-            Err(_) => unreachable!("unlimited budgets never exhaust"),
-        }
-        if k >= total {
-            return None;
-        }
-        match expand_level_budgeted(comp, &packer, threads, &level, &|_| true, &budget, &meter) {
-            Ok(next) => {
-                debug_assert!(!next.is_empty(), "non-final levels always have successors");
-                k += 1;
-                level = next;
-            }
-            Err(_) => unreachable!("unlimited budgets never exhaust"),
-        }
-    }
-}
-
 /// Decides `Definitely(Φ)` exactly: Φ definitely holds iff **no** run
 /// avoids Φ-cuts from start to finish, i.e. iff the final cut is
 /// unreachable from the initial cut through `¬Φ` cuts only.
@@ -569,6 +522,20 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The budgeted level sweep under an unlimited budget.
+    fn unlimited(
+        comp: &Computation,
+        phi: impl Fn(&Cut) -> bool + Sync,
+        threads: usize,
+    ) -> Option<Cut> {
+        let meter = BudgetMeter::new();
+        possibly_by_enumeration_budgeted(comp, phi, threads, &Budget::unlimited(), &meter, None)
+            .expect("no checkpoint, no panic")
+            .value()
+            .expect("unlimited budgets always decide")
+            .clone()
+    }
+
     #[test]
     fn possibly_finds_smallest_witness() {
         let comp = two_by_two();
@@ -661,7 +628,7 @@ mod tests {
             let seq = possibly_by_enumeration(&comp, phi);
             // Thread count 1 is the deterministic reference: the sweeps
             // run in exact sequential order there.
-            let reference = possibly_by_enumeration_par(&comp, phi, 1);
+            let reference = unlimited(&comp, phi, 1);
             assert_eq!(reference.is_some(), seq.is_some(), "round {round}");
             if let (Some(p), Some(s)) = (&reference, &seq) {
                 // The deterministic walk finds a lowest-level witness.
@@ -669,7 +636,7 @@ mod tests {
                 assert!(phi(p), "round {round}: witness must satisfy Φ");
             }
             for threads in [0, 2, 4] {
-                let par = possibly_by_enumeration_par(&comp, phi, threads);
+                let par = unlimited(&comp, phi, threads);
                 // Byte-identical witness at every thread count — the
                 // lowest sorted cut on the lowest satisfying level.
                 assert_eq!(par, reference, "round {round}, threads {threads}");
@@ -681,9 +648,9 @@ mod tests {
     fn parallel_enumeration_initial_cut_and_unsatisfiable() {
         let comp = two_by_two();
         for threads in [0, 4] {
-            let w = possibly_by_enumeration_par(&comp, |_| true, threads).unwrap();
+            let w = unlimited(&comp, |_| true, threads).unwrap();
             assert_eq!(w.event_count(), 0);
-            assert!(possibly_by_enumeration_par(&comp, |_| false, threads).is_none());
+            assert!(unlimited(&comp, |_| false, threads).is_none());
         }
     }
 

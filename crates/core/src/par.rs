@@ -1,26 +1,18 @@
 //! Parallel execution layer for the combinatorially scheduled detectors.
 //!
-//! The §3.3 general algorithms ([`crate::singular::possibly_singular_subsets`],
-//! [`crate::singular::possibly_singular_chains`]) schedule `∏ᵢ kᵢ` (resp.
-//! `∏ᵢ cᵢ`) *independent* Garg–Waldecker scans — a textbook fan-out. This
-//! module provides the scheduling primitives:
+//! One work-stealing runtime, exposed through two primitives:
 //!
-//! * [`search_first`] — run `n` independent trials across the worker
-//!   pool, returning a witness as soon as any worker finds one; an
-//!   [`AtomicBool`] cancellation flag stops the remaining workers at
-//!   their next work-item boundary.
-//! * [`search_combinations`] — the same fan-out over the mixed-radix
-//!   combination space (one digit per clause) the §3.3 algorithms walk.
-//! * [`search_chunks`] — fan-out over *contiguous subranges* of a
-//!   linearized space, for searches that carry resumable state (the
-//!   prefix-sharing scan snapshots) across consecutive indices: each
-//!   worker owns whole chunks, so in-chunk state sharing survives the
-//!   parallel split.
-//! * [`map_indexed`] — order-preserving parallel map, used for the
-//!   per-clause chain-cover construction (DAG build + transitive closure
-//!   + matching are independent per clause).
-//! * [`fanout_chunks`] (crate-internal) — the raw work-stealing engine
-//!   the lattice sweeps in `enumerate.rs` build on directly.
+//! * [`map_indexed`] — order-preserving parallel map. The §3.3 general
+//!   algorithms ([`crate::singular::possibly_singular_subsets_budgeted`],
+//!   [`crate::singular::possibly_singular_chains_budgeted`]) run each wave
+//!   of their combination odometer on it, one odometer block per item
+//!   (see `crate::scan`), and build their per-clause chain covers with it
+//!   (DAG build + transitive closure + matching are independent per
+//!   clause).
+//! * [`fanout_chunks`] (crate-internal) — the raw work-stealing engine.
+//!   `map_indexed` is built on it, and so are the budgeted probe/expand
+//!   sweeps in `enumerate.rs`, which cancel the fan-out when a budget
+//!   trips.
 //!
 //! # Threading model
 //!
@@ -49,17 +41,15 @@
 //!
 //! # Determinism contract
 //!
-//! For a fixed input the **verdict** (`Some` vs `None`) is identical at
-//! every thread count: the searched space is the same finite set and
-//! workers only stop early once a witness is in hand. The *witness*
-//! returned by a parallel search may differ from the sequential one
-//! (whichever worker wins the race reports first), but every witness
-//! satisfies the predicate — callers that need the sequential witness run
-//! with `threads ≤ 1`, or canonicalize like the level sweeps in
-//! `enumerate.rs` (which take the *minimum-index* hit of each level and
-//! are therefore byte-identical at every thread count). This contract is
-//! exercised by the `parallel_determinism` tests in
-//! `tests/parallel_agreement.rs`.
+//! Nothing in this layer races for a result. [`map_indexed`] returns its
+//! items in index order, and the fan-outs built on [`fanout_chunks`]
+//! aggregate their hits by minimum index (an atomic `fetch_min`), so a
+//! verdict **and its witness** are byte-identical at every thread count:
+//! the §3.3 odometer keeps the lowest-index live combination of a wave,
+//! the level sweeps the lowest sorted cut of a level. Cancellation only
+//! stops work that cannot change the answer — after a panic, which is
+//! re-raised anyway, or a budget trip, whose partial wave or level the
+//! caller discards. `tests/parallel_agreement.rs` asserts the contract.
 //!
 //! # Panic isolation
 //!
@@ -80,21 +70,17 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Cooperative cancellation shared by one fan-out's workers.
 #[derive(Debug, Default)]
-pub struct Cancellation {
+pub(crate) struct Cancellation {
     flag: AtomicBool,
 }
 
 impl Cancellation {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Signals every worker to stop at its next work-item boundary.
-    pub fn cancel(&self) {
+    fn cancel(&self) {
         self.flag.store(true, Ordering::Release);
     }
 
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }
 }
@@ -266,11 +252,6 @@ impl WorkSource<'_> {
         None
     }
 
-    /// The fan-out's cancellation flag (shared with every worker).
-    pub(crate) fn cancellation(&self) -> &Cancellation {
-        self.cancel
-    }
-
     pub(crate) fn is_cancelled(&self) -> bool {
         self.cancel.is_cancelled()
     }
@@ -303,7 +284,7 @@ pub(crate) fn fanout_chunks(
     }
     let nchunks = total.div_ceil(chunk);
     let workers = worker_count(threads, nchunks).max(1);
-    let cancel = Cancellation::new();
+    let cancel = Cancellation::default();
     // Balanced contiguous partition of the chunk space: worker w roots
     // the w-th span, the per-process sub-lattice decomposition.
     let spans: Vec<ChunkSpan> = (0..workers)
@@ -333,122 +314,6 @@ pub(crate) fn fanout_chunks(
         }
     });
     panics.rethrow();
-}
-
-/// Searches `f(0), …, f(count - 1)` for the first `Some`, fanning the
-/// trials out over `threads` workers with first-witness cancellation.
-///
-/// With `threads ≤ 1` this is exactly the sequential in-order search. In
-/// parallel the returned witness is whichever one a worker finds first;
-/// the `Some`/`None` verdict is the same either way.
-pub fn search_first<T, F>(threads: usize, count: usize, f: F) -> Option<T>
-where
-    T: Send,
-    F: Fn(usize) -> Option<T> + Sync,
-{
-    let workers = worker_count(threads, count);
-    if workers <= 1 {
-        return (0..count).find_map(f);
-    }
-    let found: Mutex<Option<T>> = Mutex::new(None);
-    fanout_chunks(threads, count, 1, &|w, source| {
-        while let Some(range) = source.next(w) {
-            for i in range {
-                if source.is_cancelled() {
-                    return;
-                }
-                if let Some(witness) = f(i) {
-                    source.cancel();
-                    let mut slot = lock_unpoisoned(&found);
-                    // First writer wins; later witnesses are equally
-                    // valid, so dropping them is fine.
-                    if slot.is_none() {
-                        *slot = Some(witness);
-                    }
-                    return;
-                }
-            }
-        }
-    });
-    into_inner_unpoisoned(found)
-}
-
-/// [`search_first`] over the mixed-radix space `{0..sizes[0]} × … ×
-/// {0..sizes[g-1]}` — the combination space of the §3.3 algorithms. Any
-/// zero-sized dimension means an empty space (`None`); an empty `sizes`
-/// visits the single empty combination once.
-///
-/// Combination `i` is decoded as the little-endian-odometer index
-/// sequence the sequential walk would visit `i`-th, so `threads ≤ 1`
-/// visits combinations in the historical order.
-pub fn search_combinations<T, F>(threads: usize, sizes: &[usize], f: F) -> Option<T>
-where
-    T: Send,
-    F: Fn(&[usize]) -> Option<T> + Sync,
-{
-    let mut total: usize = 1;
-    for &s in sizes {
-        if s == 0 {
-            return None;
-        }
-        // A space too large to index cannot be searched exhaustively in
-        // any case; saturate and let the search run until cancelled or
-        // the caller's predicate is found.
-        total = total.saturating_mul(s);
-    }
-    search_first(threads, total, |i| {
-        let mut digits = vec![0usize; sizes.len()];
-        let mut rest = i;
-        // Most-significant digit first, matching the odometer order.
-        for (d, &s) in digits.iter_mut().zip(sizes).rev() {
-            *d = rest % s;
-            rest /= s;
-        }
-        f(&digits)
-    })
-}
-
-/// Searches `0..total` in contiguous chunks of `chunk` indices for the
-/// first range whose `f` returns `Some`, fanning the chunks out over
-/// `threads` workers with first-witness cancellation.
-///
-/// Unlike [`search_first`], which hands out single indices, this hands
-/// each worker a whole `Range` at a time — the shape needed by searches
-/// that carry resumable per-worker state (e.g. [`crate::singular`]'s
-/// prefix-sharing scan snapshots) from one index to the next. `f` must
-/// check the passed [`Cancellation`] at its own convenient boundaries
-/// within a range.
-///
-/// With `threads ≤ 1` this is exactly one call `f(0..total, _)` on the
-/// caller's thread: the historical sequential walk, state shared across
-/// the entire space. In parallel, each worker owns a contiguous span of
-/// chunks and idle workers steal span halves, so the verdict is
-/// thread-count invariant while the witness may be whichever worker's.
-pub fn search_chunks<T, F>(threads: usize, total: usize, chunk: usize, f: F) -> Option<T>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>, &Cancellation) -> Option<T> + Sync,
-{
-    let chunk = chunk.max(1);
-    let workers = worker_count(threads, total.div_ceil(chunk));
-    if workers <= 1 {
-        let cancel = Cancellation::new();
-        return f(0..total, &cancel);
-    }
-    let found: Mutex<Option<T>> = Mutex::new(None);
-    fanout_chunks(threads, total, chunk, &|w, source| {
-        while let Some(range) = source.next(w) {
-            if let Some(witness) = f(range, source.cancellation()) {
-                source.cancel();
-                let mut slot = lock_unpoisoned(&found);
-                if slot.is_none() {
-                    *slot = Some(witness);
-                }
-                return;
-            }
-        }
-    });
-    into_inner_unpoisoned(found)
 }
 
 /// Order-preserving parallel map over `0..count`: returns
@@ -492,18 +357,73 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::{Budget, BudgetMeter};
+    use gpd_computation::Cut;
     use std::sync::atomic::AtomicUsize;
+
+    /// Every item range one fan-out hands out, in hand-out order per
+    /// worker, flattened.
+    fn drained(threads: usize, total: usize, chunk: usize) -> Vec<usize> {
+        let seen: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+        fanout_chunks(threads, total, chunk, &|w, source| {
+            while let Some(range) = source.next(w) {
+                lock_unpoisoned(&seen).extend(range);
+            }
+        });
+        into_inner_unpoisoned(seen)
+    }
+
+    /// The lowest `i < count` with `hit(i)`, searched like the budgeted
+    /// level probe: chunks past the current best are skipped, hits race
+    /// into a `fetch_min`.
+    fn lowest_hit(
+        threads: usize,
+        count: usize,
+        hit: &(dyn Fn(usize) -> bool + Sync),
+    ) -> Option<usize> {
+        let best = AtomicUsize::new(usize::MAX);
+        fanout_chunks(threads, count, 16, &|w, source| {
+            while let Some(range) = source.next(w) {
+                if range.start > best.load(Ordering::Acquire) {
+                    continue;
+                }
+                if let Some(i) = range.into_iter().find(|&i| hit(i)) {
+                    best.fetch_min(i, Ordering::AcqRel);
+                }
+            }
+        });
+        Some(best.into_inner()).filter(|&i| i != usize::MAX)
+    }
+
+    /// A level of `count` distinct one-process cuts for the budgeted
+    /// probe; the predicate reads the index back off the frontier.
+    fn indexed_level(count: u32) -> Vec<Cut> {
+        (0..count).map(|i| Cut::from_frontier(vec![i])).collect()
+    }
+
+    fn index_of(cut: &Cut) -> usize {
+        cut.frontier()[0] as usize
+    }
 
     #[test]
     fn sequential_search_matches_find_map() {
         for threads in [0, 1] {
             let visited = AtomicUsize::new(0);
-            let hit = search_first(threads, 10, |i| {
-                visited.fetch_add(1, Ordering::Relaxed);
-                (i == 3).then_some(i)
+            let hit = Mutex::new(None);
+            fanout_chunks(threads, 10, 1, &|w, source| {
+                while let Some(range) = source.next(w) {
+                    for i in range {
+                        visited.fetch_add(1, Ordering::Relaxed);
+                        if i == 3 {
+                            *lock_unpoisoned(&hit) = Some(i);
+                            source.cancel();
+                            return;
+                        }
+                    }
+                }
             });
-            assert_eq!(hit, Some(3));
-            // Sequential mode short-circuits exactly like the old code.
+            assert_eq!(into_inner_unpoisoned(hit), Some(3));
+            // One worker visits in order and stops exactly like find_map.
             assert_eq!(visited.load(Ordering::Relaxed), 4);
         }
     }
@@ -511,28 +431,31 @@ mod tests {
     #[test]
     fn parallel_search_finds_a_witness() {
         for threads in [2, 4, 8] {
-            let hit = search_first(threads, 1000, |i| (i % 977 == 10).then_some(i));
-            // Any satisfying index is a valid witness: workers root
-            // different spans, so either hit can win the race.
-            assert!(
-                hit == Some(10) || hit == Some(987),
-                "threads = {threads}, hit = {hit:?}"
-            );
-            let miss: Option<usize> = search_first(threads, 1000, |_| None);
-            assert_eq!(miss, None, "threads = {threads}");
+            // Workers root different spans, so the later hit is often
+            // reached first; the minimum-index aggregation still
+            // reports the lowest one.
+            let hit = lowest_hit(threads, 1000, &|i| i % 977 == 10);
+            assert_eq!(hit, Some(10), "threads = {threads}");
+            assert_eq!(lowest_hit(threads, 1000, &|_| false), None);
         }
     }
 
     #[test]
     fn cancellation_stops_remaining_workers() {
-        // After a witness is found, the work counter must stop well
-        // short of the full space (the tail is cancelled).
+        // After one worker cancels, the others must stop at their next
+        // chunk boundary, well short of the full space.
         let visited = AtomicUsize::new(0);
-        let hit = search_first(4, 1_000_000, |i| {
-            visited.fetch_add(1, Ordering::Relaxed);
-            (i % 250_000 == 2).then_some(i)
+        fanout_chunks(4, 1_000_000, 64, &|w, source| {
+            while let Some(range) = source.next(w) {
+                for i in range {
+                    visited.fetch_add(1, Ordering::Relaxed);
+                    if i % 250_000 == 2 {
+                        source.cancel();
+                        return;
+                    }
+                }
+            }
         });
-        assert!(hit.is_some());
         assert!(
             visited.load(Ordering::Relaxed) < 100_000,
             "cancellation should cut the sweep short, visited {}",
@@ -558,85 +481,27 @@ mod tests {
     }
 
     #[test]
-    fn combinations_agree_with_sequential_walk() {
-        // The parallel decode must cover exactly the odometer space.
-        let sizes = [3usize, 1, 4];
-        let seen: Mutex<Vec<Vec<usize>>> = Mutex::new(Vec::new());
-        let none: Option<()> = search_combinations(4, &sizes, |digits| {
-            seen.lock().unwrap().push(digits.to_vec());
-            None
-        });
-        assert_eq!(none, None);
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort();
-        seen.dedup();
-        assert_eq!(seen.len(), 12);
-        for digits in &seen {
-            assert!(digits.iter().zip(&sizes).all(|(&d, &s)| d < s));
-        }
-    }
-
-    #[test]
-    fn combinations_empty_dimension_is_unsatisfiable() {
-        for threads in [0, 4] {
-            let hit: Option<()> =
-                search_combinations(threads, &[2, 0, 5], |_| panic!("must not visit"));
-            assert_eq!(hit, None);
-        }
-    }
-
-    #[test]
-    fn combinations_zero_dimensions_visit_once() {
-        for threads in [0, 4] {
-            let hit = search_combinations(threads, &[], |digits| {
-                assert!(digits.is_empty());
-                Some(42)
-            });
-            assert_eq!(hit, Some(42));
-        }
-    }
-
-    #[test]
     fn chunked_search_sequential_is_one_full_range() {
+        // One worker drains the chunks in order on the caller's thread:
+        // together they are exactly the full range.
         for threads in [0, 1] {
-            let calls = AtomicUsize::new(0);
-            let hit = search_chunks(threads, 10, 3, |range, _| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                assert_eq!(range, 0..10);
-                range.into_iter().find(|&i| i == 7)
-            });
-            assert_eq!(hit, Some(7));
-            assert_eq!(calls.load(Ordering::Relaxed), 1);
+            assert_eq!(drained(threads, 10, 3), (0..10).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn chunked_search_covers_the_space() {
         for threads in [2, 4] {
-            let seen: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-            let miss: Option<usize> = search_chunks(threads, 100, 7, |range, _| {
-                seen.lock().unwrap().extend(range);
-                None
-            });
-            assert_eq!(miss, None, "threads = {threads}");
-            let mut seen = seen.into_inner().unwrap();
+            let mut seen = drained(threads, 100, 7);
             seen.sort_unstable();
             assert_eq!(seen, (0..100).collect::<Vec<_>>(), "threads = {threads}");
-            let hit = search_chunks(threads, 100, 7, |range, _| {
-                range.into_iter().find(|&i| i == 42)
-            });
-            assert_eq!(hit, Some(42), "threads = {threads}");
         }
     }
 
     #[test]
     fn chunked_search_empty_space_rejects() {
         for threads in [0, 4] {
-            let miss: Option<()> = search_chunks(threads, 0, 5, |range, _| {
-                assert!(range.is_empty());
-                None
-            });
-            assert_eq!(miss, None);
+            assert!(drained(threads, 0, 5).is_empty());
         }
     }
 
@@ -665,26 +530,24 @@ mod tests {
 
     #[test]
     fn worker_panics_propagate_once_and_leave_the_pool_reusable() {
+        let level = indexed_level(1000);
         for threads in [0, 1, 2, 4] {
             let caught = std::panic::catch_unwind(|| {
-                search_first(threads, 100, |i| -> Option<usize> {
-                    if i == 13 {
+                let probe = |c: &Cut| -> bool {
+                    if index_of(c) == 613 {
                         panic!("bad predicate");
                     }
-                    None
-                })
+                    false
+                };
+                crate::enumerate::probe_level_budgeted(
+                    &probe,
+                    threads,
+                    &level,
+                    &Budget::unlimited(),
+                    &BudgetMeter::new(),
+                )
             });
-            assert!(caught.is_err(), "search_first, threads = {threads}");
-
-            let caught = std::panic::catch_unwind(|| {
-                search_chunks(threads, 100, 7, |range, _| -> Option<usize> {
-                    if range.contains(&42) {
-                        panic!("bad range");
-                    }
-                    None
-                })
-            });
-            assert!(caught.is_err(), "search_chunks, threads = {threads}");
+            assert!(caught.is_err(), "budgeted probe, threads = {threads}");
 
             let caught = std::panic::catch_unwind(|| {
                 map_indexed(threads, 50, |i| {
@@ -697,7 +560,14 @@ mod tests {
             assert!(caught.is_err(), "map_indexed, threads = {threads}");
         }
         // Nothing global was poisoned: fresh fan-outs still work.
-        assert_eq!(search_first(4, 10, |i| (i == 3).then_some(i)), Some(3));
+        let found = crate::enumerate::probe_level_budgeted(
+            &|c: &Cut| index_of(c) == 3,
+            4,
+            &level,
+            &Budget::unlimited(),
+            &BudgetMeter::new(),
+        );
+        assert_eq!(found, Ok(Some(level[3].clone())));
         assert_eq!(map_indexed(4, 4, |i| i), vec![0, 1, 2, 3]);
     }
 
@@ -707,11 +577,13 @@ mod tests {
         // surface the panic (the caller cannot trust a partial sweep).
         // The witness-finder waits until the panic has fired, so both
         // genuinely happen in every interleaving — with rooted spans the
-        // witness could otherwise win and cancel the panicking item away.
+        // witness could otherwise win and prune the panicking chunk away.
+        let level = indexed_level(1000);
         for threads in [2, 4] {
             let panicked = AtomicBool::new(false);
             let caught = std::panic::catch_unwind(|| {
-                search_first(threads, 1000, |i| {
+                let probe = |c: &Cut| {
+                    let i = index_of(c);
                     if i == 0 {
                         panicked.store(true, Ordering::Release);
                         panic!("early panic");
@@ -723,10 +595,17 @@ mod tests {
                         {
                             std::thread::yield_now();
                         }
-                        return Some(i);
+                        return true;
                     }
-                    None
-                })
+                    false
+                };
+                crate::enumerate::probe_level_budgeted(
+                    &probe,
+                    threads,
+                    &level,
+                    &Budget::unlimited(),
+                    &BudgetMeter::new(),
+                )
             });
             assert!(caught.is_err(), "threads = {threads}");
         }

@@ -44,7 +44,6 @@ use crate::budget::{
     ExhaustReason, Partial, Progress, Verdict,
 };
 use crate::counters;
-use crate::par::Cancellation;
 
 /// A local state `(process, executed-event count)` offered to the scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -302,10 +301,6 @@ impl<'a> PrefixScan<'a> {
         }
     }
 
-    pub(crate) fn depth(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Pops back to the first `depth` slots (their snapshot is reused
     /// as-is — no rescan).
     pub(crate) fn truncate(&mut self, depth: usize) {
@@ -337,230 +332,188 @@ impl<'a> PrefixScan<'a> {
     }
 }
 
-/// Searches the §3.3 combination space — one choice of candidate slot
-/// per clause, `choices[j]` listing clause `j`'s alternatives — for the
-/// first combination whose scan succeeds, sharing scan work between
-/// combinations that agree on a prefix of choices.
-///
-/// Sequential (`threads ≤ 1`) runs walk the whole odometer on the
-/// caller's thread and return the *same witness as the seed's
-/// from-scratch walk* (confluence, see [`scan`]). Parallel runs hand
-/// contiguous subranges of the odometer to workers (chunked at the
-/// innermost dimension so in-chunk prefix sharing survives), each worker
-/// owning its own [`PrefixScan`] snapshot stack; the first witness found
-/// cancels the rest, preserving the verdict-invariance contract of
-/// `tests/parallel_agreement.rs`.
-pub(crate) fn scan_combinations_shared(
-    comp: &Computation,
-    threads: usize,
-    choices: &[Vec<Vec<Candidate>>],
-) -> Option<Vec<Candidate>> {
-    let sizes: Vec<usize> = choices.iter().map(Vec::len).collect();
-    let mut total: usize = 1;
-    for &s in &sizes {
-        if s == 0 {
-            return None;
-        }
-        // Saturate like `par::search_combinations`: a space too large to
-        // index cannot be searched exhaustively in any case.
-        total = total.saturating_mul(s);
-    }
-    // strides[j] = combinations per step of digit j (odometer order:
-    // most-significant digit first, last digit fastest).
-    let mut strides = vec![1usize; sizes.len()];
-    for j in (0..sizes.len().saturating_sub(1)).rev() {
-        strides[j] = strides[j + 1].saturating_mul(sizes[j + 1]);
-    }
-    let chunk = sizes.last().copied().unwrap_or(1).max(1);
-    crate::par::search_chunks(threads, total, chunk, |range, cancel| {
-        walk_range(comp, choices, &sizes, &strides, range, cancel)
-    })
-}
-
-/// Walks one contiguous odometer subrange with a private snapshot stack.
-fn walk_range(
-    comp: &Computation,
-    choices: &[Vec<Vec<Candidate>>],
-    sizes: &[usize],
-    strides: &[usize],
-    range: Range<usize>,
-    cancel: &Cancellation,
-) -> Option<Vec<Candidate>> {
-    let g = sizes.len();
-    let mut engine = PrefixScan::new(comp);
-    // The digits currently pushed on the engine (a prefix of a decode).
-    let mut pushed: Vec<usize> = Vec::new();
-    let mut idx = range.start;
-    while idx < range.end {
-        if cancel.is_cancelled() {
-            return None;
-        }
-        // Resume from the deepest snapshot whose digits match this
-        // combination's decode.
-        let mut depth = 0;
-        while depth < pushed.len() && pushed[depth] == (idx / strides[depth]) % sizes[depth] {
-            depth += 1;
-        }
-        engine.truncate(depth);
-        pushed.truncate(depth);
-        let mut dead_at = None;
-        for j in engine.depth()..g {
-            let digit = (idx / strides[j]) % sizes[j];
-            pushed.push(digit);
-            if !engine.push(choices[j][digit].clone()) {
-                dead_at = Some(j);
-                break;
-            }
-        }
-        match dead_at {
-            // A dead prefix is dead under every extension: skip the
-            // whole subtree by stepping digit j (with carry).
-            Some(j) => idx = (idx - idx % strides[j]).saturating_add(strides[j]),
-            // All slots settled alive: the heads are the witness.
-            None => return engine.solution(),
-        }
-    }
-    None
-}
-
 // ---------------------------------------------------------------------------
-// Budgeted odometer: deadline/node governed, resumable, deterministic
+// The §3.3 odometer: deadline/node governed, resumable, deterministic
 // ---------------------------------------------------------------------------
 
-/// Outcome of one budgeted pass over the §3.3 combination odometer.
-pub(crate) enum OdometerOutcome {
-    /// The **lowest-index** live combination's settled heads.
-    Found { solution: Vec<Candidate> },
-    /// Every combination was scanned or pruned; no witness exists.
-    Exhausted,
-    /// A budget tripped. All combinations below `next` are eliminated
-    /// (scanned witness-free or inside a dead-prefix subtree); nothing
-    /// at or above `next` may be assumed.
-    Interrupted { next: u64, reason: ExhaustReason },
+/// The §3.3 combination space — one choice of candidate slot per clause,
+/// `choices[j]` listing clause `j`'s alternatives — linearized in
+/// odometer order: most-significant clause first, last clause fastest.
+struct Odometer<'c> {
+    choices: &'c [Vec<Vec<Candidate>>],
+    sizes: Vec<usize>,
+    /// `strides[j]` = combinations per step of digit `j`.
+    strides: Vec<usize>,
+    /// Number of combinations (saturating: a space too large to index
+    /// cannot be walked exhaustively in any case); 0 when some clause
+    /// has no alternative.
+    total: usize,
 }
+
+impl<'c> Odometer<'c> {
+    fn new(choices: &'c [Vec<Vec<Candidate>>]) -> Self {
+        let sizes: Vec<usize> = choices.iter().map(Vec::len).collect();
+        let mut strides = vec![1usize; sizes.len()];
+        for j in (0..sizes.len().saturating_sub(1)).rev() {
+            strides[j] = strides[j + 1].saturating_mul(sizes[j + 1]);
+        }
+        let total = if sizes.contains(&0) {
+            0
+        } else {
+            sizes.iter().fold(1usize, |t, &s| t.saturating_mul(s))
+        };
+        Odometer {
+            choices,
+            sizes,
+            strides,
+            total,
+        }
+    }
+
+    /// Clause `j`'s choice in combination `idx`.
+    fn digit(&self, idx: usize, j: usize) -> usize {
+        (idx / self.strides[j]) % self.sizes[j]
+    }
+}
+
+/// One walker's position in the odometer: its snapshot stack plus the
+/// clause digits pushed on it (a prefix of the last decoded index).
+type Walker<'a> = (PrefixScan<'a>, Vec<usize>);
 
 /// Per-block result of [`walk_block`].
 struct BlockResult {
     visited: u64,
     found: Option<(usize, Vec<Candidate>)>,
+    /// Where the walk stopped. A block that ran through reports at least
+    /// its end — further when a dead prefix's subtree outran the block —
+    /// and every index from its start below `reach` is eliminated.
+    reach: usize,
     interrupted: bool,
 }
 
-/// [`scan_combinations_shared`] under a [`Budget`], resumable from an
-/// odometer position.
+/// Searches the §3.3 combination space for its **lowest-index** live
+/// combination under a [`Budget`], resuming from odometer index `start`
+/// and sharing scan work between combinations that agree on a prefix of
+/// choices (see [`PrefixScan`]). Returns `Ok(Some(heads))` with that
+/// combination's settled heads, `Ok(None)` when every combination was
+/// scanned or pruned, and `Err((next, reason))` when a budget tripped:
+/// every combination below `next` is eliminated (scanned witness-free
+/// or inside a dead-prefix subtree), nothing at or above it may be
+/// assumed.
 ///
 /// The walk is **wave-synchronous**: combinations are consumed in waves
-/// of `chunk × workers × 4` indices, each wave's blocks settled in
-/// parallel and their lowest-index witness aggregated before the next
-/// wave starts. Budgets are decided at wave boundaries (plus a
-/// fine-grained in-wave deadline probe that discards the whole wave when
-/// it fires), so an interrupted run resumes on exactly the boundary an
-/// uninterrupted run would also have crossed — which is why
-/// interrupted-then-resumed verdicts and witnesses are byte-identical to
-/// uninterrupted ones at every thread count. The node cap is only
-/// checked *between* waves, so every resumed call completes at least one
-/// wave: chained tiny-budget resumes always terminate.
-pub(crate) fn scan_combinations_budgeted(
+/// of `chunk × workers × 4` indices, `chunk` being the innermost clause
+/// size. One snapshot stack persists across the whole walk on the
+/// caller's thread and walks each wave's lead block — with `threads ≤ 1`
+/// the whole wave, so it pushes exactly the scans of a plain odometer
+/// loop. With more threads the lead is one `chunk`-sized block, and the
+/// rest of the wave past the lead's reach splits into `chunk`-sized
+/// blocks, each settled on [`crate::par::map_indexed`] with a private
+/// stack; the lowest-index witness is aggregated before the next wave
+/// starts. A dead prefix skips its whole subtree across block and wave
+/// boundaries: a lead whose skip passes the wave's end leaves nothing to
+/// fan out, and the next wave starts past the furthest block's reach.
+///
+/// Budgets are decided at wave boundaries (plus a fine-grained in-wave
+/// deadline probe that discards the whole wave when it fires), so an
+/// interrupted run resumes on a boundary the uninterrupted run also
+/// crossed; by confluence of the scan the resumed walk finds the same
+/// lowest-index witness — which is why interrupted-then-resumed verdicts
+/// and witnesses are byte-identical to uninterrupted ones at every
+/// thread count. The node cap is only checked *between* waves, so every
+/// resumed call completes at least one wave: chained tiny-budget resumes
+/// always terminate.
+fn scan_combinations_budgeted(
     comp: &Computation,
     threads: usize,
-    choices: &[Vec<Vec<Candidate>>],
+    odometer: &Odometer,
     budget: &Budget,
     meter: &BudgetMeter,
     start: u64,
-) -> OdometerOutcome {
-    let sizes: Vec<usize> = choices.iter().map(Vec::len).collect();
-    if sizes.contains(&0) {
-        return OdometerOutcome::Exhausted;
-    }
-    let mut total: usize = 1;
-    for &s in &sizes {
-        total = total.saturating_mul(s);
-    }
-    let mut strides = vec![1usize; sizes.len()];
-    for j in (0..sizes.len().saturating_sub(1)).rev() {
-        strides[j] = strides[j + 1].saturating_mul(sizes[j + 1]);
-    }
+) -> Result<Option<Vec<Candidate>>, (u64, ExhaustReason)> {
+    let total = odometer.total;
     let workers = threads.max(1);
-    let chunk = sizes.last().copied().unwrap_or(1).max(1);
+    let chunk = odometer.sizes.last().copied().unwrap_or(1).max(1);
     let wave = chunk.saturating_mul(workers).saturating_mul(4);
+    // The caller's walker persists across waves and walks each wave's
+    // lead block — with one worker, the whole wave.
+    let mut walker = (PrefixScan::new(comp), Vec::new());
     let mut at = start.min(total as u64) as usize;
     while at < total {
         if budget.deadline_exceeded() {
-            return OdometerOutcome::Interrupted {
-                next: at as u64,
-                reason: ExhaustReason::Deadline,
-            };
+            return Err((at as u64, ExhaustReason::Deadline));
         }
         if budget.nodes_exceeded(meter.nodes()) {
-            return OdometerOutcome::Interrupted {
-                next: at as u64,
-                reason: ExhaustReason::Nodes,
-            };
+            return Err((at as u64, ExhaustReason::Nodes));
         }
         let end = at.saturating_add(wave).min(total);
-        let blocks = (end - at).div_ceil(chunk);
         let best = AtomicU64::new(u64::MAX);
         let abort = AtomicBool::new(false);
-        let results = crate::par::map_indexed(threads, blocks, |b| {
-            let lo = at + b * chunk;
-            let hi = (lo + chunk).min(end);
-            walk_block(
-                comp,
-                choices,
-                &sizes,
-                &strides,
-                lo..hi,
-                budget,
-                &best,
-                &abort,
-            )
-        });
+        let lead_end = if workers == 1 {
+            end
+        } else {
+            at.saturating_add(chunk).min(end)
+        };
+        let lead = walk_block(&mut walker, odometer, at..lead_end, budget, &best, &abort);
+        // The rest of the wave fans out past the lead's reach, one block
+        // per item on a private walker — unless the lead decided the
+        // wave or skipped past it.
+        let rest = if lead.found.is_some() || lead.interrupted {
+            end
+        } else {
+            lead.reach
+        };
+        let mut results = vec![lead];
+        if rest < end {
+            let blocks = (end - rest).div_ceil(chunk);
+            results.extend(crate::par::map_indexed(threads, blocks, |b| {
+                let lo = rest + b * chunk;
+                let hi = (lo + chunk).min(end);
+                let mut walker = (PrefixScan::new(comp), Vec::new());
+                walk_block(&mut walker, odometer, lo..hi, budget, &best, &abort)
+            }));
+        }
         meter.charge(results.iter().map(|r| r.visited).sum());
+        let reach = results.iter().map(|r| r.reach).fold(end, usize::max);
         if results.iter().any(|r| r.interrupted) {
             // The deadline fired mid-wave: discard the wave's findings
-            // wholesale so the checkpoint stays on a deterministic
-            // boundary (the resumed run redoes the wave in full).
-            return OdometerOutcome::Interrupted {
-                next: at as u64,
-                reason: ExhaustReason::Deadline,
-            };
+            // wholesale so the checkpoint stays on the wave boundary
+            // (the resumed run redoes the wave in full).
+            return Err((at as u64, ExhaustReason::Deadline));
         }
         let found = results
             .into_iter()
             .filter_map(|r| r.found)
             .min_by_key(|&(i, _)| i);
-        if let Some((_, solution)) = found {
-            return OdometerOutcome::Found { solution };
+        if let Some((_, heads)) = found {
+            return Ok(Some(heads));
         }
-        at = end;
+        at = reach;
     }
-    OdometerOutcome::Exhausted
+    Ok(None)
 }
 
-/// Walks one contiguous block of a wave with a private snapshot stack,
-/// stopping early when another block published a smaller witness index
-/// (`best`) or the shared deadline `abort` flag rose. Mirrors
-/// [`walk_range`] exactly in decode, prefix resume and dead-prefix
-/// skipping, so the set of combinations it eliminates is identical.
-#[allow(clippy::too_many_arguments)]
+/// Walks `range` of the odometer on `walker`'s snapshot stack, resuming
+/// from the deepest snapshot whose digits match each combination and
+/// skipping the whole subtree of a dead prefix. Stops early when another
+/// block published a smaller witness index (`best`) or the shared
+/// deadline `abort` flag rose.
 fn walk_block(
-    comp: &Computation,
-    choices: &[Vec<Vec<Candidate>>],
-    sizes: &[usize],
-    strides: &[usize],
+    walker: &mut Walker,
+    odometer: &Odometer,
     range: Range<usize>,
     budget: &Budget,
     best: &AtomicU64,
     abort: &AtomicBool,
 ) -> BlockResult {
-    let g = sizes.len();
+    let g = odometer.sizes.len();
     let mut res = BlockResult {
         visited: 0,
         found: None,
+        reach: 0,
         interrupted: false,
     };
-    let mut engine = PrefixScan::new(comp);
-    let mut pushed: Vec<usize> = Vec::new();
+    let (engine, pushed) = walker;
     let mut idx = range.start;
     while idx < range.end {
         if abort.load(Ordering::Acquire) {
@@ -578,23 +531,31 @@ fn walk_block(
             return res;
         }
         res.visited += 1;
+        // Resume from the deepest snapshot whose digits match this
+        // combination's decode.
         let mut depth = 0;
-        while depth < pushed.len() && pushed[depth] == (idx / strides[depth]) % sizes[depth] {
+        while depth < pushed.len() && pushed[depth] == odometer.digit(idx, depth) {
             depth += 1;
         }
         engine.truncate(depth);
         pushed.truncate(depth);
         let mut dead_at = None;
-        for j in engine.depth()..g {
-            let digit = (idx / strides[j]) % sizes[j];
+        for j in depth..g {
+            let digit = odometer.digit(idx, j);
             pushed.push(digit);
-            if !engine.push(choices[j][digit].clone()) {
+            if !engine.push(odometer.choices[j][digit].clone()) {
                 dead_at = Some(j);
                 break;
             }
         }
         match dead_at {
-            Some(j) => idx = (idx - idx % strides[j]).saturating_add(strides[j]),
+            // A dead prefix is dead under every extension: skip the
+            // whole subtree by stepping digit j (with carry).
+            Some(j) => {
+                let stride = odometer.strides[j];
+                idx = (idx - idx % stride).saturating_add(stride);
+            }
+            // All slots settled alive: the heads are the witness.
             None => {
                 best.fetch_min(idx as u64, Ordering::AcqRel);
                 res.found = engine.solution().map(|s| (idx, s));
@@ -602,14 +563,15 @@ fn walk_block(
             }
         }
     }
+    res.reach = idx;
     res
 }
 
-/// Shared budgeted entry point for the §3.3 engines: validates/decodes a
-/// resume [`Checkpoint`] against this odometer's shape, runs
+/// Shared entry point for the §3.3 engines: validates/decodes a resume
+/// [`Checkpoint`] against this odometer's shape, runs
 /// [`scan_combinations_budgeted`] with panics contained, and maps the
-/// outcome onto [`Verdict`] — `Found` becomes the least cut through the
-/// winning candidates, `Interrupted` becomes `Unknown` with sound
+/// outcome onto [`Verdict`] — a witness becomes the least cut through the
+/// winning candidates, an interruption becomes `Unknown` with sound
 /// `combinations_eliminated`/`combinations_total` bounds and a
 /// checkpoint at the interrupted wave's start.
 pub(crate) fn run_odometer(
@@ -621,48 +583,27 @@ pub(crate) fn run_odometer(
     meter: &BudgetMeter,
     resume: Option<&Checkpoint>,
 ) -> Result<Verdict<Option<Cut>>, DetectError> {
-    let sizes: Vec<usize> = choices.iter().map(Vec::len).collect();
-    let problem = odometer_fingerprint(comp, &sizes);
-    let total = if sizes.contains(&0) {
-        0
-    } else {
-        let mut t: usize = 1;
-        for &s in &sizes {
-            t = t.saturating_mul(s);
-        }
-        t as u64
-    };
+    let odometer = Odometer::new(choices);
+    let problem = odometer_fingerprint(comp, &odometer.sizes);
+    let total = odometer.total as u64;
     let start = match resume {
         None => 0u64,
         Some(cp) => cp.restore_odometer(detector, problem, total)?,
     };
     catch_detect(move || {
-        match scan_combinations_budgeted(comp, threads, choices, budget, meter, start) {
-            OdometerOutcome::Found { solution } => Verdict::Decided(
-                Some(cut_through(comp, &solution)),
-                Progress {
-                    nodes_explored: meter.nodes(),
-                    combinations_total: Some(total),
-                    ..Progress::default()
-                },
-            ),
-            OdometerOutcome::Exhausted => Verdict::Decided(
-                None,
-                Progress {
-                    nodes_explored: meter.nodes(),
-                    combinations_eliminated: Some(total),
-                    combinations_total: Some(total),
-                    ..Progress::default()
-                },
-            ),
-            OdometerOutcome::Interrupted { next, reason } => Verdict::Unknown(Partial {
+        let outcome = scan_combinations_budgeted(comp, threads, &odometer, budget, meter, start);
+        let progress = |eliminated| Progress {
+            nodes_explored: meter.nodes(),
+            combinations_eliminated: eliminated,
+            combinations_total: Some(total),
+            ..Progress::default()
+        };
+        match outcome {
+            Ok(Some(heads)) => Verdict::Decided(Some(cut_through(comp, &heads)), progress(None)),
+            Ok(None) => Verdict::Decided(None, progress(Some(total))),
+            Err((next, reason)) => Verdict::Unknown(Partial {
                 reason,
-                progress: Progress {
-                    nodes_explored: meter.nodes(),
-                    combinations_eliminated: Some(next),
-                    combinations_total: Some(total),
-                    ..Progress::default()
-                },
+                progress: progress(Some(next)),
                 checkpoint: Checkpoint::odometer(detector, problem, next, total),
             }),
         }
@@ -802,6 +743,18 @@ mod tests {
             .collect()
     }
 
+    /// The odometer walk under an unlimited budget.
+    fn walk(
+        comp: &gpd_computation::Computation,
+        threads: usize,
+        choices: &[Vec<Vec<Candidate>>],
+    ) -> Option<Vec<Candidate>> {
+        let odometer = Odometer::new(choices);
+        let meter = BudgetMeter::new();
+        scan_combinations_budgeted(comp, threads, &odometer, &Budget::unlimited(), &meter, 0)
+            .expect("unlimited budgets never interrupt")
+    }
+
     /// The seed odometer walk: from-scratch restart scan per combination.
     fn first_witness_from_scratch(
         comp: &gpd_computation::Computation,
@@ -847,8 +800,7 @@ mod tests {
         }
 
         /// The prefix-sharing odometer walk returns the exact witness of
-        /// the seed's from-scratch walk sequentially, and an identical
-        /// verdict at higher thread counts.
+        /// the seed's from-scratch walk at every thread count.
         #[test]
         fn prefix_shared_walk_matches_from_scratch_walk(
             seed in any::<u64>(),
@@ -882,11 +834,9 @@ mod tests {
                 })
                 .collect();
             let expected = first_witness_from_scratch(&comp, &choices);
-            let shared = scan_combinations_shared(&comp, 0, &choices);
-            prop_assert_eq!(&shared, &expected, "sequential witness must be byte-identical");
-            for threads in [2usize, 4] {
-                let par = scan_combinations_shared(&comp, threads, &choices);
-                prop_assert_eq!(par.is_some(), expected.is_some(), "threads = {}", threads);
+            for threads in [0usize, 1, 2, 4] {
+                let shared = walk(&comp, threads, &choices);
+                prop_assert_eq!(&shared, &expected, "threads = {}", threads);
             }
         }
     }
@@ -942,9 +892,30 @@ mod tests {
             vec![vec![cand(1, 0)], vec![cand(1, 1)]],
         ];
         let before = crate::counters::snapshot();
-        assert_eq!(scan_combinations_shared(&comp, 0, &choices), None);
+        assert_eq!(walk(&comp, 0, &choices), None);
         let delta = crate::counters::snapshot().since(&before);
         // 2 dead pushes of clause 0's empty slots; clause 1 never runs.
         assert!(delta.scan_runs <= 4, "subtree not skipped: {delta:?}");
+    }
+
+    #[test]
+    fn odometer_empty_dimension_is_unsatisfiable() {
+        let comp = ComputationBuilder::new(2).build().unwrap();
+        let choices = vec![
+            vec![vec![cand(0, 0)], vec![cand(0, 0)]],
+            Vec::new(),
+            vec![vec![cand(1, 0)]],
+        ];
+        for threads in [0, 4] {
+            assert_eq!(walk(&comp, threads, &choices), None);
+        }
+    }
+
+    #[test]
+    fn odometer_zero_dimensions_visit_once() {
+        let comp = ComputationBuilder::new(1).build().unwrap();
+        for threads in [0, 4] {
+            assert_eq!(walk(&comp, threads, &[]), Some(Vec::new()));
+        }
     }
 }

@@ -7,8 +7,8 @@ use gpd_order::{min_chain_cover, Dag};
 use crate::budget::{Budget, BudgetMeter, Checkpoint, DetectError, Verdict};
 use crate::par::map_indexed;
 use crate::predicate::SingularCnf;
-use crate::scan::{cut_through, run_odometer, scan_combinations_shared, Candidate};
-use crate::singular::literal_states;
+use crate::scan::{run_odometer, Candidate};
+use crate::singular::{literal_states, sequential};
 
 /// Engine name embedded in [`possibly_singular_chains_budgeted`]'s
 /// checkpoints.
@@ -102,7 +102,8 @@ pub fn chain_cover_sizes(
 /// [`possibly_singular_subsets`](crate::singular::possibly_singular_subsets)
 /// and often exponentially fewer when true states are causally aligned.
 ///
-/// Returns the first witness cut found.
+/// Returns the witness of the lowest-index live combination in odometer
+/// order.
 ///
 /// # Example
 ///
@@ -126,35 +127,14 @@ pub fn possibly_singular_chains(
     var: &BoolVariable,
     predicate: &SingularCnf,
 ) -> Option<Cut> {
-    possibly_singular_chains_par(comp, var, predicate, 0)
+    sequential(possibly_singular_chains_budgeted, comp, var, predicate)
 }
 
-/// [`possibly_singular_chains`] parallelized over `threads` workers
-/// (`0`/`1` → the sequential walk; see [`crate::par`] for the scheduling
-/// and determinism contract). Both phases fan out: the per-clause cover
-/// construction (DAG + transitive closure + matching are independent per
-/// clause) and the `∏ᵢ cᵢ` combination scans, which stop at the first
-/// witness any worker finds.
-pub fn possibly_singular_chains_par(
-    comp: &Computation,
-    var: &BoolVariable,
-    predicate: &SingularCnf,
-    threads: usize,
-) -> Option<Cut> {
-    let clauses = predicate.clauses();
-    let covers: Vec<Vec<Vec<Candidate>>> = map_indexed(threads, clauses.len(), |i| {
-        clause_chains(comp, var, &clauses[i])
-    });
-    // Odometer walk with prefix-shared scan snapshots (see
-    // `crate::scan::PrefixScan`): combinations agreeing on their first j
-    // chain choices resume from the j-th checkpoint. An empty cover
-    // (clause with no true states) is a zero-sized dimension → `None`.
-    scan_combinations_shared(comp, threads, &covers).map(|found| cut_through(comp, &found))
-}
-
-/// [`possibly_singular_chains`] under a [`Budget`]: covers are still
-/// built eagerly (polynomial, uncharged), then the `∏ᵢ cᵢ` combination
-/// walk runs wave-synchronously, resumable from a checkpoint (see
+/// [`possibly_singular_chains`] under a [`Budget`], parallelized over
+/// `threads` workers (`0`/`1` → sequential). Both phases fan out: the
+/// per-clause covers are built eagerly (polynomial, uncharged, and
+/// independent per clause), then the `∏ᵢ cᵢ` combination walk runs
+/// wave-synchronously, resumable from a checkpoint (see
 /// [`crate::scan::scan_combinations_budgeted`] for the determinism
 /// contract). Panicking predicates surface as
 /// [`DetectError::PredicatePanicked`].

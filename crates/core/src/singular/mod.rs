@@ -18,6 +18,14 @@
 //! * [`possibly_singular`] — dispatcher: the polynomial special case when
 //!   it applies, otherwise the chain-cover algorithm.
 //!
+//! Both §3.3 algorithms walk their combination space with one engine,
+//! the budgeted, resumable odometer of `crate::scan`: the `_budgeted`
+//! forms take a thread count, a [`Budget`] and a resume checkpoint, and
+//! the plain forms are those engines run sequentially with
+//! [`Budget::unlimited`]. The walk returns the lowest-index witness in
+//! odometer order, so verdicts **and witness cuts** are byte-identical
+//! at every thread count.
+//!
 //! All return the witness cut. Everything is validated against
 //! [`crate::enumerate`] in the test suite.
 
@@ -27,13 +35,12 @@ mod subsets;
 
 pub(crate) use chains::clause_chains;
 pub use chains::{
-    chain_cover_sizes, possibly_singular_chains, possibly_singular_chains_budgeted,
-    possibly_singular_chains_par, SINGULAR_CHAINS,
+    chain_cover_sizes, possibly_singular_chains, possibly_singular_chains_budgeted, SINGULAR_CHAINS,
 };
 pub use ordered::{possibly_singular_ordered, NotOrderedError};
 pub(crate) use subsets::literal_choices;
 pub use subsets::{
-    possibly_singular_subsets, possibly_singular_subsets_budgeted, possibly_singular_subsets_par,
+    possibly_singular_subsets, possibly_singular_subsets_budgeted,
     possibly_singular_subsets_reference, SINGULAR_SUBSETS,
 };
 
@@ -70,31 +77,44 @@ pub fn possibly_singular(
     var: &BoolVariable,
     predicate: &SingularCnf,
 ) -> Option<Cut> {
-    possibly_singular_par(comp, var, predicate, 0)
+    sequential(possibly_singular_budgeted, comp, var, predicate)
 }
 
-/// [`possibly_singular`] with the general-case fallback fanned out over
-/// `threads` workers (`0`/`1` → sequential). The §3.2 polynomial special
-/// case runs a single scan and stays sequential; only the combinatorial
-/// chain-cover fallback benefits from the fan-out.
-pub fn possibly_singular_par(
+/// The signature every budgeted singular engine shares.
+type BudgetedEngine = fn(
+    &Computation,
+    &BoolVariable,
+    &SingularCnf,
+    usize,
+    &Budget,
+    &BudgetMeter,
+    Option<&Checkpoint>,
+) -> Result<Verdict<Option<Cut>>, DetectError>;
+
+/// Runs `engine` on 0 threads under [`Budget::unlimited`], which always
+/// decides; a panic inside the scan is re-raised.
+fn sequential(
+    engine: BudgetedEngine,
     comp: &Computation,
     var: &BoolVariable,
     predicate: &SingularCnf,
-    threads: usize,
 ) -> Option<Cut> {
-    match possibly_singular_ordered(comp, var, predicate) {
-        Ok(result) => result,
-        Err(NotOrderedError) => possibly_singular_chains_par(comp, var, predicate, threads),
+    let (budget, meter) = (Budget::unlimited(), BudgetMeter::new());
+    match engine(comp, var, predicate, 0, &budget, &meter, None) {
+        Ok(Verdict::Decided(witness, _)) => witness,
+        Ok(Verdict::Unknown(_)) => unreachable!("unlimited budgets always decide"),
+        Err(err) => panic!("{err}"),
     }
 }
 
-/// [`possibly_singular_par`] under a [`Budget`]: the §3.2 polynomial
-/// special case still short-circuits (it cannot meaningfully exhaust a
-/// budget), and the combinatorial fallback runs as
-/// [`possibly_singular_chains_budgeted`]. A `resume` checkpoint routes
-/// by its recorded engine name, so a run interrupted inside the subsets
-/// engine resumes there even through this dispatcher.
+/// [`possibly_singular`] under a [`Budget`], with the general-case
+/// fallback fanned out over `threads` workers (`0`/`1` → sequential):
+/// the §3.2 polynomial special case still short-circuits (it runs a
+/// single scan and cannot meaningfully exhaust a budget), and the
+/// combinatorial fallback runs as [`possibly_singular_chains_budgeted`].
+/// A `resume` checkpoint routes by its recorded engine name, so a run
+/// interrupted inside the subsets engine resumes there even through
+/// this dispatcher.
 ///
 /// # Errors
 ///
@@ -140,24 +160,22 @@ pub(crate) fn literal_states(
 
 #[cfg(test)]
 mod tests {
-    use crate::par::search_combinations;
-    use std::sync::Mutex;
+    use super::subsets::first_combination;
+    use std::cell::RefCell;
 
-    // The sequential (`threads = 0`) combination walk replaced the old
-    // `cartesian_product` odometer; these pin down that it still visits
-    // the same space in the same order.
+    // The reference oracle's sequential combination walk: it must visit
+    // the space in the odometer order the prefix-sharing engine uses.
 
     #[test]
     fn sequential_combinations_visit_all_in_odometer_order() {
-        let seen: Mutex<Vec<Vec<usize>>> = Mutex::new(Vec::new());
-        let result: Option<()> = search_combinations(0, &[2, 3], |idx| {
-            seen.lock().unwrap().push(idx.to_vec());
+        let seen = RefCell::new(Vec::new());
+        let result: Option<()> = first_combination(&[2, 3], |idx| {
+            seen.borrow_mut().push(idx.to_vec());
             None
         });
         assert_eq!(result, None);
-        let seen = seen.into_inner().unwrap();
         assert_eq!(
-            seen,
+            seen.into_inner(),
             vec![
                 vec![0, 0],
                 vec![0, 1],
@@ -171,24 +189,24 @@ mod tests {
 
     #[test]
     fn sequential_combinations_short_circuit() {
-        let count = Mutex::new(0);
-        let result = search_combinations(0, &[5, 5], |idx| {
-            *count.lock().unwrap() += 1;
+        let mut count = 0;
+        let result = first_combination(&[5, 5], |idx| {
+            count += 1;
             (idx == [0, 2]).then_some("hit")
         });
         assert_eq!(result, Some("hit"));
-        assert_eq!(*count.lock().unwrap(), 3);
+        assert_eq!(count, 3);
     }
 
     #[test]
     fn empty_dimension_yields_nothing() {
-        let result: Option<()> = search_combinations(0, &[2, 0], |_| panic!("must not visit"));
+        let result: Option<()> = first_combination(&[2, 0], |_| panic!("must not visit"));
         assert_eq!(result, None);
     }
 
     #[test]
     fn zero_dimensions_visits_once() {
-        let result = search_combinations(0, &[], |idx| {
+        let result = first_combination(&[], |idx| {
             assert!(idx.is_empty());
             Some(42)
         });

@@ -4,10 +4,9 @@
 use gpd_computation::{BoolVariable, Computation, Cut};
 
 use crate::budget::{Budget, BudgetMeter, Checkpoint, DetectError, Verdict};
-use crate::par::search_combinations;
 use crate::predicate::SingularCnf;
-use crate::scan::{cut_through, run_odometer, scan_combinations_shared, scan_restart, Candidate};
-use crate::singular::literal_states;
+use crate::scan::{cut_through, run_odometer, scan_restart, Candidate};
+use crate::singular::{literal_states, sequential};
 
 /// Engine name embedded in [`possibly_singular_subsets_budgeted`]'s
 /// checkpoints.
@@ -53,7 +52,8 @@ pub(crate) fn literal_choices(
 /// workloads — `gpd detect --stats` and `BENCH_PR2.json` make the
 /// reduction visible.
 ///
-/// Returns the first witness cut found.
+/// Returns the witness of the lowest-index live combination in odometer
+/// order.
 ///
 /// # Example
 ///
@@ -77,26 +77,12 @@ pub fn possibly_singular_subsets(
     var: &BoolVariable,
     predicate: &SingularCnf,
 ) -> Option<Cut> {
-    possibly_singular_subsets_par(comp, var, predicate, 0)
+    sequential(possibly_singular_subsets_budgeted, comp, var, predicate)
 }
 
-/// [`possibly_singular_subsets`] with its `∏ᵢ kᵢ` scans fanned out over
-/// `threads` workers (`0`/`1` → the sequential walk; see [`crate::par`]
-/// for the scheduling and determinism contract). Workers own contiguous
-/// odometer subranges with private snapshot stacks, so prefix sharing
-/// survives the split; a witness found by any worker cancels the rest.
-pub fn possibly_singular_subsets_par(
-    comp: &Computation,
-    var: &BoolVariable,
-    predicate: &SingularCnf,
-    threads: usize,
-) -> Option<Cut> {
-    let choices = literal_choices(comp, var, predicate);
-    scan_combinations_shared(comp, threads, &choices).map(|found| cut_through(comp, &found))
-}
-
-/// [`possibly_singular_subsets`] under a [`Budget`]: the same `∏ᵢ kᵢ`
-/// odometer walk, wave-synchronous and resumable (see
+/// [`possibly_singular_subsets`] under a [`Budget`], with its `∏ᵢ kᵢ`
+/// scans fanned out over `threads` workers (`0`/`1` → sequential): the
+/// same odometer walk, wave-synchronous and resumable (see
 /// [`crate::scan::scan_combinations_budgeted`] for the determinism
 /// contract). An exhausted budget returns [`Verdict::Unknown`] with the
 /// count of combinations soundly eliminated and a checkpoint at the
@@ -144,7 +130,7 @@ pub fn possibly_singular_subsets_reference(
         .iter()
         .map(|c| c.literals().len())
         .collect();
-    search_combinations(0, &sizes, |choice| {
+    first_combination(&sizes, |choice| {
         let slots: Vec<_> = predicate
             .clauses()
             .iter()
@@ -156,6 +142,29 @@ pub fn possibly_singular_subsets_reference(
             .collect();
         scan_restart(comp, &slots).map(|found| cut_through(comp, &found))
     })
+}
+
+/// Calls `f` on every combination `{0..sizes[0]} × … × {0..sizes[g-1]}`
+/// in odometer order (last digit fastest) until one returns `Some`. A
+/// zero-sized dimension is an empty space; no dimensions at all visit
+/// the single empty combination once.
+pub(super) fn first_combination<T>(
+    sizes: &[usize],
+    mut f: impl FnMut(&[usize]) -> Option<T>,
+) -> Option<T> {
+    if sizes.contains(&0) {
+        return None;
+    }
+    let mut digits = vec![0usize; sizes.len()];
+    loop {
+        if let Some(hit) = f(&digits) {
+            return Some(hit);
+        }
+        // Bump the last digit with room left and reset those after it.
+        let j = digits.iter().zip(sizes).rposition(|(&d, &s)| d + 1 < s)?;
+        digits[j] += 1;
+        digits[j + 1..].fill(0);
+    }
 }
 
 #[cfg(test)]

@@ -825,34 +825,6 @@ where
     })
 }
 
-/// [`possibly_by_enumeration_sliced_budgeted`] with an unlimited budget:
-/// always decides.
-pub fn possibly_by_enumeration_sliced<F>(
-    comp: &Computation,
-    slice: &Slice,
-    predicate: F,
-    threads: usize,
-) -> Option<Cut>
-where
-    F: Fn(&Cut) -> bool + Sync,
-{
-    match possibly_by_enumeration_sliced_budgeted(
-        comp,
-        slice,
-        predicate,
-        threads,
-        &Budget::unlimited(),
-        &BudgetMeter::new(),
-        None,
-    ) {
-        Ok(verdict) => verdict
-            .value()
-            .expect("unlimited budgets always decide")
-            .clone(),
-        Err(err) => unreachable!("no resume checkpoint was supplied: {err}"),
-    }
-}
-
 /// [`crate::enumerate::definitely_levelwise_budgeted`] with the `¬Φ`
 /// sweep confined to the slice window: below level `|m|` successors are
 /// kept without evaluating `Φ` (no cut there can satisfy the envelope),
@@ -938,31 +910,6 @@ where
         }
         Verdict::Decided(false, Progress::with_nodes(meter))
     })
-}
-
-/// [`definitely_levelwise_sliced_budgeted`] with an unlimited budget:
-/// always decides.
-pub fn definitely_levelwise_sliced<F>(
-    comp: &Computation,
-    slice: &Slice,
-    predicate: F,
-    threads: usize,
-) -> bool
-where
-    F: Fn(&Cut) -> bool + Sync,
-{
-    match definitely_levelwise_sliced_budgeted(
-        comp,
-        slice,
-        predicate,
-        threads,
-        &Budget::unlimited(),
-        &BudgetMeter::new(),
-        None,
-    ) {
-        Ok(verdict) => *verdict.value().expect("unlimited budgets always decide"),
-        Err(err) => unreachable!("no resume checkpoint was supplied: {err}"),
-    }
 }
 
 /// Drops candidate states outside the slice window `[mₚ, Mₚ]`. Sound
@@ -1356,10 +1303,19 @@ mod tests {
             )
             .unwrap();
             for threads in [0, 2, 4] {
-                let sliced = possibly_by_enumeration_sliced(&comp, &slice, phi, threads);
+                let sliced = possibly_by_enumeration_sliced_budgeted(
+                    &comp,
+                    &slice,
+                    phi,
+                    threads,
+                    &Budget::unlimited(),
+                    &BudgetMeter::new(),
+                    None,
+                )
+                .unwrap();
                 assert_eq!(
                     plain.value().unwrap(),
-                    &sliced,
+                    sliced.value().unwrap(),
                     "round {round}, threads {threads}"
                 );
             }
@@ -1388,11 +1344,20 @@ mod tests {
         assert!(slice.is_empty());
         assert_eq!(slice.nodes_after(), 0);
         assert_eq!(slice.cuts(&comp), Vec::<Cut>::new());
-        assert_eq!(
-            possibly_by_enumeration_sliced(&comp, &slice, |_| true, 0),
-            None
+        let (budget, meter) = (Budget::unlimited(), BudgetMeter::new());
+        let possibly = possibly_by_enumeration_sliced_budgeted(
+            &comp,
+            &slice,
+            |_| true,
+            0,
+            &budget,
+            &meter,
+            None,
         );
-        assert!(!definitely_levelwise_sliced(&comp, &slice, |_| true, 0));
+        assert_eq!(possibly.unwrap().value(), Some(&None));
+        let definitely =
+            definitely_levelwise_sliced_budgeted(&comp, &slice, |_| true, 0, &budget, &meter, None);
+        assert_eq!(definitely.unwrap().value(), Some(&false));
     }
 
     #[test]

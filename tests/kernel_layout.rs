@@ -9,10 +9,25 @@
 //! `VectorClock` construction (`clock(e).to_owned()`, `VectorClock::from`,
 //! clones) — tests run concurrently in one process.
 
-use gpd::enumerate::{possibly_by_enumeration, possibly_by_enumeration_par};
+use gpd::enumerate::{possibly_by_enumeration, possibly_by_enumeration_budgeted};
 use gpd::relational::possibly_exact_sum;
-use gpd_computation::{gen, ComputationBuilder, IntVariable};
+use gpd::{Budget, BudgetMeter};
+use gpd_computation::{gen, Computation, ComputationBuilder, Cut, IntVariable};
 use rand::SeedableRng;
+
+/// The budgeted level sweep at `threads` under an unlimited budget.
+fn enumerate_at(
+    comp: &Computation,
+    predicate: impl Fn(&Cut) -> bool + Sync,
+    threads: usize,
+) -> Option<Cut> {
+    let meter = BudgetMeter::new();
+    possibly_by_enumeration_budgeted(comp, predicate, threads, &Budget::unlimited(), &meter, None)
+        .expect("no checkpoint, no panic")
+        .value()
+        .expect("unlimited budgets always decide")
+        .clone()
+}
 
 #[test]
 fn csr_handles_empty_middle_process() {
@@ -64,7 +79,7 @@ fn parallel_enumeration_verdicts_are_thread_count_invariant() {
         };
         let seq = possibly_by_enumeration(&comp, pred);
         for threads in [1, 2, 4] {
-            let par = possibly_by_enumeration_par(&comp, pred, threads);
+            let par = enumerate_at(&comp, pred, threads);
             assert_eq!(
                 seq.is_some(),
                 par.is_some(),

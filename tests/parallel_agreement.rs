@@ -1,20 +1,32 @@
 //! The parallel execution layer's determinism contract (see
-//! `gpd::par`): for every detector, the `Some`/`None` verdict is
-//! identical at every thread count, and any witness a parallel run
-//! returns satisfies the predicate — plus regression coverage for
-//! predicates whose clauses have no true states (empty slots / empty
-//! chain covers), which must reject cleanly rather than panic.
+//! `gpd::par`): for every detector, the verdict **and the witness** are
+//! byte-identical at every thread count, and every witness satisfies the
+//! predicate — plus regression coverage for predicates whose clauses
+//! have no true states (empty slots / empty chain covers), which must
+//! reject cleanly rather than panic.
 
-use gpd::enumerate::{possibly_by_enumeration, possibly_by_enumeration_par};
+use gpd::enumerate::{possibly_by_enumeration, possibly_by_enumeration_budgeted};
 use gpd::singular::{
-    possibly_singular, possibly_singular_chains, possibly_singular_chains_par,
-    possibly_singular_ordered, possibly_singular_par, possibly_singular_subsets,
-    possibly_singular_subsets_par,
+    possibly_singular, possibly_singular_budgeted, possibly_singular_chains,
+    possibly_singular_chains_budgeted, possibly_singular_ordered, possibly_singular_subsets,
+    possibly_singular_subsets_budgeted,
 };
-use gpd::{CnfClause, SingularCnf};
-use gpd_computation::{gen, BoolVariable, ComputationBuilder, ProcessId};
+use gpd::{Budget, BudgetMeter, CnfClause, DetectError, SingularCnf, Verdict};
+use gpd_computation::{gen, BoolVariable, ComputationBuilder, Cut, ProcessId};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+
+/// Runs a budgeted engine under an unlimited budget, which always
+/// decides, and returns its witness.
+fn decided(
+    run: impl FnOnce(&Budget, &BudgetMeter) -> Result<Verdict<Option<Cut>>, DetectError>,
+) -> Option<Cut> {
+    let verdict = run(&Budget::unlimited(), &BudgetMeter::new()).expect("no checkpoint, no panic");
+    verdict
+        .value()
+        .expect("unlimited budgets always decide")
+        .clone()
+}
 
 /// A random singular CNF carving the processes into clauses of size 1–3.
 fn random_singular<R: Rng>(rng: &mut R, n: usize, max_clauses: usize) -> SingularCnf {
@@ -53,22 +65,27 @@ proptest! {
         let x = gen::random_bool_variable(&mut rng, &comp, density);
         let phi = random_singular(&mut rng, n, 3);
 
+        // The plain engines are the budgeted ones at 0 threads: the
+        // reference every thread count must reproduce byte for byte.
         let seq_subsets = possibly_singular_subsets(&comp, &x, &phi);
         let seq_chains = possibly_singular_chains(&comp, &x, &phi);
         let seq_auto = possibly_singular(&comp, &x, &phi);
+        for cut in [&seq_subsets, &seq_chains, &seq_auto].into_iter().flatten() {
+            prop_assert!(comp.is_consistent(cut));
+            prop_assert!(phi.eval(&x, cut));
+        }
         for threads in [1usize, 2, 4] {
-            let subsets = possibly_singular_subsets_par(&comp, &x, &phi, threads);
-            let chains = possibly_singular_chains_par(&comp, &x, &phi, threads);
-            let auto = possibly_singular_par(&comp, &x, &phi, threads);
-            prop_assert_eq!(subsets.is_some(), seq_subsets.is_some());
-            prop_assert_eq!(chains.is_some(), seq_chains.is_some());
-            prop_assert_eq!(auto.is_some(), seq_auto.is_some());
-            // A parallel witness may differ from the sequential one, but
-            // it must be a consistent cut that satisfies Φ.
-            for cut in [subsets, chains, auto].into_iter().flatten() {
-                prop_assert!(comp.is_consistent(&cut));
-                prop_assert!(phi.eval(&x, &cut));
-            }
+            let subsets = decided(|b, m| {
+                possibly_singular_subsets_budgeted(&comp, &x, &phi, threads, b, m, None)
+            });
+            let chains = decided(|b, m| {
+                possibly_singular_chains_budgeted(&comp, &x, &phi, threads, b, m, None)
+            });
+            let auto =
+                decided(|b, m| possibly_singular_budgeted(&comp, &x, &phi, threads, b, m, None));
+            prop_assert_eq!(&subsets, &seq_subsets, "subsets, threads {}", threads);
+            prop_assert_eq!(&chains, &seq_chains, "chains, threads {}", threads);
+            prop_assert_eq!(&auto, &seq_auto, "dispatcher, threads {}", threads);
         }
     }
 
@@ -91,7 +108,8 @@ proptest! {
         let seq = possibly_by_enumeration(&comp, pred);
         // One worker runs the sweeps in exact sequential order; that is
         // the deterministic reference every thread count must reproduce.
-        let reference = possibly_by_enumeration_par(&comp, pred, 1);
+        let reference =
+            decided(|b, m| possibly_by_enumeration_budgeted(&comp, pred, 1, b, m, None));
         prop_assert_eq!(reference.is_some(), seq.is_some());
         if let (Some(p), Some(s)) = (&reference, &seq) {
             // The witness sits on the minimum satisfying level.
@@ -99,7 +117,8 @@ proptest! {
             prop_assert!(pred(p));
         }
         for threads in [2usize, 4] {
-            let par = possibly_by_enumeration_par(&comp, pred, threads);
+            let par =
+                decided(|b, m| possibly_by_enumeration_budgeted(&comp, pred, threads, b, m, None));
             // Work-stealing sweeps canonicalize on the lowest sorted
             // cut of the lowest level: byte-identical witnesses.
             prop_assert_eq!(&par, &reference);
@@ -132,11 +151,19 @@ fn empty_cover_rejects_cleanly_at_every_thread_count() {
     );
     for threads in [0usize, 4] {
         assert_eq!(
-            possibly_singular_subsets_par(&comp, &x, &phi, threads),
+            decided(|b, m| possibly_singular_subsets_budgeted(
+                &comp, &x, &phi, threads, b, m, None
+            )),
             None
         );
-        assert_eq!(possibly_singular_chains_par(&comp, &x, &phi, threads), None);
-        assert_eq!(possibly_singular_par(&comp, &x, &phi, threads), None);
+        assert_eq!(
+            decided(|b, m| possibly_singular_chains_budgeted(&comp, &x, &phi, threads, b, m, None)),
+            None
+        );
+        assert_eq!(
+            decided(|b, m| possibly_singular_budgeted(&comp, &x, &phi, threads, b, m, None)),
+            None
+        );
     }
 }
 
@@ -154,10 +181,18 @@ fn all_literals_empty_rejects_cleanly() {
     ])]);
     for threads in [0usize, 4] {
         assert_eq!(
-            possibly_singular_subsets_par(&comp, &x, &phi, threads),
+            decided(|b, m| possibly_singular_subsets_budgeted(
+                &comp, &x, &phi, threads, b, m, None
+            )),
             None
         );
-        assert_eq!(possibly_singular_chains_par(&comp, &x, &phi, threads), None);
-        assert_eq!(possibly_singular_par(&comp, &x, &phi, threads), None);
+        assert_eq!(
+            decided(|b, m| possibly_singular_chains_budgeted(&comp, &x, &phi, threads, b, m, None)),
+            None
+        );
+        assert_eq!(
+            decided(|b, m| possibly_singular_budgeted(&comp, &x, &phi, threads, b, m, None)),
+            None
+        );
     }
 }

@@ -9,10 +9,24 @@
 //! and assert the spawn counter, verdicts and pool health afterwards.
 
 use gpd::counters;
-use gpd::enumerate::{definitely_levelwise_budgeted, possibly_by_enumeration_par};
+use gpd::enumerate::{definitely_levelwise_budgeted, possibly_by_enumeration_budgeted};
 use gpd::{Budget, BudgetMeter, DetectError, Verdict};
 use gpd_computation::{gen, Computation, Cut};
 use rand::{Rng, SeedableRng};
+
+/// The budgeted level sweep at `threads` under an unlimited budget.
+fn enumerate_at(
+    comp: &Computation,
+    predicate: impl Fn(&Cut) -> bool + Sync,
+    threads: usize,
+) -> Option<Cut> {
+    let meter = BudgetMeter::new();
+    possibly_by_enumeration_budgeted(comp, predicate, threads, &Budget::unlimited(), &meter, None)
+        .expect("no checkpoint, no panic")
+        .value()
+        .expect("unlimited budgets always decide")
+        .clone()
+}
 
 /// The pool's hard thread cap: twice the hardware parallelism.
 fn spawn_cap() -> u64 {
@@ -42,7 +56,7 @@ fn hundreds_of_runs_spawn_o1_threads() {
     for (i, comp) in random_comps(4242, 300).iter().enumerate() {
         let threads = [1, 2, 4, 8][i % 4];
         let events = comp.final_cut().event_count();
-        let hit = possibly_by_enumeration_par(comp, |c: &Cut| c.event_count() >= events, threads);
+        let hit = enumerate_at(comp, |c: &Cut| c.event_count() >= events, threads);
         assert!(hit.is_some(), "the final cut always satisfies the bound");
         let meter = BudgetMeter::new();
         let verdict = definitely_levelwise_budgeted(
@@ -76,7 +90,7 @@ fn concurrent_detections_share_the_pool_and_agree() {
         .iter()
         .map(|c| {
             let n = c.process_count();
-            possibly_by_enumeration_par(
+            enumerate_at(
                 c,
                 |cut: &Cut| cut.frontier().iter().sum::<u32>() as usize >= n,
                 1,
@@ -88,7 +102,7 @@ fn concurrent_detections_share_the_pool_and_agree() {
             scope.spawn(|| {
                 for (comp, want) in comps.iter().zip(&expected) {
                     let n = comp.process_count();
-                    let got = possibly_by_enumeration_par(
+                    let got = enumerate_at(
                         comp,
                         |cut: &Cut| cut.frontier().iter().sum::<u32>() as usize >= n,
                         4,
@@ -120,7 +134,7 @@ fn panicking_predicates_leave_the_pool_healthy() {
     }
     // After 40 panicking fan-outs the pool still answers correctly.
     for comp in &comps {
-        let hit = possibly_by_enumeration_par(comp, |_: &Cut| true, 4);
+        let hit = enumerate_at(comp, |_: &Cut| true, 4);
         assert_eq!(
             hit.map(|c| c.event_count()),
             Some(0),

@@ -1,18 +1,34 @@
 //! Equivalence contract of the incremental scan pipeline (see
 //! `gpd::scan`): the queue-driven fixpoint, the prefix-sharing
-//! combination walk, and the parallel snapshot-splitting layer must all
-//! return exactly what the seed's restart-from-scratch loop returned.
-//! The confluence argument (docs/ALGORITHMS.md §1a) makes this a
-//! byte-identity claim for sequential runs, not just verdict agreement,
-//! and these tests hold the implementations to it.
+//! combination walk, and its parallel wave-splitting must all return
+//! exactly what the seed's restart-from-scratch loop returned. The
+//! confluence argument (docs/ALGORITHMS.md §1a) makes this a
+//! byte-identity claim at every thread count, not just verdict
+//! agreement, and these tests hold the implementations to it.
 
 use gpd::singular::{
-    possibly_singular_subsets, possibly_singular_subsets_par, possibly_singular_subsets_reference,
+    possibly_singular_subsets, possibly_singular_subsets_budgeted,
+    possibly_singular_subsets_reference,
 };
-use gpd::{counters, CnfClause, SingularCnf};
-use gpd_computation::{gen, BoolVariable, Computation, ComputationBuilder, ProcessId};
+use gpd::{counters, Budget, BudgetMeter, CnfClause, SingularCnf};
+use gpd_computation::{gen, BoolVariable, Computation, ComputationBuilder, Cut, ProcessId};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+
+/// The subset engine at `threads` under an unlimited budget.
+fn subsets_at(
+    comp: &Computation,
+    var: &BoolVariable,
+    phi: &SingularCnf,
+    threads: usize,
+) -> Option<Cut> {
+    let meter = BudgetMeter::new();
+    possibly_singular_subsets_budgeted(comp, var, phi, threads, &Budget::unlimited(), &meter, None)
+        .expect("no checkpoint, no panic")
+        .value()
+        .expect("unlimited budgets always decide")
+        .clone()
+}
 
 /// A random singular CNF carving the processes into clauses of size 1–3.
 fn random_singular<R: Rng>(rng: &mut R, n: usize, max_clauses: usize) -> SingularCnf {
@@ -94,14 +110,11 @@ proptest! {
 
         let reference = possibly_singular_subsets_reference(&comp, &x, &phi);
         prop_assert_eq!(&possibly_singular_subsets(&comp, &x, &phi), &reference);
-        prop_assert_eq!(
-            &possibly_singular_subsets_par(&comp, &x, &phi, 0),
-            &reference
-        );
+        prop_assert_eq!(&subsets_at(&comp, &x, &phi, 0), &reference);
     }
 
-    /// The snapshot-resuming parallel walk agrees with the reference
-    /// verdict at every thread count, and its witnesses satisfy Φ.
+    /// The snapshot-resuming parallel walk returns the reference witness
+    /// at every thread count, and its witnesses satisfy Φ.
     #[test]
     fn snapshot_resume_agrees_at_every_thread_count(
         seed in any::<u64>(),
@@ -117,8 +130,8 @@ proptest! {
 
         let reference = possibly_singular_subsets_reference(&comp, &x, &phi);
         for threads in [1usize, 2, 4] {
-            let par = possibly_singular_subsets_par(&comp, &x, &phi, threads);
-            prop_assert_eq!(par.is_some(), reference.is_some(), "threads {}", threads);
+            let par = subsets_at(&comp, &x, &phi, threads);
+            prop_assert_eq!(&par, &reference, "threads {}", threads);
             if let Some(cut) = par {
                 prop_assert!(comp.is_consistent(&cut));
                 prop_assert!(phi.eval(&x, &cut));
@@ -155,6 +168,6 @@ fn wide_unsat_workload_rejects_identically_and_cheaper() {
     );
 
     for threads in [1usize, 2, 4] {
-        assert!(possibly_singular_subsets_par(&comp, &var, &phi, threads).is_none());
+        assert!(subsets_at(&comp, &var, &phi, threads).is_none());
     }
 }
