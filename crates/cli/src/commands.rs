@@ -7,7 +7,7 @@ use gpd::enumerate::{
     definitely_by_enumeration, definitely_levelwise_budgeted, possibly_by_enumeration,
 };
 use gpd::relational::{
-    definitely_exact_sum, definitely_exact_sum_budgeted, definitely_sum, definitely_sum_budgeted,
+    definitely_exact_sum, definitely_exact_sum_budgeted, definitely_sum_budgeted,
     possibly_exact_sum, possibly_exact_sum_budgeted, possibly_sum,
 };
 use gpd::singular::possibly_singular_budgeted;
@@ -16,7 +16,7 @@ use gpd::slice::{
     possibly_singular_sliced_budgeted, possibly_slice, RegularPredicate, Slice,
     DEFINITELY_LEVELWISE_SLICED,
 };
-use gpd::symmetric::{definitely_symmetric, possibly_symmetric, SymmetricPredicate};
+use gpd::symmetric::{possibly_symmetric, SymmetricPredicate};
 use gpd::{
     Budget, BudgetMeter, Checkpoint, CnfClause, DetectError, Progress, Relop, SingularCnf, Verdict,
 };
@@ -334,7 +334,7 @@ fn literal_truth_variable(trace: &Trace, literals: &[LitSpec]) -> Result<BoolVar
     Ok(BoolVariable::new(comp, tracks))
 }
 
-fn describe_cut(_comp: &Computation, cut: &Cut) -> String {
+fn describe_cut(cut: &Cut) -> String {
     format!("witness cut: {:?}", cut.frontier())
 }
 
@@ -452,19 +452,23 @@ fn budget_exhausted(
     )))
 }
 
+/// The answer line of a witness-returning question, followed by the
+/// witness cut when there is one.
+fn witness_answer(modality: &str, expr: &str, witness: Option<Cut>) -> String {
+    match witness {
+        Some(cut) => format!("{modality}({expr}): true\n{}\n", describe_cut(&cut)),
+        None => format!("{modality}({expr}): false\n"),
+    }
+}
+
 fn render_witness_verdict(
-    comp: &Computation,
     modality: &str,
     expr: &str,
     verdict: Verdict<Option<Cut>>,
     opts: &BudgetOpts,
 ) -> Result<String, CliError> {
     match verdict {
-        Verdict::Decided(Some(cut), _) => Ok(format!(
-            "{modality}({expr}): true\n{}\n",
-            describe_cut(comp, &cut)
-        )),
-        Verdict::Decided(None, _) => Ok(format!("{modality}({expr}): false\n")),
+        Verdict::Decided(witness, _) => Ok(witness_answer(modality, expr, witness)),
         Verdict::Unknown(partial) => budget_exhausted(&partial, opts, expr),
     }
 }
@@ -478,6 +482,17 @@ fn render_bool_verdict(
     match verdict {
         Verdict::Decided(answer, _) => Ok(format!("{modality}({expr}): {answer}\n")),
         Verdict::Unknown(partial) => budget_exhausted(&partial, opts, expr),
+    }
+}
+
+/// The relation of a `sum` predicate other than `==`.
+fn sum_relop(op: SumOp) -> Relop {
+    match op {
+        SumOp::Lt => Relop::Lt,
+        SumOp::Le => Relop::Le,
+        SumOp::Gt => Relop::Gt,
+        SumOp::Ge => Relop::Ge,
+        SumOp::Eq => unreachable!("`==` is the exact-sum question"),
     }
 }
 
@@ -536,13 +551,16 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
     let trace = load_trace(path)?;
     let comp = &trace.computation;
     let definitely = flags.has("definitely");
-    let enumerate = flags.has("enumerate");
     // 0 = sequential (the default); N ≥ 2 fans the combinatorial CNF
-    // scans out over N workers, with the sequential witness.
+    // scans and the lattice sweeps out over N workers, with the
+    // sequential verdict and witness.
     let threads = flags.get_usize("threads", 0)?;
     let stats = flags.has("stats");
     let modality = if definitely { "Definitely" } else { "Possibly" };
     let opts = parse_budget(&flags, path, expr)?;
+    // Without a budget an exhaustive sweep could run away; with one, the
+    // budget *is* the guard: the sweep stops at the deadline or cap.
+    let enumerate = flags.has("enumerate") || opts.active;
     let meter = BudgetMeter::new();
     // A polynomial question decides within any budget; only `--resume`
     // is meaningless there (nothing was ever interrupted).
@@ -574,25 +592,17 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
                     let verdict = definitely_slice(comp, &pred);
                     Ok(format!("{modality}({expr}): {verdict}\n"))
                 } else {
-                    match possibly_slice(comp, &pred) {
-                        Some(cut) => Ok(format!(
-                            "{modality}({expr}): true\n{}\n",
-                            describe_cut(comp, &cut)
-                        )),
-                        None => Ok(format!("{modality}({expr}): false\n")),
-                    }
+                    Ok(witness_answer(modality, expr, possibly_slice(comp, &pred)))
                 }
             } else if definitely {
                 let verdict = definitely_conjunctive(comp, &truth, &processes);
                 Ok(format!("{modality}({expr}): {verdict}\n"))
             } else {
-                match possibly_conjunctive(comp, &truth, &processes) {
-                    Some(cut) => Ok(format!(
-                        "{modality}({expr}): true\n{}\n",
-                        describe_cut(comp, &cut)
-                    )),
-                    None => Ok(format!("{modality}({expr}): false\n")),
-                }
+                Ok(witness_answer(
+                    modality,
+                    expr,
+                    possibly_conjunctive(comp, &truth, &processes),
+                ))
             }
         }
         PredicateSpec::Cnf(clauses) => {
@@ -641,24 +651,15 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
                 let sliced = slice.as_ref().filter(|_| {
                     resume.is_none_or(|cp| cp.detector() == DEFINITELY_LEVELWISE_SLICED)
                 });
-                if !opts.active {
-                    // Without a budget the sweep could run away; with one,
-                    // the budget *is* the guard: the sweep stops at the
-                    // deadline/cap.
-                    guard_enumeration(comp, enumerate, "Definitely(cnf)")?;
-                }
+                guard_enumeration(comp, enumerate, "Definitely(cnf)")?;
                 let holds = |cut: &Cut| phi.eval(&truth, cut);
                 let verdict = match sliced {
                     Some(sl) => definitely_levelwise_sliced_budgeted(
                         comp, sl, holds, threads, budget, &meter, resume,
                     ),
-                    None if opts.active => {
+                    None => {
                         definitely_levelwise_budgeted(comp, holds, threads, budget, &meter, resume)
                     }
-                    None => Ok(Verdict::Decided(
-                        definitely_by_enumeration(comp, holds),
-                        Progress::default(),
-                    )),
                 }
                 .map_err(detect_error)?;
                 render_bool_verdict(modality, expr, verdict, &opts)
@@ -675,7 +676,7 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
                     ),
                 }
                 .map_err(detect_error)?;
-                render_witness_verdict(comp, modality, expr, verdict, &opts)
+                render_witness_verdict(modality, expr, verdict, &opts)
             }
         }
         PredicateSpec::Sum { name, op, k } => {
@@ -699,7 +700,7 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
                         opts.resume.as_ref(),
                     )
                     .map_err(detect_error)?;
-                    render_witness_verdict(comp, modality, expr, verdict, &opts)
+                    render_witness_verdict(modality, expr, verdict, &opts)
                 }
                 (SumOp::Eq, true) if opts.active => {
                     let verdict = definitely_exact_sum_budgeted(
@@ -715,11 +716,7 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
                     render_bool_verdict(modality, expr, verdict, &opts)
                 }
                 (SumOp::Eq, false) => match possibly_exact_sum(comp, var, k) {
-                    Ok(Some(cut)) => Ok(format!(
-                        "{modality}({expr}): true\n{}\n",
-                        describe_cut(comp, &cut)
-                    )),
-                    Ok(None) => Ok(format!("{modality}({expr}): false\n")),
+                    Ok(witness) => Ok(witness_answer(modality, expr, witness)),
                     Err(err) => {
                         guard_enumeration(
                             comp,
@@ -729,7 +726,7 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
                         match possibly_by_enumeration(comp, |c| var.sum_at(c) == k) {
                             Some(cut) => Ok(format!(
                                 "{modality}({expr}): true (by enumeration)\n{}\n",
-                                describe_cut(comp, &cut)
+                                describe_cut(&cut)
                             )),
                             None => Ok(format!("{modality}({expr}): false (by enumeration)\n")),
                         }
@@ -745,50 +742,31 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
                 },
                 (op, false) => {
                     reject_resume("Possibly(sum relop)")?;
-                    let relop = match op {
-                        SumOp::Lt => Relop::Lt,
-                        SumOp::Le => Relop::Le,
-                        SumOp::Gt => Relop::Gt,
-                        SumOp::Ge => Relop::Ge,
-                        SumOp::Eq => unreachable!("handled above"),
-                    };
-                    match possibly_sum(comp, var, relop, k) {
+                    match possibly_sum(comp, var, sum_relop(op), k) {
                         Some(cut) => Ok(format!(
                             "{modality}({expr}): true\n{} (Σ = {})\n",
-                            describe_cut(comp, &cut),
+                            describe_cut(&cut),
                             var.sum_at(&cut)
                         )),
                         None => Ok(format!("{modality}({expr}): false\n")),
                     }
                 }
                 (op, true) => {
-                    let relop = match op {
-                        SumOp::Lt => Relop::Lt,
-                        SumOp::Le => Relop::Le,
-                        SumOp::Gt => Relop::Gt,
-                        SumOp::Ge => Relop::Ge,
-                        SumOp::Eq => unreachable!("handled above"),
-                    };
-                    if opts.active {
-                        let verdict = definitely_sum_budgeted(
-                            comp,
-                            var,
-                            relop,
-                            k,
-                            threads,
-                            &opts.budget,
-                            &meter,
-                            opts.resume.as_ref(),
-                        )
-                        .map_err(detect_error)?;
-                        render_bool_verdict(modality, expr, verdict, &opts)
-                    } else {
-                        // definitely_sum short-circuits where it can but
-                        // may enumerate: guard.
-                        guard_enumeration(comp, enumerate, "Definitely(sum relop)")?;
-                        let verdict = definitely_sum(comp, var, relop, k);
-                        Ok(format!("{modality}({expr}): {verdict}\n"))
-                    }
+                    // The short-circuits decide where they can, but the
+                    // sweep may enumerate.
+                    guard_enumeration(comp, enumerate, "Definitely(sum relop)")?;
+                    let verdict = definitely_sum_budgeted(
+                        comp,
+                        var,
+                        sum_relop(op),
+                        k,
+                        threads,
+                        &opts.budget,
+                        &meter,
+                        opts.resume.as_ref(),
+                    )
+                    .map_err(detect_error)?;
+                    render_bool_verdict(modality, expr, verdict, &opts)
                 }
             }
         }
@@ -812,31 +790,24 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
                 CountSpec::Exactly(k) => SymmetricPredicate::exactly(k),
             };
             if definitely {
-                if opts.active {
-                    let verdict = definitely_levelwise_budgeted(
-                        comp,
-                        |cut| phi.eval(comp, var, cut),
-                        threads,
-                        &opts.budget,
-                        &meter,
-                        opts.resume.as_ref(),
-                    )
-                    .map_err(detect_error)?;
-                    render_bool_verdict(modality, expr, verdict, &opts)
-                } else {
-                    guard_enumeration(comp, enumerate, "Definitely(count)")?;
-                    let verdict = definitely_symmetric(comp, var, &phi);
-                    Ok(format!("{modality}({expr}): {verdict}\n"))
-                }
+                guard_enumeration(comp, enumerate, "Definitely(count)")?;
+                let verdict = definitely_levelwise_budgeted(
+                    comp,
+                    |cut| phi.eval(comp, var, cut),
+                    threads,
+                    &opts.budget,
+                    &meter,
+                    opts.resume.as_ref(),
+                )
+                .map_err(detect_error)?;
+                render_bool_verdict(modality, expr, verdict, &opts)
             } else {
                 reject_resume("Possibly(count)")?;
-                match possibly_symmetric(comp, var, &phi) {
-                    Some(cut) => Ok(format!(
-                        "{modality}({expr}): true\n{}\n",
-                        describe_cut(comp, &cut)
-                    )),
-                    None => Ok(format!("{modality}({expr}): false\n")),
-                }
+                Ok(witness_answer(
+                    modality,
+                    expr,
+                    possibly_symmetric(comp, var, &phi),
+                ))
             }
         }
     }?;
@@ -1183,7 +1154,60 @@ mod tests {
         // enumeration, which the guard refuses on a large trace.
         let err = detect(&args(&[&path, "--pred", "sum balance == 1200"])).unwrap_err();
         assert!(matches!(err, CliError::Intractable(_)), "{err:?}");
+        // Definitely(sum relop) and Definitely(count) sweep the lattice
+        // too: without a budget flag the guard refuses them as well.
+        let err = detect(&args(&[
+            &path,
+            "--pred",
+            "sum balance < 300",
+            "--definitely",
+        ]))
+        .unwrap_err();
+        assert!(matches!(err, CliError::Intractable(_)), "{err:?}");
         std::fs::remove_file(&path).ok();
+        let path = temp_trace("guard-count", "voting", &["--n", "16"]);
+        let err = detect(&args(&[
+            &path,
+            "--pred",
+            "count voted exactly 8",
+            "--definitely",
+        ]))
+        .unwrap_err();
+        assert!(matches!(err, CliError::Intractable(_)), "{err:?}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn definitely_sweeps_print_the_same_answer_at_every_thread_count() {
+        // Both verdicts of each predicate class, each at 0 and 2 threads.
+        let questions = [
+            ("voting", "4", "count voted exactly 2"),
+            ("voting", "4", "count voted_yes exactly 2"),
+            ("bank", "3", "sum balance < 300"),
+            ("bank", "3", "sum balance > 300"),
+        ];
+        for (protocol, n, pred) in questions {
+            let path = temp_trace("def-threads", protocol, &["--n", n]);
+            let run = |threads: &str| {
+                detect(&args(&[
+                    &path,
+                    "--pred",
+                    pred,
+                    "--definitely",
+                    "--enumerate",
+                    "--threads",
+                    threads,
+                ]))
+                .unwrap()
+            };
+            let sequential = run("0");
+            assert!(
+                sequential.starts_with("Definitely("),
+                "{pred}: {sequential}"
+            );
+            assert_eq!(run("2"), sequential, "{pred}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

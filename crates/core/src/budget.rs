@@ -269,6 +269,20 @@ pub(crate) fn catch_detect<T>(f: impl FnOnce() -> T) -> Result<T, DetectError> {
     })
 }
 
+/// Runs a budgeted `engine` on 0 threads under [`Budget::unlimited`]
+/// without a resume checkpoint, which always decides — the plain
+/// sequential form of every budgeted engine. A predicate panic the
+/// engine contained is re-raised.
+pub(crate) fn sequential<T>(
+    engine: impl FnOnce(usize, &Budget, &BudgetMeter) -> Result<Verdict<T>, DetectError>,
+) -> T {
+    match engine(0, &Budget::unlimited(), &BudgetMeter::new()) {
+        Ok(Verdict::Decided(value, _)) => value,
+        Ok(Verdict::Unknown(_)) => unreachable!("unlimited budgets always decide"),
+        Err(err) => panic!("{err}"),
+    }
+}
+
 /// FNV-1a fingerprint of a computation's shape (process count, events
 /// per process, message endpoints). Checkpoints embed it so a resume
 /// against a different computation is refused instead of silently

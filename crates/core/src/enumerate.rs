@@ -5,13 +5,29 @@
 //! general, which is precisely the state explosion the paper's algorithms
 //! avoid. The test suite uses it as the ground-truth oracle, and the E5
 //! experiment measures the exponential gap against it.
+//!
+//! Two oracles stay sequential and unbudgeted:
+//! [`possibly_by_enumeration`] (the breadth-first `CutIter`) and
+//! [`definitely_by_enumeration`] (a breadth-first `¬Φ` reachability
+//! search). Every other exhaustive question runs one budgeted,
+//! thread-parameterized **level sweep**: a Possibly body that probes each
+//! canonically sorted level for its lowest-index witness, and a
+//! Definitely body that keeps only the current level's reachable `¬Φ`
+//! cuts. Both take an optional slice window, which the
+//! [`crate::slice`] entries pass; `Definitely` for sums and symmetric
+//! predicates runs the Definitely body on 0 threads under
+//! [`Budget::unlimited`].
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Mutex;
 
 use gpd_computation::{Computation, Cut, FrontierPacker, PackedFrontier};
 
-use crate::striped::StripedCutSet;
+use crate::budget::{
+    catch_detect, problem_fingerprint, Budget, BudgetMeter, Checkpoint, DetectError, ExhaustReason,
+    Partial, Progress, Verdict,
+};
+use crate::slice::Slice;
 
 /// Decides `Possibly(Φ)` by enumerating consistent cuts breadth-first;
 /// returns the first (smallest) witness cut.
@@ -87,68 +103,9 @@ where
     true
 }
 
-/// Decides `Definitely(Φ)` with the Cooper–Marzullo **level sweep**:
-/// instead of remembering every visited cut, keep only the current
-/// lattice level's reachable `¬Φ` cuts — cuts with exactly `k` events —
-/// and advance `k`. Same exponential worst case as
-/// [`definitely_by_enumeration`], but memory drops from the whole
-/// reachable region to one level (its widest antichain), which is what
-/// makes larger instances feasible in practice.
-///
-/// # Example
-///
-/// ```
-/// use gpd::enumerate::definitely_levelwise;
-/// use gpd_computation::ComputationBuilder;
-///
-/// let mut b = ComputationBuilder::new(2);
-/// b.append(0);
-/// b.append(1);
-/// let comp = b.build().unwrap();
-/// assert!(definitely_levelwise(&comp, |cut| cut.event_count() == 1));
-/// ```
-pub fn definitely_levelwise<F>(comp: &Computation, mut predicate: F) -> bool
-where
-    F: FnMut(&Cut) -> bool,
-{
-    let start = comp.initial_cut();
-    if predicate(&start) {
-        return true;
-    }
-    let total: usize = comp.final_cut().event_count();
-    let packer = FrontierPacker::new(comp);
-    // Invariant: `level` holds the ¬Φ cuts with k events reachable from
-    // the initial cut through ¬Φ cuts only.
-    let mut level: Vec<Cut> = vec![start];
-    let mut succs: Vec<Cut> = Vec::new();
-    for _k in 0..total {
-        let mut dedup: HashSet<PackedFrontier> = HashSet::new();
-        let mut next: Vec<Cut> = Vec::new();
-        for cut in &level {
-            comp.cut_successors_into(cut, &mut succs);
-            for succ in succs.drain(..) {
-                if !predicate(&succ) && dedup.insert(packer.pack_cut(&succ)) {
-                    next.push(succ);
-                }
-            }
-        }
-        if next.is_empty() {
-            return true; // every surviving run hit Φ
-        }
-        level = next;
-    }
-    // Some run reached the final level (k = total) avoiding Φ throughout.
-    false
-}
-
 // ---------------------------------------------------------------------------
-// Budgeted variants: deadline/node/width governed, resumable, panic-isolated
+// The level sweep: deadline/node/width governed, resumable, panic-isolated
 // ---------------------------------------------------------------------------
-
-use crate::budget::{
-    catch_detect, problem_fingerprint, Budget, BudgetMeter, Checkpoint, DetectError, ExhaustReason,
-    Partial, Progress, Verdict,
-};
 
 /// Engine name embedded in [`possibly_by_enumeration_budgeted`]'s
 /// checkpoints.
@@ -158,8 +115,8 @@ pub const POSSIBLY_ENUMERATE: &str = "possibly-enumerate";
 pub const DEFINITELY_LEVELWISE: &str = "definitely-levelwise";
 
 /// Work-item granularity of the budgeted level sweeps: one work-stealing
-/// chunk — budget gates, witness aggregation and visited-set flushes all
-/// happen on chunk boundaries.
+/// chunk — budget gates and witness aggregation happen on chunk
+/// boundaries.
 const LEVEL_BLOCK: usize = 256;
 
 /// Records `reason` as the sweep's halt cause (first writer wins) and
@@ -236,24 +193,25 @@ where
     }
 }
 
-/// Number of stripes in the expanders' shared visited set. Fixed (not
-/// scaled by `threads`) so the dedup structure is identical at every
-/// thread count.
-const EXPAND_STRIPES: usize = 64;
-
 /// One budget-governed expansion of `level` into the next lattice level,
-/// keeping successors that pass `keep`, deduplicated through the striped
-/// CAS-locked visited set ([`StripedCutSet`]) and **canonically sorted**
-/// (frontier-lexicographic).
+/// keeping successors that pass `keep`, deduplicated and **canonically
+/// sorted** (frontier-lexicographic).
 ///
 /// Workers drain [`LEVEL_BLOCK`]-sized chunks from rooted work-stealing
-/// spans; each chunk's successors are bucketed worker-locally by stripe
-/// and flushed with one lock acquisition per non-empty stripe, so every
-/// successor is expanded exactly once regardless of thread count —
-/// `meter` observes the same total at 1 and at N threads. Budget gates
-/// sit on chunk boundaries; an `Err` means the partially built next
-/// level was discarded whole, so the caller's current level stays the
-/// valid checkpoint boundary.
+/// spans. Each worker walks successors the way `CutIter` does: it bumps
+/// one scratch frontier in place, packs it, and allocates a [`Cut`] —
+/// and evaluates `keep` — only for a cut its own visited set has not
+/// seen. The level is merged by the canonical sort plus a `dedup` (the
+/// lattice is graded, so duplicates only arise within one level). Every
+/// lattice edge is counted exactly once regardless of thread count —
+/// `meter` observes the same total at 1 and at N threads.
+///
+/// Budget gates sit on chunk boundaries. The width gate there sees the
+/// worker's own kept count, a subset of the final level, so it never
+/// trips where the exact count checked on the merged level would not:
+/// the `Width` verdict is the same at every thread count. An `Err` means
+/// the partially built next level was discarded whole, so the caller's
+/// current level stays the valid checkpoint boundary.
 pub(crate) fn expand_level_budgeted<K>(
     comp: &Computation,
     packer: &FrontierPacker,
@@ -266,12 +224,12 @@ pub(crate) fn expand_level_budgeted<K>(
 where
     K: Fn(&Cut) -> bool + Sync,
 {
-    let set = StripedCutSet::new(EXPAND_STRIPES);
+    let merged: Mutex<Vec<Cut>> = Mutex::new(Vec::new());
     let halt: Mutex<Option<ExhaustReason>> = Mutex::new(None);
     crate::par::fanout_chunks(threads, level.len(), LEVEL_BLOCK, &|w, src| {
-        let mut succs: Vec<Cut> = Vec::new();
-        let mut groups: Vec<Vec<(PackedFrontier, Cut)>> =
-            (0..set.stripe_count()).map(|_| Vec::new()).collect();
+        let mut seen: HashSet<PackedFrontier> = HashSet::new();
+        let mut kept: Vec<Cut> = Vec::new();
+        let mut scratch: Vec<u32> = Vec::new();
         while let Some(r) = src.next(w) {
             if budget.deadline_exceeded() {
                 halt_fanout(&halt, ExhaustReason::Deadline, src);
@@ -283,36 +241,39 @@ where
             }
             // The width cap bounds the materialized sets: the level
             // being expanded and the one being built.
-            if budget.width_exceeded(set.kept().max(level.len())) {
+            if budget.width_exceeded(kept.len().max(level.len())) {
                 halt_fanout(&halt, ExhaustReason::Width, src);
                 return;
             }
             let mut explored = 0u64;
             for cut in &level[r] {
-                comp.cut_successors_into(cut, &mut succs);
-                for succ in succs.drain(..) {
+                scratch.clear();
+                scratch.extend_from_slice(cut.frontier());
+                comp.for_each_enabled(cut, |p| {
                     explored += 1;
-                    if !keep(&succ) {
-                        continue;
+                    scratch[p] += 1;
+                    if seen.insert(packer.pack(&scratch)) {
+                        let succ = Cut::from_frontier(scratch.clone());
+                        if keep(&succ) {
+                            kept.push(succ);
+                        }
                     }
-                    let packed = packer.pack_cut(&succ);
-                    groups[set.stripe_of(packed.hash_value())].push((packed, succ));
-                }
-            }
-            for (s, group) in groups.iter_mut().enumerate() {
-                set.insert_group(s, group);
+                    scratch[p] -= 1;
+                });
             }
             meter.charge(explored);
         }
+        crate::par::lock_unpoisoned(&merged).append(&mut kept);
     });
     if let Some(reason) = crate::par::into_inner_unpoisoned(halt) {
         return Err(reason);
     }
-    if budget.width_exceeded(set.kept()) {
+    let mut next = crate::par::into_inner_unpoisoned(merged);
+    next.sort_unstable();
+    next.dedup();
+    if budget.width_exceeded(next.len()) {
         return Err(ExhaustReason::Width);
     }
-    let mut next = set.into_cuts();
-    next.sort_unstable();
     Ok(next)
 }
 
@@ -338,6 +299,11 @@ pub(crate) fn unknown_at_level<T>(
         },
         checkpoint: Checkpoint::level(detector, problem, level_index, frontiers),
     })
+}
+
+/// The lattice level of a frontier: its event count.
+fn level_of(frontier: &[u32]) -> u32 {
+    frontier.iter().map(|&f| f as u64).sum::<u64>() as u32
 }
 
 /// [`possibly_by_enumeration`] under a [`Budget`]: level-synchronous,
@@ -373,13 +339,52 @@ pub fn possibly_by_enumeration_budgeted<F>(
 where
     F: Fn(&Cut) -> bool + Sync,
 {
+    possibly_sweep(
+        POSSIBLY_ENUMERATE,
+        comp,
+        None,
+        predicate,
+        threads,
+        budget,
+        meter,
+        resume,
+    )
+}
+
+/// The Possibly level sweep behind [`possibly_by_enumeration_budgeted`]
+/// and its sliced entry, checkpointing under `engine`. A `slice` window
+/// keeps only cuts `≤ M` — the downward closure of the slice, which
+/// keeps the level BFS connected — and ends the sweep at level `|M|`; an
+/// empty slice decides `None` without touching the lattice.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn possibly_sweep<F>(
+    engine: &str,
+    comp: &Computation,
+    slice: Option<&Slice>,
+    predicate: F,
+    threads: usize,
+    budget: &Budget,
+    meter: &BudgetMeter,
+    resume: Option<&Checkpoint>,
+) -> Result<Verdict<Option<Cut>>, DetectError>
+where
+    F: Fn(&Cut) -> bool + Sync,
+{
     let problem = problem_fingerprint(comp);
     let (k0, level0) = match resume {
         None => (0u32, vec![comp.initial_cut()]),
-        Some(cp) => cp.restore_level(POSSIBLY_ENUMERATE, problem, comp)?,
+        Some(cp) => cp.restore_level(engine, problem, comp)?,
+    };
+    let hi = match slice.map(Slice::window) {
+        None => None,
+        // Unsatisfiable envelope: no Φ-cut exists anywhere.
+        Some(None) => return Ok(Verdict::Decided(None, Progress::with_nodes(meter))),
+        Some(Some((_, hi))) => Some(hi),
     };
     catch_detect(move || {
-        let total = comp.final_cut().event_count() as u32;
+        // Beyond level |M| every cut violates the envelope.
+        let cap = hi.map_or(comp.final_cut().event_count() as u32, level_of);
+        let keep = |c: &Cut| hi.is_none_or(|hi| c.frontier().iter().zip(hi).all(|(f, h)| f <= h));
         let packer = FrontierPacker::new(comp);
         let mut k = k0;
         let mut level = level0;
@@ -390,23 +395,18 @@ where
                 }
                 Ok(None) => {}
                 Err(reason) => {
-                    return unknown_at_level(
-                        POSSIBLY_ENUMERATE,
-                        problem,
-                        reason,
-                        meter,
-                        k,
-                        k,
-                        &level,
-                    )
+                    return unknown_at_level(engine, problem, reason, meter, k, k, &level)
                 }
             }
-            if k >= total {
+            if k >= cap {
                 return Verdict::Decided(None, Progress::with_nodes(meter));
             }
-            match expand_level_budgeted(comp, &packer, threads, &level, &|_| true, budget, meter) {
+            match expand_level_budgeted(comp, &packer, threads, &level, &keep, budget, meter) {
+                Ok(next) if next.is_empty() => {
+                    debug_assert!(hi.is_some(), "non-final levels always have successors");
+                    return Verdict::Decided(None, Progress::with_nodes(meter));
+                }
                 Ok(next) => {
-                    debug_assert!(!next.is_empty(), "non-final levels always have successors");
                     k += 1;
                     level = next;
                 }
@@ -414,27 +414,42 @@ where
                 // next level was discarded: resume re-probes level k —
                 // harmlessly, it is witness-free — then re-expands.
                 Err(reason) => {
-                    return unknown_at_level(
-                        POSSIBLY_ENUMERATE,
-                        problem,
-                        reason,
-                        meter,
-                        k,
-                        k + 1,
-                        &level,
-                    )
+                    return unknown_at_level(engine, problem, reason, meter, k, k + 1, &level)
                 }
             }
         }
     })
 }
 
-/// [`definitely_levelwise`] under a [`Budget`]: the same one-level-wide
-/// `¬Φ` reachability sweep, budget-governed and resumable. The stored
-/// checkpoint level is the set of reachable `¬Φ` cuts with `level`
-/// events; `levels_swept` counts levels fully processed. Semantics of
-/// budgets, determinism and panic containment match
-/// [`possibly_by_enumeration_budgeted`].
+/// Decides `Definitely(Φ)` with the Cooper–Marzullo **level sweep**,
+/// under a [`Budget`]: instead of remembering every visited cut, keep
+/// only the current lattice level's reachable `¬Φ` cuts — cuts with
+/// exactly `k` events — and advance `k`. Same exponential worst case as
+/// [`definitely_by_enumeration`], but memory drops from the whole
+/// reachable region to one level (its widest antichain).
+///
+/// The stored checkpoint level is the set of reachable `¬Φ` cuts with
+/// `level` events; `levels_swept` counts levels fully processed.
+/// Semantics of budgets, determinism and panic containment match
+/// [`possibly_by_enumeration_budgeted`]. On 0 threads under
+/// [`Budget::unlimited`] this is the plain sequential sweep.
+///
+/// # Example
+///
+/// ```
+/// use gpd::enumerate::definitely_levelwise_budgeted;
+/// use gpd::{Budget, BudgetMeter};
+/// use gpd_computation::ComputationBuilder;
+///
+/// let mut b = ComputationBuilder::new(2);
+/// b.append(0);
+/// b.append(1);
+/// let comp = b.build().unwrap();
+/// let (budget, meter) = (Budget::unlimited(), BudgetMeter::new());
+/// let verdict =
+///     definitely_levelwise_budgeted(&comp, |cut| cut.event_count() == 1, 0, &budget, &meter, None);
+/// assert_eq!(verdict.unwrap().value(), Some(&true));
+/// ```
 ///
 /// # Errors
 ///
@@ -451,13 +466,52 @@ pub fn definitely_levelwise_budgeted<F>(
 where
     F: Fn(&Cut) -> bool + Sync,
 {
+    definitely_sweep(
+        DEFINITELY_LEVELWISE,
+        comp,
+        None,
+        predicate,
+        threads,
+        budget,
+        meter,
+        resume,
+    )
+}
+
+/// The Definitely level sweep behind [`definitely_levelwise_budgeted`]
+/// and its sliced entry, checkpointing under `engine`. A `slice` window
+/// `[m, M]` keeps successors below level `|m|` without evaluating `Φ`
+/// (no cut there can satisfy the envelope), and a sweep still alive past
+/// level `|M|` decides `false` at once (its `¬Φ` path can run to the
+/// final cut untouched); an empty slice decides `false` at once.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn definitely_sweep<F>(
+    engine: &str,
+    comp: &Computation,
+    slice: Option<&Slice>,
+    predicate: F,
+    threads: usize,
+    budget: &Budget,
+    meter: &BudgetMeter,
+    resume: Option<&Checkpoint>,
+) -> Result<Verdict<bool>, DetectError>
+where
+    F: Fn(&Cut) -> bool + Sync,
+{
     let problem = problem_fingerprint(comp);
     let resumed = match resume {
         None => None,
-        Some(cp) => Some(cp.restore_level(DEFINITELY_LEVELWISE, problem, comp)?),
+        Some(cp) => Some(cp.restore_level(engine, problem, comp)?),
+    };
+    let total = comp.final_cut().event_count() as u32;
+    let (skip_below, cap) = match slice.map(Slice::window) {
+        None => (0, total),
+        // No cut satisfies the envelope, so none satisfies Φ; the
+        // (possibly empty) run to the final cut avoids Φ throughout.
+        Some(None) => return Ok(Verdict::Decided(false, Progress::with_nodes(meter))),
+        Some(Some((lo, hi))) => (level_of(lo), level_of(hi)),
     };
     catch_detect(move || {
-        let total = comp.final_cut().event_count() as u32;
         let packer = FrontierPacker::new(comp);
         let (mut k, mut level) = match resumed {
             Some(state) => state,
@@ -471,17 +525,12 @@ where
             }
         };
         // Invariant: `level` holds the ¬Φ cuts with k events reachable
-        // from the initial cut through ¬Φ cuts only.
+        // from the initial cut through ¬Φ cuts only (equal to *all*
+        // reachable cuts while k < |m|, where Φ cannot hold).
         while k < total {
-            match expand_level_budgeted(
-                comp,
-                &packer,
-                threads,
-                &level,
-                &|c| !predicate(c),
-                budget,
-                meter,
-            ) {
+            let skip_eval = k + 1 < skip_below;
+            let keep = |c: &Cut| skip_eval || !predicate(c);
+            match expand_level_budgeted(comp, &packer, threads, &level, &keep, budget, meter) {
                 Ok(next) if next.is_empty() => {
                     // Every surviving run hit Φ.
                     return Verdict::Decided(true, Progress::with_nodes(meter));
@@ -489,17 +538,14 @@ where
                 Ok(next) => {
                     k += 1;
                     level = next;
+                    if k > cap {
+                        // A ¬Φ path escaped past |M|: everything above is
+                        // ¬Φ too, so some run avoids Φ entirely.
+                        return Verdict::Decided(false, Progress::with_nodes(meter));
+                    }
                 }
                 Err(reason) => {
-                    return unknown_at_level(
-                        DEFINITELY_LEVELWISE,
-                        problem,
-                        reason,
-                        meter,
-                        k,
-                        k,
-                        &level,
-                    )
+                    return unknown_at_level(engine, problem, reason, meter, k, k, &level)
                 }
             }
         }
@@ -520,6 +566,15 @@ mod tests {
         b.append(1);
         b.append(1);
         b.build().unwrap()
+    }
+
+    /// The budgeted Definitely sweep under an unlimited budget.
+    fn levelwise(comp: &Computation, phi: impl Fn(&Cut) -> bool + Sync, threads: usize) -> bool {
+        let meter = BudgetMeter::new();
+        *definitely_levelwise_budgeted(comp, phi, threads, &Budget::unlimited(), &meter, None)
+            .expect("no checkpoint, no panic")
+            .value()
+            .expect("unlimited budgets always decide")
     }
 
     /// The budgeted level sweep under an unlimited budget.
@@ -587,8 +642,10 @@ mod tests {
         let comp = ComputationBuilder::new(1).build().unwrap();
         assert!(definitely_by_enumeration(&comp, |_| true));
         assert!(!definitely_by_enumeration(&comp, |_| false));
-        assert!(definitely_levelwise(&comp, |_| true));
-        assert!(!definitely_levelwise(&comp, |_| false));
+        for threads in [0, 1, 2] {
+            assert!(levelwise(&comp, |_| true, threads), "threads {threads}");
+            assert!(!levelwise(&comp, |_| false, threads), "threads {threads}");
+        }
     }
 
     #[test]
@@ -602,14 +659,24 @@ mod tests {
             let msgs = if n > 1 { rng.gen_range(0..n) } else { 0 };
             let comp = gen::random_computation(&mut rng, n, m, msgs);
             let x = gen::random_bool_variable(&mut rng, &comp, 0.4);
-            let a = definitely_by_enumeration(&comp, |c| (0..n).all(|p| x.value_at(c, p)));
-            let b = definitely_levelwise(&comp, |c| (0..n).all(|p| x.value_at(c, p)));
-            assert_eq!(a, b, "round {round}");
+            let conj = |c: &Cut| (0..n).all(|p| x.value_at(c, p));
             // Also an asymmetric predicate (not conjunctive).
             let threshold = rng.gen_range(0..=(n * m));
-            let a = definitely_by_enumeration(&comp, |c| c.event_count() >= threshold);
-            let b = definitely_levelwise(&comp, |c| c.event_count() >= threshold);
-            assert_eq!(a, b, "round {round} (threshold)");
+            let above = |c: &Cut| c.event_count() >= threshold;
+            let a = definitely_by_enumeration(&comp, conj);
+            let b = definitely_by_enumeration(&comp, above);
+            for threads in [0, 1, 2] {
+                assert_eq!(
+                    a,
+                    levelwise(&comp, conj, threads),
+                    "round {round}, threads {threads}"
+                );
+                assert_eq!(
+                    b,
+                    levelwise(&comp, above, threads),
+                    "round {round}, threads {threads} (threshold)"
+                );
+            }
         }
     }
 
@@ -661,7 +728,64 @@ mod tests {
         let r = b.append(1);
         b.message(s, r).unwrap();
         let comp = b.build().unwrap();
-        assert!(definitely_levelwise(&comp, |c| c.frontier() == [1, 0]));
-        assert!(!definitely_levelwise(&comp, |_| false));
+        for threads in [0, 1, 2] {
+            assert!(levelwise(&comp, |c| c.frontier() == [1, 0], threads));
+            assert!(!levelwise(&comp, |_| false, threads));
+        }
+    }
+
+    #[test]
+    fn expanded_levels_equal_the_lattice_levels() {
+        // Wide enough for several LEVEL_BLOCK chunks per level, so the
+        // parallel expansions really merge worker-local levels.
+        use gpd_computation::gen;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4141);
+        for round in 0..12 {
+            let n = rng.gen_range(2..7);
+            let m = rng.gen_range(2..6);
+            let msgs = rng.gen_range(0..n);
+            let comp = gen::random_computation(&mut rng, n, m, msgs);
+            let total = comp.final_cut().event_count();
+            let mut lattice: Vec<Vec<Cut>> = vec![Vec::new(); total + 1];
+            for cut in comp.consistent_cuts() {
+                lattice[cut.event_count()].push(cut);
+            }
+            for level in &mut lattice {
+                level.sort_unstable();
+            }
+            let packer = FrontierPacker::new(&comp);
+            let mut nodes = None;
+            for threads in [0, 1, 2, 4] {
+                let meter = BudgetMeter::new();
+                let mut level = vec![comp.initial_cut()];
+                for (k, expected) in lattice.iter().enumerate() {
+                    assert_eq!(
+                        &level, expected,
+                        "round {round}, threads {threads}, level {k}"
+                    );
+                    level = expand_level_budgeted(
+                        &comp,
+                        &packer,
+                        threads,
+                        &level,
+                        &|_| true,
+                        &Budget::unlimited(),
+                        &meter,
+                    )
+                    .expect("unlimited budgets never exhaust");
+                }
+                assert!(
+                    level.is_empty(),
+                    "round {round}: nothing above the final cut"
+                );
+                // Every lattice edge is counted once at every thread count.
+                assert_eq!(
+                    *nodes.get_or_insert(meter.nodes()),
+                    meter.nodes(),
+                    "round {round}"
+                );
+            }
+        }
     }
 }

@@ -62,7 +62,6 @@ mod scan;
 pub mod singular;
 pub mod slice;
 pub mod stable;
-mod striped;
 pub mod symmetric;
 
 pub use budget::{

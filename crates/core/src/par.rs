@@ -10,8 +10,9 @@
 //!   (DAG build + transitive closure + matching are independent per
 //!   clause).
 //! * [`fanout_chunks`] (crate-internal) — the raw work-stealing engine.
-//!   `map_indexed` is built on it, and so are the budgeted probe/expand
-//!   sweeps in `enumerate.rs`, which cancel the fan-out when a budget
+//!   `map_indexed` is built on it, and so is the level sweep in
+//!   `enumerate.rs` (its probe and its expand, whose workers dedup into
+//!   private visited sets), which cancels the fan-out when a budget
 //!   trips.
 //!
 //! # Threading model
@@ -22,7 +23,9 @@
 //! `threads ≥ 2`, the fan-out runs on the persistent process-global
 //! worker pool ([`crate::pool`]): threads are spawned once per process
 //! and parked between waves, so a level-synchronous sweep no longer pays
-//! a spawn/join cycle per lattice level.
+//! a spawn/join cycle per lattice level. A fan-out uses at most
+//! `threads`, its work items, and twice the hardware parallelism
+//! (`max_workers`, probed once per process and shared with the pool).
 //!
 //! Within a fan-out, scheduling is **work-stealing over chunked
 //! deques**: the chunk space `0..⌈total/chunk⌉` is split into contiguous
@@ -66,7 +69,7 @@
 use crate::pool;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Cooperative cancellation shared by one fan-out's workers.
 #[derive(Debug, Default)]
@@ -85,12 +88,18 @@ impl Cancellation {
     }
 }
 
+/// The most workers one fan-out may use: twice the hardware parallelism.
+/// The hardware is probed once per process, since the probe reads cgroup
+/// files and would otherwise cost every fan-out tens of microseconds.
+/// The pool shares this cap, so a pool at capacity can serve any fan-out.
+pub(crate) fn max_workers() -> usize {
+    static MAX: OnceLock<usize> = OnceLock::new();
+    *MAX.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get().max(1)) * 2)
+}
+
 /// Caps the requested worker count to the actual work and the machine.
 fn worker_count(threads: usize, work: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    threads.min(work).min(hw.max(1) * 2)
+    threads.min(work).min(max_workers())
 }
 
 /// Locks a mutex, recovering the data if a previous holder panicked.

@@ -4,9 +4,10 @@
 //! `std::thread::scope` — one `clone()`/`spawn`/`join` cycle of OS
 //! threads *per wave*, which the level-synchronous sweeps issued once
 //! per lattice level. The pool inverts that cost model: worker threads
-//! are spawned **once per process** (lazily, up to the hardware cap),
-//! park on a condvar between jobs, and are woken with a notify when the
-//! next fan-out arrives. `gpd::counters::par_threads_spawned` meters the
+//! are spawned **once per process** (lazily, up to the hardware cap of
+//! `par::max_workers`, which probes the machine once per process), park
+//! on a condvar between jobs, and are woken with a notify when the next
+//! fan-out arrives. `gpd::counters::par_threads_spawned` meters the
 //! spawns; `tests/pool_stress.rs` pins the count to O(1) per process
 //! across hundreds of detection runs.
 //!
@@ -46,7 +47,7 @@
 //! the sequence-number handshake guarantees even when predicates panic.
 
 use crate::counters;
-use crate::par::{lock_unpoisoned, PanicSlot};
+use crate::par::{lock_unpoisoned, max_workers, PanicSlot};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 
@@ -102,16 +103,6 @@ fn pool() -> &'static Pool {
     })
 }
 
-/// Upper bound on pool threads, matching `par::worker_count`'s hardware
-/// cap (so a pool at capacity can serve any fan-out the caller builds).
-fn max_pool_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .max(1)
-        * 2
-}
-
 /// Runs `f(0)` on the calling thread and `f(1), …, f(helpers)` on pool
 /// workers, returning once every participant has finished. Worker
 /// panics are captured into `panics` (in claim order of arrival), never
@@ -128,10 +119,10 @@ pub(crate) fn run(helpers: usize, panics: &PanicSlot, f: &(dyn Fn(usize) + Sync)
         return;
     }
     let pool = pool();
+    let want = helpers.min(max_workers());
     let seq;
     {
         let mut st = lock_unpoisoned(&pool.state);
-        let want = helpers.min(max_pool_threads());
         while st.spawned < want {
             let spawned = std::thread::Builder::new()
                 .name(format!("gpd-pool-{}", st.spawned))

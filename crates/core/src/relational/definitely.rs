@@ -2,17 +2,38 @@
 //!
 //! `Definitely(Φ)` fails iff some run dodges Φ from the initial to the
 //! final cut, i.e. iff the `¬Φ` cuts contain a bottom-to-top lattice
-//! path. This module answers that exactly with a breadth-first search —
-//! worst-case exponential, like the prior-work algorithms the paper
-//! builds Theorem 7 on are not; we document the cost honestly and use
-//! the short-circuits that make common cases cheap.
+//! path. This module answers that exactly with the `¬Φ` level sweep of
+//! [`crate::enumerate`] — worst-case exponential, like the prior-work
+//! algorithms the paper builds Theorem 7 on are not; we document the
+//! cost honestly and use the short-circuits that make common cases
+//! cheap.
 
 use gpd_computation::{Computation, IntVariable};
 
-use crate::budget::{Budget, BudgetMeter, Checkpoint, DetectError, Progress, Verdict};
-use crate::enumerate::{definitely_levelwise, definitely_levelwise_budgeted};
+use crate::budget::{sequential, Budget, BudgetMeter, Checkpoint, DetectError, Progress, Verdict};
+use crate::enumerate::definitely_levelwise_budgeted;
 use crate::predicate::Relop;
 use crate::relational::optimize::{max_sum_cut, min_sum_cut};
+
+/// The polynomial short-circuits of `Definitely(Σxᵢ relop K)`: `true` if
+/// the initial or the final cut satisfies it (both lie on every run),
+/// `false` if the relevant `extreme` of `Σxᵢ` (asked for only when the
+/// endpoints do not decide) shows no consistent cut does. `None` leaves
+/// the question to the exact lattice sweep.
+fn short_circuit(
+    comp: &Computation,
+    var: &IntVariable,
+    relop: Relop,
+    k: i64,
+    extreme: impl FnOnce() -> i64,
+) -> Option<bool> {
+    let initial = var.sum_at(&comp.initial_cut());
+    let final_sum = var.sum_at(&comp.final_cut());
+    if relop.eval(initial, k) || relop.eval(final_sum, k) {
+        return Some(true);
+    }
+    (!relop.eval(extreme(), k)).then_some(false)
+}
 
 /// [`definitely_sum`] with the relevant extreme of `Σxᵢ` already in
 /// hand, so a caller that needs both inequality directions (exact-sum
@@ -27,16 +48,11 @@ pub(crate) fn definitely_sum_with_extreme(
     k: i64,
     extreme: i64,
 ) -> bool {
-    let initial = var.sum_at(&comp.initial_cut());
-    let final_sum = var.sum_at(&comp.final_cut());
-    if relop.eval(initial, k) || relop.eval(final_sum, k) {
-        return true;
-    }
-    // If the predicate holds at no cut at all, it is not definite.
-    if !relop.eval(extreme, k) {
-        return false;
-    }
-    definitely_levelwise(comp, |cut| relop.eval(var.sum_at(cut), k))
+    short_circuit(comp, var, relop, k, || extreme).unwrap_or_else(|| {
+        sequential(|t, b, m| {
+            definitely_levelwise_budgeted(comp, |cut| relop.eval(var.sum_at(cut), k), t, b, m, None)
+        })
+    })
 }
 
 /// Decides `Definitely(Σxᵢ relop K)` exactly.
@@ -44,7 +60,9 @@ pub(crate) fn definitely_sum_with_extreme(
 /// Cheap short-circuits first: if the initial or the final cut satisfies
 /// the predicate, every run does (both cuts lie on every run); if *no*
 /// consistent cut satisfies it (checked with one max-flow), no run can.
-/// Otherwise falls back to the exact lattice search.
+/// Otherwise falls back to the exact lattice search. This is
+/// [`definitely_sum_budgeted`] on 0 threads under
+/// [`Budget::unlimited`].
 ///
 /// # Example
 ///
@@ -64,18 +82,7 @@ pub(crate) fn definitely_sum_with_extreme(
 /// assert!(definitely_sum(&comp, &x, Relop::Ge, 1));
 /// ```
 pub fn definitely_sum(comp: &Computation, var: &IntVariable, relop: Relop, k: i64) -> bool {
-    let initial = var.sum_at(&comp.initial_cut());
-    let final_sum = var.sum_at(&comp.final_cut());
-    if relop.eval(initial, k) || relop.eval(final_sum, k) {
-        return true;
-    }
-    // Only now pay for the single-sided max-flow the attainability check
-    // needs (the endpoint short-circuits above skip it entirely).
-    let extreme = match relop {
-        Relop::Lt | Relop::Le => min_sum_cut(comp, var).0,
-        Relop::Gt | Relop::Ge => max_sum_cut(comp, var).0,
-    };
-    definitely_sum_with_extreme(comp, var, relop, k, extreme)
+    sequential(|t, b, m| definitely_sum_budgeted(comp, var, relop, k, t, b, m, None))
 }
 
 /// [`definitely_sum`] under a [`Budget`]: the polynomial short-circuits
@@ -98,17 +105,14 @@ pub fn definitely_sum_budgeted(
     meter: &BudgetMeter,
     resume: Option<&Checkpoint>,
 ) -> Result<Verdict<bool>, DetectError> {
-    let initial = var.sum_at(&comp.initial_cut());
-    let final_sum = var.sum_at(&comp.final_cut());
-    if relop.eval(initial, k) || relop.eval(final_sum, k) {
-        return Ok(Verdict::Decided(true, Progress::with_nodes(meter)));
-    }
-    let extreme = match relop {
+    // Only pay for the single-sided max-flow the attainability check
+    // needs once the endpoint short-circuits have not decided.
+    let extreme = || match relop {
         Relop::Lt | Relop::Le => min_sum_cut(comp, var).0,
         Relop::Gt | Relop::Ge => max_sum_cut(comp, var).0,
     };
-    if !relop.eval(extreme, k) {
-        return Ok(Verdict::Decided(false, Progress::with_nodes(meter)));
+    if let Some(answer) = short_circuit(comp, var, relop, k, extreme) {
+        return Ok(Verdict::Decided(answer, Progress::with_nodes(meter)));
     }
     definitely_levelwise_budgeted(
         comp,

@@ -4,11 +4,11 @@
 use gpd_computation::{BoolVariable, Computation, Cut};
 use gpd_order::{min_chain_cover, Dag};
 
-use crate::budget::{Budget, BudgetMeter, Checkpoint, DetectError, Verdict};
+use crate::budget::{sequential, Budget, BudgetMeter, Checkpoint, DetectError, Verdict};
 use crate::par::map_indexed;
 use crate::predicate::SingularCnf;
 use crate::scan::{run_odometer, Candidate};
-use crate::singular::{literal_states, sequential};
+use crate::singular::literal_states;
 
 /// Engine name embedded in [`possibly_singular_chains_budgeted`]'s
 /// checkpoints.
@@ -17,7 +17,7 @@ pub const SINGULAR_CHAINS: &str = "singular-chains";
 /// Builds, for one clause, the minimum chain cover of its literal-true
 /// states under the causal order on states (state `(p, k)` precedes
 /// `(q, l)` when every cut through `(q, l)` contains `(p, k)`'s past).
-pub(crate) fn clause_chains(
+fn clause_chains(
     comp: &Computation,
     var: &BoolVariable,
     clause: &crate::predicate::CnfClause,
@@ -127,7 +127,7 @@ pub fn possibly_singular_chains(
     var: &BoolVariable,
     predicate: &SingularCnf,
 ) -> Option<Cut> {
-    sequential(possibly_singular_chains_budgeted, comp, var, predicate)
+    sequential(|t, b, m| possibly_singular_chains_budgeted(comp, var, predicate, t, b, m, None))
 }
 
 /// [`possibly_singular_chains`] under a [`Budget`], parallelized over
@@ -152,10 +152,7 @@ pub fn possibly_singular_chains_budgeted(
     meter: &BudgetMeter,
     resume: Option<&Checkpoint>,
 ) -> Result<Verdict<Option<Cut>>, DetectError> {
-    let clauses = predicate.clauses();
-    let covers: Vec<Vec<Vec<Candidate>>> = map_indexed(threads, clauses.len(), |i| {
-        clause_chains(comp, var, &clauses[i])
-    });
+    let covers = chain_covers(comp, var, predicate, threads);
     run_odometer(
         SINGULAR_CHAINS,
         comp,
@@ -165,6 +162,21 @@ pub fn possibly_singular_chains_budgeted(
         meter,
         resume,
     )
+}
+
+/// Every clause's chain cover, built in parallel over `threads` workers
+/// (DAG build, transitive closure and matching are independent per
+/// clause).
+pub(super) fn chain_covers(
+    comp: &Computation,
+    var: &BoolVariable,
+    predicate: &SingularCnf,
+    threads: usize,
+) -> Vec<Vec<Vec<Candidate>>> {
+    let clauses = predicate.clauses();
+    map_indexed(threads, clauses.len(), |i| {
+        clause_chains(comp, var, &clauses[i])
+    })
 }
 
 #[cfg(test)]

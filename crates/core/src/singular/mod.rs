@@ -33,12 +33,12 @@ mod chains;
 mod ordered;
 mod subsets;
 
-pub(crate) use chains::clause_chains;
+use chains::chain_covers;
 pub use chains::{
     chain_cover_sizes, possibly_singular_chains, possibly_singular_chains_budgeted, SINGULAR_CHAINS,
 };
 pub use ordered::{possibly_singular_ordered, NotOrderedError};
-pub(crate) use subsets::literal_choices;
+use subsets::literal_choices;
 pub use subsets::{
     possibly_singular_subsets, possibly_singular_subsets_budgeted,
     possibly_singular_subsets_reference, SINGULAR_SUBSETS,
@@ -46,9 +46,10 @@ pub use subsets::{
 
 use gpd_computation::{BoolVariable, Computation, Cut, ProcessId};
 
-use crate::budget::{Budget, BudgetMeter, Checkpoint, DetectError, Progress, Verdict};
+use crate::budget::{sequential, Budget, BudgetMeter, Checkpoint, DetectError, Progress, Verdict};
 use crate::predicate::SingularCnf;
-use crate::scan::Candidate;
+use crate::scan::{run_odometer, Candidate};
+use crate::slice::Slice;
 
 /// Detects `Possibly(Φ)` with the best applicable algorithm: the §3.2
 /// polynomial scan when the computation is receive- or send-ordered for
@@ -77,34 +78,7 @@ pub fn possibly_singular(
     var: &BoolVariable,
     predicate: &SingularCnf,
 ) -> Option<Cut> {
-    sequential(possibly_singular_budgeted, comp, var, predicate)
-}
-
-/// The signature every budgeted singular engine shares.
-type BudgetedEngine = fn(
-    &Computation,
-    &BoolVariable,
-    &SingularCnf,
-    usize,
-    &Budget,
-    &BudgetMeter,
-    Option<&Checkpoint>,
-) -> Result<Verdict<Option<Cut>>, DetectError>;
-
-/// Runs `engine` on 0 threads under [`Budget::unlimited`], which always
-/// decides; a panic inside the scan is re-raised.
-fn sequential(
-    engine: BudgetedEngine,
-    comp: &Computation,
-    var: &BoolVariable,
-    predicate: &SingularCnf,
-) -> Option<Cut> {
-    let (budget, meter) = (Budget::unlimited(), BudgetMeter::new());
-    match engine(comp, var, predicate, 0, &budget, &meter, None) {
-        Ok(Verdict::Decided(witness, _)) => witness,
-        Ok(Verdict::Unknown(_)) => unreachable!("unlimited budgets always decide"),
-        Err(err) => panic!("{err}"),
-    }
+    sequential(|t, b, m| possibly_singular_budgeted(comp, var, predicate, t, b, m, None))
 }
 
 /// [`possibly_singular`] under a [`Budget`], with the general-case
@@ -129,19 +103,59 @@ pub fn possibly_singular_budgeted(
     meter: &BudgetMeter,
     resume: Option<&Checkpoint>,
 ) -> Result<Verdict<Option<Cut>>, DetectError> {
-    if let Some(cp) = resume {
-        return if cp.detector() == SINGULAR_SUBSETS {
-            possibly_singular_subsets_budgeted(comp, var, predicate, threads, budget, meter, resume)
-        } else {
-            possibly_singular_chains_budgeted(comp, var, predicate, threads, budget, meter, resume)
-        };
-    }
-    match possibly_singular_ordered(comp, var, predicate) {
-        Ok(result) => Ok(Verdict::Decided(result, Progress::with_nodes(meter))),
-        Err(NotOrderedError) => {
-            possibly_singular_chains_budgeted(comp, var, predicate, threads, budget, meter, None)
+    dispatch(comp, var, predicate, None, threads, budget, meter, resume)
+}
+
+/// The dispatcher body behind [`possibly_singular_budgeted`] and
+/// [`crate::slice::possibly_singular_sliced_budgeted`]. A `slice` drops
+/// odometer candidate states outside its window `[mₚ, Mₚ]`; an empty
+/// slice decides `None` outright.
+///
+/// The prune is sound because any witness cut satisfies `Φ`, hence the
+/// envelope, hence lies inside the window — and the cut passes *through*
+/// its chosen candidate states, so those are window-bounded too. List
+/// shapes (and with them the odometer fingerprint and combination order)
+/// are preserved, so checkpoints from sliced and unsliced runs stay
+/// interchangeable and witnesses stay byte-identical; only the
+/// per-combination scan work shrinks.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn dispatch(
+    comp: &Computation,
+    var: &BoolVariable,
+    predicate: &SingularCnf,
+    slice: Option<&Slice>,
+    threads: usize,
+    budget: &Budget,
+    meter: &BudgetMeter,
+    resume: Option<&Checkpoint>,
+) -> Result<Verdict<Option<Cut>>, DetectError> {
+    let engine = match resume {
+        Some(cp) if cp.detector() == SINGULAR_SUBSETS => SINGULAR_SUBSETS,
+        Some(_) => SINGULAR_CHAINS,
+        None => match possibly_singular_ordered(comp, var, predicate) {
+            Ok(result) => return Ok(Verdict::Decided(result, Progress::with_nodes(meter))),
+            Err(NotOrderedError) => SINGULAR_CHAINS,
+        },
+    };
+    let window = match slice.map(Slice::window) {
+        None => None,
+        Some(None) => return Ok(Verdict::Decided(None, Progress::with_nodes(meter))),
+        Some(Some(window)) => Some(window),
+    };
+    let mut lists = if engine == SINGULAR_SUBSETS {
+        literal_choices(comp, var, predicate)
+    } else {
+        chain_covers(comp, var, predicate, threads)
+    };
+    if let Some((lo, hi)) = window {
+        for list in lists.iter_mut().flatten() {
+            list.retain(|c| {
+                let p = c.process.index();
+                lo[p] <= c.state && c.state <= hi[p]
+            });
         }
     }
+    run_odometer(engine, comp, threads, &lists, budget, meter, resume)
 }
 
 /// The local states of `p` in which the literal `(p, positive)` holds —

@@ -3,10 +3,10 @@
 
 use gpd_computation::{BoolVariable, Computation, Cut};
 
-use crate::budget::{Budget, BudgetMeter, Checkpoint, DetectError, Verdict};
+use crate::budget::{sequential, Budget, BudgetMeter, Checkpoint, DetectError, Verdict};
 use crate::predicate::SingularCnf;
 use crate::scan::{cut_through, run_odometer, scan_restart, Candidate};
-use crate::singular::{literal_states, sequential};
+use crate::singular::literal_states;
 
 /// Engine name embedded in [`possibly_singular_subsets_budgeted`]'s
 /// checkpoints.
@@ -15,7 +15,7 @@ pub const SINGULAR_SUBSETS: &str = "singular-subsets";
 /// Builds each clause's alternatives once: `choices[j][i]` is the state
 /// sequence of clause `j`'s `i`-th literal. The seed rebuilt these per
 /// combination; hoisting them is part of the prefix-sharing win.
-pub(crate) fn literal_choices(
+pub(super) fn literal_choices(
     comp: &Computation,
     var: &BoolVariable,
     predicate: &SingularCnf,
@@ -77,7 +77,7 @@ pub fn possibly_singular_subsets(
     var: &BoolVariable,
     predicate: &SingularCnf,
 ) -> Option<Cut> {
-    sequential(possibly_singular_subsets_budgeted, comp, var, predicate)
+    sequential(|t, b, m| possibly_singular_subsets_budgeted(comp, var, predicate, t, b, m, None))
 }
 
 /// [`possibly_singular_subsets`] under a [`Budget`], with its `∏ᵢ kᵢ`

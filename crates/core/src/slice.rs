@@ -29,16 +29,17 @@
 //! The *SliceReduce* pre-pass exploits (2) for an arbitrary predicate
 //! `Φ` that *implies* a regular envelope `B` (e.g. the unit clauses of a
 //! CNF): every `Φ`-cut is a `B`-cut, hence lies inside the slice window.
-//! The `*_sliced_budgeted` engines restrict the exhaustive sweeps to
-//! that window — [`possibly_by_enumeration_sliced_budgeted`] walks only
-//! cuts `≤ M` (the downward closure of the slice, which keeps the
-//! level-BFS connected), [`definitely_levelwise_sliced_budgeted`] skips
-//! predicate evaluation below level `|m|` and stops as soon as a `¬Φ`
-//! path escapes past level `|M|`, and the singular odometer engines drop
-//! candidate states outside `[mₚ, Mₚ]`. All of them return verdicts and
-//! witnesses **byte-identical** to their unsliced counterparts at every
-//! thread count (`tests/slice_equivalence.rs` asserts this); only the
-//! work shrinks. The shrinkage is metered through
+//! The `*_sliced_budgeted` entries run the same engines as their
+//! unsliced counterparts with that window passed in, not a second copy
+//! of them: [`possibly_by_enumeration_sliced_budgeted`] walks only cuts
+//! `≤ M` (the downward closure of the slice, which keeps the level-BFS
+//! connected), [`definitely_levelwise_sliced_budgeted`] skips predicate
+//! evaluation below level `|m|` and stops as soon as a `¬Φ` path escapes
+//! past level `|M|`, and [`possibly_singular_sliced_budgeted`] drops
+//! odometer candidate states outside `[mₚ, Mₚ]`. All of them return
+//! verdicts and witnesses **byte-identical** to their unsliced
+//! counterparts at every thread count (`tests/slice_equivalence.rs`
+//! asserts this); only the work shrinks. The shrinkage is metered through
 //! [`crate::counters::ScanCounters::slice_nodes_before`] /
 //! [`slice_nodes_after`](crate::counters::ScanCounters::slice_nodes_after)
 //! and surfaces in `gpd detect --stats` and the `gpd-bench` E-row.
@@ -50,22 +51,16 @@
 
 use std::collections::{HashMap, HashSet};
 
-use gpd_computation::{
-    BoolVariable, ChannelIndex, Computation, Cut, EventId, FrontierPacker, ProcessId,
-};
+use gpd_computation::{BoolVariable, ChannelIndex, Computation, Cut, EventId, ProcessId};
 
 use crate::budget::{
-    catch_detect, problem_fingerprint, Budget, BudgetMeter, Checkpoint, DetectError, ExhaustReason,
-    Progress, Verdict,
+    sequential, Budget, BudgetMeter, Checkpoint, DetectError, ExhaustReason, Verdict,
 };
 use crate::conjunctive::definitely_conjunctive;
 use crate::counters;
-use crate::enumerate::{expand_level_budgeted, probe_level_budgeted, unknown_at_level};
+use crate::enumerate::{definitely_sweep, possibly_sweep};
 use crate::predicate::SingularCnf;
-use crate::scan::{run_odometer, Candidate};
-use crate::singular::{
-    clause_chains, literal_choices, possibly_singular_ordered, NotOrderedError, SINGULAR_SUBSETS,
-};
+use crate::singular::dispatch;
 
 /// Engine name embedded in [`possibly_by_enumeration_sliced_budgeted`]'s
 /// checkpoints.
@@ -469,18 +464,9 @@ pub fn definitely_slice(comp: &Computation, pred: &RegularPredicate) -> bool {
     // Channel-constrained: windowed ¬B sweep via the sliced levelwise
     // engine with an unlimited budget.
     let slice = Slice::build(comp, pred);
-    match definitely_levelwise_sliced_budgeted(
-        comp,
-        &slice,
-        |cut| pred.holds(cut),
-        0,
-        &Budget::unlimited(),
-        &BudgetMeter::new(),
-        None,
-    ) {
-        Ok(verdict) => *verdict.value().expect("unlimited budgets always decide"),
-        Err(err) => unreachable!("no resume checkpoint and no panicking predicate: {err}"),
-    }
+    sequential(|t, b, m| {
+        definitely_levelwise_sliced_budgeted(comp, &slice, |cut| pred.holds(cut), t, b, m, None)
+    })
 }
 
 /// One equivalence class of the reduced event graph: the events sharing
@@ -763,66 +749,16 @@ pub fn possibly_by_enumeration_sliced_budgeted<F>(
 where
     F: Fn(&Cut) -> bool + Sync,
 {
-    let problem = problem_fingerprint(comp);
-    let (k0, level0) = match resume {
-        None => (0u32, vec![comp.initial_cut()]),
-        Some(cp) => cp.restore_level(POSSIBLY_ENUMERATE_SLICED, problem, comp)?,
-    };
-    let Some((_, hi)) = slice.window() else {
-        // Unsatisfiable envelope: no Φ-cut exists anywhere.
-        return Ok(Verdict::Decided(None, Progress::with_nodes(meter)));
-    };
-    let hi = hi.to_vec();
-    catch_detect(move || {
-        let cap = hi.iter().map(|&f| f as u64).sum::<u64>() as u32;
-        let packer = FrontierPacker::new(comp);
-        let keep = |c: &Cut| c.frontier().iter().zip(&hi).all(|(&f, &h)| f <= h);
-        let mut k = k0;
-        let mut level = level0;
-        loop {
-            match probe_level_budgeted(&predicate, threads, &level, budget, meter) {
-                Ok(Some(witness)) => {
-                    return Verdict::Decided(Some(witness), Progress::with_nodes(meter))
-                }
-                Ok(None) => {}
-                Err(reason) => {
-                    return unknown_at_level(
-                        POSSIBLY_ENUMERATE_SLICED,
-                        problem,
-                        reason,
-                        meter,
-                        k,
-                        k,
-                        &level,
-                    )
-                }
-            }
-            // Beyond level |M| every cut violates the envelope: done.
-            if k >= cap {
-                return Verdict::Decided(None, Progress::with_nodes(meter));
-            }
-            match expand_level_budgeted(comp, &packer, threads, &level, &keep, budget, meter) {
-                Ok(next) if next.is_empty() => {
-                    return Verdict::Decided(None, Progress::with_nodes(meter));
-                }
-                Ok(next) => {
-                    k += 1;
-                    level = next;
-                }
-                Err(reason) => {
-                    return unknown_at_level(
-                        POSSIBLY_ENUMERATE_SLICED,
-                        problem,
-                        reason,
-                        meter,
-                        k,
-                        k + 1,
-                        &level,
-                    )
-                }
-            }
-        }
-    })
+    possibly_sweep(
+        POSSIBLY_ENUMERATE_SLICED,
+        comp,
+        Some(slice),
+        predicate,
+        threads,
+        budget,
+        meter,
+        resume,
+    )
 }
 
 /// [`crate::enumerate::definitely_levelwise_budgeted`] with the `¬Φ`
@@ -850,155 +786,12 @@ pub fn definitely_levelwise_sliced_budgeted<F>(
 where
     F: Fn(&Cut) -> bool + Sync,
 {
-    let problem = problem_fingerprint(comp);
-    let resumed = match resume {
-        None => None,
-        Some(cp) => Some(cp.restore_level(DEFINITELY_LEVELWISE_SLICED, problem, comp)?),
-    };
-    let Some((lo, hi)) = slice.window() else {
-        // No cut satisfies the envelope, so none satisfies Φ; the
-        // (possibly empty) run to the final cut avoids Φ throughout.
-        return Ok(Verdict::Decided(false, Progress::with_nodes(meter)));
-    };
-    let skip_below = lo.iter().map(|&f| f as u64).sum::<u64>() as u32;
-    let cap = hi.iter().map(|&f| f as u64).sum::<u64>() as u32;
-    catch_detect(move || {
-        let total = comp.final_cut().event_count() as u32;
-        let packer = FrontierPacker::new(comp);
-        let (mut k, mut level) = match resumed {
-            Some(state) => state,
-            None => {
-                let start = comp.initial_cut();
-                meter.charge(1);
-                if predicate(&start) {
-                    return Verdict::Decided(true, Progress::with_nodes(meter));
-                }
-                (0u32, vec![start])
-            }
-        };
-        // Invariant: `level` holds the ¬Φ cuts with k events reachable
-        // from the initial cut through ¬Φ cuts only (equal to *all*
-        // reachable cuts while k < |m|, where Φ cannot hold).
-        while k < total {
-            let skip_eval = k + 1 < skip_below;
-            let keep = |c: &Cut| skip_eval || !predicate(c);
-            match expand_level_budgeted(comp, &packer, threads, &level, &keep, budget, meter) {
-                Ok(next) if next.is_empty() => {
-                    return Verdict::Decided(true, Progress::with_nodes(meter));
-                }
-                Ok(next) => {
-                    k += 1;
-                    level = next;
-                    if k > cap {
-                        // A ¬Φ path escaped past |M|: everything above is
-                        // ¬Φ too, so some run avoids Φ entirely.
-                        return Verdict::Decided(false, Progress::with_nodes(meter));
-                    }
-                }
-                Err(reason) => {
-                    return unknown_at_level(
-                        DEFINITELY_LEVELWISE_SLICED,
-                        problem,
-                        reason,
-                        meter,
-                        k,
-                        k,
-                        &level,
-                    )
-                }
-            }
-        }
-        Verdict::Decided(false, Progress::with_nodes(meter))
-    })
-}
-
-/// Drops candidate states outside the slice window `[mₚ, Mₚ]`. Sound
-/// because any witness cut satisfies `Φ`, hence the envelope, hence lies
-/// inside the window — and the cut passes *through* its chosen candidate
-/// states, so those states are window-bounded too. List shapes (and with
-/// them the odometer fingerprint and combination order) are preserved,
-/// so checkpoints from sliced and unsliced runs stay interchangeable and
-/// witnesses stay byte-identical; only the per-combination scan work
-/// shrinks.
-fn window_prune(choices: &mut [Vec<Vec<Candidate>>], lo: &[u32], hi: &[u32]) {
-    for clause in choices.iter_mut() {
-        for list in clause.iter_mut() {
-            list.retain(|c| {
-                let p = c.process.index();
-                lo[p] <= c.state && c.state <= hi[p]
-            });
-        }
-    }
-}
-
-/// [`crate::singular::possibly_singular_subsets_budgeted`] with the
-/// literal-state lists window-pruned by the slice. Decides `None`
-/// outright on an empty slice.
-///
-/// # Errors
-///
-/// [`DetectError::CheckpointMismatch`] on a foreign `resume`;
-/// [`DetectError::PredicatePanicked`] if a scan panics.
-#[allow(clippy::too_many_arguments)]
-pub fn possibly_singular_subsets_sliced_budgeted(
-    comp: &Computation,
-    var: &BoolVariable,
-    predicate: &SingularCnf,
-    slice: &Slice,
-    threads: usize,
-    budget: &Budget,
-    meter: &BudgetMeter,
-    resume: Option<&Checkpoint>,
-) -> Result<Verdict<Option<Cut>>, DetectError> {
-    let Some((lo, hi)) = slice.window() else {
-        return Ok(Verdict::Decided(None, Progress::with_nodes(meter)));
-    };
-    let mut choices = literal_choices(comp, var, predicate);
-    window_prune(&mut choices, lo, hi);
-    run_odometer(
-        SINGULAR_SUBSETS,
+    definitely_sweep(
+        DEFINITELY_LEVELWISE_SLICED,
         comp,
+        Some(slice),
+        predicate,
         threads,
-        &choices,
-        budget,
-        meter,
-        resume,
-    )
-}
-
-/// [`crate::singular::possibly_singular_chains_budgeted`] with the chain
-/// covers window-pruned by the slice (a pruned chain is still a chain).
-/// Decides `None` outright on an empty slice.
-///
-/// # Errors
-///
-/// [`DetectError::CheckpointMismatch`] on a foreign `resume`;
-/// [`DetectError::PredicatePanicked`] if a scan panics.
-#[allow(clippy::too_many_arguments)]
-pub fn possibly_singular_chains_sliced_budgeted(
-    comp: &Computation,
-    var: &BoolVariable,
-    predicate: &SingularCnf,
-    slice: &Slice,
-    threads: usize,
-    budget: &Budget,
-    meter: &BudgetMeter,
-    resume: Option<&Checkpoint>,
-) -> Result<Verdict<Option<Cut>>, DetectError> {
-    let Some((lo, hi)) = slice.window() else {
-        return Ok(Verdict::Decided(None, Progress::with_nodes(meter)));
-    };
-    let clauses = predicate.clauses();
-    let mut covers: Vec<Vec<Vec<Candidate>>> =
-        crate::par::map_indexed(threads, clauses.len(), |i| {
-            clause_chains(comp, var, &clauses[i])
-        });
-    window_prune(&mut covers, lo, hi);
-    run_odometer(
-        crate::singular::SINGULAR_CHAINS,
-        comp,
-        threads,
-        &covers,
         budget,
         meter,
         resume,
@@ -1008,8 +801,11 @@ pub fn possibly_singular_chains_sliced_budgeted(
 /// [`crate::singular::possibly_singular_budgeted`] with the SliceReduce
 /// pre-pass: the §3.2 polynomial special case still short-circuits
 /// (slicing cannot improve on one scan), and the combinatorial fallback
-/// runs window-pruned. Resume checkpoints route by engine name exactly
-/// like the unsliced dispatcher — they are interchangeable with it.
+/// runs with candidate states outside the slice window `[mₚ, Mₚ]`
+/// dropped. An empty slice decides `None` outright. The window prune
+/// preserves the odometer's list shapes, so checkpoints keep the
+/// unsliced engine names and stay interchangeable with the unsliced
+/// dispatcher, and witnesses stay byte-identical.
 ///
 /// # Errors
 ///
@@ -1026,30 +822,24 @@ pub fn possibly_singular_sliced_budgeted(
     meter: &BudgetMeter,
     resume: Option<&Checkpoint>,
 ) -> Result<Verdict<Option<Cut>>, DetectError> {
-    if let Some(cp) = resume {
-        return if cp.detector() == SINGULAR_SUBSETS {
-            possibly_singular_subsets_sliced_budgeted(
-                comp, var, predicate, slice, threads, budget, meter, resume,
-            )
-        } else {
-            possibly_singular_chains_sliced_budgeted(
-                comp, var, predicate, slice, threads, budget, meter, resume,
-            )
-        };
-    }
-    match possibly_singular_ordered(comp, var, predicate) {
-        Ok(result) => Ok(Verdict::Decided(result, Progress::with_nodes(meter))),
-        Err(NotOrderedError) => possibly_singular_chains_sliced_budgeted(
-            comp, var, predicate, slice, threads, budget, meter, None,
-        ),
-    }
+    dispatch(
+        comp,
+        var,
+        predicate,
+        Some(slice),
+        threads,
+        budget,
+        meter,
+        resume,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::enumerate::{
-        definitely_levelwise, possibly_by_enumeration, possibly_by_enumeration_budgeted,
+        definitely_by_enumeration, definitely_levelwise_budgeted, possibly_by_enumeration,
+        possibly_by_enumeration_budgeted,
     };
     use gpd_computation::{gen, ComputationBuilder};
     use rand::{Rng, SeedableRng};
@@ -1160,8 +950,24 @@ mod tests {
             let comp = gen::random_computation(&mut rng, n, m, msgs);
             let pred = random_regular(&mut rng, &comp, 0.6);
             let fast = definitely_slice(&comp, &pred);
-            let slow = definitely_levelwise(&comp, |cut| pred.holds(cut));
-            assert_eq!(fast, slow, "round {round}");
+            let oracle = definitely_by_enumeration(&comp, |cut| pred.holds(cut));
+            assert_eq!(fast, oracle, "round {round}");
+            for threads in [0, 1, 2] {
+                let sweep = definitely_levelwise_budgeted(
+                    &comp,
+                    |cut| pred.holds(cut),
+                    threads,
+                    &Budget::unlimited(),
+                    &BudgetMeter::new(),
+                    None,
+                )
+                .unwrap();
+                assert_eq!(
+                    sweep.value(),
+                    Some(&oracle),
+                    "round {round}, threads {threads}"
+                );
+            }
         }
     }
 

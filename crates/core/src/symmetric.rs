@@ -12,7 +12,8 @@ use std::collections::BTreeSet;
 
 use gpd_computation::{BoolVariable, Computation, Cut, IntVariable};
 
-use crate::enumerate::definitely_levelwise;
+use crate::budget::sequential;
+use crate::enumerate::definitely_levelwise_budgeted;
 use crate::relational::{max_sum_cut, min_sum_cut, possibly_exact_sum};
 
 /// A symmetric predicate over the per-process booleans, specified by the
@@ -149,7 +150,9 @@ pub fn definitely_symmetric(
     var: &BoolVariable,
     predicate: &SymmetricPredicate,
 ) -> bool {
-    definitely_levelwise(comp, |cut| predicate.eval(comp, var, cut))
+    sequential(|t, b, m| {
+        definitely_levelwise_budgeted(comp, |cut| predicate.eval(comp, var, cut), t, b, m, None)
+    })
 }
 
 #[cfg(test)]

@@ -6,8 +6,11 @@
 
 use std::time::Duration;
 
-use gpd::enumerate::{possibly_by_enumeration, possibly_by_enumeration_budgeted};
+use gpd::enumerate::{
+    definitely_levelwise_budgeted, possibly_by_enumeration, possibly_by_enumeration_budgeted,
+};
 use gpd::singular::{possibly_singular_subsets, possibly_singular_subsets_budgeted};
+use gpd::slice::{cnf_envelope, possibly_by_enumeration_sliced_budgeted, Slice};
 use gpd::{Budget, BudgetMeter, Checkpoint, CnfClause, DetectError, SingularCnf, Verdict};
 use gpd_computation::{BoolVariable, Computation, ComputationBuilder, Cut, ProcessId};
 
@@ -317,16 +320,60 @@ fn checkpoints_roundtrip_and_reject_tampering() {
     assert!(matches!(err, DetectError::CheckpointMismatch(_)), "{err:?}");
 }
 
+/// The deterministic part of a width-capped sweep's `Unknown` verdict:
+/// reason, levels swept and checkpoint text.
+fn width_outcome<T: std::fmt::Debug>(
+    verdict: Verdict<T>,
+) -> (gpd::ExhaustReason, Option<u32>, String) {
+    let Verdict::Unknown(partial) = verdict else {
+        panic!("a 4-cut width cap cannot cover a 4-process lattice, got {verdict:?}");
+    };
+    (
+        partial.reason,
+        partial.progress.levels_swept,
+        partial.checkpoint.to_text(),
+    )
+}
+
 #[test]
 fn width_cap_reports_width_exhaustion() {
     let (comp, var, phi) = wide_unsat(8);
     let predicate = |cut: &Cut| phi.eval(&var, cut);
+    // Φ implies its first unit clause, whose slice window is not empty.
+    let first = SingularCnf::new(vec![CnfClause::new(vec![(ProcessId::new(0), true)])]);
+    let envelope = cnf_envelope(&comp, &var, &first).expect("a unit clause");
+    let slice = Slice::build(&comp, &envelope);
+    assert!(!slice.is_empty());
     let budget = Budget::unlimited().with_max_width(4);
-    let meter = BudgetMeter::new();
-    let verdict =
-        possibly_by_enumeration_budgeted(&comp, predicate, 2, &budget, &meter, None).unwrap();
-    let Verdict::Unknown(partial) = verdict else {
-        panic!("a 4-cut width cap cannot cover a 4-process lattice");
+    // The verdict of each sweep must not depend on the thread count.
+    let check = |name: &str, run: &dyn Fn(usize) -> (gpd::ExhaustReason, Option<u32>, String)| {
+        let reference = run(0);
+        assert_eq!(reference.0, gpd::ExhaustReason::Width, "{name}");
+        for threads in [1, 2, 4] {
+            assert_eq!(run(threads), reference, "{name}, threads {threads}");
+        }
     };
-    assert_eq!(partial.reason, gpd::ExhaustReason::Width);
+    check("possibly", &|threads| {
+        let meter = BudgetMeter::new();
+        width_outcome(
+            possibly_by_enumeration_budgeted(&comp, predicate, threads, &budget, &meter, None)
+                .unwrap(),
+        )
+    });
+    check("sliced possibly", &|threads| {
+        let meter = BudgetMeter::new();
+        width_outcome(
+            possibly_by_enumeration_sliced_budgeted(
+                &comp, &slice, predicate, threads, &budget, &meter, None,
+            )
+            .unwrap(),
+        )
+    });
+    check("definitely", &|threads| {
+        let meter = BudgetMeter::new();
+        width_outcome(
+            definitely_levelwise_budgeted(&comp, predicate, threads, &budget, &meter, None)
+                .unwrap(),
+        )
+    });
 }

@@ -6,7 +6,7 @@
 //! the answer (docs/ALGORITHMS.md §12).
 
 use gpd::enumerate::{
-    definitely_levelwise, definitely_levelwise_budgeted, possibly_by_enumeration,
+    definitely_by_enumeration, definitely_levelwise_budgeted, possibly_by_enumeration,
     possibly_by_enumeration_budgeted,
 };
 use gpd::singular::possibly_singular_budgeted;
@@ -98,10 +98,20 @@ proptest! {
             possibly_slice(&comp, &pred),
             possibly_by_enumeration(&comp, |cut| pred.holds(cut))
         );
-        prop_assert_eq!(
-            definitely_slice(&comp, &pred),
-            definitely_levelwise(&comp, |cut| pred.holds(cut))
-        );
+        let oracle = definitely_by_enumeration(&comp, |cut| pred.holds(cut));
+        prop_assert_eq!(definitely_slice(&comp, &pred), oracle);
+        for threads in [0, 1, 2] {
+            let sweep = definitely_levelwise_budgeted(
+                &comp,
+                |cut| pred.holds(cut),
+                threads,
+                &Budget::unlimited(),
+                &BudgetMeter::new(),
+                None,
+            )
+            .unwrap();
+            prop_assert_eq!(sweep.value(), Some(&oracle), "threads {}", threads);
+        }
     }
 
     /// Slice-then-enumerate is byte-identical to plain enumeration — the
