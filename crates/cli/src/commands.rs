@@ -3,9 +3,7 @@
 use std::collections::HashMap;
 
 use gpd::conjunctive::{definitely_conjunctive, possibly_conjunctive};
-use gpd::enumerate::{
-    definitely_by_enumeration, definitely_levelwise_budgeted, possibly_by_enumeration,
-};
+use gpd::enumerate::definitely_levelwise_budgeted;
 use gpd::relational::{
     definitely_exact_sum, definitely_exact_sum_budgeted, definitely_sum_budgeted,
     possibly_exact_sum, possibly_exact_sum_budgeted, possibly_sum,
@@ -723,10 +721,20 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
                             enumerate,
                             &format!("{err}; exact detection (Theorem 2: NP-complete)"),
                         )?;
-                        match possibly_by_enumeration(comp, |c| var.sum_at(c) == k) {
+                        let verdict = possibly_exact_sum_budgeted(
+                            comp,
+                            var,
+                            k,
+                            threads,
+                            &Budget::unlimited(),
+                            &meter,
+                            None,
+                        )
+                        .map_err(detect_error)?;
+                        match verdict.value().expect("unlimited budgets always decide") {
                             Some(cut) => Ok(format!(
                                 "{modality}({expr}): true (by enumeration)\n{}\n",
-                                describe_cut(&cut)
+                                describe_cut(cut)
                             )),
                             None => Ok(format!("{modality}({expr}): false (by enumeration)\n")),
                         }
@@ -736,7 +744,17 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
                     Ok(verdict) => Ok(format!("{modality}({expr}): {verdict}\n")),
                     Err(err) => {
                         guard_enumeration(comp, enumerate, &err.to_string())?;
-                        let verdict = definitely_by_enumeration(comp, |c| var.sum_at(c) == k);
+                        let verdict = definitely_exact_sum_budgeted(
+                            comp,
+                            var,
+                            k,
+                            threads,
+                            &Budget::unlimited(),
+                            &meter,
+                            None,
+                        )
+                        .map_err(detect_error)?;
+                        let verdict = verdict.value().expect("unlimited budgets always decide");
                         Ok(format!("{modality}({expr}): {verdict} (by enumeration)\n"))
                     }
                 },
@@ -1152,8 +1170,15 @@ mod tests {
         let path = temp_trace("guard", "bank", &["--n", "12"]);
         // Bank balances have unbounded steps: exact sum falls back to
         // enumeration, which the guard refuses on a large trace.
-        let err = detect(&args(&[&path, "--pred", "sum balance == 1200"])).unwrap_err();
-        assert!(matches!(err, CliError::Intractable(_)), "{err:?}");
+        for modality in [None, Some("--definitely")] {
+            let mut list = vec![path.as_str(), "--pred", "sum balance == 1200"];
+            list.extend(modality);
+            let err = detect(&args(&list)).unwrap_err();
+            assert!(
+                matches!(err, CliError::Intractable(_)),
+                "{modality:?}: {err:?}"
+            );
+        }
         // Definitely(sum relop) and Definitely(count) sweep the lattice
         // too: without a budget flag the guard refuses them as well.
         let err = detect(&args(&[
@@ -1208,6 +1233,65 @@ mod tests {
             assert_eq!(run("2"), sequential, "{pred}");
             std::fs::remove_file(&path).ok();
         }
+    }
+
+    #[test]
+    fn exact_sum_enumeration_prints_the_same_answer_at_every_thread_count() {
+        // Bank balances move in steps larger than 1, so `sum == K` is the
+        // NP-complete exact-sum question and runs the lattice sweep.
+        let path = temp_trace("exact-sum-threads", "bank", &["--n", "6"]);
+        let trace = load_trace(&path).unwrap();
+        let var = find_int(&trace, "balance").unwrap();
+        assert!(!var.is_unit_step());
+        let sums: std::collections::BTreeSet<i64> = trace
+            .computation
+            .consistent_cuts()
+            .map(|c| var.sum_at(&c))
+            .collect();
+        let (lo, hi) = (*sums.first().unwrap(), *sums.last().unwrap());
+        let unattained = (lo..=hi).find(|s| !sums.contains(s)).expect("a gap");
+        let questions = [
+            (format!("sum balance == {lo}"), false),
+            (format!("sum balance == {unattained}"), false),
+            (format!("sum balance == {unattained}"), true),
+        ];
+        for (pred, definitely) in &questions {
+            let run = |extra: &[&str]| {
+                let mut list = vec![path.as_str(), "--pred", pred];
+                if *definitely {
+                    list.push("--definitely");
+                }
+                list.extend_from_slice(extra);
+                detect(&args(&list)).unwrap()
+            };
+            let sequential = run(&["--enumerate", "--threads", "0"]);
+            assert!(
+                sequential
+                    .lines()
+                    .next()
+                    .unwrap()
+                    .ends_with(" (by enumeration)"),
+                "{pred}: {sequential}"
+            );
+            if pred.ends_with(&format!("== {lo}")) {
+                assert!(sequential.contains("true (by enumeration)\nwitness cut: ["));
+            }
+            for threads in ["1", "2"] {
+                assert_eq!(
+                    run(&["--enumerate", "--threads", threads]),
+                    sequential,
+                    "{pred}, threads {threads}"
+                );
+            }
+            // A budget that never trips runs the budgeted arm, which
+            // prints the same verdict and witness without the marker.
+            assert_eq!(
+                run(&["--max-nodes", "1000000000", "--threads", "2"]),
+                sequential.replace(" (by enumeration)", ""),
+                "{pred}, budgeted"
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

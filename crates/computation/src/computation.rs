@@ -201,7 +201,7 @@ impl Computation {
     /// The Fidge–Mattern vector clock of an event, as a zero-allocation
     /// view borrowing the event's clock-matrix row.
     pub fn clock(&self, e: EventId) -> ClockRef<'_> {
-        counters::add_clock_row_reads(1);
+        counters::add_kernel_work(1, 0);
         ClockRef::new(self.clock_row(e))
     }
 
@@ -280,7 +280,7 @@ impl Computation {
     /// copy — the slicing engine calls this once per event to seed its
     /// least-satisfying-cut fixpoints.
     pub fn least_cut_containing(&self, e: EventId) -> Cut {
-        counters::add_clock_row_reads(1);
+        counters::add_kernel_work(1, 0);
         Cut::from_frontier(self.clock_row(e).to_vec())
     }
 
@@ -312,7 +312,7 @@ impl Computation {
     ///
     /// Panics if the cut's shape does not match the computation.
     pub fn is_consistent(&self, cut: &Cut) -> bool {
-        self.check_shape(cut);
+        self.check_shape(cut.frontier());
         let frontier = cut.frontier();
         let mut rows = 0u64;
         let mut batches = 0u64;
@@ -339,20 +339,19 @@ impl Computation {
             kernel::dominated_batch(&group[..filled], frontier, &mut dom[..filled]);
             ok = dom[..filled].iter().all(|&d| d);
         }
-        counters::add_clock_row_reads(rows);
-        counters::add_dominance_batches(batches);
+        counters::add_kernel_work(rows, batches);
         ok
     }
 
-    pub(crate) fn check_shape(&self, cut: &Cut) {
+    pub(crate) fn check_shape(&self, frontier: &[u32]) {
         assert_eq!(
-            cut.frontier().len(),
+            frontier.len(),
             self.process_count,
             "cut has {} entries for {} processes",
-            cut.frontier().len(),
+            frontier.len(),
             self.process_count
         );
-        for (p, &f) in cut.frontier().iter().enumerate() {
+        for (p, &f) in frontier.iter().enumerate() {
             let on_p = self.proc_off[p + 1] - self.proc_off[p];
             assert!(f <= on_p, "cut frontier {f} exceeds {on_p} events on p{p}");
         }
@@ -391,19 +390,20 @@ impl Computation {
             .expect("the reverse of a partial order is a partial order")
     }
 
-    /// Calls `visit(p)` for every process whose next event beyond `cut`
-    /// is *enabled* (executing it keeps the cut consistent), in
-    /// increasing process order. This is the allocation-free core of
-    /// successor generation: the pending-event clock rows are fed
-    /// through the batched enablement kernel, up to [`kernel::BATCH`]
-    /// rows per column-major pass over the frontier.
+    /// Calls `visit(p, row)` for every process `p` whose next event `e`
+    /// beyond the cut with this `frontier` is *enabled* (executing it
+    /// keeps the cut consistent), in increasing process order; `row` is
+    /// `e`'s clock-matrix row, already read by the kernel, so callers
+    /// that need `vc(e)` pay no second read. This is the allocation-free
+    /// core of successor generation: the pending-event clock rows are
+    /// fed through the batched enablement kernel, up to
+    /// [`kernel::BATCH`] rows per column-major pass over the frontier.
     ///
     /// # Panics
     ///
-    /// Panics if the cut's shape does not match the computation.
-    pub fn for_each_enabled(&self, cut: &Cut, mut visit: impl FnMut(usize)) {
-        self.check_shape(cut);
-        let frontier = cut.frontier();
+    /// Panics if the frontier's shape does not match the computation.
+    pub fn for_each_enabled(&self, frontier: &[u32], mut visit: impl FnMut(usize, &[u32])) {
+        self.check_shape(frontier);
         let mut rows = 0u64;
         let mut batches = 0u64;
         let mut p = 0;
@@ -432,12 +432,11 @@ impl Computation {
                 // so e is enabled iff its own component is the sole
                 // violation.
                 if viol[k] == 1 {
-                    visit(procs[k]);
+                    visit(procs[k], group[k]);
                 }
             }
         }
-        counters::add_clock_row_reads(rows);
-        counters::add_dominance_batches(batches);
+        counters::add_kernel_work(rows, batches);
     }
 
     /// Writes the consistent cuts reachable from `cut` by executing
@@ -450,7 +449,7 @@ impl Computation {
     /// Panics if the cut's shape does not match the computation.
     pub fn cut_successors_into(&self, cut: &Cut, out: &mut Vec<Cut>) {
         out.clear();
-        self.for_each_enabled(cut, |p| {
+        self.for_each_enabled(cut.frontier(), |p, _| {
             let mut next = cut.frontier().to_vec();
             next[p] += 1;
             out.push(Cut::from_frontier(next));

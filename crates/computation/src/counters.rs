@@ -1,20 +1,32 @@
 //! Process-global work counters for the flat causality kernel.
 //!
-//! Three relaxed atomics make the PR 3 layout wins observable without a
+//! Four counters make the flat layout's wins observable without a
 //! profiler: how many clock-matrix rows the dominance kernels touched,
-//! how many times `cut_successors` fell back to its allocating
-//! convenience path, and how many owned [`VectorClock`]s were
-//! materialized on the heap (the flat layout should build and query a
-//! computation with **zero** of these). The `gpd` crate folds this
-//! snapshot into its `ScanCounters` and the CLI prints it under
-//! `gpd detect --stats`.
+//! how many batched kernel passes they ran, how many times
+//! `cut_successors` fell back to its allocating convenience path, and
+//! how many owned [`VectorClock`]s were materialized on the heap (the
+//! flat layout should build and query a computation with **zero** of
+//! these). The `gpd` crate folds this snapshot into its `ScanCounters`
+//! and the CLI prints it under `gpd detect --stats`.
 //!
-//! Counters are cumulative per process; diff two [`snapshot`]s via
-//! [`KernelCounters::since`] to meter one region. Relaxed ordering is
-//! deliberate: the numbers are telemetry, not synchronization.
+//! The two hot counters — row reads and dominance batches, bumped on
+//! every enablement and consistency query — accumulate in thread-local
+//! cells, so parallel sweeps never write a shared cache line from their
+//! inner loops. A thread's cells are flushed into the process totals on
+//! every [`kernel_counters`] call made on that thread and when the
+//! thread exits; the `gpd` work-stealing fan-out reads the counters
+//! once per chunk for exactly that purpose. The totals stay exact: a
+//! reading sees every count flushed so far, including all of its own
+//! thread's.
+//!
+//! Counters are cumulative per process; diff two [`kernel_counters`]
+//! readings via [`KernelCounters::since`] to meter one region. Relaxed
+//! ordering is deliberate: the numbers are telemetry, not
+//! synchronization.
 //!
 //! [`VectorClock`]: crate::VectorClock
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static CLOCK_ROW_READS: AtomicU64 = AtomicU64::new(0);
@@ -22,12 +34,55 @@ static CUT_SUCCESSOR_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static VCLOCK_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static DOMINANCE_BATCHES: AtomicU64 = AtomicU64::new(0);
 
-/// Batches `n` clock-matrix row reads into one atomic add — the
-/// dominance kernels call this once per query, not once per row.
+/// One thread's not-yet-flushed row reads and dominance batches.
+struct LocalCounts {
+    rows: Cell<u64>,
+    batches: Cell<u64>,
+}
+
+impl LocalCounts {
+    /// Moves the pending counts into the process totals.
+    fn flush(&self) {
+        let rows = self.rows.replace(0);
+        if rows > 0 {
+            CLOCK_ROW_READS.fetch_add(rows, Ordering::Relaxed);
+        }
+        let batches = self.batches.replace(0);
+        if batches > 0 {
+            DOMINANCE_BATCHES.fetch_add(batches, Ordering::Relaxed);
+        }
+    }
+}
+
+impl Drop for LocalCounts {
+    /// A retiring thread hands its last counts to the process totals.
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+thread_local! {
+    static LOCAL: LocalCounts = const {
+        LocalCounts {
+            rows: Cell::new(0),
+            batches: Cell::new(0),
+        }
+    };
+}
+
+/// Adds `rows` clock-matrix row reads and `batches` batched-dominance
+/// kernel passes to this thread's cells — the dominance kernels call
+/// this once per query, not once per row. During thread teardown, when
+/// the cells are gone, the counts go straight to the process totals.
 #[inline]
-pub(crate) fn add_clock_row_reads(n: u64) {
-    if n > 0 {
-        CLOCK_ROW_READS.fetch_add(n, Ordering::Relaxed);
+pub(crate) fn add_kernel_work(rows: u64, batches: u64) {
+    let local = LOCAL.try_with(|l| {
+        l.rows.set(l.rows.get() + rows);
+        l.batches.set(l.batches.get() + batches);
+    });
+    if local.is_err() {
+        CLOCK_ROW_READS.fetch_add(rows, Ordering::Relaxed);
+        DOMINANCE_BATCHES.fetch_add(batches, Ordering::Relaxed);
     }
 }
 
@@ -41,16 +96,6 @@ pub(crate) fn record_cut_successor_alloc() {
 #[inline]
 pub(crate) fn record_vclock_alloc() {
     VCLOCK_ALLOCS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Batches `n` batched-dominance kernel passes into one atomic add —
-/// the routing call sites (`is_consistent`, `for_each_enabled`) call
-/// this once per query, not once per batch.
-#[inline]
-pub(crate) fn add_dominance_batches(n: u64) {
-    if n > 0 {
-        DOMINANCE_BATCHES.fetch_add(n, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time reading of the kernel counters.
@@ -101,8 +146,12 @@ impl KernelCounters {
     }
 }
 
-/// Reads the cumulative kernel counters for this process.
+/// Reads the cumulative kernel counters for this process, after
+/// flushing the calling thread's pending row reads and dominance
+/// batches into the totals (see the module docs).
 pub fn kernel_counters() -> KernelCounters {
+    // Absent only during thread teardown, whose drop flushes anyway.
+    let _ = LOCAL.try_with(LocalCounts::flush);
     KernelCounters {
         clock_row_reads: CLOCK_ROW_READS.load(Ordering::Relaxed),
         cut_successor_allocs: CUT_SUCCESSOR_ALLOCS.load(Ordering::Relaxed),
@@ -159,10 +208,9 @@ mod tests {
     #[test]
     fn recording_is_monotone() {
         let before = kernel_counters();
-        add_clock_row_reads(4);
+        add_kernel_work(4, 2);
         record_cut_successor_alloc();
         record_vclock_alloc();
-        add_dominance_batches(2);
         let after = kernel_counters();
         // Other tests run concurrently in this process, so assert lower
         // bounds rather than exact deltas.
@@ -170,5 +218,17 @@ mod tests {
         assert!(after.cut_successor_allocs > before.cut_successor_allocs);
         assert!(after.vclock_allocs > before.vclock_allocs);
         assert!(after.dominance_batches >= before.dominance_batches + 2);
+    }
+
+    #[test]
+    fn other_threads_counts_reach_the_totals_when_they_exit() {
+        let before = kernel_counters();
+        // The spawned thread never reads the counters itself: its cells
+        // are flushed by its thread-exit destructor before `join`
+        // returns.
+        std::thread::spawn(|| add_kernel_work(7, 3)).join().unwrap();
+        let after = kernel_counters();
+        assert!(after.clock_row_reads >= before.clock_row_reads + 7);
+        assert!(after.dominance_batches >= before.dominance_batches + 3);
     }
 }

@@ -86,7 +86,7 @@ impl Iterator for CutIter<'_> {
         } = self;
         scratch.clear();
         scratch.extend_from_slice(cut.frontier());
-        comp.for_each_enabled(&cut, |p| {
+        comp.for_each_enabled(cut.frontier(), |p, _| {
             scratch[p] += 1;
             if seen.insert(packer.pack(scratch)) {
                 next_level.push(Cut::from_frontier(scratch.clone()));

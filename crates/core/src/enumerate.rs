@@ -10,13 +10,15 @@
 //! [`possibly_by_enumeration`] (the breadth-first `CutIter`) and
 //! [`definitely_by_enumeration`] (a breadth-first `¬Φ` reachability
 //! search). Every other exhaustive question runs one budgeted,
-//! thread-parameterized **level sweep**: a Possibly body that probes each
-//! canonically sorted level for its lowest-index witness, and a
-//! Definitely body that keeps only the current level's reachable `¬Φ`
-//! cuts. Both take an optional slice window, which the
-//! [`crate::slice`] entries pass; `Definitely` for sums and symmetric
-//! predicates runs the Definitely body on 0 threads under
-//! [`Budget::unlimited`].
+//! thread-parameterized **level sweep**: a Possibly body that generates
+//! each cut of the next level exactly once, from its canonical parent,
+//! and probes it on the way for the level's lowest sorted witness, and
+//! a Definitely body that keeps only the current level's reachable `¬Φ`
+//! cuts. Levels are flat runs of word records (`Layout`), sorted per
+//! worker and merged by the caller. Both bodies take an optional slice
+//! window, which the [`crate::slice`] entries pass; `Definitely` for
+//! sums and symmetric predicates runs the Definitely body on 0 threads
+//! under [`Budget::unlimited`].
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Mutex;
@@ -115,9 +117,13 @@ pub const POSSIBLY_ENUMERATE: &str = "possibly-enumerate";
 pub const DEFINITELY_LEVELWISE: &str = "definitely-levelwise";
 
 /// Work-item granularity of the budgeted level sweeps: one work-stealing
-/// chunk — budget gates and witness aggregation happen on chunk
-/// boundaries.
-const LEVEL_BLOCK: usize = 256;
+/// chunk — budget gates and counter flushes happen on chunk boundaries.
+const LEVEL_BLOCK: usize = 64;
+
+/// Levels with fewer cuts than this are expanded on the caller's thread
+/// whatever the thread count: waking the pool costs more than such a
+/// level's whole expansion.
+const SEQUENTIAL_CUTOFF: usize = 512;
 
 /// Records `reason` as the sweep's halt cause (first writer wins) and
 /// cancels the fan-out so the other workers drain out.
@@ -140,7 +146,9 @@ fn halt_fanout(
 /// best hit: it cannot lower the minimum, and gating it could discard an
 /// already-found witness on a budget trip. The winning index is the
 /// global minimum at every thread count, which is what makes budgeted
-/// witnesses byte-identical across 1/2/4 threads.
+/// witnesses byte-identical across 1/2/4 threads. The sweeps probe
+/// their first level with it (the initial cut, or a resumed level);
+/// every later level is probed while it is generated.
 pub(crate) fn probe_level_budgeted<F>(
     predicate: &F,
     threads: usize,
@@ -193,43 +201,261 @@ where
     }
 }
 
-/// One budget-governed expansion of `level` into the next lattice level,
-/// keeping successors that pass `keep`, deduplicated and **canonically
-/// sorted** (frontier-lexicographic).
+// ---------------------------------------------------------------------------
+// Flat levels: one run of fixed-width, order-preserving records
+// ---------------------------------------------------------------------------
+
+/// Writes the low `width` (1..=64) bits of `v` at bit `pos` of `words`,
+/// read as one big-endian bit string (bit 0 is the top bit of word 0).
+#[inline]
+fn put_bits(words: &mut [u64], pos: usize, width: usize, v: u64) {
+    let (w, end) = (pos / 64, pos % 64 + width);
+    if end <= 64 {
+        words[w] |= v << (64 - end);
+    } else {
+        let spill = end - 64;
+        words[w] |= v >> spill;
+        words[w + 1] |= v << (64 - spill);
+    }
+}
+
+/// Reads the `width` (1..=64) bits at bit `pos`, as [`put_bits`] wrote
+/// them.
+#[inline]
+fn get_bits(words: &[u64], pos: usize, width: usize) -> u64 {
+    let (w, end) = (pos / 64, pos % 64 + width);
+    let low = u64::MAX >> (64 - width);
+    if end <= 64 {
+        (words[w] >> (64 - end)) & low
+    } else {
+        let spill = end - 64;
+        ((words[w] << spill) | (words[w + 1] >> (64 - spill))) & low
+    }
+}
+
+/// The record layout of a flat level. A cut is `stride` words: its
+/// frontier entries at a uniform bit width, process 0 first from the top
+/// bit, then (for the Possibly sweep) its removable-process mask. Word
+/// order therefore equals frontier-lexicographic order — the canonical
+/// [`Cut`] order — so a level sorts, merges and dedups as plain word
+/// slices, and a level of `m` cuts is one `m × stride` allocation
+/// instead of `m` heap [`Cut`]s.
+struct Layout {
+    procs: usize,
+    bits: usize,
+    masked: bool,
+    stride: usize,
+}
+
+impl Layout {
+    fn new(comp: &Computation, masked: bool) -> Self {
+        let procs = comp.process_count();
+        let max = (0..procs).map(|p| comp.events_on(p)).max().unwrap_or(0) as u32;
+        let bits = (32 - max.leading_zeros()).max(1) as usize;
+        let total = procs * bits + if masked { procs } else { 0 };
+        Layout {
+            procs,
+            bits,
+            masked,
+            stride: total.div_ceil(64).max(1),
+        }
+    }
+
+    /// Words in one removable-process mask.
+    fn mask_words(&self) -> usize {
+        self.procs.div_ceil(64)
+    }
+
+    /// Appends the record of `frontier` (with `mask`, when masked).
+    fn push(&self, frontier: &[u32], mask: &[u64], out: &mut Vec<u64>) {
+        let at = out.len();
+        out.resize(at + self.stride, 0);
+        let rec = &mut out[at..];
+        for (i, &f) in frontier.iter().enumerate() {
+            put_bits(rec, i * self.bits, self.bits, f as u64);
+        }
+        if self.masked {
+            let base = self.procs * self.bits;
+            for (c, &m) in mask.iter().enumerate() {
+                put_bits(rec, base + 64 * c, (self.procs - 64 * c).min(64), m);
+            }
+        }
+    }
+
+    fn frontier(&self, rec: &[u64], out: &mut [u32]) {
+        for (i, f) in out.iter_mut().enumerate() {
+            *f = get_bits(rec, i * self.bits, self.bits) as u32;
+        }
+    }
+
+    fn mask(&self, rec: &[u64], out: &mut [u64]) {
+        let base = self.procs * self.bits;
+        for (c, m) in out.iter_mut().enumerate() {
+            *m = get_bits(rec, base + 64 * c, (self.procs - 64 * c).min(64));
+        }
+    }
+
+    fn frontier_vec(&self, rec: &[u64]) -> Vec<u32> {
+        let mut frontier = vec![0; self.procs];
+        self.frontier(rec, &mut frontier);
+        frontier
+    }
+
+    fn cut(&self, rec: &[u64]) -> Cut {
+        Cut::from_frontier(self.frontier_vec(rec))
+    }
+
+    fn len(&self, level: &[u64]) -> usize {
+        level.len() / self.stride
+    }
+
+    /// The level as frontier vectors, for a checkpoint.
+    fn frontiers(&self, level: &[u64]) -> Vec<Vec<u32>> {
+        level
+            .chunks_exact(self.stride)
+            .map(|rec| self.frontier_vec(rec))
+            .collect()
+    }
+
+    /// Sorts a run's records. The sort is stable, which makes it
+    /// adaptive: a concatenation of sorted runs is merged in linear time
+    /// per run boundary, so [`Layout::merge`] is one call to it.
+    fn sort(&self, run: &mut Vec<u64>) {
+        let stride = self.stride;
+        if stride == 1 {
+            run.sort();
+            return;
+        }
+        let rec = |i: u32| &run[i as usize * stride..][..stride];
+        let mut order: Vec<u32> = (0..(run.len() / stride) as u32).collect();
+        order.sort_by(|&a, &b| rec(a).cmp(rec(b)));
+        let sorted: Vec<u64> = order.iter().flat_map(|&i| rec(i)).copied().collect();
+        *run = sorted;
+    }
+
+    /// Keeps the records for which `keep(previous_kept, record)` holds,
+    /// in order, compacting the run in place.
+    fn retain(&self, run: &mut Vec<u64>, mut keep: impl FnMut(Option<&[u64]>, &[u64]) -> bool) {
+        let stride = self.stride;
+        let mut kept = 0usize;
+        for i in 0..self.len(run) {
+            let last = kept.checked_sub(1).map(|k| &run[k * stride..][..stride]);
+            if keep(last, &run[i * stride..][..stride]) {
+                run.copy_within(i * stride..(i + 1) * stride, kept * stride);
+                kept += 1;
+            }
+        }
+        run.truncate(kept * stride);
+    }
+
+    /// Drops repeated records from a sorted run.
+    fn dedup(&self, run: &mut Vec<u64>) {
+        self.retain(run, |last, rec| last != Some(rec));
+    }
+
+    /// Merges sorted runs into one sorted level; with `dedup`, a record
+    /// present in several runs is kept once.
+    fn merge(&self, mut runs: Vec<Vec<u64>>, dedup: bool) -> Vec<u64> {
+        let merged = if runs.len() == 1 {
+            // A single run is already sorted, and deduplicated where the
+            // caller needs it.
+            runs.pop().expect("one run")
+        } else {
+            let mut merged = runs.concat();
+            self.sort(&mut merged);
+            if dedup {
+                self.dedup(&mut merged);
+            }
+            merged
+        };
+        debug_assert!(
+            merged
+                .chunks_exact(self.stride)
+                .zip(merged.chunks_exact(self.stride).skip(1))
+                .all(|(a, b)| a < b),
+            "a merged level must be strictly increasing"
+        );
+        merged
+    }
+}
+
+/// The removable-process mask of `frontier`, from scratch: bit `q` is
+/// set when `q`'s last event in the cut is maximal in it, i.e. when
+/// dropping that event leaves a consistent cut. Only resumed levels
+/// need it; the sweep carries masks from cut to child otherwise.
+fn removable_mask(comp: &Computation, frontier: &[u32], mask: &mut [u64]) {
+    mask.fill(0);
+    let mut below = frontier.to_vec();
+    for q in 0..frontier.len() {
+        if frontier[q] > 0 {
+            below[q] -= 1;
+            if comp.is_consistent(&Cut::from_frontier(below.clone())) {
+                mask[q / 64] |= 1 << (q % 64);
+            }
+            below[q] += 1;
+        }
+    }
+}
+
+/// The canonical-parent test for the child `G + e_p` of a cut `G` with
+/// frontier `g` and removable mask `mask`, where `row` is `vc(e_p)`.
 ///
-/// Workers drain [`LEVEL_BLOCK`]-sized chunks from rooted work-stealing
-/// spans. Each worker walks successors the way `CutIter` does: it bumps
-/// one scratch frontier in place, packs it, and allocates a [`Cut`] —
-/// and evaluates `keep` — only for a cut its own visited set has not
-/// seen. The level is merged by the canonical sort plus a `dedup` (the
-/// lattice is graded, so duplicates only arise within one level). Every
-/// lattice edge is counted exactly once regardless of thread count —
-/// `meter` observes the same total at 1 and at N threads.
-///
-/// Budget gates sit on chunk boundaries. The width gate there sees the
-/// worker's own kept count, a subset of the final level, so it never
-/// trips where the exact count checked on the merged level would not:
-/// the `Width` verdict is the same at every thread count. An `Err` means
-/// the partially built next level was discarded whole, so the caller's
-/// current level stays the valid checkpoint boundary.
-pub(crate) fn expand_level_budgeted<K>(
-    comp: &Computation,
-    packer: &FrontierPacker,
+/// A removable `q` of `G` stays removable in the child iff `e_p` does
+/// not depend on `q`'s last event, `vc(e_p)[q] < G[q]`; `p` itself is
+/// always removable in the child. The child is generated here only when
+/// `p` is its highest removable process. On success `child` holds the
+/// child's mask `{p} ∪ {q ∈ R(G) : vc(e_p)[q] < G[q]}`.
+#[inline]
+fn canonical_child(mask: &[u64], p: usize, row: &[u32], g: &[u32], child: &mut [u64]) -> bool {
+    for (c, (&word, out)) in mask.iter().zip(child.iter_mut()).enumerate() {
+        let mut stays = 0u64;
+        let mut bits = word;
+        while bits != 0 {
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let q = 64 * c + b;
+            if row[q] < g[q] {
+                if q > p {
+                    return false;
+                }
+                stays |= 1 << b;
+            }
+        }
+        *out = stays;
+    }
+    child[p / 64] |= 1 << (p % 64);
+    true
+}
+
+/// Runs `expand(state, record_index)` over every record of a level of
+/// `count` cuts in [`LEVEL_BLOCK`] chunks and returns each worker's
+/// final state after `finish`. `expand` returns the nodes to charge.
+/// Budget gates sit on chunk boundaries; the width gate sees the level
+/// being expanded and `kept(state)`, the worker's share of the next
+/// level so far, which must be a subset of it — so the gate never trips
+/// where the exact count of the merged level would not. Levels below
+/// [`SEQUENTIAL_CUTOFF`] stay on the caller's thread. An `Err` means the
+/// fan-out was cancelled and every partial state discarded.
+#[allow(clippy::too_many_arguments)]
+fn expand_chunks<S: Send>(
     threads: usize,
-    level: &[Cut],
-    keep: &K,
+    count: usize,
     budget: &Budget,
     meter: &BudgetMeter,
-) -> Result<Vec<Cut>, ExhaustReason>
-where
-    K: Fn(&Cut) -> bool + Sync,
-{
-    let merged: Mutex<Vec<Cut>> = Mutex::new(Vec::new());
+    init: &(dyn Fn() -> S + Sync),
+    expand: &(dyn Fn(&mut S, usize) -> u64 + Sync),
+    kept: &(dyn Fn(&S) -> usize + Sync),
+    finish: &(dyn Fn(&mut S) + Sync),
+) -> Result<Vec<S>, ExhaustReason> {
+    let threads = if count < SEQUENTIAL_CUTOFF {
+        0
+    } else {
+        threads
+    };
+    let done: Mutex<Vec<S>> = Mutex::new(Vec::new());
     let halt: Mutex<Option<ExhaustReason>> = Mutex::new(None);
-    crate::par::fanout_chunks(threads, level.len(), LEVEL_BLOCK, &|w, src| {
-        let mut seen: HashSet<PackedFrontier> = HashSet::new();
-        let mut kept: Vec<Cut> = Vec::new();
-        let mut scratch: Vec<u32> = Vec::new();
+    crate::par::fanout_chunks(threads, count, LEVEL_BLOCK, &|w, src| {
+        let mut state = init();
         while let Some(r) = src.next(w) {
             if budget.deadline_exceeded() {
                 halt_fanout(&halt, ExhaustReason::Deadline, src);
@@ -239,39 +465,167 @@ where
                 halt_fanout(&halt, ExhaustReason::Nodes, src);
                 return;
             }
-            // The width cap bounds the materialized sets: the level
-            // being expanded and the one being built.
-            if budget.width_exceeded(kept.len().max(level.len())) {
+            if budget.width_exceeded(kept(&state).max(count)) {
                 halt_fanout(&halt, ExhaustReason::Width, src);
                 return;
             }
-            let mut explored = 0u64;
-            for cut in &level[r] {
-                scratch.clear();
-                scratch.extend_from_slice(cut.frontier());
-                comp.for_each_enabled(cut, |p| {
-                    explored += 1;
-                    scratch[p] += 1;
-                    if seen.insert(packer.pack(&scratch)) {
-                        let succ = Cut::from_frontier(scratch.clone());
-                        if keep(&succ) {
-                            kept.push(succ);
-                        }
-                    }
-                    scratch[p] -= 1;
-                });
-            }
-            meter.charge(explored);
+            let work: u64 = r.map(|i| expand(&mut state, i)).sum();
+            meter.charge(work);
         }
-        crate::par::lock_unpoisoned(&merged).append(&mut kept);
+        finish(&mut state);
+        crate::par::lock_unpoisoned(&done).push(state);
     });
-    if let Some(reason) = crate::par::into_inner_unpoisoned(halt) {
-        return Err(reason);
+    match crate::par::into_inner_unpoisoned(halt) {
+        Some(reason) => Err(reason),
+        None => Ok(crate::par::into_inner_unpoisoned(done)),
     }
-    let mut next = crate::par::into_inner_unpoisoned(merged);
-    next.sort_unstable();
-    next.dedup();
-    if budget.width_exceeded(next.len()) {
+}
+
+/// One Possibly worker's output: its sorted run of the next level and
+/// the least record among the run's cuts that satisfy Φ.
+struct PossiblyRun {
+    run: Vec<u64>,
+    hit: Option<Vec<u64>>,
+}
+
+/// One step of the Possibly sweep: generates level `k + 1` from the flat
+/// `level` (records with masks) and probes it on the way. Returns the
+/// sorted next level and its least Φ-cut.
+///
+/// Each cut of the next level is generated **exactly once**, from its
+/// canonical parent (see [`canonical_child`]) — no visited set, no
+/// dedup — and `keep` (the slice window, a down-set, so it holds every
+/// canonical parent of a kept cut) and Φ are evaluated as it is
+/// generated. One node is charged per enabled edge examined and one per
+/// cut probed, so `meter` observes the same total at every thread
+/// count. The least hit is the lowest sorted Φ-cut of the level at every
+/// thread count. The width cap is checked on the merged level, before
+/// any hit is reported, so a `Width` verdict is thread-count invariant
+/// too.
+#[allow(clippy::too_many_arguments)]
+fn possibly_step<F, K>(
+    comp: &Computation,
+    layout: &Layout,
+    threads: usize,
+    level: &[u64],
+    keep: &K,
+    predicate: &F,
+    budget: &Budget,
+    meter: &BudgetMeter,
+) -> Result<(Vec<u64>, Option<Cut>), ExhaustReason>
+where
+    F: Fn(&Cut) -> bool + Sync,
+    K: Fn(&[u32]) -> bool + Sync,
+{
+    let (n, mw, stride) = (layout.procs, layout.mask_words(), layout.stride);
+    // Worker scratch: parent and child frontiers, parent and child masks.
+    type Scratch = (Vec<u32>, Vec<u32>, Vec<u64>, Vec<u64>);
+    let runs = expand_chunks(
+        threads,
+        layout.len(level),
+        budget,
+        meter,
+        &|| {
+            let scratch: Scratch = (vec![0; n], vec![0; n], vec![0; mw], vec![0; mw]);
+            (
+                PossiblyRun {
+                    run: Vec::new(),
+                    hit: None,
+                },
+                scratch,
+            )
+        },
+        &|(out, (g, child, gmask, cmask)), i| {
+            let rec = &level[i * stride..][..stride];
+            layout.frontier(rec, g);
+            layout.mask(rec, gmask);
+            child.copy_from_slice(g);
+            let mut work = 0u64;
+            comp.for_each_enabled(g, |p, row| {
+                work += 1;
+                if !canonical_child(gmask, p, row, g, cmask) {
+                    return;
+                }
+                child[p] += 1;
+                if keep(child) {
+                    work += 1;
+                    let at = out.run.len();
+                    layout.push(child, cmask, &mut out.run);
+                    let new = &out.run[at..];
+                    if out.hit.as_deref().is_none_or(|best| new < best)
+                        && predicate(&Cut::from_frontier(child.clone()))
+                    {
+                        out.hit = Some(new.to_vec());
+                    }
+                }
+                child[p] -= 1;
+            });
+            work
+        },
+        &|(out, _)| layout.len(&out.run),
+        &|(out, _)| layout.sort(&mut out.run),
+    )?;
+    let hit = runs.iter().filter_map(|(out, _)| out.hit.as_ref()).min();
+    let hit = hit.map(|rec| layout.cut(rec));
+    let next = layout.merge(runs.into_iter().map(|(out, _)| out.run).collect(), false);
+    if budget.width_exceeded(layout.len(&next)) {
+        return Err(ExhaustReason::Width);
+    }
+    Ok((next, hit))
+}
+
+/// One step of the Definitely sweep: the successors of the flat `level`
+/// (records without masks) that pass `keep`, sorted and deduplicated.
+///
+/// The canonical-parent rule does not apply here: the `¬Φ`-filtered
+/// level need not contain a cut's canonical parent, so a cut may be
+/// reached only through another of its parents. Each worker therefore
+/// records every successor, sorts and dedups its own run, and evaluates
+/// `keep` once per distinct cut of the run; the merge drops cuts that
+/// several workers reached. One node is charged per enabled edge, at
+/// every thread count; the width cap is checked on the merged level.
+fn definitely_step<K>(
+    comp: &Computation,
+    layout: &Layout,
+    threads: usize,
+    level: &[u64],
+    keep: &K,
+    budget: &Budget,
+    meter: &BudgetMeter,
+) -> Result<Vec<u64>, ExhaustReason>
+where
+    K: Fn(&Cut) -> bool + Sync,
+{
+    let (n, stride) = (layout.procs, layout.stride);
+    let runs = expand_chunks(
+        threads,
+        layout.len(level),
+        budget,
+        meter,
+        &|| (Vec::new(), vec![0; n], vec![0; n]),
+        &|(run, g, child), i| {
+            layout.frontier(&level[i * stride..][..stride], g);
+            child.copy_from_slice(g);
+            let mut explored = 0u64;
+            comp.for_each_enabled(g, |p, _| {
+                explored += 1;
+                child[p] += 1;
+                layout.push(child, &[], run);
+                child[p] -= 1;
+            });
+            explored
+        },
+        // The raw run repeats cuts and holds Φ-cuts, so it is no subset
+        // of the next level: only the merged level's width is exact.
+        &|_| 0,
+        &|(run, _, _)| {
+            layout.sort(run);
+            layout.dedup(run);
+            layout.retain(run, |_, rec| keep(&layout.cut(rec)));
+        },
+    )?;
+    let next = layout.merge(runs.into_iter().map(|(run, _, _)| run).collect(), true);
+    if budget.width_exceeded(layout.len(&next)) {
         return Err(ExhaustReason::Width);
     }
     Ok(next)
@@ -287,9 +641,8 @@ pub(crate) fn unknown_at_level<T>(
     meter: &BudgetMeter,
     level_index: u32,
     swept: u32,
-    level: &[Cut],
+    frontiers: Vec<Vec<u32>>,
 ) -> Verdict<T> {
-    let frontiers = level.iter().map(|c| c.frontier().to_vec()).collect();
     Verdict::Unknown(Partial {
         reason,
         progress: Progress {
@@ -384,29 +737,39 @@ where
     catch_detect(move || {
         // Beyond level |M| every cut violates the envelope.
         let cap = hi.map_or(comp.final_cut().event_count() as u32, level_of);
-        let keep = |c: &Cut| hi.is_none_or(|hi| c.frontier().iter().zip(hi).all(|(f, h)| f <= h));
-        let packer = FrontierPacker::new(comp);
+        let keep = |f: &[u32]| hi.is_none_or(|hi| f.iter().zip(hi).all(|(f, h)| f <= h));
+        let frontiers = |level: &[Cut]| level.iter().map(|c| c.frontier().to_vec()).collect();
         let mut k = k0;
-        let mut level = level0;
-        loop {
-            match probe_level_budgeted(&predicate, threads, &level, budget, meter) {
-                Ok(Some(witness)) => {
+        match probe_level_budgeted(&predicate, threads, &level0, budget, meter) {
+            Ok(Some(witness)) => {
+                return Verdict::Decided(Some(witness), Progress::with_nodes(meter))
+            }
+            Ok(None) => {}
+            Err(reason) => {
+                return unknown_at_level(engine, problem, reason, meter, k, k, frontiers(&level0))
+            }
+        }
+        let layout = Layout::new(comp, true);
+        let mut level = Vec::with_capacity(level0.len() * layout.stride);
+        let mut mask = vec![0; layout.mask_words()];
+        for cut in &level0 {
+            removable_mask(comp, cut.frontier(), &mut mask);
+            layout.push(cut.frontier(), &mask, &mut level);
+        }
+        // Invariant: `level` holds every kept cut with k events, with its
+        // removable mask, and none of them satisfies Φ.
+        while k < cap {
+            match possibly_step(
+                comp, &layout, threads, &level, &keep, &predicate, budget, meter,
+            ) {
+                Ok((_, Some(witness))) => {
                     return Verdict::Decided(Some(witness), Progress::with_nodes(meter))
                 }
-                Ok(None) => {}
-                Err(reason) => {
-                    return unknown_at_level(engine, problem, reason, meter, k, k, &level)
-                }
-            }
-            if k >= cap {
-                return Verdict::Decided(None, Progress::with_nodes(meter));
-            }
-            match expand_level_budgeted(comp, &packer, threads, &level, &keep, budget, meter) {
-                Ok(next) if next.is_empty() => {
+                Ok((next, None)) if next.is_empty() => {
                     debug_assert!(hi.is_some(), "non-final levels always have successors");
-                    return Verdict::Decided(None, Progress::with_nodes(meter));
+                    break;
                 }
-                Ok(next) => {
+                Ok((next, None)) => {
                     k += 1;
                     level = next;
                 }
@@ -414,10 +777,12 @@ where
                 // next level was discarded: resume re-probes level k —
                 // harmlessly, it is witness-free — then re-expands.
                 Err(reason) => {
-                    return unknown_at_level(engine, problem, reason, meter, k, k + 1, &level)
+                    let frontiers = layout.frontiers(&level);
+                    return unknown_at_level(engine, problem, reason, meter, k, k + 1, frontiers);
                 }
             }
         }
+        Verdict::Decided(None, Progress::with_nodes(meter))
     })
 }
 
@@ -512,8 +877,7 @@ where
         Some(Some((lo, hi))) => (level_of(lo), level_of(hi)),
     };
     catch_detect(move || {
-        let packer = FrontierPacker::new(comp);
-        let (mut k, mut level) = match resumed {
+        let (mut k, start) = match resumed {
             Some(state) => state,
             None => {
                 let start = comp.initial_cut();
@@ -524,13 +888,18 @@ where
                 (0u32, vec![start])
             }
         };
+        let layout = Layout::new(comp, false);
+        let mut level = Vec::with_capacity(start.len() * layout.stride);
+        for cut in &start {
+            layout.push(cut.frontier(), &[], &mut level);
+        }
         // Invariant: `level` holds the ¬Φ cuts with k events reachable
         // from the initial cut through ¬Φ cuts only (equal to *all*
         // reachable cuts while k < |m|, where Φ cannot hold).
         while k < total {
             let skip_eval = k + 1 < skip_below;
             let keep = |c: &Cut| skip_eval || !predicate(c);
-            match expand_level_budgeted(comp, &packer, threads, &level, &keep, budget, meter) {
+            match definitely_step(comp, &layout, threads, &level, &keep, budget, meter) {
                 Ok(next) if next.is_empty() => {
                     // Every surviving run hit Φ.
                     return Verdict::Decided(true, Progress::with_nodes(meter));
@@ -545,7 +914,8 @@ where
                     }
                 }
                 Err(reason) => {
-                    return unknown_at_level(engine, problem, reason, meter, k, k, &level)
+                    let frontiers = layout.frontiers(&level);
+                    return unknown_at_level(engine, problem, reason, meter, k, k, frontiers);
                 }
             }
         }
@@ -736,8 +1106,9 @@ mod tests {
 
     #[test]
     fn expanded_levels_equal_the_lattice_levels() {
-        // Wide enough for several LEVEL_BLOCK chunks per level, so the
-        // parallel expansions really merge worker-local levels.
+        // Wide enough for several LEVEL_BLOCK chunks and past the
+        // sequential cutoff, so the parallel steps really merge
+        // worker-local runs.
         use gpd_computation::gen;
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(4141);
@@ -747,45 +1118,106 @@ mod tests {
             let msgs = rng.gen_range(0..n);
             let comp = gen::random_computation(&mut rng, n, m, msgs);
             let total = comp.final_cut().event_count();
-            let mut lattice: Vec<Vec<Cut>> = vec![Vec::new(); total + 1];
+            let mut lattice: Vec<Vec<Vec<u32>>> = vec![Vec::new(); total + 1];
             for cut in comp.consistent_cuts() {
-                lattice[cut.event_count()].push(cut);
+                lattice[cut.event_count()].push(cut.frontier().to_vec());
             }
             for level in &mut lattice {
                 level.sort_unstable();
             }
-            let packer = FrontierPacker::new(&comp);
+            let budget = Budget::unlimited();
             let mut nodes = None;
             for threads in [0, 1, 2, 4] {
-                let meter = BudgetMeter::new();
-                let mut level = vec![comp.initial_cut()];
+                let (possibly, definitely) = (BudgetMeter::new(), BudgetMeter::new());
+                let masked = Layout::new(&comp, true);
+                let plain = Layout::new(&comp, false);
+                let mut a = Vec::new();
+                masked.push(&vec![0; n], &vec![0; masked.mask_words()], &mut a);
+                let mut b = Vec::new();
+                plain.push(&vec![0; n], &[], &mut b);
                 for (k, expected) in lattice.iter().enumerate() {
-                    assert_eq!(
-                        &level, expected,
-                        "round {round}, threads {threads}, level {k}"
-                    );
-                    level = expand_level_budgeted(
+                    let at = format!("round {round}, threads {threads}, level {k}");
+                    assert_eq!(&masked.frontiers(&a), expected, "{at}");
+                    assert_eq!(&plain.frontiers(&b), expected, "{at}");
+                    // Every carried mask equals the mask from scratch.
+                    let mut carried = vec![0; masked.mask_words()];
+                    let mut fresh = carried.clone();
+                    for (rec, f) in a.chunks_exact(masked.stride).zip(expected) {
+                        masked.mask(rec, &mut carried);
+                        removable_mask(&comp, f, &mut fresh);
+                        assert_eq!(carried, fresh, "{at}, cut {f:?}");
+                    }
+                    let (next, hit) = possibly_step(
                         &comp,
-                        &packer,
+                        &masked,
                         threads,
-                        &level,
+                        &a,
+                        &|_: &[u32]| true,
+                        &|_: &Cut| false,
+                        &budget,
+                        &possibly,
+                    )
+                    .expect("unlimited budgets never exhaust");
+                    assert!(hit.is_none());
+                    a = next;
+                    b = definitely_step(
+                        &comp,
+                        &plain,
+                        threads,
+                        &b,
                         &|_| true,
-                        &Budget::unlimited(),
-                        &meter,
+                        &budget,
+                        &definitely,
                     )
                     .expect("unlimited budgets never exhaust");
                 }
                 assert!(
-                    level.is_empty(),
+                    a.is_empty() && b.is_empty(),
                     "round {round}: nothing above the final cut"
                 );
-                // Every lattice edge is counted once at every thread count.
-                assert_eq!(
-                    *nodes.get_or_insert(meter.nodes()),
-                    meter.nodes(),
-                    "round {round}"
-                );
+                // Every lattice edge (and, on the Possibly side, every
+                // cut) is counted once at every thread count.
+                let counts = (possibly.nodes(), definitely.nodes());
+                assert_eq!(*nodes.get_or_insert(counts), counts, "round {round}");
             }
         }
+    }
+
+    #[test]
+    fn records_round_trip_across_word_boundaries() {
+        // 70 processes of up to 5 events: 3-bit entries plus a 70-bit
+        // mask, so entries and mask words straddle word boundaries.
+        let mut b = ComputationBuilder::new(70);
+        for p in 0..70 {
+            for _ in 0..(p % 6) {
+                b.append(p);
+            }
+        }
+        let comp = b.build().unwrap();
+        let layout = Layout::new(&comp, true);
+        assert_eq!(layout.stride, (70 * 3 + 70usize).div_ceil(64));
+        let frontiers: Vec<Vec<u32>> = (0..6)
+            .map(|s| (0..70).map(|p| ((p + s) % (p % 6 + 1)) as u32).collect())
+            .collect();
+        let masks: Vec<Vec<u64>> = (0..6u64)
+            .map(|s| vec![0x9e37_79b9_7f4a_7c15u64.rotate_left(s as u32), 0x2f >> s])
+            .collect();
+        let mut run = Vec::new();
+        for (f, m) in frontiers.iter().zip(&masks) {
+            layout.push(f, m, &mut run);
+        }
+        let mut frontier = vec![0; 70];
+        let mut mask = vec![0; 2];
+        for (i, rec) in run.chunks_exact(layout.stride).enumerate() {
+            layout.frontier(rec, &mut frontier);
+            layout.mask(rec, &mut mask);
+            assert_eq!(frontier, frontiers[i]);
+            assert_eq!(mask, masks[i]);
+        }
+        // Record order is frontier order.
+        layout.sort(&mut run);
+        let mut sorted = frontiers.clone();
+        sorted.sort_unstable();
+        assert_eq!(layout.frontiers(&run), sorted);
     }
 }

@@ -11,8 +11,8 @@
 //!   clause).
 //! * [`fanout_chunks`] (crate-internal) — the raw work-stealing engine.
 //!   `map_indexed` is built on it, and so is the level sweep in
-//!   `enumerate.rs` (its probe and its expand, whose workers dedup into
-//!   private visited sets), which cancels the fan-out when a budget
+//!   `enumerate.rs` (each worker expands its chunks of a level into a
+//!   private sorted run), which cancels the fan-out when a budget
 //!   trips.
 //!
 //! # Threading model
@@ -240,7 +240,13 @@ impl WorkSource<'_> {
     /// fan-out is cancelled or when one full sweep over all victims
     /// finds no remaining work — any still-running chunks finish with
     /// the workers that claimed them, so no work is lost or repeated.
+    ///
+    /// Each call first flushes this thread's kernel counters (row reads,
+    /// dominance batches) into the process totals, so a long fan-out's
+    /// counts reach them chunk by chunk; [`fanout_chunks`] flushes once
+    /// more as each worker retires.
     pub(crate) fn next(&self, w: usize) -> Option<std::ops::Range<usize>> {
+        gpd_computation::kernel_counters();
         if self.cancel.is_cancelled() {
             return None;
         }
@@ -321,6 +327,9 @@ pub(crate) fn fanout_chunks(
             cancel.cancel();
             panics.capture(payload);
         }
+        // Work done after the worker's last `next` (a run's final sort,
+        // say) reaches the process totals before the fan-out returns.
+        gpd_computation::kernel_counters();
     });
     panics.rethrow();
 }

@@ -15,8 +15,8 @@ use gpd::slice::{
     possibly_by_enumeration_sliced_budgeted, possibly_singular_sliced_budgeted, possibly_slice,
     ChannelOp, RegularPredicate, Slice,
 };
-use gpd::{Budget, BudgetMeter, CnfClause, SingularCnf};
-use gpd_computation::{gen, Computation, ProcessId};
+use gpd::{Budget, BudgetMeter, Checkpoint, CnfClause, SingularCnf, Verdict};
+use gpd_computation::{gen, BoolVariable, Computation, ComputationBuilder, Cut, ProcessId};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -190,5 +190,162 @@ proptest! {
                 "threads {}", threads
             );
         }
+    }
+}
+
+/// `chain` processes of `links` events each, totally ordered by one
+/// message chain through them, plus `free` independent processes of 7
+/// events: records of several words, levels as wide as the free
+/// processes' state space.
+fn chain_plus_free(chain: usize, links: usize, free: usize) -> Computation {
+    let mut b = ComputationBuilder::new(chain + free);
+    let mut last = None;
+    for p in 0..chain {
+        for i in 0..links {
+            let e = b.append(p);
+            if let (0, Some(s)) = (i, last) {
+                b.message(s, e).expect("distinct processes");
+            }
+            last = Some(e);
+        }
+    }
+    for p in chain..chain + free {
+        for _ in 0..7 {
+            b.append(p);
+        }
+    }
+    b.build().expect("a forward chain")
+}
+
+/// A CNF whose unit clause on the last (free) process gives the
+/// pre-pass an envelope, with a second clause reaching into the chain.
+fn wide_cnf<R: Rng>(rng: &mut R, n: usize) -> SingularCnf {
+    SingularCnf::new(vec![
+        CnfClause::new(vec![(ProcessId::new(n - 1), true)]),
+        CnfClause::new(vec![
+            (ProcessId::new(n - 2), rng.gen_bool(0.5)),
+            (ProcessId::new(rng.gen_range(0..n - 3)), true),
+        ]),
+    ])
+}
+
+/// The sliced sweeps on a 70-process message chain (two-word removable
+/// masks) and on 33 processes whose frontier needs 99 bits: verdicts
+/// and witnesses byte-identical to the unsliced sweep at 0/1/2/4
+/// threads.
+#[test]
+fn sliced_sweeps_over_wide_records_are_byte_identical() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3303);
+    for (i, comp) in [chain_plus_free(68, 2, 2), chain_plus_free(30, 2, 3)]
+        .iter()
+        .enumerate()
+    {
+        let n = comp.process_count();
+        for round in 0..4 {
+            let at = format!("shape {i}, round {round}");
+            let x = gen::random_bool_variable(&mut rng, comp, 0.5);
+            let phi = wide_cnf(&mut rng, n);
+            let env = cnf_envelope(comp, &x, &phi).expect("a unit clause");
+            let slice = Slice::build(comp, &env);
+            let pred = |c: &Cut| phi.eval(&x, c);
+            let unlimited = Budget::unlimited();
+            let plain = possibly_by_enumeration_budgeted(
+                comp,
+                pred,
+                0,
+                &unlimited,
+                &BudgetMeter::new(),
+                None,
+            )
+            .unwrap();
+            let plain_def =
+                definitely_levelwise_budgeted(comp, pred, 0, &unlimited, &BudgetMeter::new(), None)
+                    .unwrap();
+            for threads in [0usize, 1, 2, 4] {
+                let sliced = possibly_by_enumeration_sliced_budgeted(
+                    comp,
+                    &slice,
+                    pred,
+                    threads,
+                    &unlimited,
+                    &BudgetMeter::new(),
+                    None,
+                )
+                .unwrap();
+                assert_eq!(sliced.value(), plain.value(), "{at}, threads {threads}");
+                let sliced_def = definitely_levelwise_sliced_budgeted(
+                    comp,
+                    &slice,
+                    pred,
+                    threads,
+                    &unlimited,
+                    &BudgetMeter::new(),
+                    None,
+                )
+                .unwrap();
+                assert_eq!(
+                    sliced_def.value(),
+                    plain_def.value(),
+                    "{at}, threads {threads}"
+                );
+            }
+        }
+    }
+}
+
+/// A sliced sweep stopped half-way by a node cap leaves a checkpoint
+/// whose text round-trips, and resuming it reaches the uninterrupted
+/// verdict and witness at every thread count.
+#[test]
+fn sliced_sweeps_resume_mid_sweep_checkpoints() {
+    let comp = chain_plus_free(30, 2, 3);
+    // Φ = x@32 ∧ (x@31 ∨ x@4), true only at states 3 and 5 of the free
+    // processes 32 and 31: Possibly finds it on level 8, and Definitely
+    // must sweep ¬Φ almost to the top of the window before deciding.
+    let mut tracks: Vec<Vec<bool>> = (0..33)
+        .map(|p| vec![false; comp.events_on(p) + 1])
+        .collect();
+    tracks[32][3] = true;
+    tracks[31][5] = true;
+    let x = BoolVariable::new(&comp, tracks);
+    let phi = SingularCnf::new(vec![
+        CnfClause::new(vec![(ProcessId::new(32), true)]),
+        CnfClause::new(vec![(ProcessId::new(31), true), (ProcessId::new(4), true)]),
+    ]);
+    let slice = Slice::build(
+        &comp,
+        &cnf_envelope(&comp, &x, &phi).expect("a unit clause"),
+    );
+    let pred = |c: &Cut| phi.eval(&x, c);
+    /// One budgeted sweep: budget, meter, resume point.
+    type Sweep<'a, T> = dyn Fn(&Budget, &BudgetMeter, Option<&Checkpoint>) -> Verdict<T> + 'a;
+    /// Interrupts at half the uninterrupted node count, then resumes
+    /// from the re-parsed checkpoint without a budget.
+    fn halted_then_resumed<T: Clone + PartialEq + std::fmt::Debug>(run: &Sweep<T>, what: &str) {
+        let meter = BudgetMeter::new();
+        let full = run(&Budget::unlimited(), &meter, None);
+        let cap = Budget::unlimited().with_max_nodes(meter.nodes() / 2);
+        let Verdict::Unknown(partial) = run(&cap, &BudgetMeter::new(), None) else {
+            panic!("{what}: half the nodes cannot finish");
+        };
+        let back = Checkpoint::from_text(&partial.checkpoint.to_text()).expect("parses");
+        assert_eq!(back, partial.checkpoint, "{what}");
+        let resumed = run(&Budget::unlimited(), &BudgetMeter::new(), Some(&back));
+        assert_eq!(resumed.value(), full.value(), "{what}");
+    }
+    for threads in [0usize, 1, 2, 4] {
+        halted_then_resumed(
+            &|b, m, r| {
+                possibly_by_enumeration_sliced_budgeted(&comp, &slice, pred, threads, b, m, r)
+                    .unwrap()
+            },
+            &format!("sliced Possibly, threads {threads}"),
+        );
+        halted_then_resumed(
+            &|b, m, r| {
+                definitely_levelwise_sliced_budgeted(&comp, &slice, pred, threads, b, m, r).unwrap()
+            },
+            &format!("sliced Definitely, threads {threads}"),
+        );
     }
 }
