@@ -10,7 +10,7 @@
 //! returns [`Verdict::Unknown`] instead of an answer, carrying
 //!
 //! * sound partial bounds ([`Progress`]: levels fully swept without a
-//!   witness, combinations eliminated, the Dinic sum interval), and
+//!   witness, combinations eliminated, the max-flow sum interval), and
 //! * a serializable [`Checkpoint`] from which a later call **resumes and
 //!   reaches the identical verdict and witness the uninterrupted run
 //!   would have** — byte for byte, at any thread count.
@@ -165,8 +165,9 @@ pub struct Progress {
     pub combinations_eliminated: Option<u64>,
     /// Size of the full combination space, when known.
     pub combinations_total: Option<u64>,
-    /// `(min Σ, max Σ)` over all consistent cuts from the Dinic flow
-    /// network (exact-sum fallback only): any witness sum lies inside.
+    /// `(min Σ, max Σ)` over all consistent cuts from the push-relabel
+    /// closure network (exact-sum fallback only): any witness sum lies
+    /// inside.
     pub sum_interval: Option<(i64, i64)>,
 }
 

@@ -1,6 +1,8 @@
 //! Exact-sum detection under the ±1-step restriction (§4.2, Theorems
 //! 4–7).
 
+use std::cmp::Ordering;
+
 use gpd_computation::{Computation, Cut, IntVariable};
 
 use crate::budget::{Budget, BudgetMeter, Checkpoint, DetectError, Progress, Verdict};
@@ -133,22 +135,40 @@ pub fn possibly_exact_sum(
     k: i64,
 ) -> Result<Option<Cut>, NotUnitStepError> {
     require_unit_step(var)?;
+    let s0 = var.sum_at(&comp.initial_cut());
+    let extreme = match s0.cmp(&k) {
+        Ordering::Equal => return Ok(Some(comp.initial_cut())),
+        Ordering::Less => max_sum_cut(comp, var),
+        Ordering::Greater => min_sum_cut(comp, var),
+    };
+    Ok(exact_sum_witness(comp, var, k, &extreme))
+}
+
+/// The Theorem 7(1) decision and Theorem 4 witness for `Σxᵢ = k` on a
+/// ±1-step variable, given `extreme`: the `(value, cut)` extreme of `Σ`
+/// on `k`'s side of the initial sum (the maximum when `k` lies above it,
+/// the minimum when below; either when they are equal). The witness is
+/// the initial cut when it already sums to `k`, and otherwise the first
+/// cut summing to `k` on the walk from the initial cut to the extreme
+/// cut.
+pub(crate) fn exact_sum_witness(
+    comp: &Computation,
+    var: &IntVariable,
+    k: i64,
+    (extreme, cut): &(i64, Cut),
+) -> Option<Cut> {
+    debug_assert!(var.max_step() <= 1, "Theorem 4 needs ±1 steps");
     let initial = comp.initial_cut();
     let s0 = var.sum_at(&initial);
     if s0 == k {
-        return Ok(Some(initial));
+        return Some(initial);
     }
-    let (extreme, cut) = if s0 < k {
-        max_sum_cut(comp, var)
-    } else {
-        min_sum_cut(comp, var)
-    };
-    if (s0 < k && extreme < k) || (s0 > k && extreme > k) {
-        return Ok(None);
+    if (s0 < k && *extreme < k) || (s0 > k && *extreme > k) {
+        return None;
     }
-    let witness = walk_until(comp, var, &initial, &cut, k)
+    let witness = walk_until(comp, var, &initial, cut, k)
         .expect("Theorem 4: a ±1 walk crossing K passes through K");
-    Ok(Some(witness))
+    Some(witness)
 }
 
 /// Decides `Definitely(Σxᵢ = K)` for ±1-step variables via Theorem 7(2):
@@ -178,7 +198,7 @@ pub fn definitely_exact_sum(
 ///
 /// The ±1-step case is decided outright by the polynomial Theorem 7
 /// reduction — no budget needed. With larger steps (where the problem is
-/// NP-complete, Theorem 2) the Dinic network still prunes for free: any
+/// NP-complete, Theorem 2) the closure network still prunes for free: any
 /// cut's sum lies in `[min Σ, max Σ]`, so `K` outside that interval is
 /// `Decided(None)` immediately, the interval reported as
 /// [`Progress::sum_interval`]. Only `K` strictly inside the interval
@@ -233,12 +253,12 @@ pub fn possibly_exact_sum_budgeted(
 /// `Definitely(Σxᵢ = K)` under a [`Budget`], for arbitrary step sizes.
 ///
 /// The endpoint and attainability short-circuits always complete
-/// (initial/final sums, one shared Dinic network for both extremes of
-/// Σ). Past them the exact decision runs as one budgeted `¬(Σ = K)`
-/// path-avoidance sweep ([`definitely_levelwise_budgeted`]) rather than
-/// Theorem 7's two inequality sub-queries — a single engine means a
-/// single unambiguous checkpoint to resume, and it stays exact without
-/// the ±1-step hypothesis.
+/// (initial/final sums, one shared push-relabel closure network for both
+/// extremes of Σ). Past them the exact decision runs as one budgeted
+/// `¬(Σ = K)` path-avoidance sweep ([`definitely_levelwise_budgeted`])
+/// rather than Theorem 7's two inequality sub-queries — a single engine
+/// means a single unambiguous checkpoint to resume, and it stays exact
+/// without the ±1-step hypothesis.
 ///
 /// # Errors
 ///

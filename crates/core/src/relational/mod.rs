@@ -23,6 +23,7 @@ mod exact;
 mod optimize;
 
 pub use definitely::{definitely_sum, definitely_sum_budgeted};
+pub(crate) use exact::exact_sum_witness;
 pub use exact::{
     definitely_exact_sum, definitely_exact_sum_budgeted, possibly_exact_sum,
     possibly_exact_sum_budgeted, NotUnitStepError,

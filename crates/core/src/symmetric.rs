@@ -14,7 +14,7 @@ use gpd_computation::{BoolVariable, Computation, Cut, IntVariable};
 
 use crate::budget::sequential;
 use crate::enumerate::definitely_levelwise_budgeted;
-use crate::relational::{max_sum_cut, min_sum_cut, possibly_exact_sum};
+use crate::relational::{exact_sum_witness, sum_extremes};
 
 /// A symmetric predicate over the per-process booleans, specified by the
 /// set of true-variable counts at which it holds.
@@ -107,9 +107,11 @@ pub fn indicator_variable(comp: &Computation, var: &BoolVariable) -> IntVariable
 }
 
 /// Decides `Possibly(Φ)` for a symmetric predicate in polynomial time:
-/// one min/max sweep bounds the attainable counts (`Possibly(Σ = j)` iff
+/// one [`sum_extremes`] call (one flow network, solved for both
+/// extremes) bounds the attainable counts (`Possibly(Σ = j)` iff
 /// `min ≤ j ≤ max`, by Theorem 7), and the first accepted count in range
-/// is materialized as a witness cut.
+/// is materialized as a witness cut by the Theorem 4 walk toward the
+/// extreme cut on its side of the initial count.
 ///
 /// # Example
 ///
@@ -132,13 +134,17 @@ pub fn possibly_symmetric(
     predicate: &SymmetricPredicate,
 ) -> Option<Cut> {
     let indicator = indicator_variable(comp, var);
-    let (min, _) = min_sum_cut(comp, &indicator);
-    let (max, _) = max_sum_cut(comp, &indicator);
-    let j = predicate
+    let (min, max) = sum_extremes(comp, &indicator);
+    let j = *predicate
         .counts
         .iter()
-        .find(|&&j| min <= j as i64 && j as i64 <= max)?;
-    possibly_exact_sum(comp, &indicator, *j as i64).expect("indicator variables are unit-step")
+        .find(|&&j| min.0 <= j as i64 && j as i64 <= max.0)? as i64;
+    let toward = if indicator.sum_at(&comp.initial_cut()) < j {
+        &max
+    } else {
+        &min
+    };
+    exact_sum_witness(comp, &indicator, j, toward)
 }
 
 /// Decides `Definitely(Φ)` for a symmetric predicate — exactly, via the

@@ -6,11 +6,11 @@
 //! how `Possibly(Σxᵢ relop K)` detection lands here: choosing the cut that
 //! maximizes (or minimizes) the sum is choosing a maximum-weight closure.
 
-use crate::dinic::FlowNetwork;
+use crate::push_relabel::{Network, INF_CAP};
 
 /// The result of [`max_weight_closure`]: the optimal closure and its total
 /// weight.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Closure {
     /// Total weight of the selected vertices (0 when the empty closure is
     /// optimal).
@@ -26,7 +26,8 @@ pub struct Closure {
 /// Solved with one s-t min cut (the classic "project selection" reduction):
 /// positive-weight vertices hang off the source, negative-weight vertices
 /// feed the sink, constraint edges get infinite capacity, and the source
-/// side of a minimum cut is an optimal closure.
+/// side of a minimum cut is an optimal closure. Of all optimal closures
+/// this returns the unique minimal one (the intersection of them all).
 ///
 /// The empty set is always a closure, so the returned weight is ≥ 0.
 ///
@@ -46,57 +47,27 @@ pub struct Closure {
 /// ```
 pub fn max_weight_closure(weights: &[i64], edges: &[(usize, usize)]) -> Closure {
     let n = weights.len();
-    for &(u, v) in edges {
-        assert!(u < n && v < n, "edge ({u}, {v}) out of range {n}");
+    let mut net = reversed_network(weights, edges);
+    if n == 0 {
+        return Closure::default();
     }
-
-    // Vertices 0..n, source n, sink n+1.
-    let (s, t) = (n, n + 1);
-    let mut net = FlowNetwork::new(n + 2);
-    let mut positive_total = 0i64;
-    for (v, &w) in weights.iter().enumerate() {
-        if w > 0 {
-            net.add_edge(s, v, w);
-            positive_total += w;
-        } else if w < 0 {
-            net.add_edge(v, t, -w);
-        }
-    }
-    for &(u, v) in edges {
-        net.add_infinite_edge(u, v);
-    }
-
-    let cut_value = if n == 0 { 0 } else { net.max_flow(s, t) };
-    let weight = positive_total - cut_value;
-    let members: Vec<usize> = if n == 0 {
-        Vec::new()
-    } else {
-        net.min_cut(s).into_iter().filter(|&v| v < n).collect()
-    };
-
-    debug_assert_eq!(
-        members.iter().map(|&v| weights[v]).sum::<i64>(),
-        weight,
-        "closure weight mismatch"
-    );
-    Closure { weight, members }
+    solve(&mut net, n + 1, n, weights, 1)
 }
 
 /// Computes a maximum-weight closure for `weights` **and** for the
 /// negated weights — i.e. both extremes of the weighted-closure problem
-/// — sharing one flow network between the two Dinic runs.
+/// — from one flow network solved twice.
 ///
-/// The callers that need both extremes (exact-sum `Definitely`, the
-/// min/max sweep of a bench row) previously built the project-selection
-/// network twice; the vertex set and the infinite constraint edges are
-/// identical in both orientations, so this builds them once with two
-/// terminal pairs, solves `s⁺-t⁺`, rewinds the residual capacities, and
-/// solves `s⁻-t⁻`. Each run's unused terminal pair is flow-inert: its
-/// source has no incoming residual arcs and its sink no outgoing ones.
+/// The vertex set and the infinite constraint arcs are identical in both
+/// orientations. Negating the weights only swaps which side of the cut
+/// each weighted vertex's terminal arc feeds, so between the two solves
+/// the network rewinds its residual capacities and reverses the arcs at
+/// the two terminals, which also trade places as source and sink.
 ///
 /// Returns `(max_closure, negated_max_closure)`; the second member is
 /// the maximum-weight closure of `-weights` (whose `weight` is the
-/// negated minimum achievable by any closure of `weights`).
+/// negated minimum achievable by any closure of `weights`). Each is the
+/// unique minimal optimal closure, as from [`max_weight_closure`].
 ///
 /// # Panics
 ///
@@ -114,62 +85,68 @@ pub fn max_weight_closure(weights: &[i64], edges: &[(usize, usize)]) -> Closure 
 /// ```
 pub fn weight_closure_extremes(weights: &[i64], edges: &[(usize, usize)]) -> (Closure, Closure) {
     let n = weights.len();
-    for &(u, v) in edges {
-        assert!(u < n && v < n, "edge ({u}, {v}) out of range {n}");
+    let mut net = reversed_network(weights, edges);
+    if n == 0 {
+        return (Closure::default(), Closure::default());
     }
+    let saved = net.capacities();
+    let max = solve(&mut net, n + 1, n, weights, 1);
+    net.restore(&saved);
+    net.reverse_arcs_at(n);
+    net.reverse_arcs_at(n + 1);
+    let neg = solve(&mut net, n, n + 1, weights, -1);
+    (max, neg)
+}
 
-    // Vertices 0..n plus two terminal pairs: (s⁺, t⁺) solve the weights
-    // as given, (s⁻, t⁻) solve their negation.
-    let (s_max, t_max, s_min, t_min) = (n, n + 1, n + 2, n + 3);
-    let mut net = FlowNetwork::new(n + 4);
-    let mut positive_total = 0i64;
-    let mut negative_total = 0i64;
+/// The project-selection network of `weights` and `edges` with every arc
+/// reversed, on vertices `0..n` plus terminals `n` and `n + 1`. Solved
+/// from `n + 1` to `n`, it maximizes `weights`: vertex `v` of weight
+/// `w > 0` gets the arc `v → n` of capacity `w`, one of weight `w < 0`
+/// the arc `n + 1 → v` of capacity `−w`, and each constraint `(u, v)`
+/// the unbounded arc `v → u`.
+///
+/// In the reversed network the vertices that can reach the sink `n` in
+/// the residual graph are exactly those reachable from the source in the
+/// original one: the minimal optimal closure. Phase 1 of push-relabel
+/// already fixes that set, so no phase 2 is run.
+fn reversed_network(weights: &[i64], edges: &[(usize, usize)]) -> Network {
+    let n = weights.len();
+    let mut arcs = Vec::with_capacity(n + edges.len());
     for (v, &w) in weights.iter().enumerate() {
         if w > 0 {
-            net.add_edge(s_max, v, w);
-            net.add_edge(v, t_min, w);
-            positive_total += w;
+            arcs.push((v, n, w));
         } else if w < 0 {
-            net.add_edge(v, t_max, -w);
-            net.add_edge(s_min, v, -w);
-            negative_total += -w;
+            arcs.push((n + 1, v, -w));
         }
     }
     for &(u, v) in edges {
-        net.add_infinite_edge(u, v);
+        assert!(u < n && v < n, "edge ({u}, {v}) out of range {n}");
+        arcs.push((v, u, INF_CAP));
     }
+    Network::new(n + 2, &arcs)
+}
 
-    if n == 0 {
-        let empty = Closure {
-            weight: 0,
-            members: Vec::new(),
-        };
-        return (empty.clone(), empty);
-    }
-
-    let extract = |net: &mut FlowNetwork, s: usize, t: usize, total: i64, ws: &[i64]| {
-        let cut_value = net.max_flow(s, t);
-        let members: Vec<usize> = net.min_cut(s).into_iter().filter(|&v| v < n).collect();
-        let weight = total - cut_value;
-        debug_assert_eq!(
-            members.iter().map(|&v| ws[v]).sum::<i64>(),
-            weight,
-            "closure weight mismatch"
-        );
-        Closure { weight, members }
-    };
-
-    let saved = net.capacities();
-    let max = extract(&mut net, s_max, t_max, positive_total, weights);
-    net.restore_capacities(&saved);
-    let negated: Vec<i64> = weights.iter().map(|&w| -w).collect();
-    let neg = extract(&mut net, s_min, t_min, negative_total, &negated);
-    (max, neg)
+/// Solves the reversed network from `source` to `sink` for the weights
+/// `sign · weights`, and reads the closure off the sink side of the cut.
+fn solve(net: &mut Network, source: usize, sink: usize, weights: &[i64], sign: i64) -> Closure {
+    let n = weights.len();
+    let positive_total: i64 = weights.iter().map(|&w| (sign * w).max(0)).sum();
+    let (flow, sink_side) = net.max_preflow(source, sink);
+    let members: Vec<usize> = sink_side.into_iter().filter(|&v| v < n).collect();
+    let weight = positive_total - flow;
+    debug_assert_eq!(
+        members.iter().map(|&v| sign * weights[v]).sum::<i64>(),
+        weight,
+        "closure weight differs from the flow's"
+    );
+    Closure { weight, members }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dinic::FlowNetwork;
+    use proptest::prelude::*;
 
     fn is_closed(members: &[usize], edges: &[(usize, usize)]) -> bool {
         let set: std::collections::HashSet<usize> = members.iter().copied().collect();
@@ -286,22 +263,101 @@ mod tests {
             }
             let (max, neg) = weight_closure_extremes(&weights, &edges);
             let negated: Vec<i64> = weights.iter().map(|&w| -w).collect();
-            let max_ref = max_weight_closure(&weights, &edges);
-            let neg_ref = max_weight_closure(&negated, &edges);
-            // Optimal weights must agree exactly; the members are some
-            // optimal closure each, independently valid.
-            assert_eq!(max.weight, max_ref.weight, "weights {weights:?}");
-            assert_eq!(neg.weight, neg_ref.weight, "weights {weights:?}");
+            // Both solves return the unique minimal optimal closure, so
+            // the shared network must reproduce weight and members.
+            assert_eq!(
+                max,
+                max_weight_closure(&weights, &edges),
+                "weights {weights:?}"
+            );
+            assert_eq!(
+                neg,
+                max_weight_closure(&negated, &edges),
+                "weights {weights:?}"
+            );
             assert!(is_closed(&max.members, &edges));
             assert!(is_closed(&neg.members, &edges));
-            assert_eq!(
-                max.members.iter().map(|&v| weights[v]).sum::<i64>(),
-                max.weight
-            );
-            assert_eq!(
-                neg.members.iter().map(|&v| negated[v]).sum::<i64>(),
-                neg.weight
-            );
+        }
+    }
+
+    /// The project-selection network solved by the Dinic oracle: source
+    /// side of the minimum cut closest to the source.
+    fn dinic_closure(weights: &[i64], edges: &[(usize, usize)]) -> Closure {
+        let n = weights.len();
+        let (s, t) = (n, n + 1);
+        let mut net = FlowNetwork::new(n + 2);
+        let mut positive_total = 0;
+        for (v, &w) in weights.iter().enumerate() {
+            if w > 0 {
+                net.add_edge(s, v, w);
+                positive_total += w;
+            } else if w < 0 {
+                net.add_edge(v, t, -w);
+            }
+        }
+        for &(u, v) in edges {
+            net.add_infinite_edge(u, v);
+        }
+        let flow = net.max_flow(s, t);
+        Closure {
+            weight: positive_total - flow,
+            members: net.min_cut(s).into_iter().filter(|&v| v < n).collect(),
+        }
+    }
+
+    /// Event-DAG-shaped closure instances: `chains` process chains (each
+    /// event forces its predecessor) plus random cross arcs, with
+    /// mixed-sign weights of up to `amplitude`.
+    fn chains_with_cross_arcs(
+        seed: u64,
+        chains: usize,
+        length: usize,
+        cross: usize,
+        amplitude: i64,
+    ) -> (Vec<i64>, Vec<(usize, usize)>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = chains * length;
+        let weights = (0..n)
+            .map(|_| rng.gen_range(-amplitude..=amplitude))
+            .collect();
+        let mut edges = Vec::new();
+        for c in 0..chains {
+            for i in 1..length {
+                edges.push((c * length + i, c * length + i - 1));
+            }
+        }
+        for _ in 0..cross {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v {
+                edges.push((u, v));
+            }
+        }
+        (weights, edges)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn push_relabel_matches_dinic(
+            seed in any::<u64>(),
+            chains in 1usize..9,
+            length in 1usize..48,
+            cross_per_vertex in 0usize..3,
+            amplitude in 1i64..40,
+        ) {
+            let n = chains * length;
+            let (weights, edges) =
+                chains_with_cross_arcs(seed, chains, length, cross_per_vertex * n, amplitude);
+            let negated: Vec<i64> = weights.iter().map(|&w| -w).collect();
+            let max_ref = dinic_closure(&weights, &edges);
+            let neg_ref = dinic_closure(&negated, &edges);
+            prop_assert_eq!(&max_weight_closure(&weights, &edges), &max_ref);
+            prop_assert_eq!(&max_weight_closure(&negated, &edges), &neg_ref);
+            let (max, neg) = weight_closure_extremes(&weights, &edges);
+            prop_assert_eq!(&max, &max_ref);
+            prop_assert_eq!(&neg, &neg_ref);
         }
     }
 }

@@ -1,7 +1,7 @@
-//! Dinic's maximum-flow algorithm with minimum-cut extraction.
+//! Dinic's maximum-flow algorithm with minimum-cut extraction: the
+//! test-only differential oracle for the push-relabel engine.
 
-/// Sentinel capacity treated as unbounded.
-pub(crate) const INF_CAP: i64 = i64::MAX / 4;
+use crate::push_relabel::INF_CAP;
 
 #[derive(Debug, Clone)]
 struct Edge {
@@ -16,27 +16,15 @@ struct Edge {
 /// Supports repeated edge insertion, then [`max_flow`](Self::max_flow)
 /// (which consumes residual capacity in place) and
 /// [`min_cut`](Self::min_cut) on the resulting residual graph.
-///
-/// # Example
-///
-/// ```
-/// use gpd_flow::FlowNetwork;
-///
-/// let mut net = FlowNetwork::new(3);
-/// net.add_edge(0, 1, 4);
-/// net.add_edge(1, 2, 2);
-/// assert_eq!(net.max_flow(0, 2), 2);
-/// assert_eq!(net.min_cut(0), vec![0, 1]); // source side of the cut
-/// ```
 #[derive(Debug, Clone)]
-pub struct FlowNetwork {
+pub(crate) struct FlowNetwork {
     adj: Vec<Vec<u32>>,
     edges: Vec<Edge>,
 }
 
 impl FlowNetwork {
     /// Creates a network with `n` vertices and no edges.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         FlowNetwork {
             adj: vec![Vec::new(); n],
             edges: Vec::new(),
@@ -44,7 +32,7 @@ impl FlowNetwork {
     }
 
     /// The number of vertices.
-    pub fn vertex_count(&self) -> usize {
+    fn vertex_count(&self) -> usize {
         self.adj.len()
     }
 
@@ -54,7 +42,7 @@ impl FlowNetwork {
     /// # Panics
     ///
     /// Panics if an endpoint is out of range or `cap < 0`.
-    pub fn add_edge(&mut self, u: usize, v: usize, cap: i64) {
+    pub(crate) fn add_edge(&mut self, u: usize, v: usize, cap: i64) {
         let n = self.vertex_count();
         assert!(u < n && v < n, "edge ({u}, {v}) out of range {n}");
         assert!(cap >= 0, "negative capacity {cap}");
@@ -74,7 +62,7 @@ impl FlowNetwork {
     }
 
     /// Adds an effectively-unbounded edge `u → v`.
-    pub fn add_infinite_edge(&mut self, u: usize, v: usize) {
+    pub(crate) fn add_infinite_edge(&mut self, u: usize, v: usize) {
         self.add_edge(u, v, INF_CAP);
     }
 
@@ -85,7 +73,7 @@ impl FlowNetwork {
     /// # Panics
     ///
     /// Panics if `s == t` or either is out of range.
-    pub fn max_flow(&mut self, s: usize, t: usize) -> i64 {
+    pub(crate) fn max_flow(&mut self, s: usize, t: usize) -> i64 {
         let n = self.vertex_count();
         assert!(s < n && t < n && s != t, "invalid terminals ({s}, {t})");
         let mut total = 0i64;
@@ -149,36 +137,10 @@ impl FlowNetwork {
         0
     }
 
-    /// Snapshots every edge's residual capacity, so the network can be
-    /// rewound with [`restore_capacities`](Self::restore_capacities) and
-    /// solved again for different terminals without rebuilding the
-    /// adjacency structure.
-    pub fn capacities(&self) -> Vec<i64> {
-        self.edges.iter().map(|e| e.cap).collect()
-    }
-
-    /// Restores residual capacities saved by
-    /// [`capacities`](Self::capacities). The edge set must be unchanged
-    /// since the snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot length does not match the edge count.
-    pub fn restore_capacities(&mut self, saved: &[i64]) {
-        assert_eq!(
-            saved.len(),
-            self.edges.len(),
-            "capacity snapshot does not match edge count"
-        );
-        for (e, &cap) in self.edges.iter_mut().zip(saved) {
-            e.cap = cap;
-        }
-    }
-
     /// After [`max_flow`](Self::max_flow), returns the source side of a
     /// minimum cut: every vertex still reachable from `s` in the residual
     /// graph, in increasing order.
-    pub fn min_cut(&self, s: usize) -> Vec<usize> {
+    pub(crate) fn min_cut(&self, s: usize) -> Vec<usize> {
         let level = self.bfs_levels(s);
         (0..self.vertex_count())
             .filter(|&v| level[v] != u32::MAX)

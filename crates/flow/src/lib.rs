@@ -1,4 +1,4 @@
-//! Maximum-flow toolkit for relational predicate detection.
+//! Maximum-weight closures for relational predicate detection.
 //!
 //! The polynomial algorithms for `Possibly(x₁ + … + xₙ relop K)` reduce the
 //! question "what is the minimum (or maximum) value of a separable sum over
@@ -6,32 +6,29 @@
 //! event DAG: a consistent cut is a closed set of events, and each event
 //! carries the increment it applies to the sum. Maximum-weight closure is
 //! classically solved with one s-t minimum cut, which this crate computes
-//! with Dinic's algorithm.
+//! with phase 1 of highest-label push-relabel (gap and global-relabel
+//! heuristics, flat CSR arrays) on the reversed network.
 //!
-//! * [`FlowNetwork`] — capacity graph with [`FlowNetwork::max_flow`] (Dinic)
-//!   and [`FlowNetwork::min_cut`], plus capacity snapshot/restore for
-//!   re-solving one network with different terminals.
-//! * [`max_weight_closure`] — maximum-weight closed subset of a DAG.
+//! * [`max_weight_closure`] — the minimal maximum-weight closed subset of
+//!   a DAG.
 //! * [`weight_closure_extremes`] — both extremes (the weights and their
-//!   negation) from one shared network, two Dinic runs.
+//!   negation) from one shared network, solved twice.
 //!
 //! # Example
 //!
 //! ```
-//! use gpd_flow::FlowNetwork;
+//! use gpd_flow::max_weight_closure;
 //!
-//! let mut net = FlowNetwork::new(4);
-//! let (s, t) = (0, 3);
-//! net.add_edge(s, 1, 3);
-//! net.add_edge(s, 2, 2);
-//! net.add_edge(1, t, 2);
-//! net.add_edge(2, t, 3);
-//! net.add_edge(1, 2, 5);
-//! assert_eq!(net.max_flow(s, t), 5);
+//! // Vertex 0 (worth 4) needs 1 (costs 1); vertex 2 (worth 1) needs 3
+//! // (costs 3). Only the first pair pays.
+//! let c = max_weight_closure(&[4, -1, 1, -3], &[(0, 1), (2, 3)]);
+//! assert_eq!(c.weight, 3);
+//! assert_eq!(c.members, vec![0, 1]);
 //! ```
 
 mod closure;
+#[cfg(test)]
 mod dinic;
+mod push_relabel;
 
 pub use closure::{max_weight_closure, weight_closure_extremes, Closure};
-pub use dinic::FlowNetwork;

@@ -4,16 +4,51 @@
 use gpd::enumerate::{definitely_by_enumeration, possibly_by_enumeration};
 use gpd::relational::{
     definitely_exact_sum, definitely_sum, max_sum_cut, min_sum_cut, possibly_exact_sum,
-    possibly_sum,
+    possibly_sum, sum_extremes,
 };
-use gpd::symmetric::{possibly_symmetric, SymmetricPredicate};
+use gpd::symmetric::{indicator_variable, possibly_symmetric, SymmetricPredicate};
 use gpd::Relop;
-use gpd_computation::gen;
+use gpd_computation::{gen, Computation, Cut, IntVariable};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
+/// The meet (pointwise least frontier) of every consistent cut whose sum
+/// is `target`: the least cut attaining it.
+fn meet_of_cuts_summing_to(comp: &Computation, x: &IntVariable, target: i64) -> Cut {
+    let mut meet: Option<Vec<u32>> = None;
+    for cut in comp.consistent_cuts().filter(|c| x.sum_at(c) == target) {
+        let frontier = cut.frontier();
+        meet = Some(match meet {
+            None => frontier.to_vec(),
+            Some(m) => m.iter().zip(frontier).map(|(&a, &b)| a.min(b)).collect(),
+        });
+    }
+    Cut::from_frontier(meet.expect("an extreme is attained by some cut"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The witness contract of the extreme sums, independent of the
+    /// max-flow engine: the cuts attaining an extreme are closed under
+    /// meet, and the witness is their meet, the least of them.
+    #[test]
+    fn extreme_witnesses_are_the_meet_of_attaining_cuts(
+        seed in any::<u64>(),
+        n in 1usize..5,
+        m in 1usize..6,
+        amplitude in 1i64..6,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let msgs = if n > 1 { (n * m) / 3 } else { 0 };
+        let comp = gen::random_computation(&mut rng, n, m, msgs);
+        let x = gen::random_int_variable(&mut rng, &comp, amplitude);
+        let (max, cmax) = max_sum_cut(&comp, &x);
+        let (min, cmin) = min_sum_cut(&comp, &x);
+        prop_assert_eq!(&cmax, &meet_of_cuts_summing_to(&comp, &x, max));
+        prop_assert_eq!(&cmin, &meet_of_cuts_summing_to(&comp, &x, min));
+        prop_assert_eq!(sum_extremes(&comp, &x), ((min, cmin), (max, cmax)));
+    }
 
     #[test]
     fn flow_extremes_match_enumeration(
@@ -125,6 +160,15 @@ proptest! {
             if let Some(cut) = fast {
                 prop_assert!(phi.eval(&comp, &x, &cut));
             }
+        }
+        // `count … exactly j` walks toward the same extreme cut as the
+        // exact-sum query on the indicator, so the witnesses coincide.
+        let indicator = indicator_variable(&comp, &x);
+        for j in 0..=n as u32 {
+            prop_assert_eq!(
+                possibly_symmetric(&comp, &x, &SymmetricPredicate::exactly(j)),
+                possibly_exact_sum(&comp, &indicator, i64::from(j)).expect("unit step")
+            );
         }
     }
 }
