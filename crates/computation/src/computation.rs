@@ -46,74 +46,103 @@ use crate::vclock::ClockRef;
 #[derive(Debug, Clone)]
 pub struct Computation {
     process_count: usize,
-    /// CSR offsets into `proc_flat`: process `p`'s events occupy
-    /// `proc_flat[proc_off[p] .. proc_off[p + 1]]` in program order.
-    proc_off: Box<[u32]>,
-    proc_flat: Box<[EventId]>,
+    /// Process `p`'s events in program order.
+    procs: Csr,
     event_proc: Box<[ProcessId]>,
     event_local: Box<[u32]>,
     kinds: Box<[EventKind]>,
     messages: Box<[(EventId, EventId)]>,
-    /// CSR offsets/arrays for message adjacency: event `e`'s message
-    /// predecessors occupy `pred_flat[pred_off[e] .. pred_off[e + 1]]`.
-    pred_off: Box<[u32]>,
-    pred_flat: Box<[EventId]>,
-    succ_off: Box<[u32]>,
-    succ_flat: Box<[EventId]>,
+    /// Event `e`'s message predecessors (senders), in message order.
+    preds: Csr,
+    /// Event `e`'s message successors (receivers), in message order.
+    succs: Csr,
     /// Row-major clock matrix: `vc(e)[q] = clock_matrix[e·n + q]`.
     clock_matrix: Box<[u32]>,
 }
 
-/// Converts per-key lists into a CSR (offsets + flat array) pair.
-fn csr_from_lists(lists: &[Vec<EventId>]) -> (Box<[u32]>, Box<[EventId]>) {
-    let mut off = Vec::with_capacity(lists.len() + 1);
-    let mut total = 0u32;
-    off.push(0);
-    for list in lists {
-        total += u32::try_from(list.len()).expect("event count fits in u32");
-        off.push(total);
+/// A compressed-sparse-row family of event lists: list `k` is
+/// `flat[off[k] .. off[k + 1]]`.
+#[derive(Debug, Clone)]
+pub(crate) struct Csr {
+    off: Box<[u32]>,
+    flat: Box<[EventId]>,
+}
+
+impl Csr {
+    /// Groups `(key, item)` pairs into `keys` lists by one counting
+    /// sort; each list keeps its items in `pairs` order. Two
+    /// allocations, whatever the number of pairs.
+    pub(crate) fn group<I>(keys: usize, pairs: I) -> Csr
+    where
+        I: DoubleEndedIterator<Item = (usize, EventId)> + Clone,
+    {
+        let mut off = vec![0u32; keys + 1];
+        for (k, _) in pairs.clone() {
+            off[k] += 1;
+        }
+        // Inclusive prefix sums: `off[k]` is one past list `k`'s end.
+        let mut total = 0u32;
+        for o in &mut off[..keys] {
+            total = total.checked_add(*o).expect("list total fits in u32");
+            *o = total;
+        }
+        off[keys] = total;
+        // Filling back to front walks each `off[k]` down to its list's
+        // start and leaves the items in `pairs` order.
+        let mut flat = vec![EventId::new(0); total as usize];
+        for (k, item) in pairs.rev() {
+            off[k] -= 1;
+            flat[off[k] as usize] = item;
+        }
+        Csr {
+            off: off.into_boxed_slice(),
+            flat: flat.into_boxed_slice(),
+        }
     }
-    let mut flat = Vec::with_capacity(total as usize);
-    for list in lists {
-        flat.extend_from_slice(list);
+
+    /// List `k`.
+    #[inline]
+    pub(crate) fn list(&self, k: usize) -> &[EventId] {
+        &self.flat[self.off[k] as usize..self.off[k + 1] as usize]
     }
-    (off.into_boxed_slice(), flat.into_boxed_slice())
+
+    /// The length of list `k`.
+    #[inline]
+    pub(crate) fn len_of(&self, k: usize) -> u32 {
+        self.off[k + 1] - self.off[k]
+    }
 }
 
 impl Computation {
+    /// Assembles a computation from the builder's finished columns. The
+    /// three CSR families are taken as built (by [`Csr::group`]), so
+    /// nothing here allocates or walks the events again.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
-        proc_events: Vec<Vec<EventId>>,
+        procs: Csr,
         event_proc: Vec<ProcessId>,
         event_local: Vec<u32>,
         kinds: Vec<EventKind>,
         messages: Vec<(EventId, EventId)>,
+        preds: Csr,
+        succs: Csr,
         clock_matrix: Vec<u32>,
     ) -> Self {
-        let process_count = proc_events.len();
+        let process_count = procs.off.len() - 1;
         let event_count = event_proc.len();
         debug_assert_eq!(clock_matrix.len(), event_count * process_count);
-        let (proc_off, proc_flat) = csr_from_lists(&proc_events);
-        // Message adjacency CSR via counting sort over the edge list.
-        let mut pred_lists = vec![Vec::new(); event_count];
-        let mut succ_lists = vec![Vec::new(); event_count];
-        for &(s, r) in &messages {
-            pred_lists[r.index()].push(s);
-            succ_lists[s.index()].push(r);
-        }
-        let (pred_off, pred_flat) = csr_from_lists(&pred_lists);
-        let (succ_off, succ_flat) = csr_from_lists(&succ_lists);
+        debug_assert_eq!(procs.flat.len(), event_count);
+        debug_assert_eq!(preds.off.len(), event_count + 1);
+        debug_assert_eq!(succs.off.len(), event_count + 1);
         Computation {
             process_count,
-            proc_off,
-            proc_flat,
+            procs,
             event_proc: event_proc.into_boxed_slice(),
             event_local: event_local.into_boxed_slice(),
             kinds: kinds.into_boxed_slice(),
             messages: messages.into_boxed_slice(),
-            pred_off,
-            pred_flat,
-            succ_off,
-            succ_flat,
+            preds,
+            succs,
             clock_matrix: clock_matrix.into_boxed_slice(),
         }
     }
@@ -134,15 +163,13 @@ impl Computation {
     ///
     /// Panics if the process is out of range.
     pub fn events_on(&self, process: impl Into<ProcessId>) -> usize {
-        let p = process.into().index();
-        (self.proc_off[p + 1] - self.proc_off[p]) as usize
+        self.procs.len_of(process.into().index()) as usize
     }
 
     /// The events of `process` in program order (a slice of the CSR
     /// event array).
     pub fn events_of(&self, process: impl Into<ProcessId>) -> &[EventId] {
-        let p = process.into().index();
-        &self.proc_flat[self.proc_off[p] as usize..self.proc_off[p + 1] as usize]
+        self.procs.list(process.into().index())
     }
 
     /// Iterates over all events in id order.
@@ -181,14 +208,12 @@ impl Computation {
 
     /// The send events whose messages `e` receives.
     pub fn message_predecessors(&self, e: EventId) -> &[EventId] {
-        let i = e.index();
-        &self.pred_flat[self.pred_off[i] as usize..self.pred_off[i + 1] as usize]
+        self.preds.list(e.index())
     }
 
     /// The receive events of the messages `e` sends.
     pub fn message_successors(&self, e: EventId) -> &[EventId] {
-        let i = e.index();
-        &self.succ_flat[self.succ_off[i] as usize..self.succ_off[i + 1] as usize]
+        self.succs.list(e.index())
     }
 
     /// The raw clock-matrix row of `e` (uncounted; internal fast path).
@@ -293,7 +318,7 @@ impl Computation {
     pub fn final_cut(&self) -> Cut {
         Cut::from_frontier(
             (0..self.process_count)
-                .map(|p| self.proc_off[p + 1] - self.proc_off[p])
+                .map(|p| self.procs.len_of(p))
                 .collect(),
         )
     }
@@ -324,7 +349,7 @@ impl Computation {
             while p < self.process_count && filled < kernel::BATCH {
                 let f = frontier[p];
                 if f != 0 {
-                    let e = self.proc_flat[self.proc_off[p] as usize + f as usize - 1];
+                    let e = self.procs.flat[self.procs.off[p] as usize + f as usize - 1];
                     group[filled] = self.clock_row(e);
                     filled += 1;
                 }
@@ -352,7 +377,7 @@ impl Computation {
             self.process_count
         );
         for (p, &f) in frontier.iter().enumerate() {
-            let on_p = self.proc_off[p + 1] - self.proc_off[p];
+            let on_p = self.procs.len_of(p);
             assert!(f <= on_p, "cut frontier {f} exceeds {on_p} events on p{p}");
         }
     }
@@ -412,9 +437,9 @@ impl Computation {
             let mut procs = [0usize; kernel::BATCH];
             let mut filled = 0;
             while p < self.process_count && filled < kernel::BATCH {
-                let next = self.proc_off[p] as usize + frontier[p] as usize;
-                if next < self.proc_off[p + 1] as usize {
-                    group[filled] = self.clock_row(self.proc_flat[next]);
+                let next = self.procs.off[p] as usize + frontier[p] as usize;
+                if next < self.procs.off[p + 1] as usize {
+                    group[filled] = self.clock_row(self.procs.flat[next]);
                     procs[filled] = p;
                     filled += 1;
                 }

@@ -18,6 +18,12 @@
 //! `message p.k q.l` connects the `k`-th event of process `p` (1-based) to
 //! the `l`-th event of process `q`. Variable lines carry one value per
 //! local state (`counts[p] + 1` values).
+//!
+//! The header is checked against three resource caps before anything is
+//! allocated per event, so a hostile header cannot force huge
+//! allocations: [`MAX_TRACE_PROCESSES`], [`MAX_TRACE_EVENTS`] on `Σ counts`,
+//! and [`MAX_TRACE_CLOCK_CELLS`] on `processes × Σ counts`, the size of
+//! the vector-clock matrix the build fills.
 
 use std::collections::BTreeMap;
 
@@ -67,6 +73,12 @@ pub const MAX_TRACE_PROCESSES: usize = 1 << 20;
 /// Hard cap on the total event count (`Σ counts`), checked with overflow
 /// detection before any per-event allocation happens.
 pub const MAX_TRACE_EVENTS: usize = 1 << 24;
+
+/// Hard cap on the clock matrix, `processes × Σ counts` entries (1 GiB of
+/// `u32`s), checked with overflow detection before any per-event
+/// allocation: headers within both caps above can still declare a
+/// matrix of up to 2^44 entries.
+pub const MAX_TRACE_CLOCK_CELLS: usize = 1 << 28;
 
 /// Serializes a computation and its variables to the trace format.
 ///
@@ -183,7 +195,7 @@ pub fn read_trace(input: &str) -> Result<Trace, TraceError> {
             format!("{} counts for {processes} processes", counts.len()),
         ));
     }
-    counts
+    let events = counts
         .iter()
         .try_fold(0usize, |acc, &c| acc.checked_add(c))
         .filter(|&t| t <= MAX_TRACE_EVENTS)
@@ -193,11 +205,29 @@ pub fn read_trace(input: &str) -> Result<Trace, TraceError> {
                 format!("declared event count exceeds the cap of {MAX_TRACE_EVENTS}"),
             )
         })?;
+    events
+        .checked_mul(processes)
+        .filter(|&cells| cells <= MAX_TRACE_CLOCK_CELLS)
+        .ok_or_else(|| {
+            TraceError::new(
+                i,
+                format!(
+                    "{events} events on {processes} processes exceed the clock-matrix cap of \
+                     {MAX_TRACE_CLOCK_CELLS} entries"
+                ),
+            )
+        })?;
 
+    // Events are appended process by process, so endpoint `p.k` is event
+    // `first[p] + k - 1`.
     let mut b = ComputationBuilder::new(processes);
-    let mut ids = Vec::with_capacity(processes);
+    b.reserve(events);
+    let mut first = Vec::with_capacity(processes);
     for (p, &c) in counts.iter().enumerate() {
-        ids.push((0..c).map(|_| b.append(p)).collect::<Vec<_>>());
+        first.push(b.event_count());
+        for _ in 0..c {
+            b.append(p);
+        }
     }
 
     let mut bool_tracks: BTreeMap<String, Vec<Option<Vec<bool>>>> = BTreeMap::new();
@@ -227,29 +257,24 @@ pub fn read_trace(input: &str) -> Result<Trace, TraceError> {
                 // initial event, which cannot send or receive.
                 let k1 = k.checked_sub(1).ok_or_else(|| {
                     TraceError::new(i, format!("endpoint {p}.{k}: event index must be >= 1"))
-                })?;
-                ids.get(p)
-                    .and_then(|v| v.get(k1 as usize))
-                    .copied()
-                    .ok_or_else(|| TraceError::new(i, format!("no event {p}.{k}")))
+                })? as usize;
+                match counts.get(p) {
+                    Some(&c) if k1 < c => Ok(crate::EventId::new(first[p] + k1)),
+                    _ => Err(TraceError::new(i, format!("no event {p}.{k}"))),
+                }
             };
             b.message(get(sp, sk)?, get(rp, rk)?)
                 .map_err(|e| TraceError::new(i, e.to_string()))?;
         } else if let Some(rest) = line.strip_prefix("boolvar ") {
             let (name, p, vals) = parse_var_line(rest, i)?;
             let track: Vec<bool> = vals
-                .iter()
-                .map(|t| match *t {
+                .map(|t| match t {
                     "0" => Ok(false),
                     "1" => Ok(true),
                     other => Err(TraceError::new(i, format!("bad bool {other:?}"))),
                 })
                 .collect::<Result<_, _>>()?;
-            let slot = bool_tracks
-                .entry(name.clone())
-                .or_insert_with(|| vec![None; processes])
-                .get_mut(p)
-                .ok_or_else(|| TraceError::new(i, format!("process {p} out of range")))?;
+            let slot = track_slot(&mut bool_tracks, name, p, processes, i)?;
             if slot.replace(track).is_some() {
                 return Err(TraceError::new(
                     i,
@@ -259,17 +284,12 @@ pub fn read_trace(input: &str) -> Result<Trace, TraceError> {
         } else if let Some(rest) = line.strip_prefix("intvar ") {
             let (name, p, vals) = parse_var_line(rest, i)?;
             let track: Vec<i64> = vals
-                .iter()
                 .map(|t| {
                     t.parse()
                         .map_err(|_| TraceError::new(i, format!("bad int {t:?}")))
                 })
                 .collect::<Result<_, _>>()?;
-            let slot = int_tracks
-                .entry(name.clone())
-                .or_insert_with(|| vec![None; processes])
-                .get_mut(p)
-                .ok_or_else(|| TraceError::new(i, format!("process {p} out of range")))?;
+            let slot = track_slot(&mut int_tracks, name, p, processes, i)?;
             if slot.replace(track).is_some() {
                 return Err(TraceError::new(
                     i,
@@ -316,20 +336,40 @@ pub fn read_trace(input: &str) -> Result<Trace, TraceError> {
     })
 }
 
-fn parse_var_line(rest: &str, i: usize) -> Result<(String, usize, Vec<&str>), TraceError> {
+fn parse_var_line(
+    rest: &str,
+    i: usize,
+) -> Result<(&str, usize, std::str::SplitAsciiWhitespace<'_>), TraceError> {
     let (head, values) = rest
         .split_once(':')
         .ok_or_else(|| TraceError::new(i, "missing ':' in variable line"))?;
     let mut toks = head.split_whitespace();
     let name = toks
         .next()
-        .ok_or_else(|| TraceError::new(i, "missing variable name"))?
-        .to_string();
+        .ok_or_else(|| TraceError::new(i, "missing variable name"))?;
     let p: usize = toks
         .next()
         .and_then(|t| t.parse().ok())
         .ok_or_else(|| TraceError::new(i, "missing process index"))?;
-    Ok((name, p, values.split_whitespace().collect()))
+    Ok((name, p, values.split_ascii_whitespace()))
+}
+
+/// Process `p`'s slot among variable `name`'s tracks; the variable's
+/// entry (and its owned name) is created on first sight only.
+fn track_slot<'m, T: Clone>(
+    tracks: &'m mut BTreeMap<String, Vec<Option<Vec<T>>>>,
+    name: &str,
+    p: usize,
+    processes: usize,
+    i: usize,
+) -> Result<&'m mut Option<Vec<T>>, TraceError> {
+    if !tracks.contains_key(name) {
+        tracks.insert(name.to_string(), vec![None; processes]);
+    }
+    tracks
+        .get_mut(name)
+        .and_then(|slots| slots.get_mut(p))
+        .ok_or_else(|| TraceError::new(i, format!("process {p} out of range")))
 }
 
 fn check_var_shape<T>(name: &str, tracks: &[Vec<T>], counts: &[usize]) -> Result<(), TraceError> {
@@ -441,6 +481,22 @@ mod tests {
             MAX_TRACE_PROCESSES + 1
         );
         assert!(read_trace(&huge_procs).is_err());
+        // Both counts within their own caps, but the clock matrix
+        // (2^16 processes × 2^24 events) would take 2^42 bytes.
+        let wide = format!(
+            "gpd-trace 1\nprocesses 65536\ncounts {}{}\nend\n",
+            MAX_TRACE_EVENTS,
+            " 0".repeat(65535)
+        );
+        let err = read_trace(&wide).unwrap_err();
+        assert!(err.to_string().contains("clock-matrix cap"), "{err}");
+        assert!(err.to_string().contains("line 3"), "{err}");
+        // Width alone is fine: 2^16 processes with 4 events in all.
+        let sparse = format!(
+            "gpd-trace 1\nprocesses 65536\ncounts 4{}\nend\n",
+            " 0".repeat(65535)
+        );
+        assert!(read_trace(&sparse).is_ok());
     }
 
     #[test]
