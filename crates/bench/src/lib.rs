@@ -1,12 +1,9 @@
 //! Shared workload builders for the experiment harness (E1–E8).
 //!
-//! Every experiment in `EXPERIMENTS.md` is regenerated from two places:
-//! the Criterion benches under `benches/` (precise timing) and the
-//! `report` binary (the paper-shaped summary tables). Both build their
-//! inputs here so the workloads are identical and reproducible — all
-//! generators are seeded.
-
-pub mod legacy;
+//! The `report` binary prints the paper-shaped E1–E8 tables of
+//! `EXPERIMENTS.md`; the reduction-floor tests and `perfbench` build
+//! their inputs here too. Every generator is seeded, so each workload is
+//! identical and reproducible across them.
 
 use gpd::hardness::{reduce_sat, SatReduction};
 use gpd::{CnfClause, SingularCnf};
@@ -301,29 +298,11 @@ pub fn small_formula(seed: u64, vars: u32, clauses: usize) -> Cnf {
     to_non_monotone(&raw)
 }
 
-/// The Theorem 1 gadget for [`small_formula`].
-pub fn small_sat_gadget(seed: u64, vars: u32, clauses: usize) -> SatReduction {
-    reduce_sat(&small_formula(seed, vars, clauses)).expect("small_formula is non-monotone")
-}
-
 /// A computation with ±1-step integer variables (token-style walks).
 pub fn unit_sum_workload(seed: u64, n: usize, m: usize) -> (Computation, IntVariable) {
     let mut r = rng(seed);
     let comp = gen::random_computation(&mut r, n, m, (n * m) / 4);
     let var = gen::random_unit_int_variable(&mut r, &comp);
-    (comp, var)
-}
-
-/// A computation with unbounded-jump integer variables (bank-style).
-pub fn jump_sum_workload(
-    seed: u64,
-    n: usize,
-    m: usize,
-    amplitude: i64,
-) -> (Computation, IntVariable) {
-    let mut r = rng(seed);
-    let comp = gen::random_computation(&mut r, n, m, (n * m) / 4);
-    let var = gen::random_int_variable(&mut r, &comp, amplitude);
     (comp, var)
 }
 

@@ -42,7 +42,7 @@
 //! asserts this); only the work shrinks. The shrinkage is metered through
 //! [`crate::counters::ScanCounters::slice_nodes_before`] /
 //! [`slice_nodes_after`](crate::counters::ScanCounters::slice_nodes_after)
-//! and surfaces in `gpd detect --stats` and the `gpd-bench` E-row.
+//! and surfaces in `gpd detect --stats` and `tests/reduction_floors.rs`.
 //!
 //! Slicing time itself is budgeted: [`Slice::build_budgeted`] charges
 //! the shared [`BudgetMeter`] per event and aborts on an exhausted

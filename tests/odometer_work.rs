@@ -106,7 +106,7 @@ fn odometer_walk_does_the_sequential_work_plus_a_bounded_parallel_overhead() {
                 "{name}, threads {threads}"
             );
         }
-        for threads in [2, 4] {
+        for threads in [2, 4, 8] {
             let runs = scan_runs(engine, &workload, threads);
             assert!(runs <= 128, "{name}, threads {threads}: {runs} scan runs");
         }

@@ -9,10 +9,13 @@
 //! byte-identical to the fault-free run.
 //!
 //! Around it: proptests over random fault schedules (EIO / ENOSPC /
-//! short writes / fsyncgate), an ENOSPC-during-compaction regression
-//! proving old segments survive, and two server-level tests — fsync
-//! failure withholds acks and quarantines rather than retries, and the
-//! background scrub self-heals bit rot from the live monitor.
+//! short writes / fsyncgate), a fault-free log that must scrub clean,
+//! an ENOSPC-during-compaction regression proving old segments survive,
+//! and three server-level tests — group commit issues at most half the
+//! fsyncs of per-event `Always` (an exact count on the fault-injecting
+//! disk), fsync failure withholds acks and quarantines rather than
+//! retries, and the background scrub self-heals bit rot from the live
+//! monitor.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -248,6 +251,24 @@ fn power_loss_at_every_op_preserves_acked_events_and_verdict() {
     }
 }
 
+/// A log written without faults scrubs clean: every frame of every cold
+/// segment passes its CRC.
+#[test]
+fn fault_free_multi_segment_log_scrubs_clean() {
+    let vfs = FaultVfs::new();
+    let (mut wal, _) = Wal::open(wal_config(&vfs)).unwrap();
+    wal.append(&WalRecord::Init {
+        initial: vec![false; PROCS],
+    })
+    .unwrap();
+    for (process, clock) in events() {
+        wal.append(&WalRecord::Event { process, clock }).unwrap();
+    }
+    let report = wal.scrub().unwrap();
+    assert!(report.is_clean(), "{report:?}");
+    assert!(report.segments > 1 && report.frames > 0, "{report:?}");
+}
+
 /// ENOSPC while compaction writes its snapshot must leave the full
 /// pre-compaction history on disk and the log healthy (not poisoned):
 /// a failed compaction is a no-op plus an empty rotated segment, never
@@ -350,14 +371,15 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Server-level: fsync failure withholds acks; scrub self-heals bit rot
+// Server-level: group commit batches fsyncs; fsync failure withholds
+// acks; scrub self-heals bit rot
 // ---------------------------------------------------------------------
 
-fn server_config(vfs: &FaultVfs) -> ServerConfig {
+fn server_config(vfs: &FaultVfs, fsync: FsyncPolicy) -> ServerConfig {
     let mut config = ServerConfig::new(
         WalConfig::new("/srv")
             .with_vfs(Arc::new(vfs.clone()))
-            .with_fsync(FsyncPolicy::Always),
+            .with_fsync(fsync),
     );
     config.shards = 1;
     config.io_timeout = Duration::from_secs(5);
@@ -373,6 +395,64 @@ fn client_for(addr: std::net::SocketAddr, tenant: &str) -> FeedClient {
     FeedClient::new(config)
 }
 
+/// Group commit batches the log-before-ack fsyncs at the shard's sweep
+/// boundary. With 8 concurrent sessions on one tenant it issues at most
+/// half the fsyncs of `Always`, which syncs the init record and then
+/// every event on its own.
+///
+/// The in-memory disk syncs for free, so on its own nothing holds a
+/// sweep open while the other sessions' events arrive, and the batch
+/// size would be set by the OS scheduler. A 50 µs cost per applied
+/// event stands in for the service time a real disk provides.
+#[test]
+fn group_commit_issues_at_most_half_the_fsyncs_of_always() {
+    const SESSIONS: usize = 8;
+    const EVENTS: u32 = 150;
+    let syncs = |fsync: FsyncPolicy| {
+        let vfs = FaultVfs::new();
+        let mut config = server_config(&vfs, fsync);
+        config.fault_injection = Some(|_| std::thread::sleep(Duration::from_micros(50)));
+        let handle = server::start("127.0.0.1:0", config).unwrap();
+        let addr = handle.local_addr();
+        // One process per session, each feeding its own local states.
+        let feeds: Vec<_> = (0..SESSIONS)
+            .map(|p| {
+                std::thread::spawn(move || {
+                    let events: Vec<(usize, Vec<u32>)> = (1..=EVENTS)
+                        .map(|k| {
+                            let mut clock = vec![0u32; SESSIONS];
+                            clock[p] = k;
+                            (p, clock)
+                        })
+                        .collect();
+                    let report = client_for(addr, "acme")
+                        .feed(&[false; SESSIONS], &events)
+                        .unwrap();
+                    assert_eq!(report.accepted, u64::from(EVENTS), "{report:?}");
+                })
+            })
+            .collect();
+        for feed in feeds {
+            feed.join().unwrap();
+        }
+        client_for(addr, "acme").shutdown().unwrap();
+        handle.wait();
+        vfs.ops_of(OpKind::SyncData)
+    };
+    let always = syncs(FsyncPolicy::Always);
+    let group = syncs(FsyncPolicy::Group);
+    let events = SESSIONS as u64 * u64::from(EVENTS);
+    assert_eq!(
+        always,
+        events + 1,
+        "always: one fsync per event plus the init"
+    );
+    assert!(
+        2 * group <= always,
+        "group commit must issue ≤½ the fsyncs of always: group {group} vs always {always}"
+    );
+}
+
 /// An injected fsync failure mid-stream: the event whose sync failed
 /// gets **no ack** (the connection is dropped unflushed), the tenant
 /// is quarantined — never silently retried — and a strict power-loss
@@ -386,7 +466,7 @@ fn fsync_failure_withholds_acks_and_quarantines() {
     // SyncData ops for tenant "acme": #0 = Init append, #1 = event 1,
     // #2 = event 2 — the fsyncgate adversary strikes at event 2.
     vfs.fail_kind(OpKind::SyncData, 2, Fault::SyncFail);
-    let handle = server::start("127.0.0.1:0", server_config(&vfs)).unwrap();
+    let handle = server::start("127.0.0.1:0", server_config(&vfs, FsyncPolicy::Always)).unwrap();
     let addr = handle.local_addr();
 
     // Raw protocol (not FeedClient: its retry loop hides per-event
@@ -475,7 +555,7 @@ fn fsync_failure_withholds_acks_and_quarantines() {
 #[test]
 fn background_scrub_heals_bit_rot_from_the_live_monitor() {
     let vfs = FaultVfs::new();
-    let mut config = server_config(&vfs);
+    let mut config = server_config(&vfs, FsyncPolicy::Always);
     config.wal = config.wal.with_segment_bytes(128);
     config.scrub_every = Some(Duration::from_millis(25));
     let handle = server::start("127.0.0.1:0", config).unwrap();

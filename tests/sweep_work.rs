@@ -91,7 +91,7 @@ fn waves_at_two_threads(comp: &Computation) -> u64 {
 fn level_sweeps_do_the_same_exact_work_at_every_thread_count() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1517);
     // Random computations wide enough that the middle levels pass the
-    // sequential cutoff, so 2 and 4 threads really fan out.
+    // sequential cutoff, so 2, 4 and 8 threads really fan out.
     let mut comps: Vec<Computation> = (0..4)
         .map(|i| gen::random_computation(&mut rng, 6, 5, 2 + i))
         .collect();
@@ -115,7 +115,7 @@ fn level_sweeps_do_the_same_exact_work_at_every_thread_count() {
         let walk = kernel_since(&before);
 
         let mut reference = None;
-        for threads in [0, 1, 2, 4] {
+        for threads in [0, 1, 2, 4, 8] {
             let at = format!("computation {i}, threads {threads}");
             let (probed, nodes, kernel) = possibly_work(comp, threads);
             // Every consistent cut is generated, and probed, once.
