@@ -94,22 +94,36 @@ impl Grouping {
     /// Whether the computation is receive-ordered (or send-ordered) with
     /// respect to this grouping: within every group, the events of the
     /// given kind are pairwise comparable under happened-before.
+    /// O(k log k + k·n) for k events of the kind on n processes.
     pub fn is_ordered(&self, comp: &Computation, kind: OrderingKind) -> bool {
-        (0..self.groups.len()).all(|g| {
-            let special: Vec<EventId> = self
-                .events_of_group(comp, g)
-                .into_iter()
-                .filter(|&e| match kind {
-                    OrderingKind::ReceiveOrdered => comp.kind(e).is_receive(),
-                    OrderingKind::SendOrdered => comp.kind(e).is_send(),
-                })
-                .collect();
-            special.iter().enumerate().all(|(i, &e)| {
-                special[i + 1..]
-                    .iter()
-                    .all(|&f| comp.leq(e, f) || comp.leq(f, e))
-            })
-        })
+        (0..self.groups.len()).all(|g| self.ordered_chain(comp, g, kind).is_some())
+    }
+
+    /// Group `g`'s events of `kind` (its receives, or its sends) in causal
+    /// order, or `None` if two of them are concurrent. Happened-before
+    /// strictly raises the clock-row sum, so sorting by that sum lists a
+    /// chain in causal order, and the events form a chain exactly when
+    /// every consecutive pair is ordered.
+    fn ordered_chain(
+        &self,
+        comp: &Computation,
+        g: usize,
+        kind: OrderingKind,
+    ) -> Option<Vec<EventId>> {
+        let mut special: Vec<EventId> = self
+            .events_of_group(comp, g)
+            .into_iter()
+            .filter(|&e| kind.matches(comp, e))
+            .collect();
+        special.sort_by_cached_key(|&e| {
+            (0..comp.process_count())
+                .map(|q| u64::from(comp.clock_component(e, q)))
+                .sum::<u64>()
+        });
+        special
+            .windows(2)
+            .all(|w| comp.leq(w[0], w[1]))
+            .then_some(special)
     }
 
     /// The §3.2 order extension followed by linearization.
@@ -122,16 +136,29 @@ impl Grouping {
     /// no cycles when the computation is ordered for `kind`; the extended
     /// order is then linearized into a total order satisfying Property P.
     ///
+    /// Since the group's receives form a chain, a non-receive `e` needs
+    /// only its arrow to the first receive not before it: every later
+    /// receive follows that one causally. Dually, a non-send needs only
+    /// the arrow from the last send not after it. The arrows left out are
+    /// implied by the ones kept, and the last predecessor the FIFO
+    /// topological sort removes before an event is never one of them, so
+    /// the order equals the one from all the paper's arrows. Each event
+    /// costs one binary search over its group's chain.
+    ///
     /// # Errors
     ///
-    /// Returns an error if the extension is cyclic — which happens exactly
-    /// when the precondition fails, e.g. the computation is not actually
-    /// receive-ordered for this grouping.
+    /// Returns an error if the computation is not ordered for `kind`
+    /// ([`Grouping::is_ordered`] is false), even where the extension would
+    /// happen to be acyclic.
     pub fn linearize(
         &self,
         comp: &Computation,
         kind: OrderingKind,
     ) -> Result<LinearizedOrder, NotOrderedError> {
+        let chains = (0..self.groups.len())
+            .map(|g| self.ordered_chain(comp, g, kind))
+            .collect::<Option<Vec<_>>>()
+            .ok_or(NotOrderedError { kind })?;
         let mut dag = Dag::new(comp.event_count());
         for p in 0..comp.process_count() {
             for w in comp.events_of(p).windows(2) {
@@ -141,29 +168,25 @@ impl Grouping {
         for &(s, r) in comp.messages() {
             dag.add_edge(s.index(), r.index());
         }
-        for g in 0..self.groups.len() {
-            let events = self.events_of_group(comp, g);
-            for (i, &e) in events.iter().enumerate() {
-                for &f in &events[i + 1..] {
-                    if !comp.concurrent(e, f) {
-                        continue;
-                    }
-                    match kind {
-                        OrderingKind::ReceiveOrdered => {
-                            // Push receives late: non-receive → receive.
-                            if comp.kind(f).is_receive() && !comp.kind(e).is_receive() {
-                                dag.add_edge(e.index(), f.index());
-                            } else if comp.kind(e).is_receive() && !comp.kind(f).is_receive() {
-                                dag.add_edge(f.index(), e.index());
-                            }
+        for (g, chain) in chains.iter().enumerate() {
+            for e in self.events_of_group(comp, g) {
+                if kind.matches(comp, e) {
+                    continue;
+                }
+                match kind {
+                    OrderingKind::ReceiveOrdered => {
+                        // Push receives late: e → the first receive not
+                        // before e.
+                        let i = chain.partition_point(|&r| comp.leq(r, e));
+                        if let Some(&r) = chain.get(i).filter(|&&r| comp.concurrent(e, r)) {
+                            dag.add_edge(e.index(), r.index());
                         }
-                        OrderingKind::SendOrdered => {
-                            // Pull sends early: send → non-send.
-                            if comp.kind(f).is_send() && !comp.kind(e).is_send() {
-                                dag.add_edge(f.index(), e.index());
-                            } else if comp.kind(e).is_send() && !comp.kind(f).is_send() {
-                                dag.add_edge(e.index(), f.index());
-                            }
+                    }
+                    OrderingKind::SendOrdered => {
+                        // Pull sends early: the last send not after e → e.
+                        let i = chain.partition_point(|&s| !comp.leq(e, s));
+                        if let Some(&s) = chain[..i].last().filter(|&&s| comp.concurrent(e, s)) {
+                            dag.add_edge(s.index(), e.index());
                         }
                     }
                 }
@@ -183,8 +206,20 @@ impl Grouping {
     }
 }
 
-/// Error from [`Grouping::linearize`]: the order extension was cyclic, so
-/// the computation is not ordered as required for the special case.
+impl OrderingKind {
+    /// Whether `e` is of the kind that must be totally ordered: a receive
+    /// for [`OrderingKind::ReceiveOrdered`], a send for
+    /// [`OrderingKind::SendOrdered`].
+    fn matches(self, comp: &Computation, e: EventId) -> bool {
+        match self {
+            OrderingKind::ReceiveOrdered => comp.kind(e).is_receive(),
+            OrderingKind::SendOrdered => comp.kind(e).is_send(),
+        }
+    }
+}
+
+/// Error from [`Grouping::linearize`]: the computation is not ordered as
+/// required for the special case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NotOrderedError {
     kind: OrderingKind,
@@ -194,7 +229,7 @@ impl std::fmt::Display for NotOrderedError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "order extension is cyclic; the computation is not {:?} for this grouping",
+            "the computation is not {:?} for this grouping",
             self.kind
         )
     }
@@ -226,6 +261,130 @@ impl LinearizedOrder {
 mod tests {
     use super::*;
     use crate::builder::ComputationBuilder;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
+    /// The reference verdict: every pair of the group's events of `kind`
+    /// compared directly.
+    fn quadratic_is_ordered(g: &Grouping, comp: &Computation, kind: OrderingKind) -> bool {
+        (0..g.group_count()).all(|gi| {
+            let special: Vec<EventId> = g
+                .events_of_group(comp, gi)
+                .into_iter()
+                .filter(|&e| kind.matches(comp, e))
+                .collect();
+            special.iter().enumerate().all(|(i, &e)| {
+                special[i + 1..]
+                    .iter()
+                    .all(|&f| comp.leq(e, f) || comp.leq(f, e))
+            })
+        })
+    }
+
+    /// The reference linearization: the paper's arrow for every
+    /// independent (non-special, special) pair of a group.
+    fn quadratic_linearize(
+        g: &Grouping,
+        comp: &Computation,
+        kind: OrderingKind,
+    ) -> Option<Vec<EventId>> {
+        let mut dag = Dag::new(comp.event_count());
+        for p in 0..comp.process_count() {
+            for w in comp.events_of(p).windows(2) {
+                dag.add_edge(w[0].index(), w[1].index());
+            }
+        }
+        for &(s, r) in comp.messages() {
+            dag.add_edge(s.index(), r.index());
+        }
+        for gi in 0..g.group_count() {
+            let events = g.events_of_group(comp, gi);
+            for (i, &e) in events.iter().enumerate() {
+                for &f in &events[i + 1..] {
+                    if !comp.concurrent(e, f) || kind.matches(comp, e) == kind.matches(comp, f) {
+                        continue;
+                    }
+                    // Receives go late, sends go early.
+                    let (special, other) = if kind.matches(comp, f) {
+                        (f, e)
+                    } else {
+                        (e, f)
+                    };
+                    match kind {
+                        OrderingKind::ReceiveOrdered => {
+                            dag.add_edge(other.index(), special.index())
+                        }
+                        OrderingKind::SendOrdered => dag.add_edge(special.index(), other.index()),
+                    }
+                }
+            }
+        }
+        dag.topo_sort()
+            .ok()
+            .map(|order| order.into_iter().map(EventId::new).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `is_ordered` and `linearize` agree with the all-pairs versions
+        /// on random, receive-ordered and send-ordered computations.
+        #[test]
+        fn ordered_scan_and_linearization_equal_the_quadratic_ones(
+            seed in any::<u64>(),
+            n in 2usize..8,
+            m in 1usize..6,
+            msgs in 0usize..14,
+            mode in 0u8..3,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut procs: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                procs.swap(i, rng.gen_range(0..=i));
+            }
+            // The last process stays outside every group.
+            let mut groups = Vec::new();
+            let mut rest = &procs[..n - 1];
+            while !rest.is_empty() {
+                let (now, later) = rest.split_at(rng.gen_range(1..=rest.len().min(3)));
+                groups.push(now.to_vec());
+                rest = later;
+            }
+            // One receiver per group makes the computation receive-ordered;
+            // its time reversal is then send-ordered. The ungrouped process
+            // receives too, so some message can always be placed.
+            let heads: Vec<usize> = groups.iter().map(|g| g[0]).chain([procs[n - 1]]).collect();
+            let comp = match mode {
+                0 => crate::gen::random_computation(&mut rng, n, m, msgs),
+                1 => crate::gen::random_computation_with_receivers(&mut rng, n, m, msgs, Some(&heads)),
+                _ => crate::gen::random_computation_with_receivers(&mut rng, n, m, msgs, Some(&heads))
+                    .reversed(),
+            };
+            let grouping = Grouping::new(
+                groups
+                    .iter()
+                    .map(|g| g.iter().map(|&p| ProcessId::new(p)).collect())
+                    .collect(),
+            );
+            for kind in [OrderingKind::ReceiveOrdered, OrderingKind::SendOrdered] {
+                let ordered = quadratic_is_ordered(&grouping, &comp, kind);
+                prop_assert_eq!(grouping.is_ordered(&comp, kind), ordered);
+                let lin = grouping.linearize(&comp, kind);
+                if ordered {
+                    let want = quadratic_linearize(&grouping, &comp, kind);
+                    prop_assert_eq!(Some(lin.expect("ordered").order().to_vec()), want);
+                } else {
+                    prop_assert!(lin.is_err());
+                }
+            }
+            if mode == 1 {
+                prop_assert!(grouping.is_ordered(&comp, OrderingKind::ReceiveOrdered));
+            }
+            if mode == 2 {
+                prop_assert!(grouping.is_ordered(&comp, OrderingKind::SendOrdered));
+            }
+        }
+    }
 
     /// Two groups of two processes; receives in each group land on a
     /// single process, so the computation is receive-ordered.

@@ -7,7 +7,7 @@
 //! length in logical steps), and the resulting **lattice profile**. This
 //! module computes them, mostly as instrumentation for the experiments.
 
-use gpd_order::{levels, min_chain_cover, Dag};
+use gpd_order::{levels, min_chain_cover_of_chains, Dag};
 
 use crate::computation::Computation;
 
@@ -42,9 +42,10 @@ fn event_dag(comp: &Computation) -> Dag {
     dag
 }
 
-/// Computes the [`Stats`] of a computation. Width uses a Dilworth chain
-/// cover (bipartite matching: O(E√V) on the comparability graph), height
-/// a longest-path pass.
+/// Computes the [`Stats`] of a computation. Width is the size of a
+/// Dilworth chain cover: each process's events are one chain, so
+/// [`min_chain_cover_of_chains`] finds it without a transitive closure.
+/// Height is a longest-path pass over the event DAG.
 ///
 /// # Example
 ///
@@ -60,17 +61,19 @@ fn event_dag(comp: &Computation) -> Dag {
 /// assert_eq!(st.height, 2);
 /// ```
 pub fn stats(comp: &Computation) -> Stats {
-    let dag = event_dag(comp);
     let height = if comp.event_count() == 0 {
         0
     } else {
-        levels(&dag).level_count()
+        levels(&event_dag(comp)).level_count()
     };
-    let closure = dag
-        .transitive_closure()
-        .expect("computations are acyclic by construction");
-    let elements: Vec<usize> = (0..comp.event_count()).collect();
-    let width = min_chain_cover(&closure, &elements).width();
+    let lens: Vec<usize> = (0..comp.process_count())
+        .map(|p| comp.events_on(p))
+        .collect();
+    let events: Vec<_> = (0..comp.process_count())
+        .flat_map(|p| comp.events_of(p).iter().copied())
+        .collect();
+    let width =
+        min_chain_cover_of_chains(&lens, |u, v| comp.happened_before(events[u], events[v])).width();
     Stats {
         processes: comp.process_count(),
         events: comp.event_count(),
@@ -95,6 +98,29 @@ pub fn lattice_profile(comp: &Computation) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::builder::ComputationBuilder;
+    use proptest::prelude::*;
+    use rand::SeedableRng;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The width from per-process chains equals the width of the
+        /// closure-based reference cover over all events.
+        #[test]
+        fn width_equals_the_closure_oracle(
+            seed in any::<u64>(),
+            n in 2usize..7,
+            m in 1usize..8,
+            msgs in 0usize..16,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let comp = crate::gen::random_computation(&mut rng, n, m, msgs);
+            let closure = event_dag(&comp).transitive_closure().expect("acyclic");
+            let elements: Vec<usize> = (0..comp.event_count()).collect();
+            let want = gpd_order::min_chain_cover(&closure, &elements).width();
+            prop_assert_eq!(stats(&comp).width, want);
+        }
+    }
 
     #[test]
     fn independent_processes_have_full_width() {

@@ -2,7 +2,7 @@
 //! minimum number of chains and scan once per chain combination.
 
 use gpd_computation::{BoolVariable, Computation, Cut};
-use gpd_order::{min_chain_cover, Dag};
+use gpd_order::min_chain_cover_of_chains;
 
 use crate::budget::{sequential, Budget, BudgetMeter, Checkpoint, DetectError, Verdict};
 use crate::par::map_indexed;
@@ -17,65 +17,49 @@ pub const SINGULAR_CHAINS: &str = "singular-chains";
 /// Builds, for one clause, the minimum chain cover of its literal-true
 /// states under the causal order on states (state `(p, k)` precedes
 /// `(q, l)` when every cut through `(q, l)` contains `(p, k)`'s past).
+///
+/// Each literal's true states are one chain (a process's states in
+/// order), so the clause's states are a union of chains and
+/// [`min_chain_cover_of_chains`] covers them from one binary search per
+/// state and literal.
 fn clause_chains(
     comp: &Computation,
     var: &BoolVariable,
     clause: &crate::predicate::CnfClause,
 ) -> Vec<Vec<Candidate>> {
-    let states: Vec<Candidate> = clause
+    let blocks: Vec<Vec<Candidate>> = clause
         .literals()
         .iter()
-        .flat_map(|&(p, positive)| literal_states(comp, var, p, positive))
+        .map(|&(p, positive)| literal_states(comp, var, p, positive))
         .collect();
-    if states.is_empty() {
-        return Vec::new();
-    }
-
-    // Comparability DAG on the states: i → j iff state i strictly
-    // precedes state j (pointwise on the state clocks, which coincides
-    // with the causal order for k ≥ 1 and puts every (·, 0) at bottom).
-    let clock = |c: &Candidate, q: usize| -> u32 {
-        if c.state == 0 {
-            0
-        } else {
-            let e = comp.event_at(c.process, c.state).expect("valid state");
-            comp.clock_component(e, q)
-        }
-    };
-    // a strictly precedes b iff a's state clock is pointwise ≤ b's and
-    // the clocks differ (only pairs of initial states share a clock —
-    // the zero vector — and those are correctly incomparable).
-    let precedes = |a: &Candidate, b: &Candidate| -> bool {
-        if a.process == b.process {
-            return a.state < b.state;
-        }
-        let mut strictly_less = false;
-        for q in 0..comp.process_count() {
-            match clock(a, q).cmp(&clock(b, q)) {
-                std::cmp::Ordering::Greater => return false,
-                std::cmp::Ordering::Less => strictly_less = true,
-                std::cmp::Ordering::Equal => {}
-            }
-        }
-        strictly_less
-    };
-    let mut dag = Dag::new(states.len());
-    for i in 0..states.len() {
-        for j in 0..states.len() {
-            if i != j && precedes(&states[i], &states[j]) {
-                dag.add_edge(i, j);
-            }
-        }
-    }
-    let closure = dag
-        .transitive_closure()
-        .expect("a subrelation of a partial order is acyclic");
-    let elements: Vec<usize> = (0..states.len()).collect();
-    min_chain_cover(&closure, &elements)
+    let lens: Vec<usize> = blocks.iter().map(Vec::len).collect();
+    let states = blocks.concat();
+    min_chain_cover_of_chains(&lens, |a, b| state_precedes(comp, states[a], states[b]))
         .into_chains()
         .into_iter()
         .map(|chain| chain.into_iter().map(|i| states[i]).collect())
         .collect()
+}
+
+/// Whether state `a` strictly precedes state `b`: `a`'s state clock is
+/// pointwise ≤ `b`'s and differs from it. On one process that is program
+/// order. Every initial state `(·, 0)` has the zero clock, so it precedes
+/// every non-initial state and no initial one. Otherwise both states
+/// follow an event, and Fidge–Mattern reduces the clock comparison to
+/// one component: `b`'s event has seen at least `a`'s `k` events of
+/// `a`'s process.
+fn state_precedes(comp: &Computation, a: Candidate, b: Candidate) -> bool {
+    if a.process == b.process {
+        return a.state < b.state;
+    }
+    match (a.state, b.state) {
+        (_, 0) => false,
+        (0, _) => true,
+        (k, l) => {
+            let e = comp.event_at(b.process, l).expect("valid state");
+            comp.clock_component(e, a.process.index()) >= k
+        }
+    }
 }
 
 /// The minimum chain-cover size of each clause's literal-true states —
@@ -165,8 +149,7 @@ pub fn possibly_singular_chains_budgeted(
 }
 
 /// Every clause's chain cover, built in parallel over `threads` workers
-/// (DAG build, transitive closure and matching are independent per
-/// clause).
+/// (the covers are independent per clause).
 pub(super) fn chain_covers(
     comp: &Computation,
     var: &BoolVariable,
@@ -186,7 +169,94 @@ mod tests {
     use crate::predicate::CnfClause;
     use crate::singular::possibly_singular_subsets;
     use gpd_computation::{gen, ComputationBuilder, ProcessId};
+    use gpd_order::{min_chain_cover, Dag};
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+
+    /// The reference cover: compare every pair of states by their full
+    /// state clocks, take the transitive closure of that relation, and
+    /// cover it with [`min_chain_cover`].
+    fn oracle_chains(
+        comp: &Computation,
+        var: &BoolVariable,
+        clause: &CnfClause,
+    ) -> Vec<Vec<Candidate>> {
+        let states: Vec<Candidate> = clause
+            .literals()
+            .iter()
+            .flat_map(|&(p, positive)| literal_states(comp, var, p, positive))
+            .collect();
+        let clock = |c: &Candidate| -> Vec<u32> {
+            match comp.event_at(c.process, c.state) {
+                None => vec![0; comp.process_count()],
+                Some(e) => (0..comp.process_count())
+                    .map(|q| comp.clock_component(e, q))
+                    .collect(),
+            }
+        };
+        let precedes = |a: &Candidate, b: &Candidate| {
+            if a.process == b.process {
+                return a.state < b.state;
+            }
+            let (ca, cb) = (clock(a), clock(b));
+            ca != cb && ca.iter().zip(&cb).all(|(x, y)| x <= y)
+        };
+        let mut dag = Dag::new(states.len());
+        for i in 0..states.len() {
+            for j in 0..states.len() {
+                if i != j && precedes(&states[i], &states[j]) {
+                    dag.add_edge(i, j);
+                }
+            }
+        }
+        let closure = dag.transitive_closure().expect("a partial order");
+        let elements: Vec<usize> = (0..states.len()).collect();
+        min_chain_cover(&closure, &elements)
+            .into_chains()
+            .into_iter()
+            .map(|chain| chain.into_iter().map(|i| states[i]).collect())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The suffix-range cover equals the closure-based reference
+        /// chain for chain, on clauses of 1–4 literals of either sign,
+        /// with states true initially and clauses with no true state.
+        #[test]
+        fn cover_equals_the_closure_oracle(
+            seed in any::<u64>(),
+            n in 1usize..7,
+            m in 0usize..7,
+            msgs in 0usize..14,
+            density in 0.05f64..0.95,
+            empty in any::<bool>(),
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let msgs = if n < 2 || m == 0 { 0 } else { msgs };
+            let comp = gen::random_computation(&mut rng, n, m, msgs);
+            // With `empty`, nothing holds and every literal is positive:
+            // the clause has no true state.
+            let x = gen::random_bool_variable(&mut rng, &comp, if empty { 0.0 } else { density });
+            let mut procs: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                procs.swap(i, rng.gen_range(0..=i));
+            }
+            let k = rng.gen_range(1..=n.min(4));
+            let clause = CnfClause::new(
+                procs[..k]
+                    .iter()
+                    .map(|&p| (ProcessId::new(p), empty || rng.gen_bool(0.5)))
+                    .collect(),
+            );
+            let want = oracle_chains(&comp, &x, &clause);
+            prop_assert_eq!(clause_chains(&comp, &x, &clause), want.clone());
+            if empty {
+                prop_assert!(want.is_empty());
+            }
+        }
+    }
 
     #[test]
     fn chain_cover_is_one_when_states_are_ordered() {

@@ -14,8 +14,9 @@
 //! * [`Dag`] — a directed graph with cycle detection, topological sorting,
 //!   transitive closure and transitive reduction.
 //! * [`TransitiveClosure`] — a reachability oracle (`precedes`, `concurrent`).
-//! * [`hopcroft_karp`] — maximum bipartite matching.
-//! * [`min_chain_cover`] / [`max_antichain`] — Dilworth decompositions.
+//! * [`min_chain_cover_of_chains`] — Dilworth decomposition of a poset
+//!   given as a union of chains, from one binary search per element and
+//!   chain; [`min_chain_cover`] is its closure-based reference.
 //! * [`IdealIter`] — enumeration of the order ideals of a small poset.
 //!
 //! # Example
@@ -43,8 +44,7 @@ mod levels;
 mod matching;
 
 pub use bitset::{BitMatrix, BitSet};
-pub use chains::{max_antichain, min_chain_cover, ChainCover};
+pub use chains::{min_chain_cover, min_chain_cover_of_chains, ChainCover};
 pub use dag::{CycleError, Dag, TransitiveClosure};
 pub use ideal::IdealIter;
 pub use levels::{levels, LevelDecomposition};
-pub use matching::{hopcroft_karp, Matching};

@@ -2,61 +2,86 @@
 
 /// A maximum matching in a bipartite graph.
 ///
-/// Produced by [`hopcroft_karp`]. `pair_left[u]` is the right vertex
+/// Produced by [`match_runs`]. `pair_left[u]` is the right vertex
 /// matched to left vertex `u`, if any; `pair_right` is the inverse map.
 #[derive(Debug, Clone)]
-pub struct Matching {
+pub(crate) struct Matching {
     /// For each left vertex, its matched right vertex.
-    pub pair_left: Vec<Option<u32>>,
+    pub(crate) pair_left: Vec<Option<u32>>,
     /// For each right vertex, its matched left vertex.
-    pub pair_right: Vec<Option<u32>>,
+    pub(crate) pair_right: Vec<Option<u32>>,
 }
 
 impl Matching {
     /// The number of matched pairs.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.pair_left.iter().filter(|p| p.is_some()).count()
     }
 }
 
 const INF: u32 = u32::MAX;
 
-/// Computes a maximum matching of the bipartite graph with `left` and
-/// `right` vertices, where `adj[u]` lists the right neighbours of left
-/// vertex `u`. Runs in O(E √V).
-///
-/// # Panics
-///
-/// Panics if `adj.len() != left` or any neighbour index is `>= right`.
-///
-/// # Example
-///
-/// ```
-/// use gpd_order::hopcroft_karp;
-///
-/// // A perfect matching on a 2x2 cycle.
-/// let m = hopcroft_karp(2, 2, &[vec![0, 1], vec![0]]);
-/// assert_eq!(m.size(), 2);
-/// ```
-pub fn hopcroft_karp(left: usize, right: usize, adj: &[Vec<u32>]) -> Matching {
-    assert_eq!(adj.len(), left, "adjacency list size must equal left count");
-    for nbrs in adj {
-        for &v in nbrs {
-            assert!(
-                (v as usize) < right,
-                "right vertex {v} out of range {right}"
-            );
+/// A bipartite graph's left-side adjacency stored as runs of consecutive
+/// right vertices: left vertex `u`'s neighbours, in the order the
+/// matching visits them, are the runs `runs[off[u]..off[u + 1]]`, each
+/// walked upward. A poset given as a union of chains has one run per
+/// chain per element (its successors in a chain are a suffix), so this
+/// holds the comparability graph in O(n · chains) space instead of O(n²).
+#[derive(Debug, Clone)]
+pub(crate) struct RunAdjacency {
+    off: Vec<u32>,
+    runs: Vec<(u32, u32)>,
+    right: usize,
+}
+
+impl RunAdjacency {
+    /// An adjacency with no left vertices over `right` right vertices.
+    pub(crate) fn new(right: usize) -> Self {
+        RunAdjacency {
+            off: vec![0],
+            runs: Vec::new(),
+            right,
         }
     }
 
-    let mut pair_left: Vec<Option<u32>> = vec![None; left];
-    let mut pair_right: Vec<Option<u32>> = vec![None; right];
-    let mut dist: Vec<u32> = vec![0; left];
+    /// Appends the right vertices `start..end` to the open left vertex's
+    /// neighbours (nothing if the run is empty).
+    pub(crate) fn push_run(&mut self, start: u32, end: u32) {
+        debug_assert!(end as usize <= self.right, "run past the right side");
+        if start < end {
+            self.runs.push((start, end));
+        }
+    }
 
-    // BFS layering from free left vertices; returns whether an augmenting
-    // path exists.
-    let bfs = |pair_left: &[Option<u32>], pair_right: &[Option<u32>], dist: &mut [u32]| -> bool {
-        let mut queue = std::collections::VecDeque::new();
+    /// Closes the open left vertex; the next run starts the next one.
+    pub(crate) fn finish_vertex(&mut self) {
+        self.off.push(self.runs.len() as u32);
+    }
+
+    /// The neighbours of left vertex `u`, in visiting order.
+    fn neighbours(&self, u: usize) -> impl Iterator<Item = u32> + '_ {
+        self.runs[self.off[u] as usize..self.off[u + 1] as usize]
+            .iter()
+            .flat_map(|&(start, end)| start..end)
+    }
+}
+
+/// Computes a maximum matching by Hopcroft–Karp in O(E √V): BFS layers
+/// from the free left vertices, then one layered depth-first
+/// augmentation per free left vertex, in vertex order, each trying
+/// neighbours in run order. The search keeps an explicit stack, so a
+/// long augmenting path cannot overflow the thread's stack.
+pub(crate) fn match_runs(adj: &RunAdjacency) -> Matching {
+    let left = adj.off.len() - 1;
+    let mut pair_left: Vec<Option<u32>> = vec![None; left];
+    let mut pair_right: Vec<Option<u32>> = vec![None; adj.right];
+    let mut dist: Vec<u32> = vec![0; left];
+    let mut queue = std::collections::VecDeque::new();
+    let mut stack = Vec::new();
+
+    loop {
+        // BFS layering from free left vertices; stop when no augmenting
+        // path exists.
         for u in 0..left {
             if pair_left[u].is_none() {
                 dist[u] = 0;
@@ -67,7 +92,7 @@ pub fn hopcroft_karp(left: usize, right: usize, adj: &[Vec<u32>]) -> Matching {
         }
         let mut found = false;
         while let Some(u) = queue.pop_front() {
-            for &v in &adj[u] {
+            for v in adj.neighbours(u) {
                 match pair_right[v as usize] {
                     None => found = true,
                     Some(w) => {
@@ -80,40 +105,39 @@ pub fn hopcroft_karp(left: usize, right: usize, adj: &[Vec<u32>]) -> Matching {
                 }
             }
         }
-        found
-    };
-
-    // DFS along the BFS layers, augmenting greedily.
-    fn dfs(
-        u: usize,
-        adj: &[Vec<u32>],
-        pair_left: &mut [Option<u32>],
-        pair_right: &mut [Option<u32>],
-        dist: &mut [u32],
-    ) -> bool {
-        for i in 0..adj[u].len() {
-            let v = adj[u][i] as usize;
-            let advance = match pair_right[v] {
-                None => true,
-                Some(w) => {
-                    let w = w as usize;
-                    dist[w] == dist[u] + 1 && dfs(w, adj, pair_left, pair_right, dist)
-                }
-            };
-            if advance {
-                pair_left[u] = Some(v as u32);
-                pair_right[v] = Some(u as u32);
-                return true;
-            }
+        if !found {
+            break;
         }
-        dist[u] = INF;
-        false
-    }
 
-    while bfs(&pair_left, &pair_right, &mut dist) {
-        for u in 0..left {
-            if pair_left[u].is_none() {
-                dfs(u, adj, &mut pair_left, &mut pair_right, &mut dist);
+        // DFS along the BFS layers, augmenting greedily. Each frame is a
+        // left vertex, the neighbour it is trying and its untried rest.
+        // A frame whose neighbours run out is a dead end (`dist = INF`)
+        // and its parent resumes; a free right vertex flips every frame.
+        for root in 0..left {
+            if pair_left[root].is_some() {
+                continue;
+            }
+            stack.push((root, 0, adj.neighbours(root)));
+            while let Some((u, v, rest)) = stack.last_mut() {
+                let u = *u;
+                let Some(next) = rest.next() else {
+                    dist[u] = INF;
+                    stack.pop();
+                    continue;
+                };
+                *v = next;
+                match pair_right[next as usize] {
+                    None => {
+                        for (u, v, _) in stack.drain(..) {
+                            pair_left[u] = Some(v);
+                            pair_right[v as usize] = Some(u as u32);
+                        }
+                    }
+                    Some(w) if dist[w as usize] == dist[u] + 1 => {
+                        stack.push((w as usize, 0, adj.neighbours(w as usize)));
+                    }
+                    Some(_) => {}
+                }
             }
         }
     }
@@ -127,6 +151,20 @@ pub fn hopcroft_karp(left: usize, right: usize, adj: &[Vec<u32>]) -> Matching {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The matching of list adjacency (`adj[u]` lists `u`'s right
+    /// neighbours), one run per neighbour.
+    fn hopcroft_karp(left: usize, right: usize, adj: &[Vec<u32>]) -> Matching {
+        assert_eq!(adj.len(), left);
+        let mut runs = RunAdjacency::new(right);
+        for nbrs in adj {
+            for &v in nbrs {
+                runs.push_run(v, v + 1);
+            }
+            runs.finish_vertex();
+        }
+        match_runs(&runs)
+    }
 
     #[test]
     fn empty_graph_has_empty_matching() {
