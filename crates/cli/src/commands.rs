@@ -840,9 +840,13 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
             work.clock_row_reads, work.cut_successor_allocs, work.vclock_allocs
         ));
         out.push_str(&format!(
-            "parallel stats: {} pool waves, {} steals, {} threads spawned, {} batched dominance passes\n",
-            work.par_waves, work.par_steals, work.par_threads_spawned, work.dominance_batches
+            "parallel stats: {} pool waves, {} threads spawned, {} batched dominance passes\n",
+            work.par_waves, work.par_threads_spawned, work.dominance_batches
         ));
+        // Which worker takes which span is a race, so the steal count
+        // varies between identical runs: on its own line, so the work
+        // lines above can be diffed between builds.
+        out.push_str(&format!("timing-dependent: {} steals\n", work.par_steals));
         out.push_str(&format!(
             "slice stats: {} nodes before, {} after\n",
             work.slice_nodes_before, work.slice_nodes_after
@@ -1039,11 +1043,18 @@ mod tests {
         assert!(par_line.contains("pool waves"), "{par_line}");
         assert!(par_line.contains("threads spawned"), "{par_line}");
         assert!(par_line.contains("batched dominance passes"), "{par_line}");
+        assert!(!par_line.contains("steals"), "{par_line}");
+        assert!(
+            out.lines()
+                .any(|l| l.starts_with("timing-dependent:") && l.ends_with(" steals")),
+            "{out}"
+        );
         // Without the flag the lines are absent.
         let out = detect(&args(&[&path, "--pred", pred])).unwrap();
         assert!(!out.contains("scan stats:"), "{out}");
         assert!(!out.contains("kernel stats:"), "{out}");
         assert!(!out.contains("parallel stats:"), "{out}");
+        assert!(!out.contains("timing-dependent:"), "{out}");
         std::fs::remove_file(&path).ok();
     }
 

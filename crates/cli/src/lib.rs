@@ -131,7 +131,9 @@ same search.
 serve hosts the durable online monitor: events stream in over TCP, every
 accepted event is fsynced to the write-ahead log before it is acked, and
 a restart over the same --wal-dir replays the log so the verdict survives
-kill -9. feed replays a recorded trace as a live stream with retry,
+kill -9. The monitor drops each state as soon as another process's state
+rules it out, so --queue-cap bounds live states only: a rejected event
+means one process runs ahead of a peer that has not reported yet. feed replays a recorded trace as a live stream with retry,
 backoff, and reconnect-with-resume; slicer replays it decentralized (one
 crash-tolerant agent per process, forwarding only relevant events plus
 heartbeats, with epoch-numbered resync); chaos interposes a

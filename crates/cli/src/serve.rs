@@ -62,6 +62,12 @@ fn render_witness(witness: &Option<Vec<Vec<u32>>>) -> String {
 /// per-tenant rows when `--stats` is given or more than one tenant
 /// connected. (`--workers` is accepted as an alias for `--shards`.)
 ///
+/// `--queue-cap N` bounds each tenant's per-process monitor queues. The
+/// monitor drops a state as soon as another process's state rules it
+/// out, so the queues hold live states only: a `Rejected` ack means a
+/// live backlog — one process running ahead of a peer that has not
+/// reported yet — not dead states piling up.
+///
 /// Decentralized slicer sessions are always accepted;
 /// `--heartbeat-timeout-ms` tunes how long a silent slicer stays
 /// "live" before its tenant degrades to `Unknown`, and

@@ -9,6 +9,16 @@
 //! observation, and the answer always equals what the offline
 //! [`possibly_conjunctive`](crate::conjunctive::possibly_conjunctive)
 //! would say on the events observed so far.
+//!
+//! The monitor eliminates as states arrive, not only once every process
+//! has reported: it keeps the queues **settled** — every two non-empty
+//! queue heads are consistent. A head killed by another head pairs with
+//! no current or future state of the killer's process, whatever the
+//! other queues hold (the domination argument of the generic scan), so
+//! the kill is sound at once. Each state is compared as a head at most
+//! once against the other heads, so an accepted event costs O(n)
+//! amortized, and the queues hold only states that may still join a
+//! witness: memory is O(live), not O(events taken).
 
 use std::collections::VecDeque;
 
@@ -59,8 +69,13 @@ impl std::error::Error for QueueOverflow {}
 /// A point-in-time image of a [`ConjunctiveMonitor`]'s **live state** —
 /// everything a durability layer must persist to rebuild the monitor
 /// without replaying its event history. Its size is O(live state):
-/// the pending queues plus one high-water mark per process, independent
+/// the settled queues plus one high-water mark per process, independent
 /// of how many events the monitor has ever screened or eliminated.
+///
+/// The queues need not be settled: an image taken by a monitor that
+/// eliminated only while every queue was non-empty may hold two
+/// inconsistent heads next to an empty queue.
+/// [`restore`](ConjunctiveMonitor::restore) settles it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MonitorSnapshot {
     /// Per process: the local component of the newest accepted
@@ -101,8 +116,19 @@ impl MonitorSnapshot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConjunctiveMonitor {
-    /// Per process: pending true-state clocks, oldest first.
+    /// Per process: pending true-state clocks, oldest first. Settled
+    /// between calls: every two non-empty heads are consistent.
     queues: Vec<VecDeque<VectorClock>>,
+    /// Total length of `queues`, kept so `queue_depth` is O(1).
+    depth: usize,
+    /// Bitset of the processes whose queue is non-empty, so a sweep
+    /// visits only the heads that exist.
+    nonempty: Vec<u64>,
+    /// Number of non-empty queues; all `n` means a witness.
+    head_count: usize,
+    /// Processes whose new head must still be compared against the
+    /// other heads; empty between calls (a reused worklist).
+    changed: Vec<usize>,
     /// Per process: the local component of the newest observation ever
     /// accepted — the high-water mark duplicates and stale redeliveries
     /// are screened against. Survives queue pops (an eliminated head
@@ -119,6 +145,10 @@ impl ConjunctiveMonitor {
     pub fn new(n: usize) -> Self {
         ConjunctiveMonitor {
             queues: vec![VecDeque::new(); n],
+            depth: 0,
+            nonempty: vec![0; n.div_ceil(64)],
+            head_count: 0,
+            changed: Vec::new(),
             latest: vec![None; n],
             witness: None,
             queue_cap: None,
@@ -148,11 +178,11 @@ impl ConjunctiveMonitor {
         let mut monitor = ConjunctiveMonitor::new(initial.len());
         for (p, &true_initially) in initial.iter().enumerate() {
             if true_initially {
-                monitor.queues[p].push_back(VectorClock::zero(initial.len()));
+                monitor.push(p, VectorClock::zero(initial.len()));
                 monitor.latest[p] = Some(0);
             }
         }
-        monitor.scan();
+        monitor.settle();
         monitor
     }
 
@@ -225,9 +255,9 @@ impl ConjunctiveMonitor {
                 crate::counters::record_monitor_observed();
                 self.latest[p] = Some(clock.get(p));
                 if self.witness.is_none() {
-                    self.queues[p].push_back(clock);
-                    crate::counters::record_monitor_queue_depth(self.queue_depth() as u64);
-                    self.scan();
+                    self.push(p, clock);
+                    crate::counters::record_monitor_queue_depth(self.depth as u64);
+                    self.settle();
                 }
             }
         }
@@ -261,8 +291,9 @@ impl ConjunctiveMonitor {
 
     /// Total number of pending true states across all per-process
     /// queues — the monitor-pressure gauge a serving layer reports.
+    /// O(1): the monitor keeps a running total.
     pub fn queue_depth(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.depth
     }
 
     /// Pending true states queued for process `p`.
@@ -281,11 +312,12 @@ impl ConjunctiveMonitor {
     }
 
     /// Exports the monitor's live state as a [`MonitorSnapshot`]. The
-    /// snapshot captures everything future verdicts depend on — pending
+    /// snapshot captures everything future verdicts depend on — settled
     /// queues, per-process high-water marks, and the witness — so
     /// `restore(monitor.snapshot())` behaves identically to `monitor`
-    /// on every subsequent observation. The queue cap is a host policy,
-    /// not monitor state, and is not part of the snapshot.
+    /// on every subsequent observation. O(live state): the queues hold
+    /// only states that may still join a witness. The queue cap is a
+    /// host policy, not monitor state, and is not part of the snapshot.
     pub fn snapshot(&self) -> MonitorSnapshot {
         MonitorSnapshot {
             latest: self.latest.clone(),
@@ -299,58 +331,120 @@ impl ConjunctiveMonitor {
     }
 
     /// Rebuilds a monitor from a [`MonitorSnapshot`] in O(live state),
-    /// without re-running any elimination scan — the snapshot's queues
-    /// are already scan-stable by construction. Chain
-    /// [`with_queue_cap`](Self::with_queue_cap) afterwards to reapply a
-    /// bound.
+    /// settling its queues once. A snapshot whose queues are already
+    /// settled loses nothing; one written under the older rule (heads
+    /// eliminated only while every queue was non-empty) has its dead
+    /// heads popped here, so the verdict and queue depths equal a fresh
+    /// replay of the same events. A snapshot with a witness keeps its
+    /// queues untouched. Chain [`with_queue_cap`](Self::with_queue_cap)
+    /// afterwards to reapply a bound.
     pub fn restore(snapshot: MonitorSnapshot) -> Self {
-        ConjunctiveMonitor {
-            queues: snapshot.queues.into_iter().map(VecDeque::from).collect(),
-            latest: snapshot.latest,
-            witness: snapshot.witness,
-            queue_cap: None,
+        let mut monitor = ConjunctiveMonitor::new(snapshot.process_count());
+        for (p, queue) in snapshot.queues.into_iter().enumerate() {
+            for clock in queue {
+                monitor.push(p, clock);
+            }
+        }
+        monitor.latest = snapshot.latest;
+        monitor.witness = snapshot.witness;
+        if monitor.witness.is_some() {
+            monitor.changed.clear();
+        } else {
+            monitor.settle();
+        }
+        monitor
+    }
+
+    /// Appends a state to `p`'s queue; a state landing in an empty
+    /// queue is a new head, to be compared by [`settle`](Self::settle).
+    fn push(&mut self, p: usize, clock: VectorClock) {
+        self.queues[p].push_back(clock);
+        self.depth += 1;
+        if self.queues[p].len() == 1 {
+            self.nonempty[p / 64] |= 1 << (p % 64);
+            self.head_count += 1;
+            self.changed.push(p);
         }
     }
 
-    /// Runs eliminations on the queue heads; records a witness when all
-    /// heads are present and pairwise consistent.
-    fn scan(&mut self) {
-        let n = self.queues.len();
-        if n == 0 {
-            self.witness = Some(Vec::new());
-            return;
+    /// Pops `p`'s dead head. The head behind it, if any, is new.
+    fn pop(&mut self, p: usize) {
+        self.queues[p].pop_front();
+        self.depth -= 1;
+        if self.queues[p].is_empty() {
+            self.nonempty[p / 64] &= !(1 << (p % 64));
+            self.head_count -= 1;
+        } else {
+            self.changed.push(p);
         }
-        loop {
-            if self.queues.iter().any(VecDeque::is_empty) {
-                return; // wait for more observations
-            }
-            let mut advanced = false;
-            'pairs: for i in 0..n {
-                for j in (i + 1)..n {
-                    let ci = &self.queues[i][0];
-                    let cj = &self.queues[j][0];
-                    // State of i forces more of j than cj has: cj can
-                    // never pair with i's current or future states.
-                    let kills_j = ci.get(j) > cj.get(j);
-                    let kills_i = cj.get(i) > ci.get(i);
-                    if kills_j {
-                        self.queues[j].pop_front();
-                        advanced = true;
+    }
+
+    /// Restores the settled invariant after the heads in `changed`
+    /// moved, then records a witness if every queue has a head. Each new
+    /// head is compared once against every other non-empty head — two
+    /// clock components per pair. A head it kills is popped and its
+    /// process rejoins `changed`; a kill of the new head itself moves on
+    /// to the head behind it. A head pair can be unchecked only while
+    /// one of its processes is in `changed`, so an empty worklist means
+    /// every two non-empty heads are consistent. Each state becomes a
+    /// head at most once, so the work per accepted state is O(n)
+    /// amortized.
+    fn settle(&mut self) {
+        while let Some(p) = self.changed.pop() {
+            'sweep: for w in 0..self.nonempty.len() {
+                // A copy of the word: bits cleared by pops below are
+                // caught by the empty-queue check.
+                let mut bits = self.nonempty[w];
+                while bits != 0 {
+                    let q = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if q == p {
+                        continue;
                     }
-                    if kills_i {
-                        self.queues[i].pop_front();
-                        advanced = true;
+                    let (Some(cp), Some(cq)) = (self.queues[p].front(), self.queues[q].front())
+                    else {
+                        continue;
+                    };
+                    // A head forcing more of the other's process than
+                    // that head has seen: the other pairs with neither
+                    // this head nor any later state of its process.
+                    let kills_q = cp.get(q) > cq.get(q);
+                    let kills_p = cq.get(p) > cp.get(p);
+                    if kills_q {
+                        self.pop(q);
                     }
-                    if advanced {
-                        break 'pairs;
+                    if kills_p {
+                        // `pop` queued p's next head for its own sweep.
+                        self.pop(p);
+                        break 'sweep;
                     }
                 }
             }
-            if !advanced {
-                self.witness = Some(self.queues.iter().map(|q| q[0].clone()).collect());
-                return;
-            }
         }
+        debug_assert!(
+            self.is_settled(),
+            "two non-empty queue heads are inconsistent"
+        );
+        debug_assert_eq!(
+            self.depth,
+            self.queues.iter().map(VecDeque::len).sum::<usize>()
+        );
+        if self.witness.is_none() && self.head_count == self.queues.len() {
+            self.witness = Some(self.queues.iter().map(|q| q[0].clone()).collect());
+        }
+    }
+
+    /// Whether every two non-empty heads are consistent (brute force).
+    fn is_settled(&self) -> bool {
+        let heads: Vec<(usize, &VectorClock)> = self
+            .queues
+            .iter()
+            .enumerate()
+            .filter_map(|(p, q)| q.front().map(|c| (p, c)))
+            .collect();
+        heads
+            .iter()
+            .all(|&(_, cp)| heads.iter().all(|&(q, cq)| cp.get(q) <= cq.get(q)))
     }
 }
 
@@ -500,6 +594,28 @@ mod tests {
         assert_eq!(
             m.try_observe(1, VectorClock::from(vec![9, 3])),
             Ok(Observation::Accepted)
+        );
+    }
+
+    #[test]
+    fn heads_past_the_first_bitset_word_are_compared() {
+        let n = 70;
+        let clock = |entries: &[(usize, u32)]| {
+            let mut c = vec![0; n];
+            for &(q, v) in entries {
+                c[q] = v;
+            }
+            VectorClock::from(c)
+        };
+        let mut m = ConjunctiveMonitor::new(n);
+        m.observe(66, clock(&[(66, 1)]));
+        m.observe(2, clock(&[(2, 1)]));
+        assert_eq!(m.queue_depth(), 2);
+        // p67 saw p66's second event and p2's second: both heads die.
+        m.observe(67, clock(&[(2, 2), (66, 2), (67, 1)]));
+        assert_eq!(
+            (m.queue_depth_of(2), m.queue_depth_of(66), m.queue_depth()),
+            (0, 0, 1)
         );
     }
 

@@ -144,35 +144,6 @@ impl Dag {
         }
         Ok(TransitiveClosure { reach })
     }
-
-    /// Computes the transitive reduction (Hasse diagram) of an acyclic
-    /// graph: the unique minimal edge set with the same closure.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycleError`] if the graph has a cycle.
-    pub fn transitive_reduction(&self) -> Result<Dag, CycleError> {
-        let closure = self.transitive_closure()?;
-        let n = self.vertex_count();
-        let mut reduced = Dag::new(n);
-        for u in 0..n {
-            let mut kept: Vec<usize> = Vec::new();
-            // Deduplicate and drop edges implied by another successor.
-            let mut direct: Vec<usize> = self.succ[u].iter().map(|&v| v as usize).collect();
-            direct.sort_unstable();
-            direct.dedup();
-            for &v in &direct {
-                let implied = direct.iter().any(|&w| w != v && closure.precedes(w, v));
-                if !implied {
-                    kept.push(v);
-                }
-            }
-            for v in kept {
-                reduced.add_edge(u, v);
-            }
-        }
-        Ok(reduced)
-    }
 }
 
 /// A reachability oracle for a partial order: answers `precedes`,
@@ -271,29 +242,6 @@ mod tests {
                 assert_eq!(c.precedes(i, j), i < j, "({i},{j})");
             }
         }
-    }
-
-    #[test]
-    fn reduction_removes_implied_edges() {
-        // Chain 0→1→2 plus the shortcut 0→2.
-        let dag = Dag::from_edges(3, [(0, 1), (1, 2), (0, 2)]);
-        let red = dag.transitive_reduction().unwrap();
-        assert_eq!(red.edge_count(), 2);
-        assert_eq!(red.successors(0), &[1]);
-        assert_eq!(red.successors(1), &[2]);
-    }
-
-    #[test]
-    fn reduction_keeps_diamond_intact() {
-        let red = diamond().transitive_reduction().unwrap();
-        assert_eq!(red.edge_count(), 4);
-    }
-
-    #[test]
-    fn reduction_deduplicates_parallel_edges() {
-        let dag = Dag::from_edges(2, [(0, 1), (0, 1)]);
-        let red = dag.transitive_reduction().unwrap();
-        assert_eq!(red.edge_count(), 1);
     }
 
     #[test]

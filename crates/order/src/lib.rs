@@ -4,20 +4,19 @@
 //! algorithm in the `gpd` crate ultimately manipulates that order: deciding
 //! whether one event precedes another (transitive closure), covering the
 //! "true" events of a process group with as few chains as possible
-//! (Dilworth's theorem via bipartite matching), or walking the lattice of
-//! order ideals, which is exactly the lattice of consistent cuts.
+//! (Dilworth's theorem via bipartite matching), or splitting an order
+//! into levels.
 //!
 //! This crate provides those primitives in a dependency-free form:
 //!
 //! * [`BitSet`] and [`BitMatrix`] — dense bit storage used by everything
 //!   else.
-//! * [`Dag`] — a directed graph with cycle detection, topological sorting,
-//!   transitive closure and transitive reduction.
+//! * [`Dag`] — a directed graph with cycle detection, topological sorting
+//!   and transitive closure.
 //! * [`TransitiveClosure`] — a reachability oracle (`precedes`, `concurrent`).
 //! * [`min_chain_cover_of_chains`] — Dilworth decomposition of a poset
 //!   given as a union of chains, from one binary search per element and
 //!   chain; [`min_chain_cover`] is its closure-based reference.
-//! * [`IdealIter`] — enumeration of the order ideals of a small poset.
 //!
 //! # Example
 //!
@@ -39,12 +38,10 @@
 mod bitset;
 mod chains;
 mod dag;
-mod ideal;
 mod levels;
 mod matching;
 
 pub use bitset::{BitMatrix, BitSet};
 pub use chains::{min_chain_cover, min_chain_cover_of_chains, ChainCover};
 pub use dag::{CycleError, Dag, TransitiveClosure};
-pub use ideal::IdealIter;
 pub use levels::{levels, LevelDecomposition};

@@ -84,7 +84,9 @@ pub struct ServerConfig {
     /// dropped (the client reconnects and resumes).
     pub io_timeout: Duration,
     /// Optional cap on each monitor's per-process queues; overflow is
-    /// acked as [`AckStatus::Rejected`] so clients back off.
+    /// acked as [`AckStatus::Rejected`] so clients back off. The queues
+    /// are settled after every event, so overflow means a live backlog
+    /// (one process ahead of a silent peer), never dead states.
     pub queue_cap: Option<usize>,
     /// Max tenants with live state; a `Hello` for a new tenant beyond
     /// it is refused.
@@ -209,21 +211,23 @@ impl Tenant {
         // Deterministic replay: the log records every accepted
         // observation in apply order (with snapshots as reset points),
         // so replaying rebuilds the exact monitor the crashed server
-        // had at its last durable append.
-        for record in &recovery.records {
+        // had at its last durable append. Records are consumed: each
+        // clock buffer moves into the monitor and is freed when its
+        // state is eliminated.
+        for record in recovery.records {
             match record {
                 WalRecord::Init { initial } => {
                     tenant.monitor = Some(with_cap(
-                        ConjunctiveMonitor::with_initial(initial),
+                        ConjunctiveMonitor::with_initial(&initial),
                         queue_cap,
                     ));
-                    tenant.initial = Some(initial.clone());
+                    tenant.initial = Some(initial);
                 }
                 WalRecord::Event { process, clock } => {
                     if let Some(m) = tenant.monitor.as_mut() {
                         // Logged events were accepted once; replay
                         // cannot overflow a queue that held them.
-                        let _ = m.try_observe(*process as usize, VectorClock::from(clock.clone()));
+                        let _ = m.try_observe(process as usize, VectorClock::from(clock));
                     }
                 }
                 WalRecord::Snapshot {
@@ -233,18 +237,16 @@ impl Tenant {
                     witness,
                 } => {
                     let snapshot = MonitorSnapshot {
-                        latest: latest.clone(),
+                        latest,
                         queues: queues
-                            .iter()
-                            .map(|q| q.iter().cloned().map(VectorClock::from).collect())
+                            .into_iter()
+                            .map(|q| q.into_iter().map(VectorClock::from).collect())
                             .collect(),
-                        witness: witness
-                            .as_ref()
-                            .map(|w| w.iter().cloned().map(VectorClock::from).collect()),
+                        witness: witness.map(|w| w.into_iter().map(VectorClock::from).collect()),
                     };
                     tenant.monitor =
                         Some(with_cap(ConjunctiveMonitor::restore(snapshot), queue_cap));
-                    tenant.initial = Some(initial.clone());
+                    tenant.initial = Some(initial);
                 }
             }
         }
