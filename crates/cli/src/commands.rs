@@ -1470,4 +1470,323 @@ mod tests {
             Err(CliError::Usage(_))
         ));
     }
+
+    /// Lines of the `--stats` block whose figures come from the
+    /// process-global work counters: tests running alongside this one add
+    /// into them, so the pin keeps their shape and collapses their figures.
+    const COUNTER_LINES: [&str; 7] = [
+        "scan stats:",
+        "kernel stats:",
+        "parallel stats:",
+        "timing-dependent:",
+        "slice stats:",
+        "monitor stats:",
+        "budget stats:",
+    ];
+
+    /// One `gpd detect` invocation and its result in `{:?}` form: `Ok`
+    /// with the exact stdout, or the error variant with its exact message.
+    /// `$DIR` stands for the pin's scratch directory.
+    type PinCell = (&'static [&'static str], &'static str);
+
+    /// Budget interrupts and their resumes; they write the checkpoints
+    /// the second table reads.
+    #[rustfmt::skip]
+    const PIN_CHECKPOINTS: &[PinCell] = &[
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--definitely", "--max-nodes", "2", "--checkpoint", "$DIR/fallback.ckpt"],
+            r##"Err(Unknown("node cap reached; 3 nodes explored, 0 lattice levels swept witness-free; checkpoint written to $DIR/fallback.ckpt (resume with --resume $DIR/fallback.ckpt)"))"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--definitely", "--resume", "$DIR/fallback.ckpt", "--max-nodes", "100000000"],
+            r##"Ok("Definitely(cnf in_cs@0 | in_cs@1 & requesting@2): true\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--definitely", "--max-nodes", "40", "--checkpoint", "$DIR/cnf-level.ckpt"],
+            r##"Err(Unknown("node cap reached; 43 nodes explored, 1 lattice levels swept witness-free; checkpoint written to $DIR/cnf-level.ckpt (resume with --resume $DIR/cnf-level.ckpt)"))"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--definitely", "--resume", "$DIR/cnf-level.ckpt", "--max-nodes", "100000000", "--threads", "2"],
+            r##"Ok("Definitely(cnf in_cs@0 | in_cs@1 & requesting@2): true\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--definitely", "--resume", "$DIR/cnf-level.ckpt", "--slice", "off"],
+            r##"Err(Trace("checkpoint mismatch: checkpoint belongs to engine `definitely-levelwise-sliced`, not `definitely-levelwise`"))"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--max-nodes", "2", "--checkpoint", "$DIR/cnf-odometer.ckpt"],
+            r##"Err(Unknown("node cap reached; 2 nodes explored, 0/1 combinations eliminated; checkpoint written to $DIR/cnf-odometer.ckpt (resume with --resume $DIR/cnf-odometer.ckpt)"))"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--resume", "$DIR/cnf-odometer.ckpt", "--threads", "2", "--max-nodes", "100000000"],
+            r##"Ok("Possibly(cnf in_cs@0 | in_cs@1 & requesting@2): true\nwitness cut: [8, 3, 4, 5]\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--resume", "$DIR/cnf-odometer.ckpt", "--slice", "force"],
+            r##"Ok("Possibly(cnf in_cs@0 | in_cs@1 & requesting@2): true\nwitness cut: [8, 3, 4, 5]\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3", "--max-nodes", "0"],
+            r##"Err(Unknown("node cap reached; 0 nodes explored, 0/2 combinations eliminated; checkpoint written to $DIR/mutex.trace.ckpt (resume with --resume $DIR/mutex.trace.ckpt)"))"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3", "--resume", "$DIR/mutex.trace.ckpt"],
+            r##"Ok("Possibly(cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3): false\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3", "--definitely", "--max-nodes", "60", "--checkpoint", "$DIR/cnf-def.ckpt"],
+            r##"Err(Unknown("node cap reached; 109 nodes explored, 4 lattice levels swept witness-free; checkpoint written to $DIR/cnf-def.ckpt (resume with --resume $DIR/cnf-def.ckpt)"))"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3", "--definitely", "--resume", "$DIR/cnf-def.ckpt", "--threads", "2"],
+            r##"Ok("Definitely(cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3): false\n")"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance < 300", "--definitely", "--max-nodes", "3"],
+            r##"Err(Unknown("node cap reached; 4 nodes explored, 1 lattice levels swept witness-free; checkpoint written to $DIR/bank.trace.ckpt (resume with --resume $DIR/bank.trace.ckpt)"))"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance < 299", "--definitely", "--resume", "$DIR/bank.trace.ckpt"],
+            r##"Err(Usage("checkpoint $DIR/bank.trace.ckpt was taken for predicate \"sum balance < 300\", not \"sum balance < 299\""))"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance < 300", "--definitely", "--resume", "$DIR/bank.trace.ckpt", "--threads", "2"],
+            r##"Ok("Definitely(sum balance < 300): true\n")"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance == 250", "--max-nodes", "3", "--checkpoint", "$DIR/exact.ckpt"],
+            r##"Err(Unknown("node cap reached; 7 nodes explored, 2 lattice levels swept witness-free, attainable sums lie in [74, 300]; checkpoint written to $DIR/exact.ckpt (resume with --resume $DIR/exact.ckpt)"))"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance == 250", "--resume", "$DIR/exact.ckpt"],
+            r##"Ok("Possibly(sum balance == 250): false\n")"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance == 250", "--definitely", "--max-nodes", "3", "--checkpoint", "$DIR/exact-def.ckpt"],
+            r##"Err(Unknown("node cap reached; 4 nodes explored, 1 lattice levels swept witness-free, attainable sums lie in [74, 300]; checkpoint written to $DIR/exact-def.ckpt (resume with --resume $DIR/exact-def.ckpt)"))"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance == 250", "--definitely", "--resume", "$DIR/exact-def.ckpt", "--threads", "2"],
+            r##"Ok("Definitely(sum balance == 250): false\n")"##),
+        (&["$DIR/vote.trace", "--pred", "count voted exactly 2", "--definitely", "--max-nodes", "2", "--checkpoint", "$DIR/count.ckpt"],
+            r##"Err(Unknown("node cap reached; 4 nodes explored, 1 lattice levels swept witness-free; checkpoint written to $DIR/count.ckpt (resume with --resume $DIR/count.ckpt)"))"##),
+        (&["$DIR/vote.trace", "--pred", "count voted exactly 2", "--definitely", "--resume", "$DIR/count.ckpt", "--threads", "2"],
+            r##"Ok("Definitely(count voted exactly 2): true\n")"##),
+    ];
+
+    /// Every other route of `detect`.
+    #[rustfmt::skip]
+    const PIN_ROUTES: &[PinCell] = &[
+        (&["$DIR/mutex.trace", "--pred", "conj !in_cs@0 in_cs@1"],
+            r##"Ok("Possibly(conj !in_cs@0 in_cs@1): true\nwitness cut: [9, 8, 4, 5]\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "conj !in_cs@0 in_cs@1", "--definitely"],
+            r##"Ok("Definitely(conj !in_cs@0 in_cs@1): true\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "conj !in_cs@0 in_cs@1", "--slice", "off"],
+            r##"Ok("Possibly(conj !in_cs@0 in_cs@1): true\nwitness cut: [9, 8, 4, 5]\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "conj !in_cs@0 in_cs@1", "--slice", "force"],
+            r##"Ok("Possibly(conj !in_cs@0 in_cs@1): true\nwitness cut: [9, 8, 4, 5]\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "conj !in_cs@0 in_cs@1", "--slice", "force", "--definitely"],
+            r##"Ok("Definitely(conj !in_cs@0 in_cs@1): true\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "conj !in_cs@0 in_cs@1", "--threads", "2"],
+            r##"Ok("Possibly(conj !in_cs@0 in_cs@1): true\nwitness cut: [9, 8, 4, 5]\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "conj !in_cs@0 in_cs@1", "--max-nodes", "5"],
+            r##"Ok("Possibly(conj !in_cs@0 in_cs@1): true\nwitness cut: [9, 8, 4, 5]\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "conj !in_cs@0 in_cs@1", "--resume", "$DIR/bare-level.ckpt"],
+            r##"Err(Usage("--resume does not apply to a conjunction: it is polynomial and never checkpoints"))"##),
+        (&["$DIR/mutex.trace", "--pred", "conj in_cs@0 in_cs@1"],
+            r##"Ok("Possibly(conj in_cs@0 in_cs@1): false\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "conj in_cs@0 in_cs@1", "--slice", "force"],
+            r##"Ok("Possibly(conj in_cs@0 in_cs@1): false\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "conj in_cs@0 in_cs@1", "--definitely"],
+            r##"Ok("Definitely(conj in_cs@0 in_cs@1): false\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "conj in_cs@0 in_cs@1", "--definitely", "--slice", "force"],
+            r##"Ok("Definitely(conj in_cs@0 in_cs@1): false\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "conj !in_cs@0 in_cs@1", "--stats"],
+            r##"Ok("Possibly(conj !in_cs@0 in_cs@1): true\nwitness cut: [9, 8, 4, 5]\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3"],
+            r##"Ok("Possibly(cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3): false\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3", "--slice", "off"],
+            r##"Ok("Possibly(cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3): false\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3", "--slice", "force"],
+            r##"Err(Usage("--slice force needs a regular envelope, but the CNF has no unit clause (nothing regular to slice on)"))"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3", "--threads", "2"],
+            r##"Ok("Possibly(cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3): false\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3", "--definitely"],
+            r##"Ok("Definitely(cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3): false\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3", "--definitely", "--threads", "2"],
+            r##"Ok("Definitely(cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3): false\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3", "--stats"],
+            r##"Ok("Possibly(cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3): false\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2 | in_cs@3"],
+            r##"Ok("Possibly(cnf in_cs@0 | in_cs@1 & requesting@2 | in_cs@3): true\nwitness cut: [8, 3, 4, 5]\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2 | in_cs@3", "--threads", "2"],
+            r##"Ok("Possibly(cnf in_cs@0 | in_cs@1 & requesting@2 | in_cs@3): true\nwitness cut: [8, 3, 4, 5]\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2 | in_cs@3", "--definitely"],
+            r##"Ok("Definitely(cnf in_cs@0 | in_cs@1 & requesting@2 | in_cs@3): true\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2"],
+            r##"Ok("Possibly(cnf in_cs@0 | in_cs@1 & requesting@2): true\nwitness cut: [8, 3, 4, 5]\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--slice", "off"],
+            r##"Ok("Possibly(cnf in_cs@0 | in_cs@1 & requesting@2): true\nwitness cut: [8, 3, 4, 5]\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--slice", "force"],
+            r##"Ok("Possibly(cnf in_cs@0 | in_cs@1 & requesting@2): true\nwitness cut: [8, 3, 4, 5]\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--threads", "2"],
+            r##"Ok("Possibly(cnf in_cs@0 | in_cs@1 & requesting@2): true\nwitness cut: [8, 3, 4, 5]\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--definitely", "--slice", "off"],
+            r##"Ok("Definitely(cnf in_cs@0 | in_cs@1 & requesting@2): true\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--definitely"],
+            r##"Ok("Definitely(cnf in_cs@0 | in_cs@1 & requesting@2): true\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--definitely", "--slice", "force", "--threads", "2"],
+            r##"Ok("Definitely(cnf in_cs@0 | in_cs@1 & requesting@2): true\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--stats"],
+            r##"Ok("Possibly(cnf in_cs@0 | in_cs@1 & requesting@2): true\nwitness cut: [8, 3, 4, 5]\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--definitely", "--stats", "--max-nodes", "100000000"],
+            r##"Ok("Definitely(cnf in_cs@0 | in_cs@1 & requesting@2): true\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\nbudget stats: # nodes explored\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--resume", "$DIR/bare-odometer.ckpt"],
+            r##"Ok("Possibly(cnf in_cs@0 | in_cs@1 & requesting@2): true\nwitness cut: [8, 3, 4, 5]\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf requesting@0 & requesting@1 & in_cs@2"],
+            r##"Ok("Possibly(cnf requesting@0 & requesting@1 & in_cs@2): false\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf requesting@0 & requesting@1 & in_cs@2", "--stats"],
+            r##"Ok("Possibly(cnf requesting@0 & requesting@1 & in_cs@2): false\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf requesting@0 & requesting@1 & in_cs@2", "--slice", "off"],
+            r##"Ok("Possibly(cnf requesting@0 & requesting@1 & in_cs@2): false\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf requesting@0 & requesting@1 & in_cs@2", "--definitely"],
+            r##"Ok("Definitely(cnf requesting@0 & requesting@1 & in_cs@2): false\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf requesting@0 & requesting@1 & in_cs@2", "--definitely", "--slice", "off"],
+            r##"Ok("Definitely(cnf requesting@0 & requesting@1 & in_cs@2): false\n")"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance < 300"],
+            r##"Ok("Possibly(sum balance < 300): true\nwitness cut: [5, 6, 4] (Σ = 74)\n")"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance < 300", "--threads", "2", "--slice", "off"],
+            r##"Ok("Possibly(sum balance < 300): true\nwitness cut: [5, 6, 4] (Σ = 74)\n")"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance > 300"],
+            r##"Ok("Possibly(sum balance > 300): false\n")"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance > 300", "--definitely"],
+            r##"Ok("Definitely(sum balance > 300): false\n")"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance < 300", "--definitely", "--enumerate", "--threads", "2"],
+            r##"Ok("Definitely(sum balance < 300): true\n")"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance < 300", "--slice", "force"],
+            r##"Err(Usage("--slice force applies only to conjunction and cnf predicates; sum predicates are not regular"))"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance < 300", "--resume", "$DIR/bare-level.ckpt"],
+            r##"Err(Usage("--resume does not apply to Possibly(sum relop): it is polynomial and never checkpoints"))"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance >= 300", "--stats"],
+            r##"Ok("Possibly(sum balance >= 300): true\nwitness cut: [0, 0, 0] (Σ = 300)\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
+        (&["$DIR/bigbank.trace", "--pred", "sum balance < 300"],
+            r##"Ok("Possibly(sum balance < 300): false\n")"##),
+        (&["$DIR/bigbank.trace", "--pred", "sum balance < 300", "--definitely"],
+            r##"Err(Intractable("Definitely(sum relop) needs exhaustive enumeration (exponential); pass --enumerate to force it (84 events here, guard is 64)"))"##),
+        (&["$DIR/ring.trace", "--pred", "sum tokens == 1"],
+            r##"Ok("Possibly(sum tokens == 1): true\nwitness cut: [2, 0, 0, 0]\n")"##),
+        (&["$DIR/ring.trace", "--pred", "sum tokens == 1", "--definitely"],
+            r##"Ok("Definitely(sum tokens == 1): true\n")"##),
+        (&["$DIR/ring.trace", "--pred", "sum tokens == 3"],
+            r##"Ok("Possibly(sum tokens == 3): false\n")"##),
+        (&["$DIR/ring.trace", "--pred", "sum tokens == 3", "--definitely"],
+            r##"Ok("Definitely(sum tokens == 3): false\n")"##),
+        (&["$DIR/ring.trace", "--pred", "sum tokens == 1", "--max-nodes", "100"],
+            r##"Ok("Possibly(sum tokens == 1): true\nwitness cut: [2, 0, 0, 0]\n")"##),
+        (&["$DIR/ring.trace", "--pred", "sum tokens == 3", "--definitely", "--max-nodes", "100"],
+            r##"Ok("Definitely(sum tokens == 3): false\n")"##),
+        (&["$DIR/ring.trace", "--pred", "sum tokens == 1", "--resume", "$DIR/bare-odometer.ckpt"],
+            r##"Ok("Possibly(sum tokens == 1): true\nwitness cut: [2, 0, 0, 0]\n")"##),
+        (&["$DIR/ring.trace", "--pred", "sum tokens == 1", "--threads", "2"],
+            r##"Ok("Possibly(sum tokens == 1): true\nwitness cut: [2, 0, 0, 0]\n")"##),
+        (&["$DIR/ring.trace", "--pred", "sum tokens == 1", "--slice", "force"],
+            r##"Err(Usage("--slice force applies only to conjunction and cnf predicates; sum predicates are not regular"))"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance == 300"],
+            r##"Ok("Possibly(sum balance == 300): true (by enumeration)\nwitness cut: [0, 0, 0]\n")"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance == 300", "--definitely"],
+            r##"Ok("Definitely(sum balance == 300): true (by enumeration)\n")"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance == 250", "--threads", "2"],
+            r##"Ok("Possibly(sum balance == 250): false (by enumeration)\n")"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance == 250", "--definitely"],
+            r##"Ok("Definitely(sum balance == 250): false (by enumeration)\n")"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance == 250", "--max-nodes", "1000000000"],
+            r##"Ok("Possibly(sum balance == 250): false\n")"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance == 250", "--stats"],
+            r##"Ok("Possibly(sum balance == 250): false (by enumeration)\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
+        (&["$DIR/bigbank.trace", "--pred", "sum balance == 1200"],
+            r##"Err(Intractable("variables change by up to 50 per event; the exact-sum algorithm needs steps of at most 1; exact detection (Theorem 2: NP-complete) needs exhaustive enumeration (exponential); pass --enumerate to force it (84 events here, guard is 64)"))"##),
+        (&["$DIR/bigbank.trace", "--pred", "sum balance == 1200", "--definitely"],
+            r##"Err(Intractable("variables change by up to 50 per event; the exact-sum algorithm needs steps of at most 1 needs exhaustive enumeration (exponential); pass --enumerate to force it (84 events here, guard is 64)"))"##),
+        (&["$DIR/vote.trace", "--pred", "count voted exactly 2"],
+            r##"Ok("Possibly(count voted exactly 2): true\nwitness cut: [2, 3, 0]\n")"##),
+        (&["$DIR/vote.trace", "--pred", "count voted exactly 2", "--definitely"],
+            r##"Ok("Definitely(count voted exactly 2): true\n")"##),
+        (&["$DIR/vote.trace", "--pred", "count voted exactly 2", "--definitely", "--threads", "2"],
+            r##"Ok("Definitely(count voted exactly 2): true\n")"##),
+        (&["$DIR/vote.trace", "--pred", "count voted_yes xor"],
+            r##"Ok("Possibly(count voted_yes xor): true\nwitness cut: [2, 0, 0]\n")"##),
+        (&["$DIR/vote.trace", "--pred", "count voted in {0}", "--definitely"],
+            r##"Ok("Definitely(count voted in {0}): true\n")"##),
+        (&["$DIR/vote.trace", "--pred", "count voted exactly 2", "--slice", "force"],
+            r##"Err(Usage("--slice force applies only to conjunction and cnf predicates; count predicates are not regular"))"##),
+        (&["$DIR/vote.trace", "--pred", "count voted exactly 2", "--resume", "$DIR/bare-level.ckpt"],
+            r##"Err(Usage("--resume does not apply to Possibly(count): it is polynomial and never checkpoints"))"##),
+        (&["$DIR/vote.trace", "--pred", "count voted exactly 2", "--definitely", "--resume", "$DIR/bare-odometer.ckpt"],
+            r##"Err(Trace("checkpoint mismatch: odometer checkpoint offered to level-sweep engine `definitely-levelwise`"))"##),
+        (&["$DIR/vote.trace", "--pred", "count voted exactly 2", "--definitely", "--stats", "--max-nodes", "100000000"],
+            r##"Ok("Definitely(count voted exactly 2): true\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\nbudget stats: # nodes explored\n")"##),
+        (&["$DIR/ring.trace", "--pred", "count has_token exactly 1"],
+            r##"Ok("Possibly(count has_token exactly 1): true\nwitness cut: [2, 0, 0, 0]\n")"##),
+        (&["$DIR/ring.trace", "--pred", "count has_token exactly 1", "--definitely", "--slice", "off"],
+            r##"Ok("Definitely(count has_token exactly 1): true\n")"##),
+        (&["$DIR/bigvote.trace", "--pred", "count voted exactly 8", "--definitely"],
+            r##"Err(Intractable("Definitely(count) needs exhaustive enumeration (exponential); pass --enumerate to force it (272 events here, guard is 64)"))"##),
+        (&["$DIR/bigvote.trace", "--pred", "count voted exactly 8"],
+            r##"Ok("Possibly(count voted exactly 8): true\nwitness cut: [2, 2, 2, 3, 3, 2, 6, 3, 3, 2, 2, 2, 0, 0, 0, 0]\n")"##),
+        (&["$DIR/bank.trace", "--pred", "sum nope < 3"],
+            r##"Err(Trace("no integer variable \"nope\" (known: balance)"))"##),
+        (&["$DIR/vote.trace", "--pred", "count nope xor"],
+            r##"Err(Trace("no boolean variable \"nope\" (known: voted, voted_yes)"))"##),
+        (&["$DIR/mutex.trace", "--pred", "cnf nope@0 & in_cs@1"],
+            r##"Err(Trace("no boolean variable \"nope\" (known: in_cs, requesting)"))"##),
+    ];
+
+    fn pin_render(result: Result<String, CliError>, dir: &str) -> String {
+        let collapse = |line: &str| {
+            let mut out = String::new();
+            for c in line.chars() {
+                if !c.is_ascii_digit() {
+                    out.push(c);
+                } else if !out.ends_with('#') {
+                    out.push('#');
+                }
+            }
+            out
+        };
+        let result = result.map(|out| {
+            out.lines()
+                .map(|line| {
+                    let line = if COUNTER_LINES.iter().any(|p| line.starts_with(p)) {
+                        collapse(line)
+                    } else {
+                        line.to_string()
+                    };
+                    line + "\n"
+                })
+                .collect::<String>()
+        });
+        format!("{result:?}").replace(dir, "$DIR")
+    }
+
+    fn pin_run(cells: &[PinCell], dir: &str, failures: &mut Vec<String>) {
+        for (cell, expected) in cells {
+            let mut list = vec!["detect".to_string()];
+            list.extend(cell.iter().map(|a| a.replace("$DIR", dir)));
+            let got = pin_render(crate::run(&list), dir);
+            if got != *expected {
+                failures.push(format!("{cell:?}\n  expected {expected}\n  got      {got}"));
+            }
+        }
+    }
+
+    /// Pins `gpd detect` byte for byte on every route: conjunction, cnf,
+    /// sum relop, exact sum and count under both modalities, each slice
+    /// mode, no budget, an interrupting node cap and `--resume`, and 0 or
+    /// 2 threads, plus every error the engine choice can raise.
+    #[test]
+    fn detect_routes_are_pinned() {
+        let dir = std::env::temp_dir().join(format!("gpd-cli-pin-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let dir = dir.to_string_lossy().to_string();
+        let traces = [
+            ("ring", "token-ring", &["--n", "4", "--tokens", "2"][..]),
+            ("mutex", "mutex", &["--n", "4", "--rounds", "1"]),
+            ("bank", "bank", &["--n", "3"]),
+            ("vote", "voting", &["--n", "3"]),
+            ("bigbank", "bank", &["--n", "12"]),
+            ("bigvote", "voting", &["--n", "16"]),
+        ];
+        for (name, protocol, extra) in traces {
+            let path = format!("{dir}/{name}.trace");
+            let mut a = vec![protocol, "--seed", "7", "-o", &path];
+            a.extend_from_slice(extra);
+            simulate(&args(&a)).unwrap();
+        }
+        let mut failures = Vec::new();
+        pin_run(PIN_CHECKPOINTS, &dir, &mut failures);
+        // The same checkpoints with their predicate label dropped, so a
+        // resume reaches the engine choice instead of the label check.
+        for (from, to) in [
+            ("cnf-level", "bare-level"),
+            ("cnf-odometer", "bare-odometer"),
+        ] {
+            let text = std::fs::read_to_string(format!("{dir}/{from}.ckpt")).unwrap();
+            let bare: String = text
+                .lines()
+                .filter(|l| !l.starts_with("label "))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            std::fs::write(format!("{dir}/{to}.ckpt"), bare).unwrap();
+        }
+        pin_run(PIN_ROUTES, &dir, &mut failures);
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            failures.is_empty(),
+            "mismatched cells:\n{}",
+            failures.join("\n")
+        );
+    }
 }
