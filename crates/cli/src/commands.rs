@@ -2,32 +2,20 @@
 
 use std::collections::HashMap;
 
-use gpd::conjunctive::{definitely_conjunctive, possibly_conjunctive};
-use gpd::enumerate::definitely_levelwise_budgeted;
-use gpd::relational::{
-    definitely_exact_sum, definitely_exact_sum_budgeted, definitely_sum_budgeted,
-    possibly_exact_sum, possibly_exact_sum_budgeted, possibly_sum,
+use gpd::counters::ScanCounters;
+use gpd::detect::{
+    enumeration_guard, Answer, Modality, Options, Predicate, Query, Report, Slicing,
+    ENUMERATION_LIMIT, EXACT_SUM_ENUMERATION,
 };
-use gpd::singular::possibly_singular_budgeted;
-use gpd::slice::{
-    cnf_envelope, definitely_levelwise_sliced_budgeted, definitely_slice,
-    possibly_singular_sliced_budgeted, possibly_slice, RegularPredicate, Slice,
-    DEFINITELY_LEVELWISE_SLICED,
-};
-use gpd::symmetric::{possibly_symmetric, SymmetricPredicate};
-use gpd::{
-    Budget, BudgetMeter, Checkpoint, CnfClause, DetectError, Progress, Relop, SingularCnf, Verdict,
-};
+use gpd::symmetric::SymmetricPredicate;
+use gpd::{Budget, Checkpoint, CnfClause, DetectError, Progress, Relop, SingularCnf, Verdict};
 use gpd_computation::trace::{read_trace, write_trace, Trace};
-use gpd_computation::{to_dot, BoolVariable, Computation, Cut, ProcessId};
+use gpd_computation::{to_dot, BoolVariable, ProcessId};
 use gpd_sim::protocols::{BankBranch, ChangRoberts, RicartAgrawala, TokenRing, Voter};
 use gpd_sim::{Process, SimConfig, SimTrace, Simulation};
 
 use crate::predicate::{parse, CountSpec, LitSpec, PredicateSpec, SumOp};
 use crate::CliError;
-
-/// Above this event count, exhaustive fallbacks require `--enumerate`.
-const ENUMERATION_GUARD: usize = 64;
 
 /// Parsed flags: `--name value` pairs, bare `--switch`es, and positionals.
 pub(crate) struct Flags {
@@ -218,9 +206,9 @@ pub fn stats(args: &[String]) -> Result<String, CliError> {
         out.push_str(&format!("int variables: {}\n", names.join(", ")));
     }
     if flags.has("cuts") {
-        if comp.event_count() > ENUMERATION_GUARD {
+        if comp.event_count() > ENUMERATION_LIMIT {
             return Err(CliError::Intractable(format!(
-                "counting cuts is exponential; refusing above {ENUMERATION_GUARD} events ({} here)",
+                "counting cuts is exponential; refusing above {ENUMERATION_LIMIT} events ({} here)",
                 comp.event_count()
             )));
         }
@@ -241,7 +229,7 @@ pub fn lattice(args: &[String]) -> Result<String, CliError> {
     };
     let trace = load_trace(path)?;
     let comp = &trace.computation;
-    guard_enumeration(comp, flags.has("enumerate"), "the lattice profile")?;
+    enumeration_guard(comp, flags.has("enumerate"), "the lattice profile").map_err(detect_error)?;
     let profile = gpd_computation::lattice_profile(comp);
     let total: usize = profile.iter().sum();
     let widest = profile.iter().copied().max().unwrap_or(0).max(1);
@@ -332,50 +320,40 @@ fn literal_truth_variable(trace: &Trace, literals: &[LitSpec]) -> Result<BoolVar
     Ok(BoolVariable::new(comp, tracks))
 }
 
-fn describe_cut(cut: &Cut) -> String {
-    format!("witness cut: {:?}", cut.frontier())
+/// Maps a refused or failed detection onto the CLI's error kinds.
+fn detect_error(err: DetectError) -> CliError {
+    let kind = match err {
+        DetectError::NeedsEnumeration { .. } => CliError::Intractable,
+        DetectError::NotResumable(_) | DetectError::NotRegular(_) | DetectError::NoEnvelope => {
+            CliError::Usage
+        }
+        DetectError::PredicatePanicked(_) | DetectError::CheckpointMismatch(_) => CliError::Trace,
+    };
+    kind(err.to_string())
 }
 
-fn guard_enumeration(comp: &Computation, enumerate: bool, what: &str) -> Result<(), CliError> {
-    if !enumerate && comp.event_count() > ENUMERATION_GUARD {
-        return Err(CliError::Intractable(format!(
-            "{what} needs exhaustive enumeration (exponential); pass --enumerate to force it \
-             ({} events here, guard is {ENUMERATION_GUARD})",
-            comp.event_count()
-        )));
-    }
-    Ok(())
-}
-
-/// Budget options for `detect`: what bounds the search, where to resume
-/// from, and where to drop the checkpoint if the budget runs out.
-struct BudgetOpts {
-    budget: Budget,
-    /// Any budget flag or `--resume` present: route to the budgeted,
-    /// checkpoint-carrying engines.
-    active: bool,
-    resume: Option<Checkpoint>,
-    /// Checkpoint destination on an Unknown verdict.
-    checkpoint_path: String,
-}
-
-fn parse_budget(flags: &Flags, trace_path: &str, expr: &str) -> Result<BudgetOpts, CliError> {
+/// The budget flags: the budget when any bounding flag is given, and the
+/// checkpoint `--resume` names.
+fn parse_budget(
+    flags: &Flags,
+    expr: &str,
+) -> Result<(Option<Budget>, Option<Checkpoint>), CliError> {
     let mut budget = Budget::unlimited();
-    let mut active = false;
+    let mut bounded = false;
     if let Some(ms) = flags.values.get("deadline-ms") {
         let ms: u64 = ms.parse().map_err(|_| {
             CliError::Usage(format!("--deadline-ms expects milliseconds, got {ms:?}"))
         })?;
         budget = budget.with_deadline(std::time::Duration::from_millis(ms));
-        active = true;
+        bounded = true;
     }
     if flags.values.contains_key("max-nodes") {
         budget = budget.with_max_nodes(flags.get_u64("max-nodes", 0)?);
-        active = true;
+        bounded = true;
     }
     if flags.values.contains_key("max-width") {
         budget = budget.with_max_width(flags.get_usize("max-width", 0)?);
-        active = true;
+        bounded = true;
     }
     let resume = match flags.values.get("resume") {
         None => None,
@@ -393,21 +371,10 @@ fn parse_budget(flags: &Flags, trace_path: &str, expr: &str) -> Result<BudgetOpt
                     cp.label()
                 )));
             }
-            active = true;
             Some(cp)
         }
     };
-    let checkpoint_path = flags
-        .values
-        .get("checkpoint")
-        .cloned()
-        .unwrap_or_else(|| format!("{trace_path}.ckpt"));
-    Ok(BudgetOpts {
-        budget,
-        active,
-        resume,
-        checkpoint_path,
-    })
+    Ok((bounded.then_some(budget), resume))
 }
 
 /// One-line summary of the sound partial bounds a budgeted run settled.
@@ -427,60 +394,18 @@ fn progress_summary(p: &Progress) -> String {
     parts.join(", ")
 }
 
-fn detect_error(err: DetectError) -> CliError {
-    CliError::Trace(err.to_string())
-}
-
 /// Turns an exhausted budget into the `Unknown` outcome: persist the
 /// checkpoint (labelled with the predicate expression, so a resume for a
 /// different question is refused) and surface reason + bounds.
-fn budget_exhausted(
-    partial: &gpd::Partial,
-    opts: &BudgetOpts,
-    expr: &str,
-) -> Result<String, CliError> {
+fn budget_exhausted(partial: &gpd::Partial, path: &str, expr: &str) -> Result<String, CliError> {
     let mut cp = partial.checkpoint.clone();
     cp.set_label(expr);
-    let path = &opts.checkpoint_path;
     std::fs::write(path, cp.to_text()).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
     Err(CliError::Unknown(format!(
         "{}; {}; checkpoint written to {path} (resume with --resume {path})",
         partial.reason,
         progress_summary(&partial.progress),
     )))
-}
-
-/// The answer line of a witness-returning question, followed by the
-/// witness cut when there is one.
-fn witness_answer(modality: &str, expr: &str, witness: Option<Cut>) -> String {
-    match witness {
-        Some(cut) => format!("{modality}({expr}): true\n{}\n", describe_cut(&cut)),
-        None => format!("{modality}({expr}): false\n"),
-    }
-}
-
-fn render_witness_verdict(
-    modality: &str,
-    expr: &str,
-    verdict: Verdict<Option<Cut>>,
-    opts: &BudgetOpts,
-) -> Result<String, CliError> {
-    match verdict {
-        Verdict::Decided(witness, _) => Ok(witness_answer(modality, expr, witness)),
-        Verdict::Unknown(partial) => budget_exhausted(&partial, opts, expr),
-    }
-}
-
-fn render_bool_verdict(
-    modality: &str,
-    expr: &str,
-    verdict: Verdict<bool>,
-    opts: &BudgetOpts,
-) -> Result<String, CliError> {
-    match verdict {
-        Verdict::Decided(answer, _) => Ok(format!("{modality}({expr}): {answer}\n")),
-        Verdict::Unknown(partial) => budget_exhausted(&partial, opts, expr),
-    }
 }
 
 /// The relation of a `sum` predicate other than `==`.
@@ -494,53 +419,121 @@ fn sum_relop(op: SumOp) -> Relop {
     }
 }
 
-/// How the SliceReduce pre-pass is applied by `detect`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SliceMode {
-    /// Never slice.
-    Off,
-    /// Slice whenever a regular envelope exists (the default).
-    Auto,
-    /// Require slicing; error out where no regular envelope exists.
-    Force,
+fn symmetric_predicate(spec: CountSpec, n: u32) -> SymmetricPredicate {
+    match spec {
+        CountSpec::In(counts) => SymmetricPredicate::new(counts),
+        CountSpec::Xor => SymmetricPredicate::exclusive_or(n),
+        CountSpec::NotAllEqual => SymmetricPredicate::not_all_equal(n),
+        CountSpec::AllEqual => SymmetricPredicate::all_equal(n),
+        CountSpec::NoMajority => SymmetricPredicate::absence_of_simple_majority(n),
+        CountSpec::NoTwoThirds => SymmetricPredicate::absence_of_two_thirds_majority(n),
+        CountSpec::Exactly(k) => SymmetricPredicate::exactly(k),
+    }
+}
+
+/// The `--stats` block: the engine that ran, then the work counted since
+/// `before`, and the budget spent when the run was budgeted.
+fn stats_block(engine: &str, before: &ScanCounters, options: &Options, nodes: u64) -> String {
+    let w = gpd::counters::snapshot().since(before);
+    // Which worker takes which span is a race, so the steal count
+    // varies between identical runs: on its own line, so the work
+    // lines can be diffed between builds.
+    let mut out = format!(
+        "engine: {engine}\n\
+         scan stats: {} scan runs, {} pair checks, {} forces evaluations\n\
+         kernel stats: {} clock-row reads, {} cut-successor allocations, {} vector-clock allocations\n\
+         parallel stats: {} pool waves, {} threads spawned, {} batched dominance passes\n\
+         timing-dependent: {} steals\n\
+         slice stats: {} nodes before, {} after\n\
+         monitor stats: {} observed, {} duplicate, {} stale deliveries, peak queue depth {}\n",
+        w.scan_runs, w.pair_checks, w.forces_evals,
+        w.clock_row_reads, w.cut_successor_allocs, w.vclock_allocs,
+        w.par_waves, w.par_threads_spawned, w.dominance_batches,
+        w.par_steals,
+        w.slice_nodes_before, w.slice_nodes_after,
+        w.monitor_observed, w.monitor_duplicates, w.monitor_stale, w.monitor_queue_peak,
+    );
+    if options.budget.is_some() || options.resume.is_some() {
+        let remaining = match options.budget.as_ref().and_then(Budget::remaining_time) {
+            Some(d) => format!(", {}ms of deadline left", d.as_millis()),
+            None => String::new(),
+        };
+        out.push_str(&format!(
+            "budget stats: {nodes} nodes explored{remaining}\n"
+        ));
+    }
+    out
+}
+
+const DETECT_USAGE: &str = "detect <trace> --pred \"EXPR\" [--definitely] [--enumerate] \
+    [--threads N] [--stats] [--slice off|auto|force] [--deadline-ms N] [--max-nodes N] \
+    [--max-width N] [--resume CKPT] [--checkpoint FILE]";
+
+fn parse_slicing(flags: &Flags) -> Result<Slicing, CliError> {
+    match flags.values.get("slice").map(String::as_str) {
+        None | Some("auto") => Ok(Slicing::Auto),
+        Some("off") => Ok(Slicing::Off),
+        Some("force") => Ok(Slicing::Force),
+        Some(other) => Err(CliError::Usage(format!(
+            "--slice expects off, auto, or force, got {other:?}"
+        ))),
+    }
+}
+
+/// The CNF over the literal-truth variable: it holds each literal's
+/// truth, so every literal is positive.
+fn positive_cnf(clauses: &[Vec<LitSpec>]) -> SingularCnf {
+    let positive = |c: &Vec<LitSpec>| {
+        CnfClause::new(
+            c.iter()
+                .map(|l| (ProcessId::new(l.process), true))
+                .collect(),
+        )
+    };
+    SingularCnf::new(clauses.iter().map(positive).collect())
+}
+
+/// The verdict line, marked when the exhaustive fallback answered it,
+/// then the witness cut when there is one (with its sum for a `sum`
+/// relop question).
+fn answer_text(question: &str, report: &Report, predicate: &Predicate<'_>) -> String {
+    let marker = match report.engine {
+        EXACT_SUM_ENUMERATION => " (by enumeration)",
+        _ => "",
+    };
+    match report.verdict.value() {
+        Some(Answer::Witness(Some(cut))) => {
+            let sum = match predicate {
+                Predicate::Sum { var, .. } => format!(" (Σ = {})", var.sum_at(cut)),
+                _ => String::new(),
+            };
+            let frontier = cut.frontier();
+            format!("{question}: true{marker}\nwitness cut: {frontier:?}{sum}\n")
+        }
+        Some(Answer::Holds(holds)) => format!("{question}: {holds}{marker}\n"),
+        _ => format!("{question}: false{marker}\n"),
+    }
 }
 
 /// `gpd detect <trace> --pred "EXPR" [--definitely] [--enumerate] [--threads N] [--stats]
 ///  [--slice off|auto|force] [--deadline-ms N] [--max-nodes N] [--max-width N]
 ///  [--resume CKPT] [--checkpoint FILE]`
 pub fn detect(args: &[String]) -> Result<String, CliError> {
-    let flags = parse_flags(
-        args,
-        &[
-            "pred",
-            "threads",
-            "deadline-ms",
-            "max-nodes",
-            "max-width",
-            "resume",
-            "checkpoint",
-            "slice",
-        ],
-        &["definitely", "enumerate", "stats"],
-    )?;
+    let values = [
+        "pred",
+        "threads",
+        "deadline-ms",
+        "max-nodes",
+        "max-width",
+        "resume",
+        "checkpoint",
+        "slice",
+    ];
+    let flags = parse_flags(args, &values, &["definitely", "enumerate", "stats"])?;
     let [path] = flags.positional.as_slice() else {
-        return Err(CliError::Usage(
-            "detect <trace> --pred \"EXPR\" [--definitely] [--enumerate] [--threads N] [--stats] \
-             [--slice off|auto|force] [--deadline-ms N] [--max-nodes N] [--max-width N] \
-             [--resume CKPT] [--checkpoint FILE]"
-                .into(),
-        ));
+        return Err(CliError::Usage(DETECT_USAGE.into()));
     };
-    let slice_mode = match flags.values.get("slice").map(String::as_str) {
-        None | Some("auto") => SliceMode::Auto,
-        Some("off") => SliceMode::Off,
-        Some("force") => SliceMode::Force,
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "--slice expects off, auto, or force, got {other:?}"
-            )))
-        }
-    };
+    let slicing = parse_slicing(&flags)?;
     let expr = flags
         .values
         .get("pred")
@@ -548,326 +541,83 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
     let spec = parse(expr)?;
     let trace = load_trace(path)?;
     let comp = &trace.computation;
-    let definitely = flags.has("definitely");
     // 0 = sequential (the default); N ≥ 2 fans the combinatorial CNF
     // scans and the lattice sweeps out over N workers, with the
     // sequential verdict and witness.
     let threads = flags.get_usize("threads", 0)?;
-    let stats = flags.has("stats");
-    let modality = if definitely { "Definitely" } else { "Possibly" };
-    let opts = parse_budget(&flags, path, expr)?;
-    // Without a budget an exhaustive sweep could run away; with one, the
-    // budget *is* the guard: the sweep stops at the deadline or cap.
-    let enumerate = flags.has("enumerate") || opts.active;
-    let meter = BudgetMeter::new();
-    // A polynomial question decides within any budget; only `--resume`
-    // is meaningless there (nothing was ever interrupted).
-    let reject_resume = |question: &str| {
-        if opts.resume.is_some() {
-            Err(CliError::Usage(format!(
-                "--resume does not apply to {question}: it is polynomial and never checkpoints"
-            )))
-        } else {
-            Ok(())
-        }
+    let (budget, resume) = parse_budget(&flags, expr)?;
+    let options = Options {
+        threads,
+        budget,
+        slicing,
+        resume,
+        enumerate: flags.has("enumerate"),
     };
 
-    let before = stats.then(gpd::counters::snapshot);
-    let mut out = match spec {
+    let before = flags.has("stats").then(gpd::counters::snapshot);
+    // The query borrows what the predicate is built from.
+    let (truth, processes, cnf, symmetric);
+    let predicate = match spec {
         PredicateSpec::Conjunction(lits) => {
-            reject_resume("a conjunction")?;
-            let truth = literal_truth_variable(&trace, &lits)?;
-            let processes: Vec<ProcessId> =
-                lits.iter().map(|l| ProcessId::new(l.process)).collect();
-            if slice_mode == SliceMode::Force {
-                // A conjunction is its own regular envelope; `truth`
-                // already encodes each literal's polarity, so every
-                // constrained process wants `truth` positive.
-                let literals: Vec<(ProcessId, bool)> =
-                    processes.iter().map(|&p| (p, true)).collect();
-                let pred = RegularPredicate::conjunction(comp, &truth, &literals);
-                if definitely {
-                    let verdict = definitely_slice(comp, &pred);
-                    Ok(format!("{modality}({expr}): {verdict}\n"))
-                } else {
-                    Ok(witness_answer(modality, expr, possibly_slice(comp, &pred)))
-                }
-            } else if definitely {
-                let verdict = definitely_conjunctive(comp, &truth, &processes);
-                Ok(format!("{modality}({expr}): {verdict}\n"))
-            } else {
-                Ok(witness_answer(
-                    modality,
-                    expr,
-                    possibly_conjunctive(comp, &truth, &processes),
-                ))
+            truth = literal_truth_variable(&trace, &lits)?;
+            processes = lits
+                .iter()
+                .map(|l| ProcessId::new(l.process))
+                .collect::<Vec<_>>();
+            Predicate::Conjunction {
+                var: &truth,
+                processes: &processes,
             }
         }
         PredicateSpec::Cnf(clauses) => {
             let all_lits: Vec<LitSpec> = clauses.iter().flatten().cloned().collect();
-            let truth = literal_truth_variable(&trace, &all_lits)?;
-            let phi = SingularCnf::new(
-                clauses
-                    .iter()
-                    .map(|c| {
-                        CnfClause::new(
-                            c.iter()
-                                .map(|l| (ProcessId::new(l.process), true))
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            );
-            // SliceReduce pre-pass: the conjunction of Φ's unit clauses
-            // is a regular envelope implied by Φ, and its slice window
-            // bounds every Φ-cut.
-            let envelope = match slice_mode {
-                SliceMode::Off => None,
-                SliceMode::Auto | SliceMode::Force => cnf_envelope(comp, &truth, &phi),
-            };
-            if slice_mode == SliceMode::Force && envelope.is_none() {
-                return Err(CliError::Usage(
-                    "--slice force needs a regular envelope, but the CNF has no unit clause \
-                     (nothing regular to slice on)"
-                        .into(),
-                ));
-            }
-            // Slicing competes for the same budget as the engine it
-            // feeds; if it exhausts the budget, fall back to the
-            // unsliced engine, which will checkpoint as usual.
-            let slice = match &envelope {
-                None => None,
-                Some(env) if opts.active => {
-                    Slice::build_budgeted(comp, env, &opts.budget, &meter).ok()
-                }
-                Some(env) => Some(Slice::build(comp, env)),
-            };
-            let (budget, resume) = (&opts.budget, opts.resume.as_ref());
-            if definitely {
-                // Checkpoints pin their engine name: resume through the
-                // sliced sweep only if it was taken there.
-                let sliced = slice.as_ref().filter(|_| {
-                    resume.is_none_or(|cp| cp.detector() == DEFINITELY_LEVELWISE_SLICED)
-                });
-                guard_enumeration(comp, enumerate, "Definitely(cnf)")?;
-                let holds = |cut: &Cut| phi.eval(&truth, cut);
-                let verdict = match sliced {
-                    Some(sl) => definitely_levelwise_sliced_budgeted(
-                        comp, sl, holds, threads, budget, &meter, resume,
-                    ),
-                    None => {
-                        definitely_levelwise_budgeted(comp, holds, threads, budget, &meter, resume)
-                    }
-                }
-                .map_err(detect_error)?;
-                render_bool_verdict(modality, expr, verdict, &opts)
-            } else {
-                // The sliced odometer engines keep the unsliced engine
-                // names (the window prune preserves the combination
-                // shape), so checkpoints stay interchangeable.
-                let verdict = match &slice {
-                    Some(sl) => possibly_singular_sliced_budgeted(
-                        comp, &truth, &phi, sl, threads, budget, &meter, resume,
-                    ),
-                    None => possibly_singular_budgeted(
-                        comp, &truth, &phi, threads, budget, &meter, resume,
-                    ),
-                }
-                .map_err(detect_error)?;
-                render_witness_verdict(modality, expr, verdict, &opts)
+            truth = literal_truth_variable(&trace, &all_lits)?;
+            cnf = positive_cnf(&clauses);
+            Predicate::SingularCnf {
+                var: &truth,
+                cnf: &cnf,
             }
         }
         PredicateSpec::Sum { name, op, k } => {
-            if slice_mode == SliceMode::Force {
-                return Err(CliError::Usage(
-                    "--slice force applies only to conjunction and cnf predicates; \
-                     sum predicates are not regular"
-                        .into(),
-                ));
-            }
             let var = find_int(&trace, &name)?;
-            match (op, definitely) {
-                (SumOp::Eq, false) if opts.active => {
-                    let verdict = possibly_exact_sum_budgeted(
-                        comp,
-                        var,
-                        k,
-                        threads,
-                        &opts.budget,
-                        &meter,
-                        opts.resume.as_ref(),
-                    )
-                    .map_err(detect_error)?;
-                    render_witness_verdict(modality, expr, verdict, &opts)
-                }
-                (SumOp::Eq, true) if opts.active => {
-                    let verdict = definitely_exact_sum_budgeted(
-                        comp,
-                        var,
-                        k,
-                        threads,
-                        &opts.budget,
-                        &meter,
-                        opts.resume.as_ref(),
-                    )
-                    .map_err(detect_error)?;
-                    render_bool_verdict(modality, expr, verdict, &opts)
-                }
-                (SumOp::Eq, false) => match possibly_exact_sum(comp, var, k) {
-                    Ok(witness) => Ok(witness_answer(modality, expr, witness)),
-                    Err(err) => {
-                        guard_enumeration(
-                            comp,
-                            enumerate,
-                            &format!("{err}; exact detection (Theorem 2: NP-complete)"),
-                        )?;
-                        let verdict = possibly_exact_sum_budgeted(
-                            comp,
-                            var,
-                            k,
-                            threads,
-                            &Budget::unlimited(),
-                            &meter,
-                            None,
-                        )
-                        .map_err(detect_error)?;
-                        match verdict.value().expect("unlimited budgets always decide") {
-                            Some(cut) => Ok(format!(
-                                "{modality}({expr}): true (by enumeration)\n{}\n",
-                                describe_cut(cut)
-                            )),
-                            None => Ok(format!("{modality}({expr}): false (by enumeration)\n")),
-                        }
-                    }
+            match op {
+                SumOp::Eq => Predicate::ExactSum { var, k },
+                op => Predicate::Sum {
+                    var,
+                    relop: sum_relop(op),
+                    k,
                 },
-                (SumOp::Eq, true) => match definitely_exact_sum(comp, var, k) {
-                    Ok(verdict) => Ok(format!("{modality}({expr}): {verdict}\n")),
-                    Err(err) => {
-                        guard_enumeration(comp, enumerate, &err.to_string())?;
-                        let verdict = definitely_exact_sum_budgeted(
-                            comp,
-                            var,
-                            k,
-                            threads,
-                            &Budget::unlimited(),
-                            &meter,
-                            None,
-                        )
-                        .map_err(detect_error)?;
-                        let verdict = verdict.value().expect("unlimited budgets always decide");
-                        Ok(format!("{modality}({expr}): {verdict} (by enumeration)\n"))
-                    }
-                },
-                (op, false) => {
-                    reject_resume("Possibly(sum relop)")?;
-                    match possibly_sum(comp, var, sum_relop(op), k) {
-                        Some(cut) => Ok(format!(
-                            "{modality}({expr}): true\n{} (Σ = {})\n",
-                            describe_cut(&cut),
-                            var.sum_at(&cut)
-                        )),
-                        None => Ok(format!("{modality}({expr}): false\n")),
-                    }
-                }
-                (op, true) => {
-                    // The short-circuits decide where they can, but the
-                    // sweep may enumerate.
-                    guard_enumeration(comp, enumerate, "Definitely(sum relop)")?;
-                    let verdict = definitely_sum_budgeted(
-                        comp,
-                        var,
-                        sum_relop(op),
-                        k,
-                        threads,
-                        &opts.budget,
-                        &meter,
-                        opts.resume.as_ref(),
-                    )
-                    .map_err(detect_error)?;
-                    render_bool_verdict(modality, expr, verdict, &opts)
-                }
             }
         }
         PredicateSpec::Count { name, spec } => {
-            if slice_mode == SliceMode::Force {
-                return Err(CliError::Usage(
-                    "--slice force applies only to conjunction and cnf predicates; \
-                     count predicates are not regular"
-                        .into(),
-                ));
-            }
             let var = find_bool(&trace, &name)?;
-            let n = comp.process_count() as u32;
-            let phi = match spec {
-                CountSpec::In(counts) => SymmetricPredicate::new(counts),
-                CountSpec::Xor => SymmetricPredicate::exclusive_or(n),
-                CountSpec::NotAllEqual => SymmetricPredicate::not_all_equal(n),
-                CountSpec::AllEqual => SymmetricPredicate::all_equal(n),
-                CountSpec::NoMajority => SymmetricPredicate::absence_of_simple_majority(n),
-                CountSpec::NoTwoThirds => SymmetricPredicate::absence_of_two_thirds_majority(n),
-                CountSpec::Exactly(k) => SymmetricPredicate::exactly(k),
-            };
-            if definitely {
-                guard_enumeration(comp, enumerate, "Definitely(count)")?;
-                let verdict = definitely_levelwise_budgeted(
-                    comp,
-                    |cut| phi.eval(comp, var, cut),
-                    threads,
-                    &opts.budget,
-                    &meter,
-                    opts.resume.as_ref(),
-                )
-                .map_err(detect_error)?;
-                render_bool_verdict(modality, expr, verdict, &opts)
-            } else {
-                reject_resume("Possibly(count)")?;
-                Ok(witness_answer(
-                    modality,
-                    expr,
-                    possibly_symmetric(comp, var, &phi),
-                ))
+            symmetric = symmetric_predicate(spec, comp.process_count() as u32);
+            Predicate::Symmetric {
+                var,
+                predicate: &symmetric,
             }
         }
-    }?;
+    };
+    let modality = match flags.has("definitely") {
+        true => Modality::Definitely,
+        false => Modality::Possibly,
+    };
+    let query = Query {
+        comp,
+        predicate,
+        modality,
+    };
+    let report = gpd::detect(&query, &options).map_err(detect_error)?;
+
+    if let Verdict::Unknown(partial) = &report.verdict {
+        let default_path = format!("{path}.ckpt");
+        let ckpt = flags.values.get("checkpoint").unwrap_or(&default_path);
+        return budget_exhausted(partial, ckpt, expr);
+    }
+    let mut out = answer_text(&format!("{modality:?}({expr})"), &report, &predicate);
     if let Some(before) = before {
-        let work = gpd::counters::snapshot().since(&before);
-        out.push_str(&format!(
-            "scan stats: {} scan runs, {} pair checks, {} forces evaluations\n",
-            work.scan_runs, work.pair_checks, work.forces_evals
-        ));
-        out.push_str(&format!(
-            "kernel stats: {} clock-row reads, {} cut-successor allocations, {} vector-clock allocations\n",
-            work.clock_row_reads, work.cut_successor_allocs, work.vclock_allocs
-        ));
-        out.push_str(&format!(
-            "parallel stats: {} pool waves, {} threads spawned, {} batched dominance passes\n",
-            work.par_waves, work.par_threads_spawned, work.dominance_batches
-        ));
-        // Which worker takes which span is a race, so the steal count
-        // varies between identical runs: on its own line, so the work
-        // lines above can be diffed between builds.
-        out.push_str(&format!("timing-dependent: {} steals\n", work.par_steals));
-        out.push_str(&format!(
-            "slice stats: {} nodes before, {} after\n",
-            work.slice_nodes_before, work.slice_nodes_after
-        ));
-        out.push_str(&format!(
-            "monitor stats: {} observed, {} duplicate, {} stale deliveries, peak queue depth {}\n",
-            work.monitor_observed,
-            work.monitor_duplicates,
-            work.monitor_stale,
-            work.monitor_queue_peak
-        ));
-        if opts.active {
-            let remaining = match opts.budget.remaining_time() {
-                Some(d) => format!(", {}ms of deadline left", d.as_millis()),
-                None => String::new(),
-            };
-            out.push_str(&format!(
-                "budget stats: {} nodes explored{remaining}\n",
-                meter.nodes()
-            ));
-        }
+        let nodes = report.verdict.progress().nodes_explored;
+        out.push_str(&stats_block(report.engine, &before, &options, nodes));
     }
     Ok(out)
 }
@@ -1565,7 +1315,7 @@ mod tests {
         (&["$DIR/mutex.trace", "--pred", "conj in_cs@0 in_cs@1", "--definitely", "--slice", "force"],
             r##"Ok("Definitely(conj in_cs@0 in_cs@1): false\n")"##),
         (&["$DIR/mutex.trace", "--pred", "conj !in_cs@0 in_cs@1", "--stats"],
-            r##"Ok("Possibly(conj !in_cs@0 in_cs@1): true\nwitness cut: [9, 8, 4, 5]\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
+            r##"Ok("Possibly(conj !in_cs@0 in_cs@1): true\nwitness cut: [9, 8, 4, 5]\nengine: possibly-conjunctive\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
         (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3"],
             r##"Ok("Possibly(cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3): false\n")"##),
         (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3", "--slice", "off"],
@@ -1579,7 +1329,7 @@ mod tests {
         (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3", "--definitely", "--threads", "2"],
             r##"Ok("Definitely(cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3): false\n")"##),
         (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3", "--stats"],
-            r##"Ok("Possibly(cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3): false\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
+            r##"Ok("Possibly(cnf in_cs@0 | requesting@1 & in_cs@2 | in_cs@3): false\nengine: singular-chains\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
         (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2 | in_cs@3"],
             r##"Ok("Possibly(cnf in_cs@0 | in_cs@1 & requesting@2 | in_cs@3): true\nwitness cut: [8, 3, 4, 5]\n")"##),
         (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2 | in_cs@3", "--threads", "2"],
@@ -1601,15 +1351,15 @@ mod tests {
         (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--definitely", "--slice", "force", "--threads", "2"],
             r##"Ok("Definitely(cnf in_cs@0 | in_cs@1 & requesting@2): true\n")"##),
         (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--stats"],
-            r##"Ok("Possibly(cnf in_cs@0 | in_cs@1 & requesting@2): true\nwitness cut: [8, 3, 4, 5]\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
+            r##"Ok("Possibly(cnf in_cs@0 | in_cs@1 & requesting@2): true\nwitness cut: [8, 3, 4, 5]\nengine: singular-chains\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
         (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--definitely", "--stats", "--max-nodes", "100000000"],
-            r##"Ok("Definitely(cnf in_cs@0 | in_cs@1 & requesting@2): true\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\nbudget stats: # nodes explored\n")"##),
+            r##"Ok("Definitely(cnf in_cs@0 | in_cs@1 & requesting@2): true\nengine: definitely-levelwise-sliced\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\nbudget stats: # nodes explored\n")"##),
         (&["$DIR/mutex.trace", "--pred", "cnf in_cs@0 | in_cs@1 & requesting@2", "--resume", "$DIR/bare-odometer.ckpt"],
             r##"Ok("Possibly(cnf in_cs@0 | in_cs@1 & requesting@2): true\nwitness cut: [8, 3, 4, 5]\n")"##),
         (&["$DIR/mutex.trace", "--pred", "cnf requesting@0 & requesting@1 & in_cs@2"],
             r##"Ok("Possibly(cnf requesting@0 & requesting@1 & in_cs@2): false\n")"##),
         (&["$DIR/mutex.trace", "--pred", "cnf requesting@0 & requesting@1 & in_cs@2", "--stats"],
-            r##"Ok("Possibly(cnf requesting@0 & requesting@1 & in_cs@2): false\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
+            r##"Ok("Possibly(cnf requesting@0 & requesting@1 & in_cs@2): false\nengine: singular-ordered\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
         (&["$DIR/mutex.trace", "--pred", "cnf requesting@0 & requesting@1 & in_cs@2", "--slice", "off"],
             r##"Ok("Possibly(cnf requesting@0 & requesting@1 & in_cs@2): false\n")"##),
         (&["$DIR/mutex.trace", "--pred", "cnf requesting@0 & requesting@1 & in_cs@2", "--definitely"],
@@ -1631,7 +1381,7 @@ mod tests {
         (&["$DIR/bank.trace", "--pred", "sum balance < 300", "--resume", "$DIR/bare-level.ckpt"],
             r##"Err(Usage("--resume does not apply to Possibly(sum relop): it is polynomial and never checkpoints"))"##),
         (&["$DIR/bank.trace", "--pred", "sum balance >= 300", "--stats"],
-            r##"Ok("Possibly(sum balance >= 300): true\nwitness cut: [0, 0, 0] (Σ = 300)\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
+            r##"Ok("Possibly(sum balance >= 300): true\nwitness cut: [0, 0, 0] (Σ = 300)\nengine: possibly-sum\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
         (&["$DIR/bigbank.trace", "--pred", "sum balance < 300"],
             r##"Ok("Possibly(sum balance < 300): false\n")"##),
         (&["$DIR/bigbank.trace", "--pred", "sum balance < 300", "--definitely"],
@@ -1665,7 +1415,7 @@ mod tests {
         (&["$DIR/bank.trace", "--pred", "sum balance == 250", "--max-nodes", "1000000000"],
             r##"Ok("Possibly(sum balance == 250): false\n")"##),
         (&["$DIR/bank.trace", "--pred", "sum balance == 250", "--stats"],
-            r##"Ok("Possibly(sum balance == 250): false (by enumeration)\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
+            r##"Ok("Possibly(sum balance == 250): false (by enumeration)\nengine: exact-sum-enumeration\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
         (&["$DIR/bigbank.trace", "--pred", "sum balance == 1200"],
             r##"Err(Intractable("variables change by up to 50 per event; the exact-sum algorithm needs steps of at most 1; exact detection (Theorem 2: NP-complete) needs exhaustive enumeration (exponential); pass --enumerate to force it (84 events here, guard is 64)"))"##),
         (&["$DIR/bigbank.trace", "--pred", "sum balance == 1200", "--definitely"],
@@ -1687,7 +1437,7 @@ mod tests {
         (&["$DIR/vote.trace", "--pred", "count voted exactly 2", "--definitely", "--resume", "$DIR/bare-odometer.ckpt"],
             r##"Err(Trace("checkpoint mismatch: odometer checkpoint offered to level-sweep engine `definitely-levelwise`"))"##),
         (&["$DIR/vote.trace", "--pred", "count voted exactly 2", "--definitely", "--stats", "--max-nodes", "100000000"],
-            r##"Ok("Definitely(count voted exactly 2): true\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\nbudget stats: # nodes explored\n")"##),
+            r##"Ok("Definitely(count voted exactly 2): true\nengine: definitely-levelwise\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\nbudget stats: # nodes explored\n")"##),
         (&["$DIR/ring.trace", "--pred", "count has_token exactly 1"],
             r##"Ok("Possibly(count has_token exactly 1): true\nwitness cut: [2, 0, 0, 0]\n")"##),
         (&["$DIR/ring.trace", "--pred", "count has_token exactly 1", "--definitely", "--slice", "off"],

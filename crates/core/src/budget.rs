@@ -218,6 +218,14 @@ impl<T> Verdict<T> {
         }
     }
 
+    /// Maps the decided value; an `Unknown` verdict passes through.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Verdict<U> {
+        match self {
+            Verdict::Decided(value, progress) => Verdict::Decided(f(value), progress),
+            Verdict::Unknown(partial) => Verdict::Unknown(partial),
+        }
+    }
+
     /// The checkpoint carried by an `Unknown` verdict.
     pub fn checkpoint(&self) -> Option<&Checkpoint> {
         match self {
@@ -228,7 +236,8 @@ impl<T> Verdict<T> {
 }
 
 /// A budgeted engine failed outright (as opposed to running out of
-/// budget, which is the [`Verdict::Unknown`] path).
+/// budget, which is the [`Verdict::Unknown`] path), or
+/// [`crate::detect()`] refused the question as asked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DetectError {
     /// The caller's predicate closure panicked mid-search. The panic was
@@ -237,6 +246,23 @@ pub enum DetectError {
     /// A resume checkpoint does not match this engine, computation, or
     /// combination space.
     CheckpointMismatch(String),
+    /// A resume checkpoint was offered for the named polynomial question,
+    /// whose engine never checkpoints.
+    NotResumable(&'static str),
+    /// Forced slicing was asked of the named predicate class, which has
+    /// no regular envelope.
+    NotRegular(&'static str),
+    /// Forced slicing was asked of a CNF with no unit clause.
+    NoEnvelope,
+    /// The question needs exhaustive enumeration on a computation above
+    /// [`crate::detect::ENUMERATION_LIMIT`] events, and the caller
+    /// neither opted in nor set a budget.
+    NeedsEnumeration {
+        /// What needs the enumeration.
+        what: String,
+        /// The computation's event count.
+        events: usize,
+    },
 }
 
 impl std::fmt::Display for DetectError {
@@ -248,6 +274,26 @@ impl std::fmt::Display for DetectError {
             DetectError::CheckpointMismatch(msg) => {
                 write!(f, "checkpoint mismatch: {msg}")
             }
+            DetectError::NotResumable(question) => write!(
+                f,
+                "--resume does not apply to {question}: it is polynomial and never checkpoints"
+            ),
+            DetectError::NotRegular(class) => write!(
+                f,
+                "--slice force applies only to conjunction and cnf predicates; \
+                 {class} predicates are not regular"
+            ),
+            DetectError::NoEnvelope => write!(
+                f,
+                "--slice force needs a regular envelope, but the CNF has no unit clause \
+                 (nothing regular to slice on)"
+            ),
+            DetectError::NeedsEnumeration { what, events } => write!(
+                f,
+                "{what} needs exhaustive enumeration (exponential); pass --enumerate to force it \
+                 ({events} events here, guard is {})",
+                crate::detect::ENUMERATION_LIMIT
+            ),
         }
     }
 }

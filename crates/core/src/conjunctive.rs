@@ -38,21 +38,8 @@ pub fn possibly_conjunctive(
     var: &BoolVariable,
     processes: &[ProcessId],
 ) -> Option<Cut> {
-    let mut seen = std::collections::HashSet::new();
-    for &p in processes {
-        assert!(p.index() < comp.process_count(), "process {p} out of range");
-        assert!(seen.insert(p), "process {p} listed twice");
-    }
-    let slots: Vec<Vec<Candidate>> = processes
-        .iter()
-        .map(|&p| {
-            var.true_states(p)
-                .into_iter()
-                .map(|state| Candidate { process: p, state })
-                .collect()
-        })
-        .collect();
-    scan(comp, &slots).map(|found| cut_through(comp, &found))
+    let literals: Vec<(ProcessId, bool)> = processes.iter().map(|&p| (p, true)).collect();
+    possibly_conjunctive_literals(comp, var, &literals)
 }
 
 /// Decides `Possibly(⋀ᵢ lᵢ)` for literals with polarities: `(p, true)`

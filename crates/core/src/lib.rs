@@ -15,15 +15,14 @@
 //! | Exact sum `Σxᵢ = K`, ±1 steps | [`relational::possibly_exact_sum`] / [`relational::definitely_exact_sum`] (Theorem 7, polynomial) | §4.2 |
 //! | Exact sum, arbitrary steps | NP-complete via [`hardness::reduce_subset_sum`] | §4.1 |
 //! | Symmetric boolean predicates | [`symmetric::possibly_symmetric`] (polynomial) | §4.3 |
-//! | Linear predicates | [`linear::possibly_linear`] (forbidden-process walk, polynomial) | Fig. 1 taxonomy |
-//! | Stable predicates | [`stable::possibly_stable`] (one evaluation) | Fig. 1 taxonomy |
 //! | Anything | [`enumerate::possibly_by_enumeration`] / [`enumerate::definitely_by_enumeration`] (exact, exponential baseline) | baseline |
 //! | Regular predicates (conjunctions of local states and channel bounds) | [`slice::possibly_slice`] / [`slice::definitely_slice`] (computation slicing, polynomial); [`slice::Slice`] also drives the *SliceReduce* pre-pass that windows the NP-hard engines | §5 outlook / Mittal–Garg slicing |
+//! | Any of the classes above | [`detect()`]: one entry point that picks the engine by class and modality (the Fig. 1 taxonomy), applies SliceReduce, and runs under a thread count, budget and resume checkpoint | Fig. 1 taxonomy |
 //!
 //! # Quickstart
 //!
 //! ```
-//! use gpd::singular::possibly_singular;
+//! use gpd::detect::{Answer, Modality, Options, Predicate, Query};
 //! use gpd::{CnfClause, SingularCnf};
 //! use gpd_computation::{BoolVariable, ComputationBuilder};
 //!
@@ -36,13 +35,23 @@
 //! // x₀ becomes true, x₁ becomes false.
 //! let x = BoolVariable::new(&comp, vec![vec![false, true], vec![true, false]]);
 //!
-//! // (x₀) ∧ (¬x₁): singular 1-CNF — here simply conjunctive.
+//! // (x₀) ∧ (¬x₁): a singular 1-CNF.
 //! let phi = SingularCnf::new(vec![
 //!     CnfClause::new(vec![(0.into(), true)]),
 //!     CnfClause::new(vec![(1.into(), false)]),
 //! ]);
-//! let witness = possibly_singular(&comp, &x, &phi).expect("cut exists");
-//! assert!(phi.eval(&x, &witness));
+//! let query = Query {
+//!     comp: &comp,
+//!     predicate: Predicate::SingularCnf { var: &x, cnf: &phi },
+//!     modality: Modality::Possibly,
+//! };
+//! let report = gpd::detect(&query, &Options::default()).unwrap();
+//! // One process per clause: the polynomial §3.2 scan applies.
+//! assert_eq!(report.engine, "singular-ordered");
+//! let Some(Answer::Witness(Some(witness))) = report.verdict.value() else {
+//!     panic!("a cut exists")
+//! };
+//! assert!(phi.eval(&x, witness));
 //! ```
 
 pub mod abstraction;
@@ -50,9 +59,9 @@ pub mod budget;
 pub mod conjunctive;
 mod conjunctive_definitely;
 pub mod counters;
+pub mod detect;
 pub mod enumerate;
 pub mod hardness;
-pub mod linear;
 pub mod online;
 pub mod par;
 mod pool;
@@ -61,13 +70,13 @@ pub mod relational;
 mod scan;
 pub mod singular;
 pub mod slice;
-pub mod stable;
 pub mod symmetric;
 
 pub use budget::{
     problem_fingerprint, Budget, BudgetMeter, Checkpoint, CheckpointError, DetectError,
     ExhaustReason, Partial, Progress, Verdict,
 };
+pub use detect::detect;
 pub use predicate::{CnfClause, Relop, SingularCnf};
 pub use relational::NotUnitStepError;
 pub use symmetric::SymmetricPredicate;

@@ -37,7 +37,7 @@ use chains::chain_covers;
 pub use chains::{
     chain_cover_sizes, possibly_singular_chains, possibly_singular_chains_budgeted, SINGULAR_CHAINS,
 };
-pub use ordered::{possibly_singular_ordered, NotOrderedError};
+pub use ordered::{possibly_singular_ordered, NotOrderedError, SINGULAR_ORDERED};
 use subsets::literal_choices;
 pub use subsets::{
     possibly_singular_subsets, possibly_singular_subsets_budgeted,
@@ -103,7 +103,7 @@ pub fn possibly_singular_budgeted(
     meter: &BudgetMeter,
     resume: Option<&Checkpoint>,
 ) -> Result<Verdict<Option<Cut>>, DetectError> {
-    dispatch(comp, var, predicate, None, threads, budget, meter, resume)
+    dispatch(comp, var, predicate, None, threads, budget, meter, resume).map(|(_, v)| v)
 }
 
 /// The dispatcher body behind [`possibly_singular_budgeted`] and
@@ -117,7 +117,8 @@ pub fn possibly_singular_budgeted(
 /// shapes (and with them the odometer fingerprint and combination order)
 /// are preserved, so checkpoints from sliced and unsliced runs stay
 /// interchangeable and witnesses stay byte-identical; only the
-/// per-combination scan work shrinks.
+/// per-combination scan work shrinks. Returns the name of the engine
+/// that decided alongside its verdict.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dispatch(
     comp: &Computation,
@@ -128,18 +129,19 @@ pub(crate) fn dispatch(
     budget: &Budget,
     meter: &BudgetMeter,
     resume: Option<&Checkpoint>,
-) -> Result<Verdict<Option<Cut>>, DetectError> {
+) -> Result<(&'static str, Verdict<Option<Cut>>), DetectError> {
+    let decided = |result| Verdict::Decided(result, Progress::with_nodes(meter));
     let engine = match resume {
         Some(cp) if cp.detector() == SINGULAR_SUBSETS => SINGULAR_SUBSETS,
         Some(_) => SINGULAR_CHAINS,
         None => match possibly_singular_ordered(comp, var, predicate) {
-            Ok(result) => return Ok(Verdict::Decided(result, Progress::with_nodes(meter))),
+            Ok(result) => return Ok((SINGULAR_ORDERED, decided(result))),
             Err(NotOrderedError) => SINGULAR_CHAINS,
         },
     };
     let window = match slice.map(Slice::window) {
         None => None,
-        Some(None) => return Ok(Verdict::Decided(None, Progress::with_nodes(meter))),
+        Some(None) => return Ok((engine, decided(None))),
         Some(Some(window)) => Some(window),
     };
     let mut lists = if engine == SINGULAR_SUBSETS {
@@ -155,7 +157,7 @@ pub(crate) fn dispatch(
             });
         }
     }
-    run_odometer(engine, comp, threads, &lists, budget, meter, resume)
+    run_odometer(engine, comp, threads, &lists, budget, meter, resume).map(|v| (engine, v))
 }
 
 /// The local states of `p` in which the literal `(p, positive)` holds —

@@ -19,6 +19,9 @@ use crate::predicate::SingularCnf;
 use crate::scan::{cut_through, scan, Candidate};
 use crate::singular::literal_states;
 
+/// Engine name the planner reports for the §3.2 polynomial scan.
+pub const SINGULAR_ORDERED: &str = "singular-ordered";
+
 /// Error: the computation is neither receive-ordered nor send-ordered for
 /// the predicate's clause grouping, so the §3.2 special case does not
 /// apply (fall back to the general algorithms).

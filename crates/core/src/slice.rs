@@ -832,6 +832,7 @@ pub fn possibly_singular_sliced_budgeted(
         meter,
         resume,
     )
+    .map(|(_, v)| v)
 }
 
 #[cfg(test)]

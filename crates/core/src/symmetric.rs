@@ -12,8 +12,6 @@ use std::collections::BTreeSet;
 
 use gpd_computation::{BoolVariable, Computation, Cut, IntVariable};
 
-use crate::budget::sequential;
-use crate::enumerate::definitely_levelwise_budgeted;
 use crate::relational::{exact_sum_witness, sum_extremes};
 
 /// A symmetric predicate over the per-process booleans, specified by the
@@ -147,26 +145,32 @@ pub fn possibly_symmetric(
     exact_sum_witness(comp, &indicator, j, toward)
 }
 
-/// Decides `Definitely(Φ)` for a symmetric predicate — exactly, via the
-/// lattice (worst-case exponential: `Definitely` does **not** distribute
-/// over the disjunction of exact counts, so the paper's polynomial route
-/// stops at `Possibly`).
-pub fn definitely_symmetric(
-    comp: &Computation,
-    var: &BoolVariable,
-    predicate: &SymmetricPredicate,
-) -> bool {
-    sequential(|t, b, m| {
-        definitely_levelwise_budgeted(comp, |cut| predicate.eval(comp, var, cut), t, b, m, None)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::possibly_by_enumeration;
+    use crate::detect::{detect, Answer, Modality, Options, Predicate, Query};
+    use crate::enumerate::{definitely_by_enumeration, possibly_by_enumeration};
     use gpd_computation::{gen, ComputationBuilder};
     use rand::{Rng, SeedableRng};
+
+    /// `Definitely(phi)` as `gpd::detect` plans it: the level sweep.
+    fn definitely_by_planner(
+        comp: &Computation,
+        x: &BoolVariable,
+        phi: &SymmetricPredicate,
+    ) -> bool {
+        let query = Query {
+            comp,
+            predicate: Predicate::Symmetric {
+                var: x,
+                predicate: phi,
+            },
+            modality: Modality::Definitely,
+        };
+        let report = detect(&query, &Options::default()).unwrap();
+        assert_eq!(report.engine, "definitely-levelwise");
+        report.verdict.value() == Some(&Answer::Holds(true))
+    }
 
     #[test]
     fn named_constructors() {
@@ -272,9 +276,11 @@ mod tests {
                 if let Some(cut) = fast {
                     assert!(phi.eval(&comp, &x, &cut), "round {round}: {phi:?}");
                 }
-                // Definitely: spot-check against direct enumeration (the
-                // same engine, so this is a smoke test of the wiring).
-                let _ = definitely_symmetric(&comp, &x, phi);
+                assert_eq!(
+                    definitely_by_planner(&comp, &x, phi),
+                    definitely_by_enumeration(&comp, |c| phi.eval(&comp, &x, c)),
+                    "round {round}: {phi:?}"
+                );
             }
         }
     }
@@ -290,13 +296,13 @@ mod tests {
         b.append(1);
         let comp = b.build().unwrap();
         let x = BoolVariable::new(&comp, vec![vec![true, false], vec![false, true]]);
-        assert!(definitely_symmetric(
+        assert!(definitely_by_planner(
             &comp,
             &x,
             &SymmetricPredicate::exactly(1)
         ));
         // "Exactly zero" is avoidable (run p1 first).
-        assert!(!definitely_symmetric(
+        assert!(!definitely_by_planner(
             &comp,
             &x,
             &SymmetricPredicate::exactly(0)

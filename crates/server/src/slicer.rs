@@ -22,13 +22,11 @@
 //!   never double-counts. The agent also adopts any later
 //!   `SlicerHelloAck` seen mid-stream (a duplicated hello frame under
 //!   chaos re-registers and bumps the epoch — the agent must follow).
-//! - **Kill switch**: tests flip an [`AtomicBool`] to crash the agent
-//!   mid-stream; the server notices via the heartbeat timeout and
+//! - **Kill after k acks**: tests crash the agent right after its k-th
+//!   acked event; the server notices via the heartbeat timeout and
 //!   degrades the tenant to `Unknown` until a restarted agent resumes.
 
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gpd::abstraction::{Decision, LocalRelevance, LocalSlicer, SlicerStats};
@@ -49,8 +47,8 @@ pub struct SlicerReport {
     pub retransmits: u64,
     /// The last epoch the server adopted for this agent.
     pub epoch: u64,
-    /// True when the kill switch stopped the run mid-stream (the
-    /// stream was NOT fully delivered; restart to resume).
+    /// True when the run was killed mid-stream (the stream was NOT
+    /// fully delivered; restart to resume).
     pub killed: bool,
 }
 
@@ -64,7 +62,8 @@ pub struct SlicerAgent {
     /// Send a heartbeat when this much time passed since the last
     /// frame (event, summary, or heartbeat) left.
     heartbeat_interval: Duration,
-    kill: Option<Arc<AtomicBool>>,
+    /// Crash after this many acked events.
+    kill_after: Option<usize>,
 }
 
 impl SlicerAgent {
@@ -77,7 +76,7 @@ impl SlicerAgent {
             relevance,
             summary_every: 64,
             heartbeat_interval: Duration::from_millis(100),
-            kill: None,
+            kill_after: None,
         }
     }
 
@@ -93,15 +92,15 @@ impl SlicerAgent {
         self
     }
 
-    /// Installs a kill switch: when the flag turns true the agent
-    /// stops abruptly (no `SlicerDone`, no goodbye), modeling a crash.
-    pub fn with_kill_switch(mut self, kill: Arc<AtomicBool>) -> Self {
-        self.kill = Some(kill);
+    /// Stops the agent abruptly right after its `acked`-th acked event
+    /// (no `SlicerDone`, no goodbye), modeling a crash mid-stream.
+    pub fn with_kill_after(mut self, acked: usize) -> Self {
+        self.kill_after = Some(acked);
         self
     }
 
-    fn killed(&self) -> bool {
-        self.kill.as_ref().is_some_and(|k| k.load(Ordering::SeqCst))
+    fn killed(&self, acked: usize) -> bool {
+        self.kill_after.is_some_and(|k| acked >= k)
     }
 
     fn connect(&self) -> std::io::Result<TcpStream> {
@@ -173,7 +172,8 @@ impl SlicerAgent {
     /// pairs in local order, **excluding** the initial state (that
     /// travels in `initial`) — forwarding the abstraction-relevant
     /// ones. Returns after the `SlicerDone` handshake, or early (with
-    /// `killed = true`) when the kill switch fires.
+    /// `killed = true`) once the [`with_kill_after`](Self::with_kill_after)
+    /// count of acked events is reached.
     ///
     /// # Errors
     ///
@@ -192,9 +192,10 @@ impl SlicerAgent {
         // Next state to admit, and the admitted-but-unacked forward.
         let mut pos = 0usize;
         let mut pending: Option<Vec<u32>> = None;
+        let mut acked = 0usize;
 
         'session: loop {
-            if self.killed() {
+            if self.killed(acked) {
                 report.killed = true;
                 report.stats = slicer.stats();
                 return Ok(report);
@@ -225,7 +226,7 @@ impl SlicerAgent {
             let mut last_sent = Instant::now();
 
             loop {
-                if self.killed() {
+                if self.killed(acked) {
                     report.killed = true;
                     report.stats = slicer.stats();
                     return Ok(report);
@@ -236,11 +237,12 @@ impl SlicerAgent {
                     match read_message(&mut stream) {
                         Ok(Message::Ack {
                             process,
-                            seq: acked,
+                            seq: acked_seq,
                             ..
                         }) => {
-                            if process == self.process && acked == seq {
+                            if process == self.process && acked_seq == seq {
                                 pending = None;
+                                acked += 1;
                             }
                             // Stray acks of duplicated frames: ignore.
                         }

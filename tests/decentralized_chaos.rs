@@ -12,8 +12,6 @@
 //! bit-for-bit reproducible however the faults interleave.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use gpd::abstraction::LocalRelevance;
@@ -103,13 +101,13 @@ fn run_fleet(addr: &str, streams: &LocalStreams, kill_restart: Option<u32>) -> (
         let handles: Vec<_> = (0..streams.initial.len() as u32)
             .map(|p| {
                 scope.spawn(move || {
-                    let build = |with_kill: Option<Arc<AtomicBool>>| {
+                    let build = |kill_after: Option<usize>| {
                         let mut agent =
                             SlicerAgent::new(agent_config(addr, p), p, LocalRelevance::Conjunctive)
                                 .with_summary_every(16)
                                 .with_heartbeat_interval(Duration::from_millis(25));
-                        if let Some(kill) = with_kill {
-                            agent = agent.with_kill_switch(kill);
+                        if let Some(acked) = kill_after {
+                            agent = agent.with_kill_after(acked);
                         }
                         agent
                     };
@@ -117,21 +115,13 @@ fn run_fleet(addr: &str, streams: &LocalStreams, kill_restart: Option<u32>) -> (
                     let mut retransmits = 0;
                     let mut killed = 0;
                     if kill_restart == Some(p) {
-                        // Crash this agent shortly into its run, then
-                        // restart it from scratch: the epoch handshake
-                        // plus the high-water resync must absorb both.
-                        let kill = Arc::new(AtomicBool::new(false));
-                        let killer = {
-                            let kill = Arc::clone(&kill);
-                            scope.spawn(move || {
-                                std::thread::sleep(Duration::from_millis(40));
-                                kill.store(true, Ordering::SeqCst);
-                            })
-                        };
-                        let report = build(Some(kill))
+                        // Crash this agent after its first acked event,
+                        // then restart it from scratch: the epoch
+                        // handshake plus the high-water resync must
+                        // absorb both.
+                        let report = build(Some(1))
                             .run(&streams.initial, &streams.streams[p as usize])
                             .expect("killed leg must not error");
-                        killer.join().unwrap();
                         reconnects += report.reconnects;
                         retransmits += report.retransmits;
                         killed += u64::from(report.killed);
