@@ -941,11 +941,23 @@ mod tests {
             );
         }
         // Definitely(sum relop) and Definitely(count) sweep the lattice
-        // too: without a budget flag the guard refuses them as well.
-        let err = detect(&args(&[
+        // too: without a budget flag the guard refuses them as well, but
+        // only once the polynomial short-circuits leave the question to
+        // the sweep. No cut sums below 300, so the max-flow answers that
+        // one; the balances dip below 1200 only while money is in transit,
+        // and neither endpoint does, so that one needs the sweep.
+        let out = detect(&args(&[
             &path,
             "--pred",
             "sum balance < 300",
+            "--definitely",
+        ]))
+        .unwrap();
+        assert_eq!(out, "Definitely(sum balance < 300): false\n");
+        let err = detect(&args(&[
+            &path,
+            "--pred",
+            "sum balance < 1200",
             "--definitely",
         ]))
         .unwrap_err();
@@ -1385,7 +1397,17 @@ mod tests {
         (&["$DIR/bigbank.trace", "--pred", "sum balance < 300"],
             r##"Ok("Possibly(sum balance < 300): false\n")"##),
         (&["$DIR/bigbank.trace", "--pred", "sum balance < 300", "--definitely"],
+            r##"Ok("Definitely(sum balance < 300): false\n")"##),
+        (&["$DIR/bigbank.trace", "--pred", "sum balance < 1200", "--definitely"],
             r##"Err(Intractable("Definitely(sum relop) needs exhaustive enumeration (exponential); pass --enumerate to force it (84 events here, guard is 64)"))"##),
+        (&["$DIR/ring8.trace", "--pred", "sum tokens <= 2", "--definitely"],
+            r##"Ok("Definitely(sum tokens <= 2): true\n")"##),
+        (&["$DIR/ring8.trace", "--pred", "sum tokens == 1", "--definitely", "--max-nodes", "5"],
+            r##"Err(Unknown("node cap reached; 9 nodes explored, 1 lattice levels swept witness-free, attainable sums lie in [0, 2]; checkpoint written to $DIR/ring8.trace.ckpt (resume with --resume $DIR/ring8.trace.ckpt)"))"##),
+        (&["$DIR/ring8.trace", "--pred", "sum tokens == 1", "--definitely", "--resume", "$DIR/ring8.trace.ckpt"],
+            r##"Ok("Definitely(sum tokens == 1): true\n")"##),
+        (&["$DIR/mutex.trace", "--pred", "sum cs_entries == 2", "--definitely", "--max-nodes", "5", "--stats"],
+            r##"Ok("Definitely(sum cs_entries == 2): true\nengine: definitely-exact-sum\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\nbudget stats: # nodes explored\n")"##),
         (&["$DIR/ring.trace", "--pred", "sum tokens == 1"],
             r##"Ok("Possibly(sum tokens == 1): true\nwitness cut: [2, 0, 0, 0]\n")"##),
         (&["$DIR/ring.trace", "--pred", "sum tokens == 1", "--definitely"],
@@ -1508,6 +1530,11 @@ mod tests {
             ("vote", "voting", &["--n", "3"]),
             ("bigbank", "bank", &["--n", "12"]),
             ("bigvote", "voting", &["--n", "16"]),
+            (
+                "ring8",
+                "token-ring",
+                &["--n", "8", "--tokens", "2", "--seed", "3"],
+            ),
         ];
         for (name, protocol, extra) in traces {
             let path = format!("{dir}/{name}.trace");

@@ -10,7 +10,7 @@
 //! | Possibly(singular CNF) | `singular-ordered` (§3.2) when receive- or send-ordered, else `singular-chains` (§3.3); a resumed `singular-subsets` checkpoint stays there |
 //! | Definitely(singular CNF) | `definitely-levelwise-sliced`, or `definitely-levelwise` without a slice |
 //! | Possibly(Σ relop K) | `possibly-sum` (one max-flow) |
-//! | Definitely(Σ relop K) | `definitely-sum` (endpoint and max-flow short-circuits, then the level sweep) |
+//! | Definitely(Σ relop K) | `definitely-sum` (endpoint and max-flow short-circuits, then the level sweep, past the enumeration guard) |
 //! | Possibly/Definitely(Σ = K) | `possibly-exact-sum` / `definitely-exact-sum` (Theorem 7 for ±1 steps; the budgeted forms under a budget); [`EXACT_SUM_ENUMERATION`] for larger steps without a budget |
 //! | Possibly(symmetric) | `possibly-symmetric` (Theorem 7 per count) |
 //! | Definitely(symmetric) | `definitely-levelwise` |
@@ -34,7 +34,7 @@ use crate::conjunctive::{definitely_conjunctive, possibly_conjunctive};
 use crate::enumerate::{definitely_levelwise_budgeted, DEFINITELY_LEVELWISE};
 use crate::predicate::{Relop, SingularCnf};
 use crate::relational::{
-    definitely_exact_sum, definitely_exact_sum_budgeted, definitely_sum_budgeted,
+    definitely_exact_sum, definitely_exact_sum_budgeted, definitely_sum_short_circuit,
     possibly_exact_sum, possibly_exact_sum_budgeted, possibly_sum,
 };
 use crate::singular::dispatch;
@@ -292,10 +292,18 @@ pub fn detect(query: &Query<'_>, options: &Options) -> Result<Report, DetectErro
                 ("possibly-sum", decided(Answer::Witness(witness)))
             }
             Modality::Definitely => {
-                guard("Definitely(sum relop)")?;
-                let verdict =
-                    definitely_sum_budgeted(comp, var, relop, k, threads, budget, &meter, resume)?;
-                ("definitely-sum", verdict.map(Answer::Holds))
+                // Only the sweep past the polynomial short-circuits is
+                // exhaustive, so only it meets the guard.
+                let verdict = match definitely_sum_short_circuit(comp, var, relop, k) {
+                    Some(holds) => decided(Answer::Holds(holds)),
+                    None => {
+                        guard("Definitely(sum relop)")?;
+                        let holds = |cut: &Cut| relop.eval(var.sum_at(cut), k);
+                        definitely_levelwise_budgeted(comp, holds, threads, budget, &meter, resume)?
+                            .map(Answer::Holds)
+                    }
+                };
+                ("definitely-sum", verdict)
             }
         },
         Predicate::ExactSum { var, k } => {

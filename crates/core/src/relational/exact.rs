@@ -5,10 +5,8 @@ use std::cmp::Ordering;
 
 use gpd_computation::{Computation, Cut, IntVariable};
 
-use crate::budget::{Budget, BudgetMeter, Checkpoint, DetectError, Progress, Verdict};
+use crate::budget::{sequential, Budget, BudgetMeter, Checkpoint, DetectError, Progress, Verdict};
 use crate::enumerate::{definitely_levelwise_budgeted, possibly_by_enumeration_budgeted};
-use crate::predicate::Relop;
-use crate::relational::definitely::definitely_sum_with_extreme;
 use crate::relational::optimize::{max_sum_cut, min_sum_cut, sum_extremes};
 
 /// Error: some event changes its variable by more than one, so the
@@ -173,10 +171,12 @@ pub(crate) fn exact_sum_witness(
 
 /// Decides `Definitely(Σxᵢ = K)` for ±1-step variables via Theorem 7(2):
 /// `Definitely(Σ = K) ⇔ Definitely(Σ ≥ K) ∧ Definitely(Σ ≤ K)` — every
-/// run that must visit both sides of `K` must cross it. The two
-/// inequality primitives are answered exactly (see
-/// [`definitely_sum`](crate::relational::definitely_sum); the paper
-/// inherits them from prior work).
+/// run that must visit both sides of `K` must cross it. The side the
+/// initial cut lies on holds there, so only the other inequality is
+/// asked, and it is answered exactly (see
+/// [`definitely_exact_sum_budgeted`]; the paper inherits the inequality
+/// primitives from prior work). This is that function on 0 threads
+/// under [`Budget::unlimited`].
 ///
 /// # Errors
 ///
@@ -187,11 +187,9 @@ pub fn definitely_exact_sum(
     k: i64,
 ) -> Result<bool, NotUnitStepError> {
     require_unit_step(var)?;
-    // Both inequality directions need an extreme of Σ; compute the pair
-    // from one shared flow network instead of two independent builds.
-    let ((min, _), (max, _)) = sum_extremes(comp, var);
-    Ok(definitely_sum_with_extreme(comp, var, Relop::Ge, k, max)
-        && definitely_sum_with_extreme(comp, var, Relop::Le, k, min))
+    Ok(sequential(|t, b, m| {
+        definitely_exact_sum_budgeted(comp, var, k, t, b, m, None)
+    }))
 }
 
 /// `Possibly(Σxᵢ = K)` under a [`Budget`], for **arbitrary** step sizes.
@@ -252,13 +250,20 @@ pub fn possibly_exact_sum_budgeted(
 
 /// `Definitely(Σxᵢ = K)` under a [`Budget`], for arbitrary step sizes.
 ///
-/// The endpoint and attainability short-circuits always complete
-/// (initial/final sums, one shared push-relabel closure network for both
-/// extremes of Σ). Past them the exact decision runs as one budgeted
-/// `¬(Σ = K)` path-avoidance sweep ([`definitely_levelwise_budgeted`])
-/// rather than Theorem 7's two inequality sub-queries — a single engine
-/// means a single unambiguous checkpoint to resume, and it stays exact
-/// without the ±1-step hypothesis.
+/// For ±1 steps Theorem 7(2) decides it by one inequality: a run starts
+/// at the initial sum and moves by at most one per event, so from below
+/// `K` it meets `K` exactly when it reaches `Σ ≥ K`, and from above when
+/// it reaches `Σ ≤ K`. Larger steps can jump over `K`, so they keep
+/// `Σ = K` itself. Either way the endpoint and attainability
+/// short-circuits always complete (initial/final cuts, one shared
+/// push-relabel closure network for both extremes of Σ), and past them
+/// the exact decision runs as one budgeted path-avoidance sweep
+/// ([`definitely_levelwise_budgeted`]) of that predicate — a single
+/// engine means a single unambiguous checkpoint to resume. On ±1 steps
+/// the cuts a run can reach while avoiding `K` are the ones it can reach
+/// while avoiding the inequality, so both sweeps explore the same cuts;
+/// Theorem 7 only adds the final-cut short-circuit (a final sum past `K`
+/// decides `true`).
 ///
 /// # Errors
 ///
@@ -273,8 +278,14 @@ pub fn definitely_exact_sum_budgeted(
     resume: Option<&Checkpoint>,
 ) -> Result<Verdict<bool>, DetectError> {
     let initial = var.sum_at(&comp.initial_cut());
-    let final_sum = var.sum_at(&comp.final_cut());
-    if initial == k || final_sum == k {
+    // The sums a run must reach to meet K.
+    let target = match (var.max_step() <= 1, initial.cmp(&k)) {
+        (true, Ordering::Less) => k..=i64::MAX,
+        (true, Ordering::Greater) => i64::MIN..=k,
+        _ => k..=k,
+    };
+    let holds = |sum: i64| target.contains(&sum);
+    if holds(initial) || holds(var.sum_at(&comp.final_cut())) {
         return Ok(Verdict::Decided(true, Progress::with_nodes(meter)));
     }
     let ((min, _), (max, _)) = sum_extremes(comp, var);
@@ -291,7 +302,7 @@ pub fn definitely_exact_sum_budgeted(
     }
     let verdict = definitely_levelwise_budgeted(
         comp,
-        |c| var.sum_at(c) == k,
+        |c| holds(var.sum_at(c)),
         threads,
         budget,
         meter,
@@ -374,6 +385,51 @@ mod tests {
                     assert_eq!(x.sum_at(&cut), k, "round {round}, k={k}");
                     assert!(comp.is_consistent(&cut));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn definitely_budgeted_uses_theorem_7_for_unit_steps() {
+        // One process counting 0, 1, 2: every run crosses Σ = 1, and the
+        // final sum 2 says so before any sweep.
+        let mut b = ComputationBuilder::new(1);
+        b.append(0);
+        b.append(0);
+        let comp = b.build().unwrap();
+        let x = IntVariable::new(&comp, vec![vec![0, 1, 2]]);
+        let none = Budget::unlimited().with_max_nodes(0);
+        let meter = BudgetMeter::new();
+        let verdict = definitely_exact_sum_budgeted(&comp, &x, 1, 0, &none, &meter, None).unwrap();
+        assert_eq!(verdict.value(), Some(&true));
+        assert_eq!(meter.nodes(), 0);
+        // A step of 2 can jump over Σ = 1: the same short-circuit must not
+        // apply, and the sweep answers instead.
+        let y = IntVariable::new(&comp, vec![vec![0, 2, 2]]);
+        let verdict =
+            definitely_exact_sum_budgeted(&comp, &y, 1, 0, &Budget::unlimited(), &meter, None)
+                .unwrap();
+        assert_eq!(verdict.value(), Some(&false));
+    }
+
+    #[test]
+    fn definitely_budgeted_agrees_with_enumeration_on_random_walks() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(608);
+        for round in 0..40 {
+            let n = rng.gen_range(1..4);
+            let m = rng.gen_range(1..5);
+            let msgs = if n > 1 { rng.gen_range(0..n) } else { 0 };
+            let comp = gen::random_computation(&mut rng, n, m, msgs);
+            let x = match round % 2 {
+                0 => gen::random_unit_int_variable(&mut rng, &comp),
+                _ => gen::random_int_variable(&mut rng, &comp, 2),
+            };
+            for k in -3..=3 {
+                let fast = sequential(|t, b, m| {
+                    definitely_exact_sum_budgeted(&comp, &x, k, t, b, m, None)
+                });
+                let slow = definitely_by_enumeration(&comp, |c| x.sum_at(c) == k);
+                assert_eq!(fast, slow, "round {round}, k={k}");
             }
         }
     }

@@ -13,7 +13,9 @@ use gpd_flow::{max_weight_closure, weight_closure_extremes};
 use crate::predicate::Relop;
 
 /// The weight (sum increment) of each event, and the closure edges
-/// `event → its causal predecessors`.
+/// `event → its causal predecessors`: every process-chain edge first,
+/// then the message edges, the order `gpd_flow`'s warm start routes
+/// fastest with (it changes no answer).
 fn weights_and_edges(comp: &Computation, var: &IntVariable) -> (Vec<i64>, Vec<(usize, usize)>) {
     let mut weights = vec![0i64; comp.event_count()];
     for p in 0..comp.process_count() {
