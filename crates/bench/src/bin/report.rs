@@ -8,12 +8,13 @@
 use std::time::{Duration, Instant};
 
 use gpd::conjunctive::possibly_conjunctive;
+use gpd::detect::{Answer, Modality, Options, Predicate, Query};
 use gpd::enumerate::possibly_by_enumeration;
 use gpd::hardness::{brute_force_subset_sum, reduce_sat, reduce_subset_sum};
-use gpd::relational::{definitely_exact_sum, possibly_exact_sum, possibly_sum, sum_extremes};
+use gpd::relational::{possibly_sum, sum_extremes};
 use gpd::singular::{
-    chain_cover_sizes, possibly_singular_chains, possibly_singular_ordered,
-    possibly_singular_subsets, possibly_singular_subsets_budgeted,
+    chain_cover_sizes, possibly_singular_chains_budgeted, possibly_singular_ordered,
+    possibly_singular_subsets_budgeted,
 };
 use gpd::symmetric::{possibly_symmetric, SymmetricPredicate};
 use gpd::{Budget, BudgetMeter, Relop, SingularCnf};
@@ -21,7 +22,7 @@ use gpd_bench::{
     boolean_workload, hard_formula, ordered_singular_workload, sat_gadget, singular_workload,
     standard_computation, subset_sum_instance, unit_sum_workload,
 };
-use gpd_computation::{BoolVariable, Computation, Cut, ProcessId};
+use gpd_computation::{BoolVariable, Computation, Cut, IntVariable, ProcessId};
 use gpd_sat::solve;
 
 /// The subset engine fanned out over `threads` under an unlimited budget.
@@ -37,6 +38,39 @@ fn subsets_at(
         .value()
         .expect("unlimited budgets always decide")
         .clone()
+}
+
+/// The chain-cover engine, sequential, under an unlimited budget.
+fn chains(comp: &Computation, var: &BoolVariable, phi: &SingularCnf) -> Option<Cut> {
+    let meter = BudgetMeter::new();
+    possibly_singular_chains_budgeted(comp, var, phi, 0, &Budget::unlimited(), &meter, None)
+        .expect("no checkpoint, no panic")
+        .value()
+        .expect("unlimited budgets always decide")
+        .clone()
+}
+
+/// `Σ var = k` asked through the planner (Theorem 7 for ±1 steps).
+fn exact_sum(comp: &Computation, var: &IntVariable, k: i64, modality: Modality) -> Answer {
+    let query = Query {
+        comp,
+        predicate: Predicate::ExactSum { var, k },
+        modality,
+    };
+    let report = gpd::detect(&query, &Options::default()).expect("±1 steps need no guard");
+    report
+        .verdict
+        .value()
+        .expect("unbudgeted questions decide")
+        .clone()
+}
+
+/// The witness of a Possibly answer.
+fn witness(answer: Answer) -> Option<Cut> {
+    match answer {
+        Answer::Witness(witness) => witness,
+        Answer::Holds(_) => unreachable!("a Possibly question answers with a witness"),
+    }
 }
 
 fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
@@ -90,12 +124,12 @@ fn e1() {
         let (_, t) = time(|| gpd::conjunctive::definitely_conjunctive(&comp, &bvar, &processes));
         rows[1].1.push(us(t));
         let (scomp, svar, spred) = singular_workload(200 + n as u64, n / 2, 2, m, 0.4);
-        let (_, t) = time(|| possibly_singular_chains(&scomp, &svar, &spred));
+        let (_, t) = time(|| chains(&scomp, &svar, &spred));
         rows[2].1.push(us(t));
         let (icomp, ivar) = unit_sum_workload(300 + n as u64, n, m);
         let (_, t) = time(|| possibly_sum(&icomp, &ivar, Relop::Ge, 2));
         rows[3].1.push(us(t));
-        let (_, t) = time(|| possibly_exact_sum(&icomp, &ivar, 1).unwrap());
+        let (_, t) = time(|| exact_sum(&icomp, &ivar, 1, Modality::Possibly));
         rows[4].1.push(us(t));
         let xor = SymmetricPredicate::exclusive_or(n as u32);
         let (_, t) = time(|| possibly_symmetric(&comp, &bvar, &xor));
@@ -146,10 +180,8 @@ fn e3() {
         let formula = gpd_bench::small_formula(7, clauses as u32, clauses);
         let gadget = reduce_sat(&formula).unwrap();
         let (sat, t_sat) = time(|| solve(&formula).is_some());
-        let (det, t_det) = time(|| {
-            possibly_singular_chains(&gadget.computation, &gadget.variable, &gadget.predicate)
-                .is_some()
-        });
+        let (det, t_det) =
+            time(|| chains(&gadget.computation, &gadget.variable, &gadget.predicate).is_some());
         println!(
             "| {} | {} ({sat}) | {} ({det}) | {} |",
             formula.clauses().len(),
@@ -175,7 +207,7 @@ fn e4() {
     for &events in &[4usize, 16, 64, 256] {
         let (comp, var, phi) = ordered_singular_workload(11, 2, 3, events, 0.3);
         let (a, t_ord) = time(|| possibly_singular_ordered(&comp, &var, &phi).unwrap());
-        let (b, t_ch) = time(|| possibly_singular_chains(&comp, &var, &phi));
+        let (b, t_ch) = time(|| chains(&comp, &var, &phi));
         assert_eq!(a.is_some(), b.is_some());
         let enum_cell = if events <= 4 {
             let (c, t_enum) = time(|| possibly_by_enumeration(&comp, |cut| phi.eval(&var, cut)));
@@ -195,8 +227,8 @@ fn e5() {
     println!("|---|---|---|---|---|");
     for &groups in &[2usize, 4, 6, 8] {
         let (comp, var, phi) = singular_workload(5, groups, 3, 20, 0.3);
-        let (a, t_sub) = time(|| possibly_singular_subsets(&comp, &var, &phi));
-        let (b, t_ch) = time(|| possibly_singular_chains(&comp, &var, &phi));
+        let (a, t_sub) = time(|| subsets_at(&comp, &var, &phi, 0));
+        let (b, t_ch) = time(|| chains(&comp, &var, &phi));
         assert_eq!(a.is_some(), b.is_some());
         let ks: usize = phi.clauses().iter().map(|c| c.literals().len()).product();
         let cs: usize = chain_cover_sizes(&comp, &var, &phi).iter().product();
@@ -211,8 +243,8 @@ fn e5() {
         let (comp, var, phi) = gpd_bench::relay_singular_workload(9, groups, 3, 6, 0.3);
         let ks: usize = phi.clauses().iter().map(|c| c.literals().len()).product();
         let cs: usize = chain_cover_sizes(&comp, &var, &phi).iter().product();
-        let (a, t_sub) = time(|| possibly_singular_subsets(&comp, &var, &phi));
-        let (b, t_ch) = time(|| possibly_singular_chains(&comp, &var, &phi));
+        let (a, t_sub) = time(|| subsets_at(&comp, &var, &phi, 0));
+        let (b, t_ch) = time(|| chains(&comp, &var, &phi));
         assert_eq!(a.is_some(), b.is_some());
         println!("| {groups} | {ks} | {cs} | {} | {} |", us(t_sub), us(t_ch));
     }
@@ -225,8 +257,8 @@ fn e5() {
     println!("|---|---|---|---|---|");
     for &pad in &[5usize, 10, 20, 40] {
         let (comp, var, phi) = gpd_bench::unsat_singular_workload(pad);
-        let (a, t_sub) = time(|| possibly_singular_subsets(&comp, &var, &phi));
-        let (b2, t_ch) = time(|| possibly_singular_chains(&comp, &var, &phi));
+        let (a, t_sub) = time(|| subsets_at(&comp, &var, &phi, 0));
+        let (b2, t_ch) = time(|| chains(&comp, &var, &phi));
         let (c, t_enum) = time(|| possibly_by_enumeration(&comp, |cut| phi.eval(&var, cut)));
         assert!(a.is_none() && b2.is_none() && c.is_none());
         let cuts = comp.consistent_cuts().count();
@@ -252,7 +284,7 @@ fn e5() {
     for &(groups, width) in &[(3usize, 4usize), (4, 4)] {
         let (comp, var, phi) = gpd_bench::wide_unsat_singular_workload(30, groups, width);
         let ks: usize = phi.clauses().iter().map(|c| c.literals().len()).product();
-        let (a, t_seq) = time(|| possibly_singular_subsets(&comp, &var, &phi));
+        let (a, t_seq) = time(|| subsets_at(&comp, &var, &phi, 0));
         let (b2, t_p2) = time(|| subsets_at(&comp, &var, &phi, 2));
         let (c, t_p4) = time(|| subsets_at(&comp, &var, &phi, 4));
         assert!(a.is_none() && b2.is_none() && c.is_none());
@@ -311,7 +343,7 @@ fn e7() {
     println!("|---|---|---|");
     for &(n, m) in &[(4usize, 50usize), (8, 100), (16, 200), (32, 400), (64, 800)] {
         let (comp, var) = unit_sum_workload(40 + n as u64, n, m);
-        let (w, t) = time(|| possibly_exact_sum(&comp, &var, 2).unwrap());
+        let (w, t) = time(|| witness(exact_sum(&comp, &var, 2, Modality::Possibly)));
         if let Some(cut) = &w {
             assert_eq!(var.sum_at(cut), 2);
         }
@@ -321,10 +353,13 @@ fn e7() {
     println!("|---|---|---|---|");
     for &m in &[3usize, 5, 7] {
         let (comp, var) = unit_sum_workload(50, 4, m);
-        let (a, t_fast) = time(|| possibly_exact_sum(&comp, &var, 1).unwrap());
+        let (a, t_fast) = time(|| witness(exact_sum(&comp, &var, 1, Modality::Possibly)));
         let (b, t_enum) = time(|| possibly_by_enumeration(&comp, |c| var.sum_at(c) == 1));
         assert_eq!(a.is_some(), b.is_some());
-        let (d, t_def) = time(|| definitely_exact_sum(&comp, &var, 1).unwrap());
+        let (d, t_def) = time(|| exact_sum(&comp, &var, 1, Modality::Definitely));
+        let Answer::Holds(d) = d else {
+            unreachable!("a Definitely question answers true or false")
+        };
         println!(
             "| m={m} | {} | {} | {} ({d}) |",
             us(t_fast),

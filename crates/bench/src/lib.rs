@@ -375,7 +375,11 @@ mod tests {
     #[test]
     fn unsat_workload_is_truly_unsatisfiable() {
         let (comp, var, phi) = unsat_singular_workload(3);
-        assert!(gpd::singular::possibly_singular_subsets(&comp, &var, &phi).is_none());
+        let (budget, meter) = (gpd::Budget::unlimited(), gpd::BudgetMeter::new());
+        let verdict = gpd::singular::possibly_singular_subsets_budgeted(
+            &comp, &var, &phi, 0, &budget, &meter, None,
+        );
+        assert_eq!(verdict.unwrap().value(), Some(&None));
         assert!(gpd::enumerate::possibly_by_enumeration(&comp, |c| phi.eval(&var, c)).is_none());
     }
 

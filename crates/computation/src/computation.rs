@@ -218,7 +218,7 @@ impl Computation {
 
     /// The raw clock-matrix row of `e` (uncounted; internal fast path).
     #[inline]
-    fn clock_row(&self, e: EventId) -> &[u32] {
+    pub(crate) fn clock_row(&self, e: EventId) -> &[u32] {
         let start = e.index() * self.process_count;
         &self.clock_matrix[start..start + self.process_count]
     }

@@ -8,9 +8,7 @@
 //! ordered in a linearization satisfying *Property P*, which is what makes
 //! the left-to-right scan of the special-case algorithm sound.
 
-use gpd_order::Dag;
-
-use crate::computation::Computation;
+use crate::computation::{Computation, Csr};
 use crate::event::{EventId, ProcessId};
 
 /// Whether the §3.2 special case requires receives or sends to be totally
@@ -159,15 +157,10 @@ impl Grouping {
             .map(|g| self.ordered_chain(comp, g, kind))
             .collect::<Option<Vec<_>>>()
             .ok_or(NotOrderedError { kind })?;
-        let mut dag = Dag::new(comp.event_count());
-        for p in 0..comp.process_count() {
-            for w in comp.events_of(p).windows(2) {
-                dag.add_edge(w[0].index(), w[1].index());
-            }
-        }
-        for &(s, r) in comp.messages() {
-            dag.add_edge(s.index(), r.index());
-        }
+        let mut edges: Vec<(EventId, EventId)> = (0..comp.process_count())
+            .flat_map(|p| comp.events_of(p).windows(2).map(|w| (w[0], w[1])))
+            .chain(comp.messages().iter().copied())
+            .collect();
         for (g, chain) in chains.iter().enumerate() {
             for e in self.events_of_group(comp, g) {
                 if kind.matches(comp, e) {
@@ -179,25 +172,44 @@ impl Grouping {
                         // before e.
                         let i = chain.partition_point(|&r| comp.leq(r, e));
                         if let Some(&r) = chain.get(i).filter(|&&r| comp.concurrent(e, r)) {
-                            dag.add_edge(e.index(), r.index());
+                            edges.push((e, r));
                         }
                     }
                     OrderingKind::SendOrdered => {
                         // Pull sends early: the last send not after e → e.
                         let i = chain.partition_point(|&s| !comp.leq(e, s));
                         if let Some(&s) = chain[..i].last().filter(|&&s| comp.concurrent(e, s)) {
-                            dag.add_edge(s.index(), e.index());
+                            edges.push((s, e));
                         }
                     }
                 }
             }
         }
-        let order: Vec<EventId> = dag
-            .topo_sort()
-            .map_err(|_| NotOrderedError { kind })?
-            .into_iter()
-            .map(EventId::new)
-            .collect();
+        // FIFO Kahn sort: sources in id order, each event's successors in
+        // edge-list order (the counting sort keeps it), `order` its own
+        // queue. A cycle leaves events unplaced.
+        let successors = Csr::group(
+            comp.event_count(),
+            edges.iter().map(|&(u, v)| (u.index(), v)),
+        );
+        let mut indegree = vec![0u32; comp.event_count()];
+        for &(_, v) in &edges {
+            indegree[v.index()] += 1;
+        }
+        let mut order: Vec<EventId> = comp.events().filter(|e| indegree[e.index()] == 0).collect();
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
+            for &v in successors.list(u.index()) {
+                indegree[v.index()] -= 1;
+                if indegree[v.index()] == 0 {
+                    order.push(v);
+                }
+            }
+        }
+        if order.len() < comp.event_count() {
+            return Err(NotOrderedError { kind });
+        }
         let mut pos = vec![0u32; comp.event_count()];
         for (i, &e) in order.iter().enumerate() {
             pos[e.index()] = i as u32;
@@ -261,6 +273,7 @@ impl LinearizedOrder {
 mod tests {
     use super::*;
     use crate::builder::ComputationBuilder;
+    use gpd_order::Dag;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 

@@ -7,9 +7,10 @@
 //! length in logical steps), and the resulting **lattice profile**. This
 //! module computes them, mostly as instrumentation for the experiments.
 
-use gpd_order::{levels, min_chain_cover_of_chains, Dag};
+use gpd_order::min_chain_cover_of_chains;
 
-use crate::computation::Computation;
+use crate::computation::{Computation, Csr};
+use crate::event::EventId;
 
 /// Summary of a computation's shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,24 +29,35 @@ pub struct Stats {
     pub height: usize,
 }
 
-/// The event DAG (program order + messages) of the computation.
-fn event_dag(comp: &Computation) -> Dag {
-    let mut dag = Dag::new(comp.event_count());
-    for p in 0..comp.process_count() {
-        for w in comp.events_of(p).windows(2) {
-            dag.add_edge(w[0].index(), w[1].index());
+/// The number of events on the longest causal chain. An event's clock
+/// row sums to the size of its causal past, itself included, so each
+/// event sorts after its predecessors when grouped by that sum (one
+/// counting sort); one pass in that order then extends the longest
+/// chain through each event's program-order and message predecessors.
+fn height(comp: &Computation) -> usize {
+    let sums: Vec<usize> = comp
+        .events()
+        .map(|e| comp.clock_row(e).iter().map(|&c| c as usize).sum())
+        .collect();
+    let by_sum = Csr::group(
+        comp.event_count() + 1,
+        (0..comp.event_count()).map(|e| (sums[e], EventId::new(e))),
+    );
+    let mut chain = vec![0usize; comp.event_count()];
+    for sum in 1..=comp.event_count() {
+        for &e in by_sum.list(sum) {
+            let below = comp.predecessor_on_process(e).into_iter();
+            let below = below.chain(comp.message_predecessors(e).iter().copied());
+            chain[e.index()] = 1 + below.map(|f| chain[f.index()]).max().unwrap_or(0);
         }
     }
-    for &(s, r) in comp.messages() {
-        dag.add_edge(s.index(), r.index());
-    }
-    dag
+    chain.into_iter().max().unwrap_or(0)
 }
 
 /// Computes the [`Stats`] of a computation. Width is the size of a
 /// Dilworth chain cover: each process's events are one chain, so
 /// [`min_chain_cover_of_chains`] finds it without a transitive closure.
-/// Height is a longest-path pass over the event DAG.
+/// Height is one longest-path pass over the events in causal order.
 ///
 /// # Example
 ///
@@ -61,11 +73,7 @@ fn event_dag(comp: &Computation) -> Dag {
 /// assert_eq!(st.height, 2);
 /// ```
 pub fn stats(comp: &Computation) -> Stats {
-    let height = if comp.event_count() == 0 {
-        0
-    } else {
-        levels(&event_dag(comp)).level_count()
-    };
+    let height = height(comp);
     let lens: Vec<usize> = (0..comp.process_count())
         .map(|p| comp.events_on(p))
         .collect();
@@ -98,8 +106,43 @@ pub fn lattice_profile(comp: &Computation) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::builder::ComputationBuilder;
+    use gpd_order::Dag;
     use proptest::prelude::*;
     use rand::SeedableRng;
+
+    /// The event DAG (program order + messages) of the computation.
+    fn event_dag(comp: &Computation) -> Dag {
+        let mut dag = Dag::new(comp.event_count());
+        for p in 0..comp.process_count() {
+            for w in comp.events_of(p).windows(2) {
+                dag.add_edge(w[0].index(), w[1].index());
+            }
+        }
+        for &(s, r) in comp.messages() {
+            dag.add_edge(s.index(), r.index());
+        }
+        dag
+    }
+
+    /// The longest chain of `happened_before`, by relaxing every ordered
+    /// pair of events until nothing changes.
+    fn brute_force_height(comp: &Computation) -> usize {
+        let events: Vec<EventId> = comp.events().collect();
+        let mut longest = vec![1usize; events.len()];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &e in &events {
+                for &f in &events {
+                    if comp.happened_before(e, f) && longest[f.index()] <= longest[e.index()] {
+                        longest[f.index()] = longest[e.index()] + 1;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        longest.into_iter().max().unwrap_or(0)
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
@@ -119,6 +162,21 @@ mod tests {
             let elements: Vec<usize> = (0..comp.event_count()).collect();
             let want = gpd_order::min_chain_cover(&closure, &elements).width();
             prop_assert_eq!(stats(&comp).width, want);
+        }
+
+        /// The height from one pass in clock-row-sum order equals the
+        /// longest `happened_before` chain.
+        #[test]
+        fn height_equals_the_longest_causal_chain(
+            seed in any::<u64>(),
+            n in 1usize..6,
+            m in 0usize..6,
+            msgs in 0usize..12,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let msgs = if n > 1 && m > 0 { msgs } else { 0 };
+            let comp = crate::gen::random_computation(&mut rng, n, m, msgs);
+            prop_assert_eq!(stats(&comp).height, brute_force_height(&comp));
         }
     }
 

@@ -50,7 +50,7 @@ pub fn possibly_conjunctive(
 /// # Panics
 ///
 /// Panics if a process index is out of range or listed twice.
-pub fn possibly_conjunctive_literals(
+pub(crate) fn possibly_conjunctive_literals(
     comp: &Computation,
     var: &BoolVariable,
     literals: &[(ProcessId, bool)],

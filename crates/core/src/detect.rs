@@ -11,7 +11,7 @@
 //! | Definitely(singular CNF) | `definitely-levelwise-sliced`, or `definitely-levelwise` without a slice |
 //! | Possibly(Σ relop K) | `possibly-sum` (one max-flow) |
 //! | Definitely(Σ relop K) | `definitely-sum` (endpoint and max-flow short-circuits, then the level sweep, past the enumeration guard) |
-//! | Possibly/Definitely(Σ = K) | `possibly-exact-sum` / `definitely-exact-sum` (Theorem 7 for ±1 steps; the budgeted forms under a budget); [`EXACT_SUM_ENUMERATION`] for larger steps without a budget |
+//! | Possibly/Definitely(Σ = K) | `possibly-exact-sum` / `definitely-exact-sum` (Theorem 7 for ±1 steps; larger steps under a budget enumerate within it); [`EXACT_SUM_ENUMERATION`] for larger steps without a budget |
 //! | Possibly(symmetric) | `possibly-symmetric` (Theorem 7 per count) |
 //! | Definitely(symmetric) | `definitely-levelwise` |
 //!
@@ -34,8 +34,8 @@ use crate::conjunctive::{definitely_conjunctive, possibly_conjunctive};
 use crate::enumerate::{definitely_levelwise_budgeted, DEFINITELY_LEVELWISE};
 use crate::predicate::{Relop, SingularCnf};
 use crate::relational::{
-    definitely_exact_sum, definitely_exact_sum_budgeted, definitely_sum_short_circuit,
-    possibly_exact_sum, possibly_exact_sum_budgeted, possibly_sum,
+    definitely_exact_sum_budgeted, definitely_sum_short_circuit, possibly_exact_sum_budgeted,
+    possibly_sum, NotUnitStepError,
 };
 use crate::singular::dispatch;
 use crate::slice::{
@@ -178,6 +178,30 @@ pub fn enumeration_guard(
 /// when the question is refused as asked; an engine's own
 /// [`DetectError::CheckpointMismatch`] or
 /// [`DetectError::PredicatePanicked`].
+///
+/// # Example
+///
+/// ```
+/// use gpd::detect::{Answer, Modality, Options, Predicate, Query};
+/// use gpd::Relop;
+/// use gpd_computation::{ComputationBuilder, IntVariable};
+///
+/// let mut b = ComputationBuilder::new(2);
+/// b.append(0);
+/// b.append(1);
+/// let comp = b.build().unwrap();
+/// let x = IntVariable::new(&comp, vec![vec![0, 1], vec![0, 1]]);
+/// let definitely = |relop, k| {
+///     let predicate = Predicate::Sum { var: &x, relop, k };
+///     let query = Query { comp: &comp, predicate, modality: Modality::Definitely };
+///     let report = gpd::detect(&query, &Options::default()).unwrap();
+///     report.verdict.value() == Some(&Answer::Holds(true))
+/// };
+/// // Every run starts at sum 0: Σ ≤ 0 definitely holds.
+/// assert!(definitely(Relop::Le, 0));
+/// // Σ ≥ 1 also definitely holds: both events must eventually run.
+/// assert!(definitely(Relop::Ge, 1));
+/// ```
 pub fn detect(query: &Query<'_>, options: &Options) -> Result<Report, DetectError> {
     let Query {
         comp,
@@ -307,33 +331,24 @@ pub fn detect(query: &Query<'_>, options: &Options) -> Result<Report, DetectErro
             }
         },
         Predicate::ExactSum { var, k } => {
-            let mut engine = match modality {
-                Modality::Possibly => "possibly-exact-sum",
-                Modality::Definitely => "definitely-exact-sum",
-            };
-            if !budgeted {
-                // Theorem 7 decides ±1 steps outright. Larger steps make
-                // the question NP-complete (Theorem 2): enumerate, past
-                // the guard.
-                let answer = match modality {
-                    Modality::Possibly => possibly_exact_sum(comp, var, k)
-                        .map(Answer::Witness)
-                        .map_err(|e| format!("{e}; exact detection (Theorem 2: NP-complete)")),
-                    Modality::Definitely => definitely_exact_sum(comp, var, k)
-                        .map(Answer::Holds)
-                        .map_err(|e| e.to_string()),
-                };
-                match answer {
-                    Ok(answer) => {
-                        return Ok(Report {
-                            verdict: decided(answer),
-                            engine,
-                        })
+            let max_step = var.max_step();
+            let engine = if max_step > 1 && !budgeted {
+                // Larger steps make the question NP-complete (Theorem 2):
+                // enumerate, past the guard.
+                let what = NotUnitStepError { max_step }.to_string();
+                guard(&match modality {
+                    Modality::Possibly => {
+                        format!("{what}; exact detection (Theorem 2: NP-complete)")
                     }
-                    Err(what) => guard(&what)?,
+                    Modality::Definitely => what,
+                })?;
+                EXACT_SUM_ENUMERATION
+            } else {
+                match modality {
+                    Modality::Possibly => "possibly-exact-sum",
+                    Modality::Definitely => "definitely-exact-sum",
                 }
-                engine = EXACT_SUM_ENUMERATION;
-            }
+            };
             let verdict = match modality {
                 Modality::Possibly => {
                     possibly_exact_sum_budgeted(comp, var, k, threads, budget, &meter, resume)?

@@ -102,17 +102,23 @@ impl SatReduction {
 /// # Example
 ///
 /// ```
+/// use gpd::detect::{Answer, Modality, Options, Predicate, Query};
 /// use gpd::hardness::reduce_sat;
-/// use gpd::singular::possibly_singular_chains;
 /// use gpd_sat::{Cnf, Lit};
 ///
 /// // (x0 ∨ ¬x1): satisfiable.
 /// let cnf = Cnf::new(2, vec![vec![Lit::pos(0), Lit::neg(1)].into()]);
 /// let gadget = reduce_sat(&cnf).unwrap();
-/// let cut = possibly_singular_chains(
-///     &gadget.computation, &gadget.variable, &gadget.predicate,
-/// ).expect("formula is satisfiable");
-/// assert!(cnf.eval(&gadget.assignment_from_cut(&cut)));
+/// let query = Query {
+///     comp: &gadget.computation,
+///     predicate: Predicate::SingularCnf { var: &gadget.variable, cnf: &gadget.predicate },
+///     modality: Modality::Possibly,
+/// };
+/// let report = gpd::detect(&query, &Options::default()).unwrap();
+/// let Some(Answer::Witness(Some(cut))) = report.verdict.value() else {
+///     panic!("formula is satisfiable")
+/// };
+/// assert!(cnf.eval(&gadget.assignment_from_cut(cut)));
 /// ```
 pub fn reduce_sat(cnf: &Cnf) -> Result<SatReduction, NotNonMonotoneError> {
     if !cnf.is_non_monotone() || cnf.max_clause_len() > 3 {
@@ -244,10 +250,23 @@ pub fn reduce_sat(cnf: &Cnf) -> Result<SatReduction, NotNonMonotoneError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::sequential;
     use crate::enumerate::possibly_by_enumeration;
-    use crate::singular::{possibly_singular_chains, possibly_singular_subsets};
+    use crate::singular::{possibly_singular_chains_budgeted, possibly_singular_subsets_budgeted};
     use gpd_sat::{brute_force, random_cnf, to_non_monotone, Cnf};
     use rand::{Rng, SeedableRng};
+
+    /// The chain engine at 0 threads under an unlimited budget.
+    fn possibly_singular_chains(g: &SatReduction) -> Option<Cut> {
+        let (comp, var, phi) = (&g.computation, &g.variable, &g.predicate);
+        sequential(|t, b, m| possibly_singular_chains_budgeted(comp, var, phi, t, b, m, None))
+    }
+
+    /// The subset engine at 0 threads under an unlimited budget.
+    fn possibly_singular_subsets(g: &SatReduction) -> Option<Cut> {
+        let (comp, var, phi) = (&g.computation, &g.variable, &g.predicate);
+        sequential(|t, b, m| possibly_singular_subsets_budgeted(comp, var, phi, t, b, m, None))
+    }
 
     fn detectable(g: &SatReduction) -> Option<Cut> {
         possibly_by_enumeration(&g.computation, |cut| g.predicate.eval(&g.variable, cut))
@@ -285,7 +304,7 @@ mod tests {
         let cnf = Cnf::new(1, vec![vec![Lit::pos(0)].into(), vec![Lit::neg(0)].into()]);
         let g = reduce_sat(&cnf).unwrap();
         assert!(detectable(&g).is_none());
-        assert!(possibly_singular_chains(&g.computation, &g.variable, &g.predicate).is_none());
+        assert!(possibly_singular_chains(&g).is_none());
     }
 
     #[test]
@@ -346,8 +365,8 @@ mod tests {
             let detected = detectable(&g);
             assert_eq!(sat, detected.is_some(), "round {round}: {cnf:?}");
             // The general algorithms agree with enumeration on gadgets.
-            let via_subsets = possibly_singular_subsets(&g.computation, &g.variable, &g.predicate);
-            let via_chains = possibly_singular_chains(&g.computation, &g.variable, &g.predicate);
+            let via_subsets = possibly_singular_subsets(&g);
+            let via_chains = possibly_singular_chains(&g);
             assert_eq!(via_subsets.is_some(), sat, "round {round}");
             assert_eq!(via_chains.is_some(), sat, "round {round}");
             if let Some(cut) = detected {

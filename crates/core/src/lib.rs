@@ -10,9 +10,9 @@
 //! | Predicate class | Algorithms | Paper |
 //! |---|---|---|
 //! | Conjunctive `x₁ ∧ … ∧ xₙ` | [`conjunctive::possibly_conjunctive`] (Garg–Waldecker scan) and [`conjunctive::definitely_conjunctive`] (interval overlap) — both polynomial; [`online::ConjunctiveMonitor`] streams the former | §3 background |
-//! | Singular k-CNF | [`singular::possibly_singular_ordered`] (polynomial when receive-/send-ordered), [`singular::possibly_singular_subsets`] and [`singular::possibly_singular_chains`] (exponential, but exponentially better than enumeration), NP-complete in general via [`hardness::reduce_sat`] | §3 |
+//! | Singular k-CNF | [`singular::possibly_singular_ordered`] (polynomial when receive-/send-ordered), [`singular::possibly_singular_subsets_budgeted`] and [`singular::possibly_singular_chains_budgeted`] (exponential, but exponentially better than enumeration), NP-complete in general via [`hardness::reduce_sat`] | §3 |
 //! | Relational `Σxᵢ relop K` | [`relational::possibly_sum`] (one max-flow, polynomial) | §4 background |
-//! | Exact sum `Σxᵢ = K`, ±1 steps | [`relational::possibly_exact_sum`] / [`relational::definitely_exact_sum`] (Theorem 7, polynomial) | §4.2 |
+//! | Exact sum `Σxᵢ = K`, ±1 steps | [`detect()`] with [`detect::Predicate::ExactSum`]: Theorem 7, polynomial for Possibly ([`relational::possibly_exact_sum_budgeted`]) and one inequality sweep for Definitely | §4.2 |
 //! | Exact sum, arbitrary steps | NP-complete via [`hardness::reduce_subset_sum`] | §4.1 |
 //! | Symmetric boolean predicates | [`symmetric::possibly_symmetric`] (polynomial) | §4.3 |
 //! | Anything | [`enumerate::possibly_by_enumeration`] / [`enumerate::definitely_by_enumeration`] (exact, exponential baseline) | baseline |
@@ -54,6 +54,11 @@
 //! assert!(phi.eval(&x, witness));
 //! ```
 
+// The README's Quickstart, compiled and run as a doctest.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeQuickstart;
+
 pub mod abstraction;
 pub mod budget;
 pub mod conjunctive;
@@ -78,5 +83,4 @@ pub use budget::{
 };
 pub use detect::detect;
 pub use predicate::{CnfClause, Relop, SingularCnf};
-pub use relational::NotUnitStepError;
 pub use symmetric::SymmetricPredicate;

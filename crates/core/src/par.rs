@@ -9,7 +9,7 @@
 //!   (see `crate::scan`), and build their per-clause chain covers with it
 //!   (DAG build + transitive closure + matching are independent per
 //!   clause).
-//! * [`fanout_chunks`] (crate-internal) — the raw work-stealing engine.
+//! * `fanout_chunks` (crate-internal) — the raw work-stealing engine.
 //!   `map_indexed` is built on it, and so is the level sweep in
 //!   `enumerate.rs` (each worker expands its chunks of a level into a
 //!   private sorted run), which cancels the fan-out when a budget
@@ -21,7 +21,7 @@
 //! pool, no atomics traffic and *identical iteration order* to the
 //! historical sequential code — default behavior is unchanged. For
 //! `threads ≥ 2`, the fan-out runs on the persistent process-global
-//! worker pool ([`crate::pool`]): threads are spawned once per process
+//! worker pool (`crate::pool`): threads are spawned once per process
 //! and parked between waves, so a level-synchronous sweep no longer pays
 //! a spawn/join cycle per lattice level. A fan-out uses at most
 //! `threads`, its work items, and twice the hardware parallelism
@@ -45,7 +45,7 @@
 //! # Determinism contract
 //!
 //! Nothing in this layer races for a result. [`map_indexed`] returns its
-//! items in index order, and the fan-outs built on [`fanout_chunks`]
+//! items in index order, and the fan-outs built on `fanout_chunks`
 //! aggregate their hits by minimum index (an atomic `fetch_min`), so a
 //! verdict **and its witness** are byte-identical at every thread count:
 //! the §3.3 odometer keeps the lowest-index live combination of a wave,
@@ -61,7 +61,7 @@
 //! is stashed (cancelling the remaining workers), and the payload is
 //! re-raised **once, on the calling thread** after the fan-out retires.
 //! No shared lock is ever acquired with `.expect` — all lock handling is
-//! poison-recovering ([`lock_unpoisoned`]), so even a panic at an
+//! poison-recovering (`lock_unpoisoned`), so even a panic at an
 //! unfortunate instant leaves the witness slot readable. Callers that
 //! want a structured error instead of a propagated panic wrap the call in
 //! `crate::budget::catch_detect` (every budgeted engine does).

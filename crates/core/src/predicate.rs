@@ -5,8 +5,8 @@ use gpd_computation::{BoolVariable, Cut, Grouping, ProcessId};
 /// Comparison operator of a relational predicate `Σxᵢ relop K`.
 ///
 /// Equality is deliberately *not* a variant: `Σ = K` is the paper's §4
-/// centerpiece with its own algorithms and hardness result, exposed as
-/// [`relational::possibly_exact_sum`](crate::relational::possibly_exact_sum).
+/// centerpiece with its own algorithms and hardness result, asked as
+/// [`Predicate::ExactSum`](crate::detect::Predicate::ExactSum).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Relop {
     /// `Σ < K`

@@ -1,17 +1,14 @@
-//! Exact `Definitely(Σ relop K)` by lattice path-avoidance.
+//! The polynomial short-circuits of exact `Definitely(Σ relop K)`.
 //!
 //! `Definitely(Φ)` fails iff some run dodges Φ from the initial to the
 //! final cut, i.e. iff the `¬Φ` cuts contain a bottom-to-top lattice
-//! path. This module answers that exactly with the `¬Φ` level sweep of
-//! [`crate::enumerate`] — worst-case exponential, like the prior-work
-//! algorithms the paper builds Theorem 7 on are not; we document the
-//! cost honestly and use the short-circuits that make common cases
-//! cheap.
+//! path. [`crate::detect()`] answers that exactly with the `¬Φ` level
+//! sweep of [`crate::enumerate`] — worst-case exponential, like the
+//! prior-work algorithms the paper builds Theorem 7 on are not — after
+//! the short-circuits here, which make common cases cheap.
 
 use gpd_computation::{Computation, IntVariable};
 
-use crate::budget::sequential;
-use crate::enumerate::definitely_levelwise_budgeted;
 use crate::predicate::Relop;
 use crate::relational::optimize::{max_sum_cut, min_sum_cut};
 
@@ -38,48 +35,27 @@ pub(crate) fn definitely_sum_short_circuit(
     (!relop.eval(extreme, k)).then_some(false)
 }
 
-/// Decides `Definitely(Σxᵢ relop K)` exactly.
-///
-/// Cheap short-circuits first: if the initial or the final cut satisfies
-/// the predicate, every run does (both cuts lie on every run); if *no*
-/// consistent cut satisfies it (checked with one max-flow), no run can.
-/// Otherwise falls back to the exact lattice search,
-/// [`definitely_levelwise_budgeted`] on 0 threads under
-/// [`Budget::unlimited`](crate::budget::Budget::unlimited).
-/// [`gpd::detect`](crate::detect()) runs the same two steps with its
-/// enumeration guard and budget between them.
-///
-/// # Example
-///
-/// ```
-/// use gpd::relational::definitely_sum;
-/// use gpd::Relop;
-/// use gpd_computation::{ComputationBuilder, IntVariable};
-///
-/// let mut b = ComputationBuilder::new(2);
-/// b.append(0);
-/// b.append(1);
-/// let comp = b.build().unwrap();
-/// let x = IntVariable::new(&comp, vec![vec![0, 1], vec![0, 1]]);
-/// // Every run starts at sum 0: Σ ≤ 0 definitely holds.
-/// assert!(definitely_sum(&comp, &x, Relop::Le, 0));
-/// // Σ ≥ 1 also definitely holds: both events must eventually run.
-/// assert!(definitely_sum(&comp, &x, Relop::Ge, 1));
-/// ```
-pub fn definitely_sum(comp: &Computation, var: &IntVariable, relop: Relop, k: i64) -> bool {
-    definitely_sum_short_circuit(comp, var, relop, k).unwrap_or_else(|| {
-        sequential(|t, b, m| {
-            definitely_levelwise_budgeted(comp, |cut| relop.eval(var.sum_at(cut), k), t, b, m, None)
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::{detect, Answer, Modality, Options, Predicate, Query};
     use crate::enumerate::definitely_by_enumeration;
     use gpd_computation::{gen, ComputationBuilder};
     use rand::{Rng, SeedableRng};
+
+    /// `Definitely(Σ var relop k)` through the planner: the
+    /// short-circuits, then the level sweep.
+    fn definitely_sum(comp: &Computation, var: &IntVariable, relop: Relop, k: i64) -> bool {
+        let query = Query {
+            comp,
+            predicate: Predicate::Sum { var, relop, k },
+            modality: Modality::Definitely,
+        };
+        match detect(&query, &Options::default()).unwrap().verdict.value() {
+            Some(&Answer::Holds(holds)) => holds,
+            other => panic!("unbudgeted Definitely decides: {other:?}"),
+        }
+    }
 
     #[test]
     fn endpoint_shortcuts() {

@@ -5,16 +5,16 @@ use std::cmp::Ordering;
 
 use gpd_computation::{Computation, Cut, IntVariable};
 
-use crate::budget::{sequential, Budget, BudgetMeter, Checkpoint, DetectError, Progress, Verdict};
+use crate::budget::{Budget, BudgetMeter, Checkpoint, DetectError, Progress, Verdict};
 use crate::enumerate::{definitely_levelwise_budgeted, possibly_by_enumeration_budgeted};
 use crate::relational::optimize::{max_sum_cut, min_sum_cut, sum_extremes};
 
 /// Error: some event changes its variable by more than one, so the
 /// polynomial exact-sum algorithms do not apply (Theorem 2 makes the
-/// unrestricted problem NP-complete — use
-/// [`crate::enumerate::possibly_by_enumeration`] if the instance is small).
+/// unrestricted problem NP-complete). [`crate::detect()`] quotes it when
+/// it refuses to enumerate such a question.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NotUnitStepError {
+pub(crate) struct NotUnitStepError {
     /// The largest observed per-event change.
     pub max_step: i64,
 }
@@ -28,8 +28,6 @@ impl std::fmt::Display for NotUnitStepError {
         )
     }
 }
-
-impl std::error::Error for NotUnitStepError {}
 
 fn require_unit_step(var: &IntVariable) -> Result<(), NotUnitStepError> {
     let max_step = var.max_step();
@@ -111,23 +109,7 @@ fn walk_until(
 /// # Errors
 ///
 /// Returns [`NotUnitStepError`] when some step exceeds 1.
-///
-/// # Example
-///
-/// ```
-/// use gpd::relational::possibly_exact_sum;
-/// use gpd_computation::{ComputationBuilder, IntVariable};
-///
-/// let mut b = ComputationBuilder::new(2);
-/// b.append(0);
-/// b.append(1);
-/// let comp = b.build().unwrap();
-/// let x = IntVariable::new(&comp, vec![vec![0, 1], vec![0, 1]]);
-/// let cut = possibly_exact_sum(&comp, &x, 1).unwrap().expect("sum 1 reachable");
-/// assert_eq!(x.sum_at(&cut), 1);
-/// assert!(possibly_exact_sum(&comp, &x, 3).unwrap().is_none());
-/// ```
-pub fn possibly_exact_sum(
+fn possibly_exact_sum(
     comp: &Computation,
     var: &IntVariable,
     k: i64,
@@ -167,29 +149,6 @@ pub(crate) fn exact_sum_witness(
     let witness = walk_until(comp, var, &initial, cut, k)
         .expect("Theorem 4: a ±1 walk crossing K passes through K");
     Some(witness)
-}
-
-/// Decides `Definitely(Σxᵢ = K)` for ±1-step variables via Theorem 7(2):
-/// `Definitely(Σ = K) ⇔ Definitely(Σ ≥ K) ∧ Definitely(Σ ≤ K)` — every
-/// run that must visit both sides of `K` must cross it. The side the
-/// initial cut lies on holds there, so only the other inequality is
-/// asked, and it is answered exactly (see
-/// [`definitely_exact_sum_budgeted`]; the paper inherits the inequality
-/// primitives from prior work). This is that function on 0 threads
-/// under [`Budget::unlimited`].
-///
-/// # Errors
-///
-/// Returns [`NotUnitStepError`] when some step exceeds 1.
-pub fn definitely_exact_sum(
-    comp: &Computation,
-    var: &IntVariable,
-    k: i64,
-) -> Result<bool, NotUnitStepError> {
-    require_unit_step(var)?;
-    Ok(sequential(|t, b, m| {
-        definitely_exact_sum_budgeted(comp, var, k, t, b, m, None)
-    }))
 }
 
 /// `Possibly(Σxᵢ = K)` under a [`Budget`], for **arbitrary** step sizes.
@@ -268,7 +227,7 @@ pub fn possibly_exact_sum_budgeted(
 /// # Errors
 ///
 /// [`DetectError::CheckpointMismatch`] on a foreign `resume`.
-pub fn definitely_exact_sum_budgeted(
+pub(crate) fn definitely_exact_sum_budgeted(
     comp: &Computation,
     var: &IntVariable,
     k: i64,
@@ -320,6 +279,7 @@ pub fn definitely_exact_sum_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::sequential;
     use crate::enumerate::{definitely_by_enumeration, possibly_by_enumeration};
     use gpd_computation::{gen, ComputationBuilder};
     use rand::{Rng, SeedableRng};
@@ -365,7 +325,6 @@ mod tests {
         let err = possibly_exact_sum(&comp, &x, 5).unwrap_err();
         assert_eq!(err.max_step, 5);
         assert!(err.to_string().contains("at most 1"));
-        assert!(definitely_exact_sum(&comp, &x, 5).is_err());
     }
 
     #[test]
@@ -444,7 +403,9 @@ mod tests {
             let comp = gen::random_computation(&mut rng, n, m, msgs);
             let x = gen::random_unit_int_variable(&mut rng, &comp);
             for k in -2..=2 {
-                let fast = definitely_exact_sum(&comp, &x, k).unwrap();
+                let fast = sequential(|t, b, m| {
+                    definitely_exact_sum_budgeted(&comp, &x, k, t, b, m, None)
+                });
                 let slow = definitely_by_enumeration(&comp, |c| x.sum_at(c) == k);
                 assert_eq!(fast, slow, "round {round}, k={k}");
             }

@@ -8,12 +8,15 @@
 //! * [`min_sum_cut`] / [`max_sum_cut`] — the extreme sums over all
 //!   consistent cuts, with witnessing cuts; [`sum_extremes`] answers
 //!   both at once from one shared flow network.
-//! * [`possibly_exact_sum`] / [`definitely_exact_sum`] — `Σxᵢ = K` under
-//!   the ±1-step restriction: the paper's Theorem 7 reductions, with the
-//!   Theorem 4 path walk producing the witness cut.
-//! * [`definitely_sum`] — exact `Definitely(Σ relop K)` by lattice
-//!   path-avoidance (worst-case exponential; the paper defers these
+//! * [`possibly_exact_sum_budgeted`] — `Possibly(Σxᵢ = K)`: under the
+//!   ±1-step restriction the paper's Theorem 7(1) reduction, with the
+//!   Theorem 4 path walk producing the witness cut; for larger steps a
+//!   budgeted lattice enumeration inside the closure bounds.
+//! * `Definitely(Σxᵢ = K)` (Theorem 7(2) for ±1 steps) and exact
+//!   `Definitely(Σ relop K)` run polynomial short-circuits, then a lattice
+//!   path-avoidance sweep (worst-case exponential; the paper defers these
 //!   primitives to prior work, and Theorem 7 only needs their *answers*).
+//!   Ask them through [`crate::detect()`].
 //!
 //! Dropping the ±1 restriction makes exact sums NP-complete (Theorem 2);
 //! [`crate::hardness::reduce_subset_sum`] is that reduction, executable.
@@ -22,11 +25,7 @@ mod definitely;
 mod exact;
 mod optimize;
 
-pub use definitely::definitely_sum;
 pub(crate) use definitely::definitely_sum_short_circuit;
-pub(crate) use exact::exact_sum_witness;
-pub use exact::{
-    definitely_exact_sum, definitely_exact_sum_budgeted, possibly_exact_sum,
-    possibly_exact_sum_budgeted, NotUnitStepError,
-};
+pub use exact::possibly_exact_sum_budgeted;
+pub(crate) use exact::{definitely_exact_sum_budgeted, exact_sum_witness, NotUnitStepError};
 pub use optimize::{max_sum_cut, min_sum_cut, possibly_sum, sum_extremes};

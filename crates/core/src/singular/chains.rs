@@ -4,7 +4,7 @@
 use gpd_computation::{BoolVariable, Computation, Cut};
 use gpd_order::min_chain_cover_of_chains;
 
-use crate::budget::{sequential, Budget, BudgetMeter, Checkpoint, DetectError, Verdict};
+use crate::budget::{Budget, BudgetMeter, Checkpoint, DetectError, Verdict};
 use crate::par::map_indexed;
 use crate::predicate::SingularCnf;
 use crate::scan::{run_odometer, Candidate};
@@ -83,17 +83,27 @@ pub fn chain_cover_sizes(
 /// `∏ᵢ cᵢ` scans where `cᵢ` is the clause's cover width. Since `cᵢ` never
 /// exceeds the clause size (each process's states form one chain), this
 /// performs at most as many scans as
-/// [`possibly_singular_subsets`](crate::singular::possibly_singular_subsets)
+/// [`possibly_singular_subsets_budgeted`](crate::singular::possibly_singular_subsets_budgeted)
 /// and often exponentially fewer when true states are causally aligned.
 ///
-/// Returns the witness of the lowest-index live combination in odometer
-/// order.
+/// Both phases fan out over `threads` workers (`0`/`1` → sequential):
+/// the per-clause covers are built eagerly (polynomial, uncharged, and
+/// independent per clause), then the `∏ᵢ cᵢ` combination walk runs
+/// wave-synchronously, resumable from a checkpoint, and returns the
+/// witness of the lowest-index live combination in odometer order at
+/// every thread count. Panicking predicates surface as
+/// [`DetectError::PredicatePanicked`].
+///
+/// # Errors
+///
+/// [`DetectError::CheckpointMismatch`] if `resume` belongs to another
+/// engine, computation, or cover shape.
 ///
 /// # Example
 ///
 /// ```
-/// use gpd::singular::possibly_singular_chains;
-/// use gpd::{CnfClause, SingularCnf};
+/// use gpd::singular::possibly_singular_chains_budgeted;
+/// use gpd::{Budget, BudgetMeter, CnfClause, SingularCnf};
 /// use gpd_computation::{BoolVariable, ComputationBuilder};
 ///
 /// let mut b = ComputationBuilder::new(2);
@@ -104,29 +114,11 @@ pub fn chain_cover_sizes(
 /// let phi = SingularCnf::new(vec![
 ///     CnfClause::new(vec![(0.into(), true), (1.into(), true)]),
 /// ]);
-/// assert!(possibly_singular_chains(&comp, &x, &phi).is_some());
+/// let (budget, meter) = (Budget::unlimited(), BudgetMeter::new());
+/// let verdict =
+///     possibly_singular_chains_budgeted(&comp, &x, &phi, 0, &budget, &meter, None).unwrap();
+/// assert!(matches!(verdict.value(), Some(Some(_))));
 /// ```
-pub fn possibly_singular_chains(
-    comp: &Computation,
-    var: &BoolVariable,
-    predicate: &SingularCnf,
-) -> Option<Cut> {
-    sequential(|t, b, m| possibly_singular_chains_budgeted(comp, var, predicate, t, b, m, None))
-}
-
-/// [`possibly_singular_chains`] under a [`Budget`], parallelized over
-/// `threads` workers (`0`/`1` → sequential). Both phases fan out: the
-/// per-clause covers are built eagerly (polynomial, uncharged, and
-/// independent per clause), then the `∏ᵢ cᵢ` combination walk runs
-/// wave-synchronously, resumable from a checkpoint (see
-/// [`crate::scan::scan_combinations_budgeted`] for the determinism
-/// contract). Panicking predicates surface as
-/// [`DetectError::PredicatePanicked`].
-///
-/// # Errors
-///
-/// [`DetectError::CheckpointMismatch`] if `resume` belongs to another
-/// engine, computation, or cover shape.
 pub fn possibly_singular_chains_budgeted(
     comp: &Computation,
     var: &BoolVariable,
@@ -165,13 +157,32 @@ pub(super) fn chain_covers(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::sequential;
     use crate::enumerate::possibly_by_enumeration;
     use crate::predicate::CnfClause;
-    use crate::singular::possibly_singular_subsets;
+    use crate::singular::possibly_singular_subsets_budgeted;
     use gpd_computation::{gen, ComputationBuilder, ProcessId};
     use gpd_order::{min_chain_cover, Dag};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+
+    /// The chain engine at 0 threads under an unlimited budget.
+    fn possibly_singular_chains(
+        comp: &Computation,
+        var: &BoolVariable,
+        phi: &SingularCnf,
+    ) -> Option<Cut> {
+        sequential(|t, b, m| possibly_singular_chains_budgeted(comp, var, phi, t, b, m, None))
+    }
+
+    /// The subset engine at 0 threads under an unlimited budget.
+    fn possibly_singular_subsets(
+        comp: &Computation,
+        var: &BoolVariable,
+        phi: &SingularCnf,
+    ) -> Option<Cut> {
+        sequential(|t, b, m| possibly_singular_subsets_budgeted(comp, var, phi, t, b, m, None))
+    }
 
     /// The reference cover: compare every pair of states by their full
     /// state clocks, take the transitive closure of that relation, and

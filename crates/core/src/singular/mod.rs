@@ -8,23 +8,24 @@
 //! * [`possibly_singular_ordered`] — **polynomial** when the computation
 //!   is receive-ordered or send-ordered with respect to the clause
 //!   meta-processes (§3.2).
-//! * [`possibly_singular_subsets`] — general case: one CPDHB scan per
-//!   choice of one literal per clause, `∏ᵢ kᵢ` scans total (§3.3).
-//! * [`possibly_singular_chains`] — general case: cover each clause's
-//!   true states with a minimum number of chains and scan once per chain
-//!   combination, `∏ᵢ cᵢ` scans with `cᵢ ≤ kᵢ` — never more scans than the
-//!   subset algorithm, and exponentially fewer than lattice enumeration
+//! * [`possibly_singular_subsets_budgeted`] — general case: one CPDHB
+//!   scan per choice of one literal per clause, `∏ᵢ kᵢ` scans total
 //!   (§3.3).
-//! * [`possibly_singular`] — dispatcher: the polynomial special case when
-//!   it applies, otherwise the chain-cover algorithm.
+//! * [`possibly_singular_chains_budgeted`] — general case: cover each
+//!   clause's true states with a minimum number of chains and scan once
+//!   per chain combination, `∏ᵢ cᵢ` scans with `cᵢ ≤ kᵢ` — never more
+//!   scans than the subset algorithm, and exponentially fewer than
+//!   lattice enumeration (§3.3).
+//! * [`possibly_singular_budgeted`] — dispatcher: the polynomial special
+//!   case when it applies, otherwise the chain-cover algorithm; the
+//!   dispatch [`crate::detect()`] runs for Possibly(CNF).
 //!
 //! Both §3.3 algorithms walk their combination space with one engine,
-//! the budgeted, resumable odometer of `crate::scan`: the `_budgeted`
-//! forms take a thread count, a [`Budget`] and a resume checkpoint, and
-//! the plain forms are those engines run sequentially with
-//! [`Budget::unlimited`]. The walk returns the lowest-index witness in
-//! odometer order, so verdicts **and witness cuts** are byte-identical
-//! at every thread count.
+//! the budgeted, resumable odometer of `crate::scan`: each takes a
+//! thread count, a [`Budget`] and a resume checkpoint, and on 0 threads
+//! under [`Budget::unlimited`] it is the plain sequential algorithm. The
+//! walk returns the lowest-index witness in odometer order, so verdicts
+//! **and witness cuts** are byte-identical at every thread count.
 //!
 //! All return the witness cut. Everything is validated against
 //! [`crate::enumerate`] in the test suite.
@@ -34,32 +35,39 @@ mod ordered;
 mod subsets;
 
 use chains::chain_covers;
-pub use chains::{
-    chain_cover_sizes, possibly_singular_chains, possibly_singular_chains_budgeted, SINGULAR_CHAINS,
-};
+pub use chains::{chain_cover_sizes, possibly_singular_chains_budgeted, SINGULAR_CHAINS};
 pub use ordered::{possibly_singular_ordered, NotOrderedError, SINGULAR_ORDERED};
 use subsets::literal_choices;
 pub use subsets::{
-    possibly_singular_subsets, possibly_singular_subsets_budgeted,
-    possibly_singular_subsets_reference, SINGULAR_SUBSETS,
+    possibly_singular_subsets_budgeted, possibly_singular_subsets_reference, SINGULAR_SUBSETS,
 };
 
 use gpd_computation::{BoolVariable, Computation, Cut, ProcessId};
 
-use crate::budget::{sequential, Budget, BudgetMeter, Checkpoint, DetectError, Progress, Verdict};
+use crate::budget::{Budget, BudgetMeter, Checkpoint, DetectError, Progress, Verdict};
 use crate::predicate::SingularCnf;
 use crate::scan::{run_odometer, Candidate};
 use crate::slice::Slice;
 
 /// Detects `Possibly(Φ)` with the best applicable algorithm: the §3.2
 /// polynomial scan when the computation is receive- or send-ordered for
-/// Φ's clause grouping, the §3.3 chain-cover algorithm otherwise.
+/// Φ's clause grouping (it runs a single scan and cannot meaningfully
+/// exhaust a budget), the §3.3 chain-cover algorithm
+/// ([`possibly_singular_chains_budgeted`]) otherwise, fanned out over
+/// `threads` workers (`0`/`1` → sequential). A `resume` checkpoint
+/// routes by its recorded engine name, so a run interrupted inside the
+/// subsets engine resumes there even through this dispatcher.
+///
+/// # Errors
+///
+/// [`DetectError::CheckpointMismatch`] on a foreign `resume`;
+/// [`DetectError::PredicatePanicked`] if a scan panics.
 ///
 /// # Example
 ///
 /// ```
-/// use gpd::singular::possibly_singular;
-/// use gpd::{CnfClause, SingularCnf};
+/// use gpd::singular::possibly_singular_budgeted;
+/// use gpd::{Budget, BudgetMeter, CnfClause, SingularCnf};
 /// use gpd_computation::{BoolVariable, ComputationBuilder};
 ///
 /// let mut b = ComputationBuilder::new(2);
@@ -71,29 +79,10 @@ use crate::slice::Slice;
 ///     (0.into(), true),
 ///     (1.into(), true),
 /// ])]);
-/// assert!(possibly_singular(&comp, &x, &phi).is_some());
+/// let (budget, meter) = (Budget::unlimited(), BudgetMeter::new());
+/// let verdict = possibly_singular_budgeted(&comp, &x, &phi, 0, &budget, &meter, None).unwrap();
+/// assert!(matches!(verdict.value(), Some(Some(_))));
 /// ```
-pub fn possibly_singular(
-    comp: &Computation,
-    var: &BoolVariable,
-    predicate: &SingularCnf,
-) -> Option<Cut> {
-    sequential(|t, b, m| possibly_singular_budgeted(comp, var, predicate, t, b, m, None))
-}
-
-/// [`possibly_singular`] under a [`Budget`], with the general-case
-/// fallback fanned out over `threads` workers (`0`/`1` → sequential):
-/// the §3.2 polynomial special case still short-circuits (it runs a
-/// single scan and cannot meaningfully exhaust a budget), and the
-/// combinatorial fallback runs as [`possibly_singular_chains_budgeted`].
-/// A `resume` checkpoint routes by its recorded engine name, so a run
-/// interrupted inside the subsets engine resumes there even through
-/// this dispatcher.
-///
-/// # Errors
-///
-/// [`DetectError::CheckpointMismatch`] on a foreign `resume`;
-/// [`DetectError::PredicatePanicked`] if a scan panics.
 pub fn possibly_singular_budgeted(
     comp: &Computation,
     var: &BoolVariable,

@@ -46,7 +46,7 @@ impl std::error::Error for NotOrderedError {}
 ///
 /// Returns [`NotOrderedError`] when neither ordering condition holds; the
 /// caller should fall back to
-/// [`possibly_singular_chains`](crate::singular::possibly_singular_chains).
+/// [`possibly_singular_chains_budgeted`](crate::singular::possibly_singular_chains_budgeted).
 ///
 /// # Example
 ///

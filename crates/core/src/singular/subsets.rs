@@ -3,7 +3,7 @@
 
 use gpd_computation::{BoolVariable, Computation, Cut};
 
-use crate::budget::{sequential, Budget, BudgetMeter, Checkpoint, DetectError, Verdict};
+use crate::budget::{Budget, BudgetMeter, Checkpoint, DetectError, Verdict};
 use crate::predicate::SingularCnf;
 use crate::scan::{cut_through, run_odometer, scan_restart, Candidate};
 use crate::singular::literal_states;
@@ -42,7 +42,7 @@ pub(super) fn literal_choices(
 /// the gap).
 ///
 /// Combinations are walked in odometer order through a snapshot stack
-/// ([`crate::scan`]'s `PrefixScan`): a combination sharing its first `j`
+/// (`crate::scan`'s `PrefixScan`): a combination sharing its first `j`
 /// clause choices with its predecessor resumes from the `j`-th scan
 /// checkpoint instead of rescanning, and a clause prefix whose scan runs
 /// dry prunes its whole subtree. By confluence of the scan's
@@ -52,14 +52,24 @@ pub(super) fn literal_choices(
 /// workloads — `gpd detect --stats` and `BENCH_PR2.json` make the
 /// reduction visible.
 ///
-/// Returns the witness of the lowest-index live combination in odometer
-/// order.
+/// The `∏ᵢ kᵢ` scans fan out over `threads` workers (`0`/`1` →
+/// sequential) in wave-synchronous, resumable waves, and the walk returns
+/// the witness of the lowest-index live combination in odometer order at
+/// every thread count. An exhausted budget returns [`Verdict::Unknown`]
+/// with the count of combinations soundly eliminated and a checkpoint at
+/// the interrupted wave's start; panicking predicates surface as
+/// [`DetectError::PredicatePanicked`].
+///
+/// # Errors
+///
+/// [`DetectError::CheckpointMismatch`] if `resume` belongs to another
+/// engine, computation, or clause shape.
 ///
 /// # Example
 ///
 /// ```
-/// use gpd::singular::possibly_singular_subsets;
-/// use gpd::{CnfClause, SingularCnf};
+/// use gpd::singular::possibly_singular_subsets_budgeted;
+/// use gpd::{Budget, BudgetMeter, CnfClause, SingularCnf};
 /// use gpd_computation::{BoolVariable, ComputationBuilder};
 ///
 /// let mut b = ComputationBuilder::new(2);
@@ -70,29 +80,11 @@ pub(super) fn literal_choices(
 /// let phi = SingularCnf::new(vec![
 ///     CnfClause::new(vec![(0.into(), true), (1.into(), false)]),
 /// ]);
-/// assert!(possibly_singular_subsets(&comp, &x, &phi).is_some());
+/// let (budget, meter) = (Budget::unlimited(), BudgetMeter::new());
+/// let verdict =
+///     possibly_singular_subsets_budgeted(&comp, &x, &phi, 0, &budget, &meter, None).unwrap();
+/// assert!(matches!(verdict.value(), Some(Some(_))));
 /// ```
-pub fn possibly_singular_subsets(
-    comp: &Computation,
-    var: &BoolVariable,
-    predicate: &SingularCnf,
-) -> Option<Cut> {
-    sequential(|t, b, m| possibly_singular_subsets_budgeted(comp, var, predicate, t, b, m, None))
-}
-
-/// [`possibly_singular_subsets`] under a [`Budget`], with its `∏ᵢ kᵢ`
-/// scans fanned out over `threads` workers (`0`/`1` → sequential): the
-/// same odometer walk, wave-synchronous and resumable (see
-/// [`crate::scan::scan_combinations_budgeted`] for the determinism
-/// contract). An exhausted budget returns [`Verdict::Unknown`] with the
-/// count of combinations soundly eliminated and a checkpoint at the
-/// interrupted wave's start; panicking predicates surface as
-/// [`DetectError::PredicatePanicked`].
-///
-/// # Errors
-///
-/// [`DetectError::CheckpointMismatch`] if `resume` belongs to another
-/// engine, computation, or clause shape.
 pub fn possibly_singular_subsets_budgeted(
     comp: &Computation,
     var: &BoolVariable,
@@ -114,7 +106,7 @@ pub fn possibly_singular_subsets_budgeted(
     )
 }
 
-/// The seed implementation of [`possibly_singular_subsets`], retained as
+/// The seed implementation of [`possibly_singular_subsets_budgeted`], retained as
 /// the differential-testing oracle and bench baseline: every combination
 /// rebuilds its slots from scratch and runs the restart-loop scan. Same
 /// verdict and witness cut as the incremental walk, with none of the
@@ -170,11 +162,21 @@ pub(super) fn first_combination<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::sequential;
     use crate::enumerate::possibly_by_enumeration;
     use crate::predicate::CnfClause;
     use gpd_computation::gen;
     use gpd_computation::ProcessId;
     use rand::{Rng, SeedableRng};
+
+    /// The subset engine at 0 threads under an unlimited budget.
+    fn possibly_singular_subsets(
+        comp: &Computation,
+        var: &BoolVariable,
+        phi: &SingularCnf,
+    ) -> Option<Cut> {
+        sequential(|t, b, m| possibly_singular_subsets_budgeted(comp, var, phi, t, b, m, None))
+    }
 
     /// Random singular CNF over disjoint clause process sets.
     fn random_predicate<R: Rng>(rng: &mut R, n: usize) -> SingularCnf {

@@ -4,8 +4,7 @@
 //! algorithm in the `gpd` crate ultimately manipulates that order: deciding
 //! whether one event precedes another (transitive closure), covering the
 //! "true" events of a process group with as few chains as possible
-//! (Dilworth's theorem via bipartite matching), or splitting an order
-//! into levels.
+//! (Dilworth's theorem via bipartite matching).
 //!
 //! This crate provides those primitives in a dependency-free form:
 //!
@@ -38,10 +37,8 @@
 mod bitset;
 mod chains;
 mod dag;
-mod levels;
 mod matching;
 
 pub use bitset::{BitMatrix, BitSet};
 pub use chains::{min_chain_cover, min_chain_cover_of_chains, ChainCover};
 pub use dag::{CycleError, Dag, TransitiveClosure};
-pub use levels::{levels, LevelDecomposition};

@@ -1,5 +1,5 @@
 //! A fault-injecting TCP proxy: sits between feed clients and the
-//! server and applies [`FaultPlan`](gpd_sim::FaultPlan) semantics to
+//! server and applies [`FaultPlan`] semantics to
 //! real sockets — frame loss, frame duplication, delivery jitter, and
 //! forced connection resets.
 //!

@@ -30,7 +30,7 @@
 //!   the degraded `Unknown` verdict.
 //! - [`vfs`] — the storage abstraction under the WAL: the real
 //!   filesystem in production, and a deterministic fault-injecting
-//!   in-memory disk ([`FaultVfs`](vfs::FaultVfs)) with a precise
+//!   in-memory disk ([`FaultVfs`]) with a precise
 //!   power-loss model for the storage torture tests.
 //!
 //! See `docs/ALGORITHMS.md` §11 for the recovery-determinism argument,

@@ -11,7 +11,7 @@
 //! one hot session cannot monopolize a sweep), stage all replies in
 //! per-connection write buffers, fsync the write-ahead logs the sweep
 //! dirtied (the **group-commit boundary** under
-//! [`FsyncPolicy::Group`](crate::wal::FsyncPolicy::Group)), and only
+//! [`FsyncPolicy::Group`]), and only
 //! then flush the staged replies to the sockets. A shard with no work
 //! parks on its inbox condvar until the acceptor or a peer wakes it.
 //!

@@ -7,8 +7,8 @@
 use std::time::Instant;
 
 use gpd::enumerate::possibly_by_enumeration;
-use gpd::singular::{possibly_singular_chains, possibly_singular_ordered};
-use gpd::{CnfClause, SingularCnf};
+use gpd::singular::{possibly_singular_chains_budgeted, possibly_singular_ordered};
+use gpd::{Budget, BudgetMeter, CnfClause, SingularCnf};
 use gpd_computation::{gen, OrderingKind, ProcessId};
 use rand::SeedableRng;
 
@@ -51,10 +51,16 @@ fn main() {
         let fast = possibly_singular_ordered(&comp, &x, &phi).expect("receive-ordered");
         let t_fast = t0.elapsed();
 
+        // The §3.3 chain-cover engine, sequential and unbounded.
+        let (budget, meter) = (Budget::unlimited(), BudgetMeter::new());
         let t0 = Instant::now();
-        let general = possibly_singular_chains(&comp, &x, &phi);
+        let general =
+            possibly_singular_chains_budgeted(&comp, &x, &phi, 0, &budget, &meter, None).unwrap();
         let t_general = t0.elapsed();
-        assert_eq!(fast.is_some(), general.is_some());
+        assert_eq!(
+            Some(&fast.is_some()),
+            general.value().map(Option::is_some).as_ref()
+        );
 
         print!(
             "{} events/process: ordered scan {:>10?} | chain-cover {:>10?}",

@@ -4,11 +4,25 @@
 //! Run with: `cargo run --example quickstart`
 
 use gpd::conjunctive::possibly_conjunctive;
-use gpd::enumerate::definitely_by_enumeration;
-use gpd::relational::possibly_exact_sum;
-use gpd::singular::possibly_singular;
+use gpd::detect::{Answer, Modality, Options, Predicate, Query};
 use gpd::{CnfClause, SingularCnf};
-use gpd_computation::{to_dot, BoolVariable, ComputationBuilder, IntVariable};
+use gpd_computation::{to_dot, BoolVariable, Computation, ComputationBuilder, IntVariable};
+
+/// Asks one question through `gpd::detect`, which picks the engine for
+/// the predicate class and modality.
+fn ask(comp: &Computation, predicate: Predicate<'_>, modality: Modality) -> Answer {
+    let query = Query {
+        comp,
+        predicate,
+        modality,
+    };
+    let report = gpd::detect(&query, &Options::default()).expect("a small computation");
+    report
+        .verdict
+        .value()
+        .expect("unbudgeted questions decide")
+        .clone()
+}
 
 fn main() {
     // A 3-process computation: p0 sends to p1, p1 sends to p2.
@@ -57,24 +71,30 @@ fn main() {
         CnfClause::new(vec![(0.into(), true), (1.into(), false)]),
         CnfClause::new(vec![(2.into(), true)]),
     ]);
-    match possibly_singular(&comp, &flag, &phi) {
-        Some(cut) => println!("singular 2-CNF possible at cut {cut:?}"),
-        None => println!("singular 2-CNF impossible"),
+    let cnf = Predicate::SingularCnf {
+        var: &flag,
+        cnf: &phi,
+    };
+    match ask(&comp, cnf, Modality::Possibly) {
+        Answer::Witness(Some(cut)) => println!("singular 2-CNF possible at cut {cut:?}"),
+        _ => println!("singular 2-CNF impossible"),
     }
 
     // An exact-sum question: tokens held per process, ±1 per event.
     let tokens = IntVariable::new(&comp, vec![vec![1, 0, 0], vec![0, 1, 0], vec![0, 1]]);
     for k in 0..=2 {
-        let witness = possibly_exact_sum(&comp, &tokens, k).expect("±1 steps");
-        println!(
-            "Possibly(Σ tokens = {k}): {}",
-            witness.map_or("no".to_string(), |c| format!("yes, e.g. {c:?}")),
-        );
+        let sum = Predicate::ExactSum { var: &tokens, k };
+        let answer = match ask(&comp, sum, Modality::Possibly) {
+            Answer::Witness(Some(c)) => format!("yes, e.g. {c:?}"),
+            _ => "no".to_string(),
+        };
+        println!("Possibly(Σ tokens = {k}): {answer}");
     }
 
     // Definitely: must every run pass through a state with exactly one
-    // token? (Exact check via the lattice.)
-    let definitely_one = definitely_by_enumeration(&comp, |cut| tokens.sum_at(cut) == 1);
+    // token? (Theorem 7(2): one inequality, decided exactly.)
+    let one = Predicate::ExactSum { var: &tokens, k: 1 };
+    let definitely_one = ask(&comp, one, Modality::Definitely) == Answer::Holds(true);
     println!("Definitely(Σ tokens = 1): {definitely_one}");
 
     // Export the space-time diagram.

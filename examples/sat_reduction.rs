@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run --example sat_reduction`
 
+use gpd::detect::{Answer, Modality, Options, Predicate, Query};
 use gpd::hardness::reduce_sat;
-use gpd::singular::possibly_singular_chains;
 use gpd_computation::to_dot;
 use gpd_sat::{solve, to_non_monotone, Cnf, Lit};
 
@@ -55,8 +55,18 @@ fn demonstrate(label: &str, formula: &Cnf) {
     );
 
     let dpll = solve(formula);
-    let detected =
-        possibly_singular_chains(&gadget.computation, &gadget.variable, &gadget.predicate);
+    let query = Query {
+        comp: &gadget.computation,
+        predicate: Predicate::SingularCnf {
+            var: &gadget.variable,
+            cnf: &gadget.predicate,
+        },
+        modality: Modality::Possibly,
+    };
+    let report = gpd::detect(&query, &Options::default()).expect("no budget, no resume");
+    let Some(Answer::Witness(detected)) = report.verdict.value().cloned() else {
+        unreachable!("an unbudgeted Possibly question decides")
+    };
     println!(
         "DPLL: {} | detection: {}",
         if dpll.is_some() { "SAT" } else { "UNSAT" },

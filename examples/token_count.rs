@@ -8,7 +8,8 @@
 //!
 //! Run with: `cargo run --example token_count`
 
-use gpd::relational::{max_sum_cut, min_sum_cut, possibly_exact_sum};
+use gpd::detect::{Answer, Modality, Options, Predicate, Query};
+use gpd::relational::{max_sum_cut, min_sum_cut};
 use gpd_sim::protocols::TokenRing;
 use gpd_sim::{SimConfig, SimTrace, Simulation};
 
@@ -23,11 +24,14 @@ fn report(label: &str, trace: &SimTrace, expected: i64) {
         comp.event_count()
     );
     for j in 0..=(max + 1) {
-        let witness = possibly_exact_sum(comp, tokens, j).expect("unit step");
-        println!(
-            "[{label}]   Possibly(Σ tokens = {j}) = {}",
-            witness.is_some()
-        );
+        let query = Query {
+            comp,
+            predicate: Predicate::ExactSum { var: tokens, k: j },
+            modality: Modality::Possibly,
+        };
+        let report = gpd::detect(&query, &Options::default()).expect("unit steps");
+        let possible = matches!(report.verdict.value(), Some(Answer::Witness(Some(_))));
+        println!("[{label}]   Possibly(Σ tokens = {j}) = {possible}");
     }
     if max > expected {
         println!("[{label}]   ⚠ conservation violated: more tokens visible than dispatched!");

@@ -1,9 +1,10 @@
 //! Cross-algorithm agreement: conjunctive detection (CPDHB) versus the
 //! exhaustive lattice baseline, driven by proptest.
 
-use gpd::conjunctive::{possibly_conjunctive, possibly_conjunctive_literals};
+use gpd::conjunctive::possibly_conjunctive;
+use gpd::detect::{Answer, Modality, Options, Predicate, Query};
 use gpd::enumerate::possibly_by_enumeration;
-use gpd_computation::{gen, ProcessId};
+use gpd_computation::{gen, BoolVariable, ProcessId};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -42,7 +43,27 @@ proptest! {
         let literals: Vec<(ProcessId, bool)> =
             (0..n).map(|p| (ProcessId::new(p), p % 2 == 0)).collect();
 
-        let fast = possibly_conjunctive_literals(&comp, &x, &literals);
+        // The planner takes polarities folded into the variable, as the
+        // CLI builds them: `lit_p` holds where literal `p` does.
+        let values = literals
+            .iter()
+            .map(|&(p, pos)| {
+                (0..=comp.events_on(p) as u32)
+                    .map(|k| x.value_in_state(p, k) == pos)
+                    .collect()
+            })
+            .collect();
+        let lit = BoolVariable::new(&comp, values);
+        let processes: Vec<ProcessId> = literals.iter().map(|&(p, _)| p).collect();
+        let query = Query {
+            comp: &comp,
+            predicate: Predicate::Conjunction { var: &lit, processes: &processes },
+            modality: Modality::Possibly,
+        };
+        let report = gpd::detect(&query, &Options::default()).unwrap();
+        let Some(Answer::Witness(fast)) = report.verdict.value().cloned() else {
+            panic!("a conjunction decides")
+        };
         let slow = possibly_by_enumeration(&comp, |cut| {
             literals.iter().all(|&(p, pos)| x.value_at(cut, p) == pos)
         });

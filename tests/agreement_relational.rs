@@ -1,16 +1,64 @@
 //! Cross-algorithm agreement: relational and exact-sum detection versus
 //! the exhaustive baseline.
 
+use gpd::detect::{Answer, Modality, Options, Predicate, Query};
 use gpd::enumerate::{definitely_by_enumeration, possibly_by_enumeration};
-use gpd::relational::{
-    definitely_exact_sum, definitely_sum, max_sum_cut, min_sum_cut, possibly_exact_sum,
-    possibly_sum, sum_extremes,
-};
+use gpd::relational::{max_sum_cut, min_sum_cut, possibly_sum, sum_extremes};
 use gpd::symmetric::{indicator_variable, possibly_symmetric, SymmetricPredicate};
 use gpd::Relop;
 use gpd_computation::{gen, Computation, Cut, IntVariable};
 use proptest::prelude::*;
 use rand::SeedableRng;
+
+/// Asks `predicate` through the planner, unbudgeted, at `threads`.
+fn detect_at(
+    comp: &Computation,
+    predicate: Predicate<'_>,
+    modality: Modality,
+    threads: usize,
+) -> Answer {
+    let query = Query {
+        comp,
+        predicate,
+        modality,
+    };
+    let options = Options {
+        threads,
+        ..Options::default()
+    };
+    let report = gpd::detect(&query, &options).expect("small computations pass the guard");
+    report
+        .verdict
+        .value()
+        .expect("unbudgeted questions decide")
+        .clone()
+}
+
+/// `Possibly(Σ var = k)` through the planner at `threads`.
+fn possibly_exact_sum(
+    comp: &Computation,
+    var: &IntVariable,
+    k: i64,
+    threads: usize,
+) -> Option<Cut> {
+    match detect_at(
+        comp,
+        Predicate::ExactSum { var, k },
+        Modality::Possibly,
+        threads,
+    ) {
+        Answer::Witness(witness) => witness,
+        answer => panic!("a Possibly question answers with a witness: {answer:?}"),
+    }
+}
+
+/// `Definitely(predicate)` through the planner at `threads`.
+fn definitely(comp: &Computation, predicate: Predicate<'_>, threads: usize) -> bool {
+    match detect_at(comp, predicate, Modality::Definitely, threads) {
+        Answer::Holds(holds) => holds,
+        answer => panic!("a Definitely question answers true or false: {answer:?}"),
+    }
+}
 
 /// The meet (pointwise least frontier) of every consistent cut whose sum
 /// is `target`: the least cut attaining it.
@@ -106,16 +154,17 @@ proptest! {
         let comp = gen::random_computation(&mut rng, n, m, msgs);
         let x = gen::random_unit_int_variable(&mut rng, &comp);
 
-        let fast = possibly_exact_sum(&comp, &x, k).expect("unit step");
         let slow = possibly_by_enumeration(&comp, |c| x.sum_at(c) == k);
-        prop_assert_eq!(fast.is_some(), slow.is_some());
-        if let Some(cut) = fast {
-            prop_assert_eq!(x.sum_at(&cut), k);
-        }
-
-        let dfast = definitely_exact_sum(&comp, &x, k).expect("unit step");
         let dslow = definitely_by_enumeration(&comp, |c| x.sum_at(c) == k);
-        prop_assert_eq!(dfast, dslow);
+        for threads in [0, 2] {
+            let fast = possibly_exact_sum(&comp, &x, k, threads);
+            prop_assert_eq!(fast.is_some(), slow.is_some());
+            if let Some(cut) = fast {
+                prop_assert_eq!(x.sum_at(&cut), k);
+            }
+            let dfast = definitely(&comp, Predicate::ExactSum { var: &x, k }, threads);
+            prop_assert_eq!(dfast, dslow, "threads {}", threads);
+        }
     }
 
     #[test]
@@ -130,9 +179,11 @@ proptest! {
         let comp = gen::random_computation(&mut rng, n, m, msgs);
         let x = gen::random_int_variable(&mut rng, &comp, 3);
         for relop in [Relop::Lt, Relop::Le, Relop::Gt, Relop::Ge] {
-            let fast = definitely_sum(&comp, &x, relop, k);
             let slow = definitely_by_enumeration(&comp, |c| relop.eval(x.sum_at(c), k));
-            prop_assert_eq!(fast, slow);
+            for threads in [0, 2] {
+                let fast = definitely(&comp, Predicate::Sum { var: &x, relop, k }, threads);
+                prop_assert_eq!(fast, slow, "{} {}, threads {}", relop, k, threads);
+            }
         }
     }
 
@@ -167,7 +218,7 @@ proptest! {
         for j in 0..=n as u32 {
             prop_assert_eq!(
                 possibly_symmetric(&comp, &x, &SymmetricPredicate::exactly(j)),
-                possibly_exact_sum(&comp, &indicator, i64::from(j)).expect("unit step")
+                possibly_exact_sum(&comp, &indicator, i64::from(j), 0)
             );
         }
     }

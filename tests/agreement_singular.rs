@@ -2,15 +2,23 @@
 //! the exhaustive baseline, on random computations and random singular
 //! predicates.
 
+use gpd::detect::{Answer, Modality, Options, Predicate, Query};
 use gpd::enumerate::possibly_by_enumeration;
 use gpd::singular::{
-    possibly_singular, possibly_singular_chains, possibly_singular_ordered,
-    possibly_singular_subsets,
+    possibly_singular_chains_budgeted, possibly_singular_ordered,
+    possibly_singular_subsets_budgeted,
 };
-use gpd::{CnfClause, SingularCnf};
-use gpd_computation::{gen, ProcessId};
+use gpd::{Budget, BudgetMeter, CnfClause, DetectError, SingularCnf, Verdict};
+use gpd_computation::{gen, Cut, ProcessId};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+
+/// An engine's budgeted form at 0 threads under an unlimited budget,
+/// which always decides: its witness.
+fn sequential(verdict: Result<Verdict<Option<Cut>>, DetectError>) -> Option<Cut> {
+    let verdict = verdict.expect("no checkpoint, no panic");
+    verdict.value().expect("unlimited budgets decide").clone()
+}
 
 /// A random singular CNF carving the processes into clauses of size 1–3.
 fn random_singular<R: Rng>(rng: &mut R, n: usize, max_clauses: usize) -> SingularCnf {
@@ -50,9 +58,23 @@ proptest! {
         let phi = random_singular(&mut rng, n, 3);
 
         let slow = possibly_by_enumeration(&comp, |cut| phi.eval(&x, cut));
-        let subsets = possibly_singular_subsets(&comp, &x, &phi);
-        let chains = possibly_singular_chains(&comp, &x, &phi);
-        let auto = possibly_singular(&comp, &x, &phi);
+        let (budget, meter) = (Budget::unlimited(), BudgetMeter::new());
+        let subsets =
+            sequential(possibly_singular_subsets_budgeted(&comp, &x, &phi, 0, &budget, &meter, None));
+        let chains =
+            sequential(possibly_singular_chains_budgeted(&comp, &x, &phi, 0, &budget, &meter, None));
+        // The planner: the §3.2 scan when it applies, else chains, inside
+        // the slice of Φ's unit clauses.
+        let query = Query {
+            comp: &comp,
+            predicate: Predicate::SingularCnf { var: &x, cnf: &phi },
+            modality: Modality::Possibly,
+        };
+        let Some(Answer::Witness(auto)) =
+            gpd::detect(&query, &Options::default()).unwrap().verdict.value().cloned()
+        else {
+            panic!("an unbudgeted Possibly question decides")
+        };
 
         prop_assert_eq!(subsets.is_some(), slow.is_some());
         prop_assert_eq!(chains.is_some(), slow.is_some());

@@ -9,7 +9,7 @@ use std::time::Duration;
 use gpd::enumerate::{
     definitely_levelwise_budgeted, possibly_by_enumeration, possibly_by_enumeration_budgeted,
 };
-use gpd::singular::{possibly_singular_subsets, possibly_singular_subsets_budgeted};
+use gpd::singular::possibly_singular_subsets_budgeted;
 use gpd::slice::{cnf_envelope, possibly_by_enumeration_sliced_budgeted, Slice};
 use gpd::{Budget, BudgetMeter, Checkpoint, CnfClause, DetectError, SingularCnf, Verdict};
 use gpd_computation::{BoolVariable, Computation, ComputationBuilder, Cut, ProcessId};
@@ -191,8 +191,10 @@ fn unknown_bounds_are_sound() {
 #[test]
 fn odometer_engine_resumes_to_the_unbudgeted_verdict() {
     let (comp, var, phi) = wide_unsat(2);
-    let unbudgeted = possibly_singular_subsets(&comp, &var, &phi);
-    assert!(unbudgeted.is_none());
+    let (unlimited, meter) = (Budget::unlimited(), BudgetMeter::new());
+    let unbudgeted =
+        possibly_singular_subsets_budgeted(&comp, &var, &phi, 0, &unlimited, &meter, None).unwrap();
+    assert_eq!(unbudgeted.value(), Some(&None));
 
     for threads in [1usize, 2, 4] {
         let leg = Budget::unlimited().with_max_nodes(3);

@@ -3,13 +3,32 @@
 //! of this library would follow when debugging a distributed system.
 
 use gpd::conjunctive::possibly_conjunctive;
+use gpd::detect::{Answer, Modality, Options, Predicate, Query};
 use gpd::enumerate::possibly_by_enumeration;
-use gpd::relational::{possibly_exact_sum, possibly_sum};
+use gpd::relational::possibly_sum;
 use gpd::symmetric::{indicator_variable, possibly_symmetric, SymmetricPredicate};
 use gpd::Relop;
-use gpd_computation::ProcessId;
+use gpd_computation::{Computation, Cut, IntVariable, ProcessId};
 use gpd_sim::protocols::{BankBranch, ChangRoberts, RicartAgrawala, TokenRing, Voter};
 use gpd_sim::{SimConfig, Simulation};
+
+/// `Possibly(Σ var = k)` through the planner: the Theorem 4 walk's
+/// witness for ±1 steps.
+fn possibly_exact_sum(comp: &Computation, var: &IntVariable, k: i64) -> Option<Cut> {
+    let query = Query {
+        comp,
+        predicate: Predicate::ExactSum { var, k },
+        modality: Modality::Possibly,
+    };
+    match gpd::detect(&query, &Options::default())
+        .unwrap()
+        .verdict
+        .value()
+    {
+        Some(Answer::Witness(witness)) => witness.clone(),
+        other => panic!("an unbudgeted Possibly question decides: {other:?}"),
+    }
+}
 
 #[test]
 fn correct_mutex_has_no_possible_violation() {
@@ -72,12 +91,10 @@ fn token_conservation_and_loss_detection() {
     assert!(tokens.is_unit_step());
 
     // "Exactly 2 tokens held" is possible (e.g. the initial cut).
-    let w = possibly_exact_sum(&trace.computation, tokens, 2).unwrap();
+    let w = possibly_exact_sum(&trace.computation, tokens, 2);
     assert!(w.is_some());
     // More tokens than exist is impossible.
-    assert!(possibly_exact_sum(&trace.computation, tokens, 3)
-        .unwrap()
-        .is_none());
+    assert!(possibly_exact_sum(&trace.computation, tokens, 3).is_none());
     // With tokens in flight, some cut holds fewer than 2.
     let dip = possibly_sum(&trace.computation, tokens, Relop::Lt, 2);
     let slow = possibly_by_enumeration(&trace.computation, |c| tokens.sum_at(c) < 2);
@@ -117,11 +134,7 @@ fn voting_majority_analysis_matches_ballots() {
 
     // The final tally is reachable as an exact sum.
     let indicator = indicator_variable(&trace.computation, voted_yes);
-    assert!(
-        possibly_exact_sum(&trace.computation, &indicator, yes_total)
-            .unwrap()
-            .is_some()
-    );
+    assert!(possibly_exact_sum(&trace.computation, &indicator, yes_total).is_some());
 
     // Absence of simple majority (= exactly 2 of 4 yes) possible iff the
     // exhaustive baseline says so.

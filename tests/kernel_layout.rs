@@ -9,11 +9,29 @@
 //! `VectorClock` construction (`clock(e).to_owned()`, `VectorClock::from`,
 //! clones) — tests run concurrently in one process.
 
+use gpd::detect::{Answer, Modality, Options, Predicate, Query};
 use gpd::enumerate::{possibly_by_enumeration, possibly_by_enumeration_budgeted};
-use gpd::relational::possibly_exact_sum;
 use gpd::{Budget, BudgetMeter};
 use gpd_computation::{gen, Computation, ComputationBuilder, Cut, IntVariable};
 use rand::SeedableRng;
+
+/// `Possibly(Σ var = k)` through the planner: the Theorem 4 walk's
+/// witness for ±1 steps.
+fn possibly_exact_sum(comp: &Computation, var: &IntVariable, k: i64) -> Option<Cut> {
+    let query = Query {
+        comp,
+        predicate: Predicate::ExactSum { var, k },
+        modality: Modality::Possibly,
+    };
+    match gpd::detect(&query, &Options::default())
+        .unwrap()
+        .verdict
+        .value()
+    {
+        Some(Answer::Witness(witness)) => witness.clone(),
+        other => panic!("an unbudgeted Possibly question decides: {other:?}"),
+    }
+}
 
 /// The budgeted level sweep at `threads` under an unlimited budget.
 fn enumerate_at(
@@ -111,7 +129,7 @@ fn exact_sum_walk_witness_is_pinned() {
     b.message(f1, a2).unwrap();
     let comp = b.build().unwrap();
     let x = IntVariable::new(&comp, vec![vec![0, 1, 2], vec![0, 0, 1]]);
-    let witness = possibly_exact_sum(&comp, &x, 2).unwrap().unwrap();
+    let witness = possibly_exact_sum(&comp, &x, 2).unwrap();
     assert_eq!(witness.frontier(), &[2, 1]);
     assert_eq!(x.sum_at(&witness), 2);
 }

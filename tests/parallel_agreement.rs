@@ -10,8 +10,7 @@ use gpd::enumerate::{
     possibly_by_enumeration_budgeted, DEFINITELY_LEVELWISE, POSSIBLY_ENUMERATE,
 };
 use gpd::singular::{
-    possibly_singular, possibly_singular_budgeted, possibly_singular_chains,
-    possibly_singular_chains_budgeted, possibly_singular_ordered, possibly_singular_subsets,
+    possibly_singular_budgeted, possibly_singular_chains_budgeted, possibly_singular_ordered,
     possibly_singular_subsets_budgeted,
 };
 use gpd::{
@@ -71,11 +70,13 @@ proptest! {
         let x = gen::random_bool_variable(&mut rng, &comp, density);
         let phi = random_singular(&mut rng, n, 3);
 
-        // The plain engines are the budgeted ones at 0 threads: the
-        // reference every thread count must reproduce byte for byte.
-        let seq_subsets = possibly_singular_subsets(&comp, &x, &phi);
-        let seq_chains = possibly_singular_chains(&comp, &x, &phi);
-        let seq_auto = possibly_singular(&comp, &x, &phi);
+        // The engines at 0 threads: the sequential reference every
+        // thread count must reproduce byte for byte.
+        let seq_subsets =
+            decided(|b, m| possibly_singular_subsets_budgeted(&comp, &x, &phi, 0, b, m, None));
+        let seq_chains =
+            decided(|b, m| possibly_singular_chains_budgeted(&comp, &x, &phi, 0, b, m, None));
+        let seq_auto = decided(|b, m| possibly_singular_budgeted(&comp, &x, &phi, 0, b, m, None));
         for cut in [&seq_subsets, &seq_chains, &seq_auto].into_iter().flatten() {
             prop_assert!(comp.is_consistent(cut));
             prop_assert!(phi.eval(&x, cut));

@@ -18,7 +18,7 @@ use gpd::abstraction::{Decision, LocalSlicer};
 use gpd::counters;
 use gpd::enumerate::possibly_by_enumeration_budgeted;
 use gpd::online::ConjunctiveMonitor;
-use gpd::singular::{possibly_singular_subsets, possibly_singular_subsets_reference};
+use gpd::singular::{possibly_singular_subsets_budgeted, possibly_singular_subsets_reference};
 use gpd::slice::{cnf_envelope, possibly_by_enumeration_sliced_budgeted, Slice};
 use gpd::{Budget, BudgetMeter};
 use gpd_bench::{sliced_unsat_workload, wide_unsat_singular_workload};
@@ -36,9 +36,16 @@ fn incremental_scan_halves_forces_evaluations() {
     let reference = possibly_singular_subsets_reference(&comp, &var, &phi);
     let reference_forces = counters::snapshot().since(&before).forces_evals;
 
+    let (unlimited, meter) = (Budget::unlimited(), BudgetMeter::new());
     let before = counters::snapshot();
-    let incremental = possibly_singular_subsets(&comp, &var, &phi);
+    let incremental =
+        possibly_singular_subsets_budgeted(&comp, &var, &phi, 0, &unlimited, &meter, None)
+            .expect("no checkpoint, no panic");
     let incremental_forces = counters::snapshot().since(&before).forces_evals;
+    let incremental = incremental
+        .value()
+        .expect("unlimited budgets decide")
+        .clone();
 
     assert_eq!(reference, None, "the workload is unsatisfiable");
     assert_eq!(incremental, reference, "witness mismatch");

@@ -4,10 +4,21 @@
 
 use gpd::enumerate::possibly_by_enumeration;
 use gpd::hardness::{brute_force_subset_sum, reduce_sat, reduce_subset_sum};
-use gpd::singular::{possibly_singular_chains, possibly_singular_subsets};
+use gpd::singular::{possibly_singular_chains_budgeted, possibly_singular_subsets_budgeted};
+use gpd::{Budget, BudgetMeter, DetectError, Verdict};
+use gpd_computation::Cut;
 use gpd_sat::{brute_force, random_cnf, solve, to_non_monotone, to_three_cnf};
 use proptest::prelude::*;
 use rand::SeedableRng;
+
+/// Runs a budgeted engine at 0 threads under an unlimited budget, which
+/// always decides, and returns its witness.
+fn sequential(
+    run: impl FnOnce(&Budget, &BudgetMeter) -> Result<Verdict<Option<Cut>>, DetectError>,
+) -> Option<Cut> {
+    let verdict = run(&Budget::unlimited(), &BudgetMeter::new()).expect("no checkpoint, no panic");
+    verdict.value().expect("unlimited budgets decide").clone()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -31,13 +42,14 @@ proptest! {
         let gadget = reduce_sat(&nm).expect("pipeline output is valid input");
         let sat = solve(&raw).is_some();
         // Both general detection algorithms must agree with SAT.
-        let detected = possibly_singular_chains(
-            &gadget.computation, &gadget.variable, &gadget.predicate,
-        );
+        let (comp, var, phi) = (&gadget.computation, &gadget.variable, &gadget.predicate);
+        let detected = sequential(|b, m| {
+            possibly_singular_chains_budgeted(comp, var, phi, 0, b, m, None)
+        });
         prop_assert_eq!(detected.is_some(), sat);
-        let via_subsets = possibly_singular_subsets(
-            &gadget.computation, &gadget.variable, &gadget.predicate,
-        );
+        let via_subsets = sequential(|b, m| {
+            possibly_singular_subsets_budgeted(comp, var, phi, 0, b, m, None)
+        });
         prop_assert_eq!(via_subsets.is_some(), sat);
 
         // A witness converts back into a model of the *transformed*

@@ -6,10 +6,7 @@
 //! byte-identity claim at every thread count, not just verdict
 //! agreement, and these tests hold the implementations to it.
 
-use gpd::singular::{
-    possibly_singular_subsets, possibly_singular_subsets_budgeted,
-    possibly_singular_subsets_reference,
-};
+use gpd::singular::{possibly_singular_subsets_budgeted, possibly_singular_subsets_reference};
 use gpd::{counters, Budget, BudgetMeter, CnfClause, SingularCnf};
 use gpd_computation::{gen, BoolVariable, Computation, ComputationBuilder, Cut, ProcessId};
 use proptest::prelude::*;
@@ -109,7 +106,6 @@ proptest! {
         let phi = random_singular(&mut rng, n, 3);
 
         let reference = possibly_singular_subsets_reference(&comp, &x, &phi);
-        prop_assert_eq!(&possibly_singular_subsets(&comp, &x, &phi), &reference);
         prop_assert_eq!(&subsets_at(&comp, &x, &phi, 0), &reference);
     }
 
@@ -154,7 +150,7 @@ fn wide_unsat_workload_rejects_identically_and_cheaper() {
     assert!(reference.is_none());
 
     let before = counters::snapshot();
-    let incremental = possibly_singular_subsets(&comp, &var, &phi);
+    let incremental = subsets_at(&comp, &var, &phi, 0);
     let incremental_work = counters::snapshot().since(&before);
     assert!(incremental.is_none());
 

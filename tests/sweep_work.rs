@@ -9,13 +9,17 @@
 //! and the Definitely sweep's reads one per edge plus the initial probe
 //! — at every thread count. Both expand every non-final cut once, so
 //! the kernel's row reads and dominance batches are thread-count
-//! invariant too, and equal to one full `CutIter` walk's.
+//! invariant too, and equal to one full `CutIter` walk's. The planner's
+//! Definitely sweeps take the caller's thread count, so they fan out too.
 
 use std::sync::Mutex;
 
+use gpd::detect::{Answer, Modality, Options, Predicate, Query};
 use gpd::enumerate::{definitely_levelwise_budgeted, possibly_by_enumeration_budgeted};
 use gpd::{counters, Budget, BudgetMeter};
-use gpd_computation::{gen, kernel_counters, Computation, ComputationBuilder, Cut, KernelCounters};
+use gpd_computation::{
+    gen, kernel_counters, Computation, ComputationBuilder, Cut, IntVariable, KernelCounters,
+};
 use rand::SeedableRng;
 
 /// Row reads and dominance batches since `before`.
@@ -154,4 +158,41 @@ fn level_sweeps_do_the_same_exact_work_at_every_thread_count() {
     let narrow = b.build().unwrap();
     assert!(lattice_shape(&narrow).0.iter().all(|&w| w < 64));
     assert_eq!(waves_at_two_threads(&narrow), 0, "narrow levels stay put");
+
+    // An unbudgeted ±1 Definitely(Σ = K) through the planner. Six
+    // processes each raise x once and lower it again: both endpoints sum
+    // to 0 and the closure bound reaches 6, so no short-circuit decides
+    // Σ = 6 and the sweep runs, over levels wide enough to fan out. A run
+    // that lowers each x before the next rises avoids 6.
+    let mut b = ComputationBuilder::new(6);
+    for p in 0..6 {
+        for _ in 0..3 {
+            b.append(p);
+        }
+    }
+    let fan = b.build().unwrap();
+    let x = IntVariable::new(&fan, vec![vec![0, 1, 0, 0]; 6]);
+    let definitely_six = |threads| {
+        let query = Query {
+            comp: &fan,
+            predicate: Predicate::ExactSum { var: &x, k: 6 },
+            modality: Modality::Definitely,
+        };
+        let options = Options {
+            threads,
+            ..Options::default()
+        };
+        let before = counters::snapshot();
+        let report = gpd::detect(&query, &options).expect("±1 steps pass the guard");
+        let waves = counters::snapshot().since(&before).par_waves;
+        (report.verdict.value().cloned(), waves)
+    };
+    let (sequential, _) = definitely_six(0);
+    assert_eq!(sequential, Some(Answer::Holds(false)));
+    let (parallel, waves) = definitely_six(2);
+    assert_eq!(
+        parallel, sequential,
+        "the verdict is thread-count invariant"
+    );
+    assert!(waves > 0, "the planner's Definitely(Σ = K) sweep fans out");
 }
