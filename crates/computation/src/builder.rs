@@ -82,6 +82,11 @@ impl ComputationBuilder {
         self.kinds.reserve(events);
     }
 
+    /// Reserves room for at least `messages` more messages.
+    pub(crate) fn reserve_messages(&mut self, messages: usize) {
+        self.messages.reserve(messages);
+    }
+
     /// The number of processes.
     pub fn process_count(&self) -> usize {
         self.proc_len.len()
