@@ -300,3 +300,50 @@ fn invalid_tenant_names_are_refused() {
     handle.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn aggregate_stats_are_the_sum_of_the_tenant_rows() {
+    let dir = tmp_dir("sums");
+    let handle = server::start("127.0.0.1:0", server_config(&dir)).unwrap();
+    let addr = handle.local_addr();
+    client_for(addr, "x")
+        .feed(&[false, false], &witnessed_events())
+        .unwrap();
+    client_for(addr, "y")
+        .feed(&[false, false], &one_sided_events(6))
+        .unwrap();
+    // Fed twice, so the second session resumes.
+    for _ in 0..2 {
+        client_for(addr, "z")
+            .feed(&[false, false], &one_sided_events(3))
+            .unwrap();
+    }
+
+    let client = client_for(addr, "x");
+    let rows = client.query_tenant_stats().unwrap();
+    assert_eq!(rows.len(), 3, "{rows:?}");
+    let sum = |field: fn(&gpd_server::TenantStatsRow) -> u64| rows.iter().map(field).sum::<u64>();
+    let stats = client.query_stats().unwrap();
+    assert_eq!(stats.observed, sum(|r| r.observed));
+    assert_eq!(stats.duplicates, sum(|r| r.duplicates));
+    assert_eq!(stats.stale, sum(|r| r.stale));
+    assert_eq!(stats.rejected, sum(|r| r.rejected));
+    assert_eq!(stats.events_logged, sum(|r| r.events_logged));
+    assert_eq!(stats.resumes, sum(|r| r.resumes));
+    assert_eq!(stats.queue_depth, sum(|r| r.queue_depth));
+    assert_eq!(stats.wal_segments, sum(|r| r.wal_segments));
+    assert_eq!(stats.wal_bytes, sum(|r| r.wal_bytes));
+    assert_eq!(stats.snapshots, sum(|r| r.snapshots));
+    assert_eq!(stats.tenants, 3);
+    // The run moved the counters the sum is checked on.
+    assert_eq!(stats.observed, 4 + 6 + 3, "{stats:?}");
+    assert_eq!(stats.resumes, 1, "{stats:?}");
+    assert!(stats.queue_depth > 0 && stats.wal_bytes > 0, "{stats:?}");
+    // The in-process view agrees with the wire.
+    assert_eq!(handle.stats(), stats);
+
+    client.shutdown().unwrap();
+    let summary = handle.wait();
+    assert_eq!(summary.stats, stats);
+    let _ = std::fs::remove_dir_all(&dir);
+}
