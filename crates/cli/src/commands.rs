@@ -24,10 +24,13 @@ pub(crate) struct Flags {
     pub(crate) switches: Vec<String>,
 }
 
+/// A subcommand's accepted flags: those that take a value, then the
+/// bare switches. `USAGE` names exactly these.
+pub(crate) type FlagSpec = (&'static [&'static str], &'static [&'static str]);
+
 pub(crate) fn parse_flags(
     args: &[String],
-    value_flags: &[&str],
-    switch_flags: &[&str],
+    (value_flags, switch_flags): FlagSpec,
 ) -> Result<Flags, CliError> {
     let mut flags = Flags {
         positional: Vec::new(),
@@ -106,9 +109,11 @@ fn trace_text(trace: &SimTrace) -> String {
     write_trace(&trace.computation, &bools, &ints)
 }
 
+pub(crate) const SIMULATE_FLAGS: FlagSpec = (&["n", "seed", "tokens", "rounds", "o"], &["buggy"]);
+
 /// `gpd simulate <protocol> [--n N] [--seed S] [--tokens K] [--rounds R] [--buggy] [-o FILE]`
 pub fn simulate(args: &[String]) -> Result<String, CliError> {
-    let flags = parse_flags(args, &["n", "seed", "tokens", "rounds", "o"], &["buggy"])?;
+    let flags = parse_flags(args, SIMULATE_FLAGS)?;
     let [protocol] = flags.positional.as_slice() else {
         return Err(CliError::Usage(
             "simulate <token-ring|mutex|election|voting|bank|2pc> [flags]".into(),
@@ -175,9 +180,11 @@ pub fn simulate(args: &[String]) -> Result<String, CliError> {
     }
 }
 
+pub(crate) const STATS_FLAGS: FlagSpec = (&[], &["cuts"]);
+
 /// `gpd stats <trace> [--cuts]`
 pub fn stats(args: &[String]) -> Result<String, CliError> {
-    let flags = parse_flags(args, &[], &["cuts"])?;
+    let flags = parse_flags(args, STATS_FLAGS)?;
     let [path] = flags.positional.as_slice() else {
         return Err(CliError::Usage("stats <trace> [--cuts]".into()));
     };
@@ -220,10 +227,12 @@ pub fn stats(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
+pub(crate) const LATTICE_FLAGS: FlagSpec = (&[], &["enumerate"]);
+
 /// `gpd lattice <trace> [--enumerate]`: the per-level consistent-cut
 /// profile — how wide the state space is at each logical step.
 pub fn lattice(args: &[String]) -> Result<String, CliError> {
-    let flags = parse_flags(args, &[], &["enumerate"])?;
+    let flags = parse_flags(args, LATTICE_FLAGS)?;
     let [path] = flags.positional.as_slice() else {
         return Err(CliError::Usage("lattice <trace> [--enumerate]".into()));
     };
@@ -241,9 +250,11 @@ pub fn lattice(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
+pub(crate) const DOT_FLAGS: FlagSpec = (&["var"], &[]);
+
 /// `gpd dot <trace> [--var NAME]`
 pub fn dot(args: &[String]) -> Result<String, CliError> {
-    let flags = parse_flags(args, &["var"], &[])?;
+    let flags = parse_flags(args, DOT_FLAGS)?;
     let [path] = flags.positional.as_slice() else {
         return Err(CliError::Usage("dot <trace> [--var NAME]".into()));
     };
@@ -515,11 +526,8 @@ fn answer_text(question: &str, report: &Report, predicate: &Predicate<'_>) -> St
     }
 }
 
-/// `gpd detect <trace> --pred "EXPR" [--definitely] [--enumerate] [--threads N] [--stats]
-///  [--slice off|auto|force] [--deadline-ms N] [--max-nodes N] [--max-width N]
-///  [--resume CKPT] [--checkpoint FILE]`
-pub fn detect(args: &[String]) -> Result<String, CliError> {
-    let values = [
+pub(crate) const DETECT_FLAGS: FlagSpec = (
+    &[
         "pred",
         "threads",
         "deadline-ms",
@@ -528,8 +536,15 @@ pub fn detect(args: &[String]) -> Result<String, CliError> {
         "resume",
         "checkpoint",
         "slice",
-    ];
-    let flags = parse_flags(args, &values, &["definitely", "enumerate", "stats"])?;
+    ],
+    &["definitely", "enumerate", "stats"],
+);
+
+/// `gpd detect <trace> --pred "EXPR" [--definitely] [--enumerate] [--threads N] [--stats]
+///  [--slice off|auto|force] [--deadline-ms N] [--max-nodes N] [--max-width N]
+///  [--resume CKPT] [--checkpoint FILE]`
+pub fn detect(args: &[String]) -> Result<String, CliError> {
+    let flags = parse_flags(args, DETECT_FLAGS)?;
     let [path] = flags.positional.as_slice() else {
         return Err(CliError::Usage(DETECT_USAGE.into()));
     };

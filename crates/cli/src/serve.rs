@@ -20,6 +20,7 @@
 use std::io::Write as _;
 use std::time::Duration;
 
+use gpd_computation::{BoolVariable, Computation};
 use gpd_server::chaos::{self, ChaosConfig};
 use gpd_server::client::{ClientConfig, FeedClient};
 use gpd_server::server::{self, ServerConfig, ServerSummary};
@@ -27,7 +28,7 @@ use gpd_server::slicer::SlicerAgent;
 use gpd_server::wal::{FsyncPolicy, WalConfig};
 use gpd_sim::FaultPlan;
 
-use crate::commands::{find_bool, find_int, load_trace, parse_flags, Flags};
+use crate::commands::{find_bool, find_int, load_trace, parse_flags, FlagSpec, Flags};
 use crate::CliError;
 
 /// Announces a bound address: printed immediately (and flushed, so
@@ -52,6 +53,24 @@ fn render_witness(witness: &Option<Vec<Vec<u32>>>) -> String {
     }
 }
 
+pub(crate) const SERVE_FLAGS: FlagSpec = (
+    &[
+        "addr",
+        "wal-dir",
+        "fsync",
+        "fsync-interval-ms",
+        "shards",
+        "queue-cap",
+        "max-tenants",
+        "snapshot-every",
+        "quota-frames",
+        "heartbeat-timeout-ms",
+        "scrub-every-ms",
+        "addr-file",
+    ],
+    &["stats", "decentralized"],
+);
+
 /// `gpd serve [--addr A] [--wal-dir DIR] [--fsync always|interval|group]
 ///  [--fsync-interval-ms N] [--shards N] [--queue-cap N] [--max-tenants N]
 ///  [--snapshot-every N] [--quota-frames N] [--heartbeat-timeout-ms N]
@@ -60,7 +79,7 @@ fn render_witness(witness: &Option<Vec<Vec<u32>>>) -> String {
 /// Blocks until a client sends the shutdown command (`gpd feed
 /// --shutdown`), then reports the final verdict and counters —
 /// per-tenant rows when `--stats` is given or more than one tenant
-/// connected. (`--workers` is accepted as an alias for `--shards`.)
+/// connected.
 ///
 /// `--queue-cap N` bounds each tenant's per-process monitor queues. The
 /// monitor drops a state as soon as another process's state rules it
@@ -84,25 +103,7 @@ fn render_witness(witness: &Option<Vec<Vec<u32>>>) -> String {
 /// live in-memory state where possible, and the scrub counters join
 /// the per-tenant summary rows.
 pub fn serve(args: &[String]) -> Result<String, CliError> {
-    let flags = parse_flags(
-        args,
-        &[
-            "addr",
-            "wal-dir",
-            "fsync",
-            "fsync-interval-ms",
-            "shards",
-            "workers",
-            "queue-cap",
-            "max-tenants",
-            "snapshot-every",
-            "quota-frames",
-            "heartbeat-timeout-ms",
-            "scrub-every-ms",
-            "addr-file",
-        ],
-        &["stats", "decentralized"],
-    )?;
+    let flags = parse_flags(args, SERVE_FLAGS)?;
     if !flags.positional.is_empty() {
         return Err(CliError::Usage(
             "serve [--addr A] [--wal-dir DIR] [--fsync always|interval|group] [flags]".into(),
@@ -130,10 +131,7 @@ pub fn serve(args: &[String]) -> Result<String, CliError> {
     };
 
     let mut config = ServerConfig::new(WalConfig::new(wal_dir).with_fsync(fsync));
-    config.shards = match flags.values.get("shards") {
-        Some(_) => flags.get_usize("shards", 2)?,
-        None => flags.get_usize("workers", 2)?,
-    };
+    config.shards = flags.get_usize("shards", 2)?;
     config.queue_cap = match flags.get_usize("queue-cap", 0)? {
         0 => None,
         cap => Some(cap),
@@ -282,15 +280,12 @@ fn render_summary(
     out
 }
 
-/// Derives the per-process truth tracks the feed streams: either a
+/// Derives the local predicate `feed` and `slicer` replay: either a
 /// recorded boolean variable, or a threshold over a recorded integer
 /// variable (`--int balance --below 100` / `--at-least 100`).
-fn truth_tracks(
-    trace: &gpd_computation::trace::Trace,
-    flags: &Flags,
-) -> Result<Vec<Vec<bool>>, CliError> {
+fn truth(trace: &gpd_computation::trace::Trace, flags: &Flags) -> Result<BoolVariable, CliError> {
     match (flags.values.get("var"), flags.values.get("int")) {
-        (Some(name), None) => Ok(find_bool(trace, name)?.tracks().to_vec()),
+        (Some(name), None) => Ok(find_bool(trace, name)?.clone()),
         (None, Some(name)) => {
             let var = find_int(trace, name)?;
             let (threshold, below) = match (flags.values.get("below"), flags.values.get("at-least"))
@@ -303,7 +298,7 @@ fn truth_tracks(
                     ))
                 }
             };
-            Ok(var
+            let tracks = var
                 .tracks()
                 .iter()
                 .map(|values| {
@@ -312,11 +307,10 @@ fn truth_tracks(
                         .map(|&v| if below { v < threshold } else { v >= threshold })
                         .collect()
                 })
-                .collect())
+                .collect();
+            Ok(BoolVariable::new(&trace.computation, tracks))
         }
-        _ => Err(CliError::Usage(
-            "feed needs exactly one of --var NAME / --int NAME".into(),
-        )),
+        _ => unreachable!("replay_addr checks for exactly one of --var / --int"),
     }
 }
 
@@ -329,10 +323,7 @@ fn parse_i64(flag: &str, v: &str) -> Result<i64, CliError> {
 /// vector plus every true state's vector clock, in the canonical merge
 /// order (ascending local index, then process) — per-process FIFO, so
 /// any interleaving the server sees is a valid delivery order.
-fn stream_events(
-    comp: &gpd_computation::Computation,
-    tracks: &[Vec<bool>],
-) -> (Vec<bool>, Vec<(usize, Vec<u32>)>) {
+fn stream_events(comp: &Computation, tracks: &[Vec<bool>]) -> (Vec<bool>, Vec<(usize, Vec<u32>)>) {
     let initial: Vec<bool> = tracks
         .iter()
         .map(|t| t.first().copied().unwrap_or(false))
@@ -356,46 +347,31 @@ fn stream_events(
     (initial, stream)
 }
 
-/// `gpd feed <trace> --addr A (--var NAME | --int NAME --below K | --at-least K)
-///  [--tenant T] [--io-timeout-ms N] [--retries N] [--backoff-ms N]
-///  [--backoff-cap-ms N] [--seed S] [--window N] [--shutdown]`
-pub fn feed(args: &[String]) -> Result<String, CliError> {
-    let flags = parse_flags(
-        args,
-        &[
-            "addr",
-            "tenant",
-            "var",
-            "int",
-            "below",
-            "at-least",
-            "io-timeout-ms",
-            "retries",
-            "backoff-ms",
-            "backoff-cap-ms",
-            "seed",
-            "window",
-        ],
-        &["shutdown"],
-    )?;
-    let [path] = flags.positional.as_slice() else {
-        return Err(CliError::Usage(
-            "feed <trace> --addr A (--var NAME | --int NAME --below K) [flags]".into(),
-        ));
-    };
+/// Checks the flags `feed` and `slicer` share, `--addr` and exactly one
+/// of `--var`/`--int`, and returns the address.
+fn replay_addr<'a>(command: &str, flags: &'a Flags) -> Result<&'a String, CliError> {
     let Some(addr) = flags.values.get("addr") else {
-        return Err(CliError::Usage("feed needs --addr HOST:PORT".into()));
+        return Err(CliError::Usage(format!("{command} needs --addr HOST:PORT")));
     };
     if flags.values.contains_key("var") == flags.values.contains_key("int") {
-        return Err(CliError::Usage(
-            "feed needs exactly one of --var NAME / --int NAME".into(),
-        ));
+        return Err(CliError::Usage(format!(
+            "{command} needs exactly one of --var NAME / --int NAME"
+        )));
     }
-    let trace = load_trace(path)?;
-    let tracks = truth_tracks(&trace, &flags)?;
-    let (initial, events) = stream_events(&trace.computation, &tracks);
+    Ok(addr)
+}
 
-    let mut config = ClientConfig::new(addr.clone());
+/// Loads the trace `feed` or `slicer` replays, derives its local
+/// predicate, and builds the client configuration from the shared
+/// flags. (`slicer` takes no `--window`: its agents are stop-and-wait.)
+fn load_replay(
+    path: &str,
+    addr: &str,
+    flags: &Flags,
+) -> Result<(Computation, BoolVariable, ClientConfig), CliError> {
+    let trace = load_trace(path)?;
+    let x = truth(&trace, flags)?;
+    let mut config = ClientConfig::new(addr);
     if let Some(tenant) = flags.values.get("tenant") {
         config = config.with_tenant(tenant.clone());
     }
@@ -405,6 +381,53 @@ pub fn feed(args: &[String]) -> Result<String, CliError> {
     config.backoff_cap = Duration::from_millis(flags.get_u64("backoff-cap-ms", 1000)?);
     config.jitter_seed = flags.get_u64("seed", 0)?;
     config.max_inflight = flags.get_usize("window", 8)?;
+    Ok((trace.computation, x, config))
+}
+
+/// The `--shutdown` tail of `feed` and `slicer`: stops the server and
+/// appends its final verdict to `out`.
+fn shutdown_tail(client: &FeedClient, flags: &Flags, mut out: String) -> Result<String, CliError> {
+    if flags.has("shutdown") {
+        let final_witness = client.shutdown().map_err(|e| CliError::Io(e.to_string()))?;
+        out.push_str(&format!(
+            "server drained and stopped\nfinal {}",
+            render_witness(&final_witness)
+        ));
+    }
+    Ok(out)
+}
+
+pub(crate) const FEED_FLAGS: FlagSpec = (
+    &[
+        "addr",
+        "tenant",
+        "var",
+        "int",
+        "below",
+        "at-least",
+        "io-timeout-ms",
+        "retries",
+        "backoff-ms",
+        "backoff-cap-ms",
+        "seed",
+        "window",
+    ],
+    &["shutdown"],
+);
+
+/// `gpd feed <trace> --addr A (--var NAME | --int NAME --below K | --at-least K)
+///  [--tenant T] [--io-timeout-ms N] [--retries N] [--backoff-ms N]
+///  [--backoff-cap-ms N] [--seed S] [--window N] [--shutdown]`
+pub fn feed(args: &[String]) -> Result<String, CliError> {
+    let flags = parse_flags(args, FEED_FLAGS)?;
+    let [path] = flags.positional.as_slice() else {
+        return Err(CliError::Usage(
+            "feed <trace> --addr A (--var NAME | --int NAME --below K) [flags]".into(),
+        ));
+    };
+    let addr = replay_addr("feed", &flags)?;
+    let (comp, x, config) = load_replay(path, addr, &flags)?;
+    let (initial, events) = stream_events(&comp, x.tracks());
     let client = FeedClient::new(config);
 
     let report = client
@@ -422,44 +445,28 @@ pub fn feed(args: &[String]) -> Result<String, CliError> {
         report.rejected_retries,
     );
     out.push_str(&render_witness(&report.witness));
-    if flags.has("shutdown") {
-        let final_witness = client.shutdown().map_err(|e| CliError::Io(e.to_string()))?;
-        out.push_str(&format!(
-            "server drained and stopped\nfinal {}",
-            render_witness(&final_witness)
-        ));
-    }
-    Ok(out)
+    shutdown_tail(&client, &flags, out)
 }
 
-/// Converts truth tracks into per-process slicer replay streams: the
-/// initial-state truth vector plus, for each process, its non-initial
-/// local states in local order as `(vector clock, local truth)`.
-fn local_replay_streams(
-    comp: &gpd_computation::Computation,
-    tracks: &[Vec<bool>],
-) -> gpd_sim::LocalStreams {
-    let initial: Vec<bool> = tracks
-        .iter()
-        .map(|t| t.first().copied().unwrap_or(false))
-        .collect();
-    let streams = tracks
-        .iter()
-        .enumerate()
-        .map(|(p, track)| {
-            track
-                .iter()
-                .enumerate()
-                .skip(1)
-                .map(|(k, &is_true)| {
-                    let e = comp.event_at(p, k as u32).expect("state beyond the trace");
-                    (comp.clock(e).as_slice().to_vec(), is_true)
-                })
-                .collect()
-        })
-        .collect();
-    gpd_sim::LocalStreams { initial, streams }
-}
+pub(crate) const SLICER_FLAGS: FlagSpec = (
+    &[
+        "addr",
+        "tenant",
+        "var",
+        "int",
+        "below",
+        "at-least",
+        "process",
+        "summary-every",
+        "heartbeat-ms",
+        "io-timeout-ms",
+        "retries",
+        "backoff-ms",
+        "backoff-cap-ms",
+        "seed",
+    ],
+    &["all", "status", "shutdown"],
+);
 
 /// `gpd slicer <trace> --addr A (--var NAME | --int NAME --below K | --at-least K)
 ///  (--process P | --all) [--tenant T] [--summary-every N] [--heartbeat-ms N]
@@ -475,59 +482,21 @@ fn local_replay_streams(
 /// the server's decentralized verdict afterwards; `--shutdown` then
 /// stops the server.
 pub fn slicer(args: &[String]) -> Result<String, CliError> {
-    let flags = parse_flags(
-        args,
-        &[
-            "addr",
-            "tenant",
-            "var",
-            "int",
-            "below",
-            "at-least",
-            "process",
-            "summary-every",
-            "heartbeat-ms",
-            "io-timeout-ms",
-            "retries",
-            "backoff-ms",
-            "backoff-cap-ms",
-            "seed",
-        ],
-        &["all", "status", "shutdown"],
-    )?;
+    let flags = parse_flags(args, SLICER_FLAGS)?;
     let [path] = flags.positional.as_slice() else {
         return Err(CliError::Usage(
             "slicer <trace> --addr A (--var NAME | --int NAME --below K) (--process P | --all) [flags]"
                 .into(),
         ));
     };
-    let Some(addr) = flags.values.get("addr") else {
-        return Err(CliError::Usage("slicer needs --addr HOST:PORT".into()));
-    };
-    if flags.values.contains_key("var") == flags.values.contains_key("int") {
-        return Err(CliError::Usage(
-            "slicer needs exactly one of --var NAME / --int NAME".into(),
-        ));
-    }
+    let addr = replay_addr("slicer", &flags)?;
     if flags.has("all") == flags.values.contains_key("process") {
         return Err(CliError::Usage(
             "slicer needs exactly one of --process P / --all".into(),
         ));
     }
-    let trace = load_trace(path)?;
-    let tracks = truth_tracks(&trace, &flags)?;
-    let gpd_sim::LocalStreams { initial, streams } =
-        local_replay_streams(&trace.computation, &tracks);
-
-    let mut config = ClientConfig::new(addr.clone());
-    if let Some(tenant) = flags.values.get("tenant") {
-        config = config.with_tenant(tenant.clone());
-    }
-    config.io_timeout = Duration::from_millis(flags.get_u64("io-timeout-ms", 2000)?);
-    config.max_retries = flags.get_u64("retries", 10)? as u32;
-    config.backoff_base = Duration::from_millis(flags.get_u64("backoff-ms", 25)?);
-    config.backoff_cap = Duration::from_millis(flags.get_u64("backoff-cap-ms", 1000)?);
-    config.jitter_seed = flags.get_u64("seed", 0)?;
+    let (comp, x, config) = load_replay(path, addr, &flags)?;
+    let gpd_sim::LocalStreams { initial, streams } = gpd_sim::local_streams(&comp, &x);
     let summary_every = flags.get_usize("summary-every", 64)?;
     let heartbeat = Duration::from_millis(flags.get_u64("heartbeat-ms", 100)?);
 
@@ -601,15 +570,29 @@ pub fn slicer(args: &[String]) -> Result<String, CliError> {
             ));
         }
     }
-    if flags.has("shutdown") {
-        let final_witness = client.shutdown().map_err(|e| CliError::Io(e.to_string()))?;
-        out.push_str(&format!(
-            "server drained and stopped\nfinal {}",
-            render_witness(&final_witness)
-        ));
-    }
-    Ok(out)
+    shutdown_tail(&client, &flags, out)
 }
+
+pub(crate) const CHAOS_FLAGS: FlagSpec = (
+    &[
+        "upstream",
+        "listen",
+        "drop",
+        "duplicate",
+        "jitter",
+        "jitter-lo-ms",
+        "jitter-hi-ms",
+        "reset-after",
+        "reset-every",
+        "reset-limit",
+        "partition-after",
+        "partition-frames",
+        "partition-direction",
+        "seed",
+        "addr-file",
+    ],
+    &[],
+);
 
 /// `gpd chaos --upstream A [--listen B] [--drop P] [--duplicate P]
 ///  [--jitter P] [--jitter-lo-ms N] [--jitter-hi-ms N] [--reset-after N]
@@ -626,27 +609,7 @@ pub fn slicer(args: &[String]) -> Result<String, CliError> {
 /// direction, swallowing the next `--partition-frames` frames before
 /// the link heals.
 pub fn chaos(args: &[String]) -> Result<String, CliError> {
-    let flags = parse_flags(
-        args,
-        &[
-            "upstream",
-            "listen",
-            "drop",
-            "duplicate",
-            "jitter",
-            "jitter-lo-ms",
-            "jitter-hi-ms",
-            "reset-after",
-            "reset-every",
-            "reset-limit",
-            "partition-after",
-            "partition-frames",
-            "partition-direction",
-            "seed",
-            "addr-file",
-        ],
-        &[],
-    )?;
+    let flags = parse_flags(args, CHAOS_FLAGS)?;
     if !flags.positional.is_empty() {
         return Err(CliError::Usage(
             "chaos --upstream HOST:PORT [--listen A] [--drop P] [flags]".into(),

@@ -31,7 +31,7 @@ use crate::protocol::{
 /// a jitter drawn from a generator seeded with `seed + failures`, so
 /// replayed runs back off identically while distinct seeds (e.g. one
 /// per slicer process) desynchronize retry storms.
-pub(crate) fn backoff_delay(base: Duration, cap: Duration, seed: u64, failures: u32) -> Duration {
+fn backoff_delay(base: Duration, cap: Duration, seed: u64, failures: u32) -> Duration {
     let base_ms = base.as_millis() as u64;
     let cap_ms = cap.as_millis() as u64;
     let exp = base_ms.saturating_mul(1u64 << failures.min(16)).min(cap_ms);
@@ -42,6 +42,72 @@ pub(crate) fn backoff_delay(base: Duration, cap: Duration, seed: u64, failures: 
         0
     };
     Duration::from_millis(exp + jitter)
+}
+
+/// Connects to `config.addr` with the configured I/O timeouts and
+/// Nagle's algorithm off.
+fn connect(config: &ClientConfig) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(&config.addr)?;
+    stream.set_read_timeout(Some(config.io_timeout))?;
+    stream.set_write_timeout(Some(config.io_timeout))?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// The handshake loop of both session kinds: connects with backoff,
+/// sends `hello` (a `Hello` or a `SlicerHello`) and passes the reply to
+/// `ack`, which takes the expected acknowledgement apart and hands any
+/// other message back. A connection or I/O failure counts in
+/// `failures` (consecutive, for the backoff schedule; reset on
+/// success) and is retried while `attempts` (every attempt of the run)
+/// is within the budget.
+pub(crate) fn open_session<T>(
+    config: &ClientConfig,
+    hello: &Message,
+    failures: &mut u32,
+    attempts: &mut u32,
+    ack: impl Fn(Message) -> Result<T, Message>,
+) -> Result<(TcpStream, T), ClientError> {
+    let (kind, expected) = match hello {
+        Message::SlicerHello { .. } => ("slicer-hello", "SlicerHelloAck"),
+        _ => ("hello", "HelloAck"),
+    };
+    loop {
+        if *attempts >= config.max_retries {
+            return Err(ClientError::RetriesExhausted {
+                attempts: *attempts,
+                last: format!("connect/{kind} budget exhausted"),
+            });
+        }
+        *attempts += 1;
+        if *failures > 0 {
+            std::thread::sleep(backoff_delay(
+                config.backoff_base,
+                config.backoff_cap,
+                config.jitter_seed,
+                *failures - 1,
+            ));
+        }
+        let result = connect(config).and_then(|mut stream| {
+            write_message(&mut stream, hello)?;
+            let reply = read_message(&mut stream)?;
+            Ok((stream, reply))
+        });
+        let Ok((stream, reply)) = result else {
+            *failures += 1;
+            continue;
+        };
+        return match ack(reply) {
+            Ok(value) => {
+                *failures = 0;
+                Ok((stream, value))
+            }
+            Err(Message::Error { message }) => Err(ClientError::Server(message)),
+            Err(other) => Err(ClientError::Protocol(format!(
+                "expected {expected}, got {other:?}"
+            ))),
+        };
+    }
 }
 
 /// Client tunables.
@@ -163,66 +229,6 @@ impl FeedClient {
         )
     }
 
-    fn connect(&self) -> std::io::Result<TcpStream> {
-        let stream = TcpStream::connect(&self.config.addr)?;
-        stream.set_read_timeout(Some(self.config.io_timeout))?;
-        stream.set_write_timeout(Some(self.config.io_timeout))?;
-        stream.set_nodelay(true)?;
-        Ok(stream)
-    }
-
-    /// Connects with backoff, sends `Hello`, and returns the stream and
-    /// high-water marks. `failures` counts consecutive failures so far
-    /// (for the backoff schedule).
-    fn connect_session(
-        &self,
-        initial: &[bool],
-        failures: &mut u32,
-        attempts: &mut u32,
-    ) -> Result<(TcpStream, Vec<Option<u32>>), ClientError> {
-        loop {
-            if *attempts >= self.config.max_retries {
-                return Err(ClientError::RetriesExhausted {
-                    attempts: *attempts,
-                    last: "connect/hello budget exhausted".into(),
-                });
-            }
-            *attempts += 1;
-            if *failures > 0 {
-                std::thread::sleep(self.backoff(*failures - 1));
-            }
-            let result = self.connect().and_then(|mut stream| {
-                write_message(
-                    &mut stream,
-                    &Message::Hello {
-                        tenant: self.config.tenant.clone(),
-                        initial: initial.to_vec(),
-                    },
-                )?;
-                let reply = read_message(&mut stream)?;
-                Ok((stream, reply))
-            });
-            match result {
-                Ok((stream, Message::HelloAck { high_water })) => {
-                    if high_water.len() != initial.len() {
-                        return Err(ClientError::Protocol("high-water length mismatch".into()));
-                    }
-                    *failures = 0;
-                    return Ok((stream, high_water));
-                }
-                Ok((_, Message::Error { message })) => return Err(ClientError::Server(message)),
-                Ok((_, other)) => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected HelloAck, got {other:?}"
-                    )))
-                }
-                Err(_) => {
-                    *failures += 1;
-                }
-            }
-        }
-    }
-
     /// Streams `events` — `(process, clock)` pairs in a per-process
     /// FIFO order — and returns the final verdict. Survives connection
     /// loss, duplicated or dropped frames, and server restarts, within
@@ -249,10 +255,25 @@ impl FeedClient {
         let mut failures = 0u32;
         let mut attempts = 0u32;
         let mut first_connect = true;
+        let hello = Message::Hello {
+            tenant: self.config.tenant.clone(),
+            initial: initial.to_vec(),
+        };
 
         'session: loop {
-            let (mut stream, high_water) =
-                self.connect_session(initial, &mut failures, &mut attempts)?;
+            let (mut stream, high_water) = open_session(
+                &self.config,
+                &hello,
+                &mut failures,
+                &mut attempts,
+                |reply| match reply {
+                    Message::HelloAck { high_water } => Ok(high_water),
+                    other => Err(other),
+                },
+            )?;
+            if high_water.len() != n {
+                return Err(ClientError::Protocol("high-water length mismatch".into()));
+            }
             if !first_connect {
                 report.reconnects += 1;
             }
@@ -279,7 +300,6 @@ impl FeedClient {
             let mut ready: Vec<usize> = (0..n).collect();
             loop {
                 // Launch: one in-flight event per process, window-capped.
-                let mut launched = false;
                 ready.retain(|&p| {
                     if inflight.len() >= self.config.max_inflight {
                         return true;
@@ -300,11 +320,9 @@ impl FeedClient {
                     {
                         return true; // socket broken; the read below reconnects
                     }
-                    launched = true;
                     inflight.insert((p, seq), 0);
                     false // not ready again until acked
                 });
-                let _ = launched;
 
                 if inflight.is_empty() {
                     if (0..n).all(|p| next[p] >= queues[p].len()) {
@@ -452,19 +470,15 @@ impl FeedClient {
         }
     }
 
-    /// One-shot stats query.
+    /// One-shot aggregate stats query: the sum of
+    /// [`FeedClient::query_tenant_stats`].
     ///
     /// # Errors
     ///
     /// As [`FeedClient::query_verdict`].
     pub fn query_stats(&self) -> Result<ServerStats, ClientError> {
-        match self.roundtrip(&Message::StatsQuery)? {
-            Message::Stats(stats) => Ok(stats),
-            Message::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Protocol(format!(
-                "expected Stats, got {other:?}"
-            ))),
-        }
+        self.query_tenant_stats()
+            .map(|rows| ServerStats::sum(&rows))
     }
 
     /// One-shot per-tenant stats query.
@@ -523,7 +537,7 @@ impl FeedClient {
             attempts: 1,
             last: e.to_string(),
         };
-        let mut stream = self.connect().map_err(io)?;
+        let mut stream = connect(&self.config).map_err(io)?;
         write_message(&mut stream, message).map_err(io)?;
         read_message(&mut stream).map_err(io)
     }

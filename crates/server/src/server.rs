@@ -53,7 +53,7 @@
 //! tenant's log as one [`WalRecord::Snapshot`] plus the events since,
 //! so recovery replay is O(live monitor state), not O(event history).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -134,45 +134,19 @@ impl ServerConfig {
 /// steady state; the mutex also admits brief read-only peeks from
 /// queries landing on other shards.
 struct Tenant {
-    name: String,
     wal: Wal,
     /// `None` until the first `Hello` (or WAL replay) declares the
     /// process count.
     monitor: Option<ConjunctiveMonitor>,
     initial: Option<Vec<bool>>,
-    observed: u64,
-    duplicates: u64,
-    stale: u64,
-    rejected: u64,
-    events_logged: u64,
-    resumes: u64,
-    queue_peak: u64,
-    snapshots: u64,
+    /// The tenant's name and counters. The fields read off the monitor,
+    /// the WAL and the slicer registry stay at zero here;
+    /// [`Tenant::row`] fills them in.
+    stats: TenantStatsRow,
     events_since_snapshot: u64,
-    quarantined: bool,
-    /// Why the tenant was quarantined (`None` while healthy) — the
-    /// shutdown summary prints this instead of dropping the tenant.
-    quarantine_reason: Option<String>,
     /// Slicer liveness and progress for decentralized sessions (empty
     /// for centralized tenants).
     slicers: SlicerRegistry,
-    /// Records replayed when this tenant's WAL was opened — the
-    /// O(live state) gauge the recovery tests assert on.
-    replayed: u64,
-    /// Bytes recovery cut as a torn tail when the WAL was opened —
-    /// nonzero means an unclean shutdown lost un-acked data.
-    recovered_truncated_bytes: u64,
-    /// Whole segments recovery dropped past the torn one.
-    recovered_dropped_segments: u64,
-    /// Appends rejected for transient storage errors (ENOSPC/EIO with
-    /// a clean rollback — the tenant stayed in service).
-    storage_errors: u64,
-    /// Completed background scrub passes.
-    scrub_passes: u64,
-    /// Corrupt segments the scrubber found.
-    scrub_corruptions: u64,
-    /// Corrupt segments healed by compacting from the live monitor.
-    scrub_healed: u64,
     last_scrub: Instant,
 }
 
@@ -183,29 +157,18 @@ impl Tenant {
         config.dir = tenant_dir(&template.dir, name);
         let (wal, recovery) = Wal::open(config)?;
         let mut tenant = Tenant {
-            name: name.to_string(),
             wal,
             monitor: None,
             initial: None,
-            observed: 0,
-            duplicates: 0,
-            stale: 0,
-            rejected: 0,
-            events_logged: 0,
-            resumes: 0,
-            queue_peak: 0,
-            snapshots: 0,
+            stats: TenantStatsRow {
+                tenant: name.to_string(),
+                replayed: recovery.records.len() as u64,
+                recovered_truncated_bytes: recovery.truncated_bytes,
+                recovered_dropped_segments: recovery.dropped_segments,
+                ..TenantStatsRow::default()
+            },
             events_since_snapshot: 0,
-            quarantined: false,
-            quarantine_reason: None,
             slicers: SlicerRegistry::new(),
-            replayed: recovery.records.len() as u64,
-            recovered_truncated_bytes: recovery.truncated_bytes,
-            recovered_dropped_segments: recovery.dropped_segments,
-            storage_errors: 0,
-            scrub_passes: 0,
-            scrub_corruptions: 0,
-            scrub_healed: 0,
             last_scrub: Instant::now(),
         };
         // Deterministic replay: the log records every accepted
@@ -264,43 +227,28 @@ impl Tenant {
         let witness_found = self.monitor.as_ref().is_some_and(|m| m.witness().is_some());
         let census = self.slicers.census(now, heartbeat_timeout);
         TenantStatsRow {
-            tenant: self.name.clone(),
-            observed: self.observed,
-            duplicates: self.duplicates,
-            stale: self.stale,
-            rejected: self.rejected,
-            events_logged: self.events_logged,
-            resumes: self.resumes,
             queue_depth: self.monitor.as_ref().map_or(0, |m| m.queue_depth() as u64),
-            queue_peak: self.queue_peak,
             wal_segments: self.wal.segment_count(),
             wal_bytes: self.wal.bytes(),
-            snapshots: self.snapshots,
-            quarantined: self.quarantined,
             witness_found,
-            quarantine_reason: self.quarantine_reason.clone().unwrap_or_default(),
             slicers_live: census.live,
             slicers_dead: census.dead,
             slicers_done: census.done,
             // Storage poisoning degrades the verdict exactly like a
             // dead slicer: without a durable log the tenant can no
             // longer promise "not yet" — only a sticky witness stands.
-            degraded: !witness_found && (census.dead > 0 || self.quarantined),
-            replayed: self.replayed,
-            recovered_truncated_bytes: self.recovered_truncated_bytes,
-            recovered_dropped_segments: self.recovered_dropped_segments,
-            storage_errors: self.storage_errors,
-            scrub_passes: self.scrub_passes,
-            scrub_corruptions: self.scrub_corruptions,
-            scrub_healed: self.scrub_healed,
+            degraded: !witness_found && (census.dead > 0 || self.stats.quarantined),
+            ..self.stats.clone()
         }
     }
 
     /// Marks the tenant quarantined, keeping the first reason (later
     /// failures on an already-poisoned tenant add no information).
     fn quarantine(&mut self, reason: String) {
-        self.quarantined = true;
-        self.quarantine_reason.get_or_insert(reason);
+        self.stats.quarantined = true;
+        if self.stats.quarantine_reason.is_empty() {
+            self.stats.quarantine_reason = reason;
+        }
     }
 
     /// The three-valued decentralized verdict at `now`: the sticky
@@ -318,7 +266,7 @@ impl Tenant {
             // predicate) degrades to Unknown the same way a dead
             // slicer does: a sticky witness still stands, but "no
             // witness" can no longer be trusted as "not yet".
-            degraded: witness.is_none() && (!dead.is_empty() || self.quarantined),
+            degraded: witness.is_none() && (!dead.is_empty() || self.stats.quarantined),
             witness,
             dead,
             applied: (0..n)
@@ -348,7 +296,7 @@ impl Tenant {
                 .map(|w| w.into_iter().map(|c| c.as_slice().to_vec()).collect()),
         };
         self.wal.compact(&record)?;
-        self.snapshots += 1;
+        self.stats.snapshots += 1;
         self.events_since_snapshot = 0;
         Ok(())
     }
@@ -364,18 +312,18 @@ impl Tenant {
         let report = match self.wal.scrub() {
             Ok(report) => report,
             Err(e) => {
-                self.storage_errors += 1;
+                self.stats.storage_errors += 1;
                 if self.wal.poisoned().is_some() {
                     self.quarantine(format!("wal scrub failed: {e}"));
                 }
                 return;
             }
         };
-        self.scrub_passes += 1;
+        self.stats.scrub_passes += 1;
         if report.is_clean() {
             return;
         }
-        self.scrub_corruptions += report.corrupt_segments;
+        self.stats.scrub_corruptions += report.corrupt_segments;
         if self.monitor.is_none() || self.initial.is_none() {
             self.quarantine(format!(
                 "scrub found {} corrupt segment(s) and no live state to heal from",
@@ -384,7 +332,7 @@ impl Tenant {
             return;
         }
         match self.compact() {
-            Ok(()) => self.scrub_healed += report.corrupt_segments,
+            Ok(()) => self.stats.scrub_healed += report.corrupt_segments,
             Err(e) => self.quarantine(format!(
                 "scrub found {} corrupt segment(s) and healing compaction failed: {e}",
                 report.corrupt_segments
@@ -443,27 +391,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn stats(&self) -> ServerStats {
-        let now = Instant::now();
-        let mut stats = ServerStats::default();
-        for tenant in self.tenant_refs() {
-            let t = tenant.lock().expect("tenant poisoned");
-            let row = t.row(now, self.config.heartbeat_timeout);
-            stats.observed += row.observed;
-            stats.duplicates += row.duplicates;
-            stats.stale += row.stale;
-            stats.rejected += row.rejected;
-            stats.events_logged += row.events_logged;
-            stats.resumes += row.resumes;
-            stats.queue_depth += row.queue_depth;
-            stats.wal_segments += row.wal_segments;
-            stats.wal_bytes += row.wal_bytes;
-            stats.snapshots += row.snapshots;
-            stats.tenants += 1;
-        }
-        stats
-    }
-
     fn tenant_rows(&self) -> Vec<TenantStatsRow> {
         let now = Instant::now();
         let mut rows: Vec<TenantStatsRow> = self
@@ -528,7 +455,7 @@ pub struct ServerSummary {
     /// The final witness cut of the [`DEFAULT_TENANT`], if its
     /// conjunction ever held.
     pub witness: Option<Vec<Vec<u32>>>,
-    /// Final aggregate counters.
+    /// Final aggregate counters: the sum of `tenants`.
     pub stats: ServerStats,
     /// Final per-tenant counters, sorted by tenant id.
     pub tenants: Vec<TenantStatsRow>,
@@ -540,9 +467,10 @@ impl ServerHandle {
         self.addr
     }
 
-    /// A point-in-time aggregate counter snapshot.
+    /// A point-in-time aggregate counter snapshot: the sum of
+    /// [`ServerHandle::tenant_stats`].
     pub fn stats(&self) -> ServerStats {
-        self.shared.stats()
+        ServerStats::sum(&self.shared.tenant_rows())
     }
 
     /// Point-in-time per-tenant counters, sorted by tenant id.
@@ -552,19 +480,13 @@ impl ServerHandle {
 
     /// Per-tenant WAL records replayed at startup — the recovery-work
     /// gauge: after compaction this is O(live monitor state), not
-    /// O(event history).
+    /// O(event history). Sorted by tenant id, like
+    /// [`ServerHandle::tenant_stats`], which it reads.
     pub fn replayed_records(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = self
-            .shared
-            .tenant_refs()
-            .iter()
-            .map(|t| {
-                let t = t.lock().expect("tenant poisoned");
-                (t.name.clone(), t.replayed)
-            })
-            .collect();
-        out.sort();
-        out
+        self.tenant_stats()
+            .into_iter()
+            .map(|row| (row.tenant, row.replayed))
+            .collect()
     }
 
     /// Blocks until a client-initiated shutdown completes, then reports
@@ -573,15 +495,15 @@ impl ServerHandle {
         for t in self.threads {
             let _ = t.join();
         }
-        let stats = self.shared.stats();
         let witness = self
             .shared
             .lookup(DEFAULT_TENANT)
             .and_then(|t| t.lock().expect("tenant poisoned").witness());
+        let tenants = self.shared.tenant_rows();
         ServerSummary {
             witness,
-            stats,
-            tenants: self.shared.tenant_rows(),
+            stats: ServerStats::sum(&tenants),
+            tenants,
         }
     }
 }
@@ -701,9 +623,9 @@ struct Conn {
     /// Staged, not yet flushed replies. Only flushed after the sweep's
     /// group-commit fsync — that is the log-before-ack gate.
     wbuf: Vec<u8>,
-    /// The session tenant, set by the first processed `Hello`.
+    /// The session tenant, set by the first processed `Hello` or
+    /// `SlicerHello`.
     tenant: Option<TenantRef>,
-    tenant_name: Option<String>,
     /// Slicer identity `(process, adopted epoch)` when this session
     /// was opened by a `SlicerHello` — events arriving on it double as
     /// liveness beats for that epoch.
@@ -721,7 +643,6 @@ impl Conn {
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             tenant: None,
-            tenant_name: None,
             slicer: None,
             last_activity: Instant::now(),
             fate: ConnFate::Alive,
@@ -797,26 +718,21 @@ impl Conn {
 }
 
 /// One sweep's bookkeeping: which tenants were dirtied (need the
-/// group-commit fsync) and which crossed their snapshot threshold.
+/// group-commit fsync) and which crossed their snapshot threshold, each
+/// listed once.
 #[derive(Default)]
 struct SweepState {
     dirty: Vec<TenantRef>,
-    dirty_names: HashSet<String>,
     compact: Vec<TenantRef>,
-    compact_names: HashSet<String>,
 }
 
-impl SweepState {
-    fn mark_dirty(&mut self, name: &str, tenant: &TenantRef) {
-        if self.dirty_names.insert(name.to_string()) {
-            self.dirty.push(Arc::clone(tenant));
-        }
-    }
-
-    fn mark_compact(&mut self, name: &str, tenant: &TenantRef) {
-        if self.compact_names.insert(name.to_string()) {
-            self.compact.push(Arc::clone(tenant));
-        }
+/// Lists `tenant` in `list` unless it is there already. A tenant has
+/// one `Arc` for the server's lifetime, so identity is the tenant. A
+/// connection's frames arrive in a run, so the newest entry is
+/// compared first.
+fn mark(list: &mut Vec<TenantRef>, tenant: &TenantRef) {
+    if !list.iter().rev().any(|t| Arc::ptr_eq(t, tenant)) {
+        list.push(Arc::clone(tenant));
     }
 }
 
@@ -869,10 +785,9 @@ fn shard_loop(shard: usize, shared: &Shared) {
                     // unflushed, so no unlogged ack escapes. Clients
                     // will retransmit elsewhere.
                     t.quarantine(format!("wal fsync failed at group-commit boundary: {e}"));
-                    let name = t.name.clone();
                     drop(t);
                     for conn in &mut conns {
-                        if conn.tenant_name.as_deref() == Some(&name) {
+                        if conn.tenant.as_ref().is_some_and(|c| Arc::ptr_eq(c, tenant)) {
                             conn.fate = ConnFate::Dead;
                         }
                     }
@@ -898,8 +813,8 @@ fn shard_loop(shard: usize, shared: &Shared) {
                 next_scrub_scan = now + (every / 2).max(Duration::from_millis(10));
                 for tenant in shared.tenant_refs() {
                     let mut t = tenant.lock().expect("tenant poisoned");
-                    if shard_of(&t.name, shared.mailboxes.len()) != shard
-                        || t.quarantined
+                    if shard_of(&t.stats.tenant, shared.mailboxes.len()) != shard
+                        || t.stats.quarantined
                         || now.duration_since(t.last_scrub) < every
                     {
                         continue;
@@ -969,7 +884,6 @@ impl Conn {
             rbuf: std::mem::take(&mut conn.rbuf),
             wbuf: std::mem::take(&mut conn.wbuf),
             tenant: conn.tenant.take(),
-            tenant_name: conn.tenant_name.take(),
             slicer: conn.slicer.take(),
             last_activity: conn.last_activity,
             fate: ConnFate::Alive,
@@ -1024,16 +938,14 @@ fn process_frames(shard: usize, shared: &Shared, conn: &mut Conn, sweep: &mut Sw
 
 fn handle_message(shared: &Shared, conn: &mut Conn, message: Message, sweep: &mut SweepState) {
     match message {
-        Message::Hello { tenant, initial } => handle_hello(shared, conn, &tenant, initial, sweep),
+        Message::Hello { tenant, initial } => {
+            open_session(shared, conn, &tenant, initial, None, sweep)
+        }
         Message::Event { process, clock } => handle_event(shared, conn, process, clock, sweep),
         Message::VerdictQuery { tenant } => {
             let witness = resolve_tenant(shared, conn, &tenant)
                 .and_then(|t| t.lock().expect("tenant poisoned").witness());
             conn.stage(&Message::Verdict { witness });
-        }
-        Message::StatsQuery => {
-            let stats = shared.stats();
-            conn.stage(&Message::Stats(stats));
         }
         Message::TenantStatsQuery => {
             let rows = shared.tenant_rows();
@@ -1059,7 +971,14 @@ fn handle_message(shared: &Shared, conn: &mut Conn, message: Message, sweep: &mu
             process,
             epoch,
             initial,
-        } => handle_slicer_hello(shared, conn, &tenant, process, epoch, initial, sweep),
+        } => open_session(
+            shared,
+            conn,
+            &tenant,
+            initial,
+            Some((process, epoch)),
+            sweep,
+        ),
         Message::Heartbeat {
             process,
             epoch,
@@ -1084,7 +1003,6 @@ fn handle_message(shared: &Shared, conn: &mut Conn, message: Message, sweep: &mu
         Message::HelloAck { .. }
         | Message::Ack { .. }
         | Message::Verdict { .. }
-        | Message::Stats(_)
         | Message::ShutdownAck { .. }
         | Message::TenantStats { .. }
         | Message::SlicerHelloAck { .. }
@@ -1096,88 +1014,119 @@ fn handle_message(shared: &Shared, conn: &mut Conn, message: Message, sweep: &mu
     }
 }
 
-/// Opens (or resumes) a slicer session: the tenant admission and
-/// predicate-shape validation of [`handle_hello`], plus epoch adoption
-/// and a single-process high-water mark in the ack.
-fn handle_slicer_hello(
+/// Opens (or resumes) a session on `tenant`: for a `Hello` when
+/// `slicer` is `None`, or for a `SlicerHello` from the slicer of
+/// process `p` proposing epoch `e` when it is `Some((p, e))`.
+///
+/// The first session fixes the tenant's predicate shape `initial`,
+/// logging it as the `Init` record before the monitor is built so that
+/// recovery can rebuild it. Every later session must match that shape,
+/// and counts one resume. The ack carries the high-water marks to
+/// resume after: every process's for a `Hello`; for a slicer, its own
+/// process's, with the epoch the registry adopted.
+fn open_session(
     shared: &Shared,
     conn: &mut Conn,
     tenant: &str,
-    process: u32,
-    epoch: u64,
     initial: Vec<bool>,
+    slicer: Option<(u32, u64)>,
     sweep: &mut SweepState,
 ) {
     if !valid_tenant_name(tenant) {
         return fail(conn, format!("invalid tenant name {tenant:?}"));
     }
-    if process as usize >= initial.len() {
-        return fail(
-            conn,
-            format!(
-                "slicer process {process} out of range for {} processes",
-                initial.len()
-            ),
-        );
+    if let Some((process, _)) = slicer {
+        if process as usize >= initial.len() {
+            return fail(
+                conn,
+                format!(
+                    "slicer process {process} out of range for {} processes",
+                    initial.len()
+                ),
+            );
+        }
     }
     let tenant_ref = match admit_tenant(shared, tenant) {
         Ok(t) => t,
         Err(reason) => return fail(conn, reason),
     };
     let mut t = tenant_ref.lock().expect("tenant poisoned");
-    if t.quarantined {
-        drop(t);
+    if t.stats.quarantined {
         return fail(conn, format!("tenant {tenant:?} is quarantined"));
     }
     match (&t.initial, t.monitor.is_some()) {
         (Some(existing), true) => {
             if *existing != initial {
-                drop(t);
                 return fail(
                     conn,
                     "session mismatch: tenant already monitors a different computation".to_string(),
                 );
             }
-            t.resumes += 1;
+            t.stats.resumes += 1;
         }
         _ => {
-            if let Err(e) = t.wal.append(&WalRecord::Init {
+            let header = WalRecord::Init {
                 initial: initial.clone(),
-            }) {
-                if t.wal.poisoned().is_some() {
-                    // Fsync failure: quarantine rather than retry
-                    // (fsyncgate), and drop the connection unflushed.
-                    t.quarantine(format!("wal append failed: {e}"));
-                    drop(t);
-                    conn.fate = ConnFate::Dead;
-                    return;
-                }
-                drop(t);
-                return fail(conn, format!("wal append failed: {e}"));
+            };
+            match append(&mut t, conn, &header) {
+                Ok(()) => {}
+                Err(None) => return,
+                Err(Some(e)) => return fail(conn, format!("wal append failed: {e}")),
             }
-            t.events_logged += 1;
             t.monitor = Some(with_cap(
                 ConjunctiveMonitor::with_initial(&initial),
                 shared.config.queue_cap,
             ));
             t.initial = Some(initial);
-            sweep.mark_dirty(tenant, &tenant_ref);
+            mark(&mut sweep.dirty, &tenant_ref);
         }
     }
-    let adopted = t.slicers.register(process, epoch, Instant::now());
-    let high_water = t
-        .monitor
-        .as_ref()
-        .expect("just initialized")
-        .high_water(process as usize);
+    let monitor = t.monitor.as_ref().expect("session open");
+    let ack = match slicer {
+        None => Message::HelloAck {
+            high_water: (0..monitor.process_count())
+                .map(|p| monitor.high_water(p))
+                .collect(),
+        },
+        Some((process, proposed)) => {
+            let high_water = monitor.high_water(process as usize);
+            let epoch = t.slicers.register(process, proposed, Instant::now());
+            conn.slicer = Some((process, epoch));
+            Message::SlicerHelloAck { epoch, high_water }
+        }
+    };
     drop(t);
-    conn.tenant = Some(Arc::clone(&tenant_ref));
-    conn.tenant_name = Some(tenant.to_string());
-    conn.slicer = Some((process, adopted));
-    conn.stage(&Message::SlicerHelloAck {
-        epoch: adopted,
-        high_water,
-    });
+    conn.tenant = Some(tenant_ref);
+    conn.stage(&ack);
+}
+
+/// Appends `record` to the tenant's log and counts it.
+///
+/// A failure that poisoned the log (a failed fsync, or a rollback that
+/// failed) must not be retried: a retry would trust a lying fsync
+/// (fsyncgate). The tenant is quarantined and `conn` dropped with its
+/// staged output unflushed, so every un-synced ack is withheld and the
+/// client re-delivers to a healthy home after operator action. That is
+/// `Err(None)`, and the caller has nothing left to answer. A transient
+/// error (ENOSPC/EIO, the frame rolled back) leaves the log intact and
+/// the tenant in service; it is `Err(Some(e))`.
+fn append(
+    t: &mut Tenant,
+    conn: &mut Conn,
+    record: &WalRecord,
+) -> Result<(), Option<std::io::Error>> {
+    match t.wal.append(record) {
+        Ok(()) => {
+            t.stats.events_logged += 1;
+            Ok(())
+        }
+        Err(e) if t.wal.poisoned().is_some() => {
+            t.quarantine(format!("wal append failed: {e}"));
+            conn.fate = ConnFate::Dead;
+            Err(None)
+        }
+        Err(e) => Err(Some(e)),
+    }
 }
 
 /// Liveness beat: refresh `last_seen` and merge the progress clock.
@@ -1252,73 +1201,6 @@ fn admit_tenant(shared: &Shared, tenant: &str) -> Result<TenantRef, String> {
     }
 }
 
-fn handle_hello(
-    shared: &Shared,
-    conn: &mut Conn,
-    tenant: &str,
-    initial: Vec<bool>,
-    sweep: &mut SweepState,
-) {
-    if !valid_tenant_name(tenant) {
-        return fail(conn, format!("invalid tenant name {tenant:?}"));
-    }
-    let tenant_ref = match admit_tenant(shared, tenant) {
-        Ok(t) => t,
-        Err(reason) => return fail(conn, reason),
-    };
-
-    let mut t = tenant_ref.lock().expect("tenant poisoned");
-    if t.quarantined {
-        drop(t);
-        return fail(conn, format!("tenant {tenant:?} is quarantined"));
-    }
-    match (&t.initial, t.monitor.is_some()) {
-        (Some(existing), true) => {
-            if *existing != initial {
-                drop(t);
-                return fail(
-                    conn,
-                    "session mismatch: tenant already monitors a different computation".to_string(),
-                );
-            }
-            t.resumes += 1;
-        }
-        _ => {
-            // First contact: log the session header before building
-            // the monitor, so recovery can rebuild it.
-            if let Err(e) = t.wal.append(&WalRecord::Init {
-                initial: initial.clone(),
-            }) {
-                if t.wal.poisoned().is_some() {
-                    // Fsync failure: quarantine rather than retry
-                    // (fsyncgate), and drop the connection unflushed.
-                    t.quarantine(format!("wal append failed: {e}"));
-                    drop(t);
-                    conn.fate = ConnFate::Dead;
-                    return;
-                }
-                drop(t);
-                return fail(conn, format!("wal append failed: {e}"));
-            }
-            t.events_logged += 1;
-            t.monitor = Some(with_cap(
-                ConjunctiveMonitor::with_initial(&initial),
-                shared.config.queue_cap,
-            ));
-            t.initial = Some(initial);
-            sweep.mark_dirty(tenant, &tenant_ref);
-        }
-    }
-    let monitor = t.monitor.as_ref().expect("just initialized");
-    let high_water = (0..monitor.process_count())
-        .map(|p| monitor.high_water(p))
-        .collect();
-    drop(t);
-    conn.tenant = Some(Arc::clone(&tenant_ref));
-    conn.tenant_name = Some(tenant.to_string());
-    conn.stage(&Message::HelloAck { high_water });
-}
-
 fn handle_event(
     shared: &Shared,
     conn: &mut Conn,
@@ -1329,19 +1211,15 @@ fn handle_event(
     let Some(tenant_ref) = conn.tenant.clone() else {
         return fail(conn, "no session: send Hello first".to_string());
     };
-    let name = conn.tenant_name.clone().unwrap_or_default();
     let mut t = tenant_ref.lock().expect("tenant poisoned");
-    if t.quarantined {
-        drop(t);
-        return fail(conn, format!("tenant {name:?} is quarantined"));
+    if t.stats.quarantined {
+        return fail(conn, format!("tenant {:?} is quarantined", t.stats.tenant));
     }
     let Some(monitor) = t.monitor.as_ref() else {
-        drop(t);
         return fail(conn, "no session: send Hello first".to_string());
     };
     let n = monitor.process_count();
     if process as usize >= n || clock.len() != n {
-        drop(t);
         return fail(
             conn,
             format!(
@@ -1367,11 +1245,11 @@ fn handle_event(
     // the module docs for why each crash window is safe.
     let status = match t.monitor.as_ref().expect("checked").classify(p, &vc) {
         Observation::Duplicate => {
-            t.duplicates += 1;
+            t.stats.duplicates += 1;
             AckStatus::Duplicate
         }
         Observation::Stale => {
-            t.stale += 1;
+            t.stats.stale += 1;
             AckStatus::Stale
         }
         Observation::Accepted => {
@@ -1380,81 +1258,63 @@ fn handle_event(
                 m.witness().is_none() && m.queue_depth_of(p) >= cap
             });
             if over {
-                t.rejected += 1;
+                t.stats.rejected += 1;
                 AckStatus::Rejected
             } else {
-                if let Err(e) = t.wal.append(&WalRecord::Event {
+                let record = WalRecord::Event {
                     process,
                     clock: clock.clone(),
-                }) {
-                    if t.wal.poisoned().is_some() {
-                        // Fsync failure (or a rollback that failed):
-                        // durability can no longer be promised and a
-                        // retry would trust a lying fsync (fsyncgate).
-                        // Quarantine and drop the connection with its
-                        // staged output unflushed — every un-synced
-                        // ack is withheld; the client re-delivers to
-                        // a healthy home after operator action.
-                        t.quarantine(format!("wal append failed: {e}"));
-                        drop(t);
-                        conn.fate = ConnFate::Dead;
-                        return;
+                };
+                match append(&mut t, conn, &record) {
+                    Err(None) => return,
+                    Err(Some(_)) => {
+                        // The log is intact minus this one event: reject
+                        // it so the client backs off, and stay in
+                        // service.
+                        t.stats.storage_errors += 1;
+                        t.stats.rejected += 1;
+                        AckStatus::Rejected
                     }
-                    // Transient storage error (ENOSPC/EIO), frame
-                    // rolled back: the log is intact minus this one
-                    // event — reject it so the client backs off, and
-                    // stay in service.
-                    t.storage_errors += 1;
-                    t.rejected += 1;
-                    drop(t);
-                    conn.stage(&Message::Ack {
-                        process,
-                        seq,
-                        status: AckStatus::Rejected,
-                    });
-                    return;
-                }
-                t.events_logged += 1;
-                t.events_since_snapshot += 1;
-                // Panic isolation: a crashing predicate (modeled by
-                // the fault-injection hook) quarantines this tenant
-                // only — the monitor is not trusted afterwards, but no
-                // other tenant shares it, and the catch keeps the
-                // tenant mutex unpoisoned.
-                let fault = shared.config.fault_injection;
-                let applied = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(hook) = fault {
-                        hook(&name);
-                    }
-                    t.monitor
-                        .as_mut()
-                        .expect("checked")
-                        .try_observe(p, vc)
-                        .expect("overflow checked before logging")
-                }));
-                match applied {
-                    Ok(observed) => {
-                        debug_assert_eq!(observed, Observation::Accepted);
-                        t.observed += 1;
+                    Ok(()) => {
+                        t.events_since_snapshot += 1;
+                        // Panic isolation: a crashing predicate (modeled
+                        // by the fault-injection hook) quarantines this
+                        // tenant only — the monitor is not trusted
+                        // afterwards, but no other tenant shares it, and
+                        // the catch keeps the tenant mutex unpoisoned.
+                        let fault = shared.config.fault_injection;
+                        let applied = catch_unwind(AssertUnwindSafe(|| {
+                            if let Some(hook) = fault {
+                                hook(&t.stats.tenant);
+                            }
+                            t.monitor
+                                .as_mut()
+                                .expect("checked")
+                                .try_observe(p, vc)
+                                .expect("overflow checked before logging")
+                        }));
+                        if applied.is_err() {
+                            t.quarantine(format!(
+                                "predicate panicked applying event (process {process}, seq {seq})"
+                            ));
+                            let reason = format!("tenant {:?} is quarantined", t.stats.tenant);
+                            drop(t);
+                            mark(&mut sweep.dirty, &tenant_ref);
+                            return fail(conn, reason);
+                        }
+                        debug_assert_eq!(applied.ok(), Some(Observation::Accepted));
+                        t.stats.observed += 1;
                         let depth = t.monitor.as_ref().expect("checked").queue_depth() as u64;
-                        t.queue_peak = t.queue_peak.max(depth);
+                        t.stats.queue_peak = t.stats.queue_peak.max(depth);
                         if shared
                             .config
                             .snapshot_every
                             .is_some_and(|every| t.events_since_snapshot >= every)
                         {
-                            sweep.mark_compact(&name, &tenant_ref);
+                            mark(&mut sweep.compact, &tenant_ref);
                         }
-                        sweep.mark_dirty(&name, &tenant_ref);
+                        mark(&mut sweep.dirty, &tenant_ref);
                         AckStatus::Accepted
-                    }
-                    Err(_) => {
-                        t.quarantine(format!(
-                            "predicate panicked applying event (process {process}, seq {seq})"
-                        ));
-                        drop(t);
-                        sweep.mark_dirty(&name, &tenant_ref);
-                        return fail(conn, format!("tenant {name:?} is quarantined"));
                     }
                 }
             }

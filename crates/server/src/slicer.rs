@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use gpd::abstraction::{Decision, LocalRelevance, LocalSlicer, SlicerStats};
 
-use crate::client::{backoff_delay, ClientConfig, ClientError};
+use crate::client::{open_session, ClientConfig, ClientError};
 use crate::protocol::{read_message, write_message, Message};
 
 /// What a finished (or killed) slicer run observed.
@@ -103,71 +103,6 @@ impl SlicerAgent {
         self.kill_after.is_some_and(|k| acked >= k)
     }
 
-    fn connect(&self) -> std::io::Result<TcpStream> {
-        let stream = TcpStream::connect(&self.config.addr)?;
-        stream.set_read_timeout(Some(self.config.io_timeout))?;
-        stream.set_write_timeout(Some(self.config.io_timeout))?;
-        stream.set_nodelay(true)?;
-        Ok(stream)
-    }
-
-    /// Connects with backoff and handshakes a `SlicerHello`, proposing
-    /// `epoch`. Returns the stream, the adopted epoch, and the
-    /// process's high-water mark.
-    fn connect_session(
-        &self,
-        initial: &[bool],
-        epoch: u64,
-        failures: &mut u32,
-        attempts: &mut u32,
-    ) -> Result<(TcpStream, u64, Option<u32>), ClientError> {
-        loop {
-            if *attempts >= self.config.max_retries {
-                return Err(ClientError::RetriesExhausted {
-                    attempts: *attempts,
-                    last: "connect/slicer-hello budget exhausted".into(),
-                });
-            }
-            *attempts += 1;
-            if *failures > 0 {
-                std::thread::sleep(backoff_delay(
-                    self.config.backoff_base,
-                    self.config.backoff_cap,
-                    self.config.jitter_seed,
-                    *failures - 1,
-                ));
-            }
-            let result = self.connect().and_then(|mut stream| {
-                write_message(
-                    &mut stream,
-                    &Message::SlicerHello {
-                        tenant: self.config.tenant.clone(),
-                        process: self.process,
-                        epoch,
-                        initial: initial.to_vec(),
-                    },
-                )?;
-                let reply = read_message(&mut stream)?;
-                Ok((stream, reply))
-            });
-            match result {
-                Ok((stream, Message::SlicerHelloAck { epoch, high_water })) => {
-                    *failures = 0;
-                    return Ok((stream, epoch, high_water));
-                }
-                Ok((_, Message::Error { message })) => return Err(ClientError::Server(message)),
-                Ok((_, other)) => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected SlicerHelloAck, got {other:?}"
-                    )))
-                }
-                Err(_) => {
-                    *failures += 1;
-                }
-            }
-        }
-    }
-
     /// Replays this process's local states — `(clock, local_true)`
     /// pairs in local order, **excluding** the initial state (that
     /// travels in `initial`) — forwarding the abstraction-relevant
@@ -200,8 +135,22 @@ impl SlicerAgent {
                 report.stats = slicer.stats();
                 return Ok(report);
             }
-            let (mut stream, epoch, high_water) =
-                self.connect_session(initial, report.epoch, &mut failures, &mut attempts)?;
+            let hello = Message::SlicerHello {
+                tenant: self.config.tenant.clone(),
+                process: self.process,
+                epoch: report.epoch,
+                initial: initial.to_vec(),
+            };
+            let (mut stream, (epoch, high_water)) = open_session(
+                &self.config,
+                &hello,
+                &mut failures,
+                &mut attempts,
+                |reply| match reply {
+                    Message::SlicerHelloAck { epoch, high_water } => Ok((epoch, high_water)),
+                    other => Err(other),
+                },
+            )?;
             report.epoch = epoch;
             if !first_connect {
                 report.reconnects += 1;
