@@ -978,6 +978,23 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, CliError::Intractable(_)), "{err:?}");
         std::fs::remove_file(&path).ok();
+        // A ±1 Definitely(Σ = K) that neither endpoint nor the attainable
+        // interval decides needs the sweep too: two tokens circulate, so
+        // Σ = 1 is attainable but the endpoints sum to 2.
+        let path = temp_trace(
+            "guard-ring",
+            "token-ring",
+            &["--n", "8", "--tokens", "2", "--seed", "3"],
+        );
+        let mut list = vec![path.as_str(), "--pred", "sum tokens == 1", "--definitely"];
+        let err = detect(&args(&list)).unwrap_err();
+        assert!(matches!(err, CliError::Intractable(_)), "{err:?}");
+        list.push("--enumerate");
+        assert_eq!(
+            detect(&args(&list)).unwrap(),
+            "Definitely(sum tokens == 1): true\n"
+        );
+        std::fs::remove_file(&path).ok();
         let path = temp_trace("guard-count", "voting", &["--n", "16"]);
         let err = detect(&args(&[
             &path,
@@ -1420,6 +1437,10 @@ mod tests {
         (&["$DIR/ring8.trace", "--pred", "sum tokens == 1", "--definitely", "--max-nodes", "5"],
             r##"Err(Unknown("node cap reached; 9 nodes explored, 1 lattice levels swept witness-free, attainable sums lie in [0, 2]; checkpoint written to $DIR/ring8.trace.ckpt (resume with --resume $DIR/ring8.trace.ckpt)"))"##),
         (&["$DIR/ring8.trace", "--pred", "sum tokens == 1", "--definitely", "--resume", "$DIR/ring8.trace.ckpt"],
+            r##"Ok("Definitely(sum tokens == 1): true\n")"##),
+        (&["$DIR/ring8.trace", "--pred", "sum tokens == 1", "--definitely"],
+            r##"Err(Intractable("Definitely(exact sum) needs exhaustive enumeration (exponential); pass --enumerate to force it (202 events here, guard is 64)"))"##),
+        (&["$DIR/ring8.trace", "--pred", "sum tokens == 1", "--definitely", "--enumerate"],
             r##"Ok("Definitely(sum tokens == 1): true\n")"##),
         (&["$DIR/mutex.trace", "--pred", "sum cs_entries == 2", "--definitely", "--max-nodes", "5", "--stats"],
             r##"Ok("Definitely(sum cs_entries == 2): true\nengine: definitely-exact-sum\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\nbudget stats: # nodes explored\n")"##),

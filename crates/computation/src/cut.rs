@@ -41,6 +41,11 @@ impl Cut {
         &self.frontier
     }
 
+    /// The frontier vector, to overwrite in place (one scratch cut per sweep).
+    pub fn frontier_mut(&mut self) -> &mut [u32] {
+        &mut self.frontier
+    }
+
     /// The number of non-initial events in the cut.
     pub fn event_count(&self) -> usize {
         self.frontier.iter().map(|&f| f as usize).sum()
@@ -65,16 +70,6 @@ impl Cut {
     /// index the process is in at this cut).
     pub fn state_of(&self, process: impl Into<ProcessId>) -> u32 {
         self.frontier[process.into().index()]
-    }
-
-    /// An order-stable FNV-1a hash of the frontier — identical across
-    /// runs and hasher seeds, unlike `std`'s randomized `Hash`. Used to
-    /// shard cuts across parallel visited sets; for bulk visited-set
-    /// probes prefer packing via
-    /// [`FrontierPacker`](crate::FrontierPacker), which precomputes the
-    /// same style of hash once.
-    pub fn fnv_hash(&self) -> u64 {
-        crate::packed::fnv1a(self.frontier.iter().map(|&f| f as u64))
     }
 
     /// Whether `other` is reachable from `self` by executing zero or more

@@ -16,9 +16,8 @@ use crate::cut::Cut;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// FNV-1a over a stream of `u64` words — the one frontier hash shared by
-/// [`Cut::fnv_hash`], [`PackedFrontier`], and the sharded parallel sweep
-/// in the `gpd` crate (which previously hand-rolled it).
+/// FNV-1a over a stream of `u64` words — the one hash shared by
+/// [`PackedFrontier`] and the `gpd` crate's checkpoint fingerprints.
 pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = FNV_OFFSET;
     for w in words {
@@ -191,12 +190,6 @@ mod tests {
         let comp = comp_with(&[]);
         let packer = FrontierPacker::new(&comp);
         assert_eq!(packer.pack(&[]), packer.pack(&[]));
-    }
-
-    #[test]
-    fn cut_fnv_hash_matches_manual_fnv() {
-        let cut = Cut::from_frontier(vec![3, 0, 7]);
-        assert_eq!(cut.fnv_hash(), fnv1a([3u64, 0, 7]));
     }
 
     #[test]

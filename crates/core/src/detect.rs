@@ -354,10 +354,18 @@ pub fn detect(query: &Query<'_>, options: &Options) -> Result<Report, DetectErro
                     possibly_exact_sum_budgeted(comp, var, k, threads, budget, &meter, resume)?
                         .map(Answer::Witness)
                 }
-                Modality::Definitely => {
-                    definitely_exact_sum_budgeted(comp, var, k, threads, budget, &meter, resume)?
-                        .map(Answer::Holds)
-                }
+                // Past its short-circuits a ±1 question sweeps: guard it.
+                Modality::Definitely => definitely_exact_sum_budgeted(
+                    comp,
+                    var,
+                    k,
+                    threads,
+                    budget,
+                    &meter,
+                    resume,
+                    || guard("Definitely(exact sum)"),
+                )?
+                .map(Answer::Holds),
             };
             (engine, verdict)
         }

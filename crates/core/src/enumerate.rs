@@ -10,15 +10,14 @@
 //! [`possibly_by_enumeration`] (the breadth-first `CutIter`) and
 //! [`definitely_by_enumeration`] (a breadth-first `¬Φ` reachability
 //! search). Every other exhaustive question runs one budgeted,
-//! thread-parameterized **level sweep**: a Possibly body that generates
-//! each cut of the next level exactly once, from its canonical parent,
-//! and probes it on the way for the level's lowest sorted witness, and
-//! a Definitely body that keeps only the current level's reachable `¬Φ`
-//! cuts. Levels are flat runs of word records (`Layout`), sorted per
-//! worker and merged by the caller. Both bodies take an optional slice
-//! window, which the [`crate::slice`] entries pass; `Definitely` for
-//! sums and symmetric predicates runs the Definitely body on 0 threads
-//! under [`Budget::unlimited`].
+//! thread-parameterized **level sweep** over flat runs of word records
+//! (`Layout`), evaluating Φ on one scratch [`Cut`] per worker. Its
+//! Possibly body generates each cut of the next level exactly once, from
+//! its canonical parent, so the workers' runs are just concatenated, and
+//! probes it on the way for the level's lowest sorted witness. Its
+//! Definitely body keeps only the level's reachable `¬Φ` cuts, sorted
+//! per worker and merged without duplicates. Both bodies take an
+//! optional slice window, which the [`crate::slice`] entries pass.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Mutex;
@@ -301,10 +300,6 @@ impl Layout {
         frontier
     }
 
-    fn cut(&self, rec: &[u64]) -> Cut {
-        Cut::from_frontier(self.frontier_vec(rec))
-    }
-
     fn len(&self, level: &[u64]) -> usize {
         level.len() / self.stride
     }
@@ -353,46 +348,44 @@ impl Layout {
         self.retain(run, |last, rec| last != Some(rec));
     }
 
-    /// Merges sorted runs into one sorted level; with `dedup`, a record
+    /// Merges sorted, deduplicated runs into one sorted level; a record
     /// present in several runs is kept once.
-    fn merge(&self, mut runs: Vec<Vec<u64>>, dedup: bool) -> Vec<u64> {
+    fn merge(&self, mut runs: Vec<Vec<u64>>) -> Vec<u64> {
         let merged = if runs.len() == 1 {
-            // A single run is already sorted, and deduplicated where the
-            // caller needs it.
             runs.pop().expect("one run")
         } else {
             let mut merged = runs.concat();
             self.sort(&mut merged);
-            if dedup {
-                self.dedup(&mut merged);
-            }
+            self.dedup(&mut merged);
             merged
         };
         debug_assert!(
-            merged
-                .chunks_exact(self.stride)
-                .zip(merged.chunks_exact(self.stride).skip(1))
-                .all(|(a, b)| a < b),
-            "a merged level must be strictly increasing"
+            self.strictly_increasing(&merged),
+            "a merged Definitely level must be strictly increasing"
         );
         merged
     }
+
+    /// Whether a run's records strictly increase: sorted, none repeated.
+    fn strictly_increasing(&self, run: &[u64]) -> bool {
+        let recs = run.chunks_exact(self.stride);
+        recs.clone().zip(recs.skip(1)).all(|(a, b)| a < b)
+    }
 }
 
-/// The removable-process mask of `frontier`, from scratch: bit `q` is
-/// set when `q`'s last event in the cut is maximal in it, i.e. when
-/// dropping that event leaves a consistent cut. Only resumed levels
-/// need it; the sweep carries masks from cut to child otherwise.
-fn removable_mask(comp: &Computation, frontier: &[u32], mask: &mut [u64]) {
+/// The removable-process mask of `cut`, from scratch: bit `q` is set
+/// when dropping `q`'s last event (in place, then restored) leaves a
+/// consistent cut. Only resumed levels need it; the sweep carries masks
+/// from cut to child otherwise.
+fn removable_mask(comp: &Computation, cut: &mut Cut, mask: &mut [u64]) {
     mask.fill(0);
-    let mut below = frontier.to_vec();
-    for q in 0..frontier.len() {
-        if frontier[q] > 0 {
-            below[q] -= 1;
-            if comp.is_consistent(&Cut::from_frontier(below.clone())) {
+    for q in 0..cut.frontier().len() {
+        if cut.frontier()[q] > 0 {
+            cut.frontier_mut()[q] -= 1;
+            if comp.is_consistent(cut) {
                 mask[q / 64] |= 1 << (q % 64);
             }
-            below[q] += 1;
+            cut.frontier_mut()[q] += 1;
         }
     }
 }
@@ -481,27 +474,19 @@ fn expand_chunks<S: Send>(
     }
 }
 
-/// One Possibly worker's output: its sorted run of the next level and
-/// the least record among the run's cuts that satisfy Φ.
-struct PossiblyRun {
-    run: Vec<u64>,
-    hit: Option<Vec<u64>>,
-}
-
 /// One step of the Possibly sweep: generates level `k + 1` from the flat
-/// `level` (records with masks) and probes it on the way. Returns the
-/// sorted next level and its least Φ-cut.
+/// `level` (records with masks, in any order) and probes it on the way.
+/// Returns the next level, unsorted, and its least Φ-cut.
 ///
 /// Each cut of the next level is generated **exactly once**, from its
 /// canonical parent (see [`canonical_child`]) — no visited set, no
-/// dedup — and `keep` (the slice window, a down-set, so it holds every
-/// canonical parent of a kept cut) and Φ are evaluated as it is
-/// generated. One node is charged per enabled edge examined and one per
-/// cut probed, so `meter` observes the same total at every thread
+/// dedup, no sort — and `keep` (the slice window, a down-set, so it
+/// holds every canonical parent of a kept cut) and Φ are evaluated as it
+/// is generated. One node is charged per enabled edge examined and one
+/// per cut probed, so `meter` observes the same total at every thread
 /// count. The least hit is the lowest sorted Φ-cut of the level at every
-/// thread count. The width cap is checked on the merged level, before
-/// any hit is reported, so a `Width` verdict is thread-count invariant
-/// too.
+/// thread count. The width cap is checked on the whole level, before any
+/// hit is reported, so a `Width` verdict is thread-count invariant too.
 #[allow(clippy::too_many_arguments)]
 fn possibly_step<F, K>(
     comp: &Computation,
@@ -518,56 +503,66 @@ where
     K: Fn(&[u32]) -> bool + Sync,
 {
     let (n, mw, stride) = (layout.procs, layout.mask_words(), layout.stride);
-    // Worker scratch: parent and child frontiers, parent and child masks.
-    type Scratch = (Vec<u32>, Vec<u32>, Vec<u64>, Vec<u64>);
+    // A worker's state: its run of the next level, in generation order,
+    // the least record of its Φ-cuts, the parent frontier, the child cut,
+    // and the parent and child masks.
     let runs = expand_chunks(
         threads,
         layout.len(level),
         budget,
         meter,
         &|| {
-            let scratch: Scratch = (vec![0; n], vec![0; n], vec![0; mw], vec![0; mw]);
+            let child = Cut::from_frontier(vec![0; n]);
             (
-                PossiblyRun {
-                    run: Vec::new(),
-                    hit: None,
-                },
-                scratch,
+                Vec::new(),
+                None,
+                vec![0; n],
+                child,
+                vec![0; mw],
+                vec![0; mw],
             )
         },
-        &|(out, (g, child, gmask, cmask)), i| {
+        &|(run, hit, g, child, gmask, cmask), i| {
             let rec = &level[i * stride..][..stride];
             layout.frontier(rec, g);
             layout.mask(rec, gmask);
-            child.copy_from_slice(g);
+            child.frontier_mut().copy_from_slice(g);
             let mut work = 0u64;
             comp.for_each_enabled(g, |p, row| {
                 work += 1;
                 if !canonical_child(gmask, p, row, g, cmask) {
                     return;
                 }
-                child[p] += 1;
-                if keep(child) {
+                child.frontier_mut()[p] += 1;
+                if keep(child.frontier()) {
                     work += 1;
-                    let at = out.run.len();
-                    layout.push(child, cmask, &mut out.run);
-                    let new = &out.run[at..];
-                    if out.hit.as_deref().is_none_or(|best| new < best)
-                        && predicate(&Cut::from_frontier(child.clone()))
-                    {
-                        out.hit = Some(new.to_vec());
+                    let at = run.len();
+                    layout.push(child.frontier(), cmask, run);
+                    let new = &run[at..];
+                    if hit.as_deref().is_none_or(|best| new < best) && predicate(child) {
+                        *hit = Some(new.to_vec());
                     }
                 }
-                child[p] -= 1;
+                child.frontier_mut()[p] -= 1;
             });
             work
         },
-        &|(out, _)| layout.len(&out.run),
-        &|(out, _)| layout.sort(&mut out.run),
+        &|(run, ..)| layout.len(run),
+        &|_| {},
     )?;
-    let hit = runs.iter().filter_map(|(out, _)| out.hit.as_ref()).min();
-    let hit = hit.map(|rec| layout.cut(rec));
-    let next = layout.merge(runs.into_iter().map(|(out, _)| out.run).collect(), false);
+    let hit = runs.iter().filter_map(|(_, hit, ..)| hit.as_ref()).min();
+    let hit = hit.map(|rec| Cut::from_frontier(layout.frontier_vec(rec)));
+    let mut runs = runs.into_iter().map(|(run, ..)| run);
+    let mut next = runs.next().unwrap_or_default();
+    runs.for_each(|run| next.extend_from_slice(&run));
+    debug_assert!(
+        {
+            let mut sorted = next.clone();
+            layout.sort(&mut sorted);
+            layout.strictly_increasing(&sorted)
+        },
+        "a Possibly level must generate each cut once"
+    );
     if budget.width_exceeded(layout.len(&next)) {
         return Err(ExhaustReason::Width);
     }
@@ -581,9 +576,10 @@ where
 /// level need not contain a cut's canonical parent, so a cut may be
 /// reached only through another of its parents. Each worker therefore
 /// records every successor, sorts and dedups its own run, and evaluates
-/// `keep` once per distinct cut of the run; the merge drops cuts that
-/// several workers reached. One node is charged per enabled edge, at
-/// every thread count; the width cap is checked on the merged level.
+/// `keep` once per distinct cut of the run, on one scratch [`Cut`]; the
+/// merge drops cuts that several workers reached. One node is charged
+/// per enabled edge, at every thread count; the width cap is checked on
+/// the merged level.
 fn definitely_step<K>(
     comp: &Computation,
     layout: &Layout,
@@ -602,29 +598,33 @@ where
         layout.len(level),
         budget,
         meter,
-        &|| (Vec::new(), vec![0; n], vec![0; n]),
+        // Worker state: its run, the parent frontier, and a scratch cut.
+        &|| (Vec::new(), vec![0; n], Cut::from_frontier(vec![0; n])),
         &|(run, g, child), i| {
             layout.frontier(&level[i * stride..][..stride], g);
-            child.copy_from_slice(g);
+            child.frontier_mut().copy_from_slice(g);
             let mut explored = 0u64;
             comp.for_each_enabled(g, |p, _| {
                 explored += 1;
-                child[p] += 1;
-                layout.push(child, &[], run);
-                child[p] -= 1;
+                child.frontier_mut()[p] += 1;
+                layout.push(child.frontier(), &[], run);
+                child.frontier_mut()[p] -= 1;
             });
             explored
         },
         // The raw run repeats cuts and holds Φ-cuts, so it is no subset
         // of the next level: only the merged level's width is exact.
         &|_| 0,
-        &|(run, _, _)| {
+        &|(run, _, cut)| {
             layout.sort(run);
             layout.dedup(run);
-            layout.retain(run, |_, rec| keep(&layout.cut(rec)));
+            layout.retain(run, |_, rec| {
+                layout.frontier(rec, cut.frontier_mut());
+                keep(cut)
+            });
         },
     )?;
-    let next = layout.merge(runs.into_iter().map(|(run, _, _)| run).collect(), true);
+    let next = layout.merge(runs.into_iter().map(|(run, _, _)| run).collect());
     if budget.width_exceeded(layout.len(&next)) {
         return Err(ExhaustReason::Width);
     }
@@ -641,8 +641,9 @@ pub(crate) fn unknown_at_level<T>(
     meter: &BudgetMeter,
     level_index: u32,
     swept: u32,
-    frontiers: Vec<Vec<u32>>,
+    mut frontiers: Vec<Vec<u32>>,
 ) -> Verdict<T> {
+    frontiers.sort_unstable(); // Possibly levels come in generation order.
     Verdict::Unknown(Partial {
         reason,
         progress: Progress {
@@ -664,15 +665,15 @@ fn level_of(frontier: &[u32]) -> u32 {
 ///
 /// Differences from the unbudgeted walks, by design:
 ///
-/// * Every level is kept canonically sorted and probed for its
-///   lowest-index witness, so for a fixed input the verdict **and the
+/// * Every level is probed for its lowest sorted witness, in whatever
+///   order it was generated, so for a fixed input the verdict **and the
 ///   witness** are byte-identical at every thread count — and an
 ///   interrupted run resumed from its checkpoint reproduces exactly the
 ///   uninterrupted outcome (`tests/budget_resume.rs` asserts both).
 /// * An exhausted budget returns [`Verdict::Unknown`] carrying the
-///   levels swept so far and a [`Checkpoint`] of the current level.
-///   Checkpoints sit on level boundaries: work inside an interrupted
-///   level is discarded, never resumed mid-way.
+///   levels swept so far and a [`Checkpoint`] of the current level,
+///   sorted. Checkpoints sit on level boundaries: work inside an
+///   interrupted level is discarded, never resumed mid-way.
 /// * A panicking `predicate` surfaces as
 ///   [`DetectError::PredicatePanicked`] instead of unwinding.
 ///
@@ -724,7 +725,7 @@ where
     F: Fn(&Cut) -> bool + Sync,
 {
     let problem = problem_fingerprint(comp);
-    let (k0, level0) = match resume {
+    let (k0, mut level0) = match resume {
         None => (0u32, vec![comp.initial_cut()]),
         Some(cp) => cp.restore_level(engine, problem, comp)?,
     };
@@ -752,8 +753,8 @@ where
         let layout = Layout::new(comp, true);
         let mut level = Vec::with_capacity(level0.len() * layout.stride);
         let mut mask = vec![0; layout.mask_words()];
-        for cut in &level0 {
-            removable_mask(comp, cut.frontier(), &mut mask);
+        for cut in &mut level0 {
+            removable_mask(comp, cut, &mut mask);
             layout.push(cut.frontier(), &mask, &mut level);
         }
         // Invariant: `level` holds every kept cut with k events, with its
@@ -864,10 +865,9 @@ where
     F: Fn(&Cut) -> bool + Sync,
 {
     let problem = problem_fingerprint(comp);
-    let resumed = match resume {
-        None => None,
-        Some(cp) => Some(cp.restore_level(engine, problem, comp)?),
-    };
+    let resumed = resume
+        .map(|cp| cp.restore_level(engine, problem, comp))
+        .transpose()?;
     let total = comp.final_cut().event_count() as u32;
     let (skip_below, cap) = match slice.map(Slice::window) {
         None => (0, total),
@@ -1107,7 +1107,7 @@ mod tests {
     #[test]
     fn expanded_levels_equal_the_lattice_levels() {
         // Wide enough for several LEVEL_BLOCK chunks and past the
-        // sequential cutoff, so the parallel steps really merge
+        // sequential cutoff, so the parallel steps really join
         // worker-local runs.
         use gpd_computation::gen;
         use rand::{Rng, SeedableRng};
@@ -1137,15 +1137,23 @@ mod tests {
                 plain.push(&vec![0; n], &[], &mut b);
                 for (k, expected) in lattice.iter().enumerate() {
                     let at = format!("round {round}, threads {threads}, level {k}");
-                    assert_eq!(&masked.frontiers(&a), expected, "{at}");
+                    // A Possibly level comes in generation order: sorted,
+                    // it is the lattice level, and no record repeats.
+                    let mut sorted = a.clone();
+                    masked.sort(&mut sorted);
+                    assert!(masked.strictly_increasing(&sorted), "{at}: a repeated cut");
+                    assert_eq!(&masked.frontiers(&sorted), expected, "{at}");
+                    // A Definitely level is the lattice level, sorted.
+                    assert!(plain.strictly_increasing(&b), "{at}: unsorted");
                     assert_eq!(&plain.frontiers(&b), expected, "{at}");
                     // Every carried mask equals the mask from scratch.
                     let mut carried = vec![0; masked.mask_words()];
                     let mut fresh = carried.clone();
-                    for (rec, f) in a.chunks_exact(masked.stride).zip(expected) {
+                    for rec in a.chunks_exact(masked.stride) {
                         masked.mask(rec, &mut carried);
-                        removable_mask(&comp, f, &mut fresh);
-                        assert_eq!(carried, fresh, "{at}, cut {f:?}");
+                        let mut cut = Cut::from_frontier(masked.frontier_vec(rec));
+                        removable_mask(&comp, &mut cut, &mut fresh);
+                        assert_eq!(carried, fresh, "{at}, {cut:?}");
                     }
                     let (next, hit) = possibly_step(
                         &comp,

@@ -45,11 +45,11 @@
 //! # Determinism contract
 //!
 //! Nothing in this layer races for a result. [`map_indexed`] returns its
-//! items in index order, and the fan-outs built on `fanout_chunks`
-//! aggregate their hits by minimum index (an atomic `fetch_min`), so a
-//! verdict **and its witness** are byte-identical at every thread count:
-//! the §3.3 odometer keeps the lowest-index live combination of a wave,
-//! the level sweeps the lowest sorted cut of a level. Cancellation only
+//! items in index order, and the fan-outs built on `fanout_chunks` keep
+//! the minimum hit, so a verdict **and its witness** are byte-identical
+//! at every thread count: the §3.3 odometer keeps the lowest-index live
+//! combination of a wave (an atomic `fetch_min`), the level sweeps the
+//! lowest sorted cut of a level, however generated. Cancellation only
 //! stops work that cannot change the answer — after a panic, which is
 //! re-raised anyway, or a budget trip, whose partial wave or level the
 //! caller discards. `tests/parallel_agreement.rs` asserts the contract.

@@ -179,14 +179,7 @@ pub fn possibly_exact_sum_budgeted(
         Err(NotUnitStepError { .. }) => {
             let ((min, _), (max, _)) = sum_extremes(comp, var);
             if k < min || k > max {
-                return Ok(Verdict::Decided(
-                    None,
-                    Progress {
-                        nodes_explored: meter.nodes(),
-                        sum_interval: Some((min, max)),
-                        ..Progress::default()
-                    },
-                ));
+                return Ok(decided_in(None, meter, (min, max)));
             }
             let verdict = possibly_by_enumeration_budgeted(
                 comp,
@@ -196,37 +189,53 @@ pub fn possibly_exact_sum_budgeted(
                 meter,
                 resume,
             )?;
-            Ok(match verdict {
-                Verdict::Unknown(mut partial) => {
-                    partial.progress.sum_interval = Some((min, max));
-                    Verdict::Unknown(partial)
-                }
-                decided => decided,
-            })
+            Ok(with_interval(verdict, (min, max)))
         }
+    }
+}
+
+/// `value` decided after `meter`'s nodes, reporting the attainable
+/// interval of Σ: `K` lies outside it.
+fn decided_in<T>(value: T, meter: &BudgetMeter, interval: (i64, i64)) -> Verdict<T> {
+    let progress = Progress {
+        nodes_explored: meter.nodes(),
+        sum_interval: Some(interval),
+        ..Progress::default()
+    };
+    Verdict::Decided(value, progress)
+}
+
+/// An interrupted sweep's verdict with the attainable interval as its
+/// best-known bound; a decided verdict passes through.
+fn with_interval<T>(verdict: Verdict<T>, interval: (i64, i64)) -> Verdict<T> {
+    match verdict {
+        Verdict::Unknown(mut partial) => {
+            partial.progress.sum_interval = Some(interval);
+            Verdict::Unknown(partial)
+        }
+        decided => decided,
     }
 }
 
 /// `Definitely(Σxᵢ = K)` under a [`Budget`], for arbitrary step sizes.
 ///
-/// For ±1 steps Theorem 7(2) decides it by one inequality: a run starts
-/// at the initial sum and moves by at most one per event, so from below
-/// `K` it meets `K` exactly when it reaches `Σ ≥ K`, and from above when
-/// it reaches `Σ ≤ K`. Larger steps can jump over `K`, so they keep
-/// `Σ = K` itself. Either way the endpoint and attainability
-/// short-circuits always complete (initial/final cuts, one shared
-/// push-relabel closure network for both extremes of Σ), and past them
-/// the exact decision runs as one budgeted path-avoidance sweep
-/// ([`definitely_levelwise_budgeted`]) of that predicate — a single
-/// engine means a single unambiguous checkpoint to resume. On ±1 steps
-/// the cuts a run can reach while avoiding `K` are the ones it can reach
-/// while avoiding the inequality, so both sweeps explore the same cuts;
-/// Theorem 7 only adds the final-cut short-circuit (a final sum past `K`
-/// decides `true`).
+/// For ±1 steps Theorem 7(2) decides it by one inequality: a run moves
+/// by at most one per event, so from below `K` it meets `K` exactly when
+/// it reaches `Σ ≥ K`, and from above when it reaches `Σ ≤ K`. Larger
+/// steps can jump over `K`, so they keep `Σ = K` itself. The endpoint
+/// and attainability short-circuits (initial/final cuts, one shared
+/// closure network for both extremes of Σ) always complete. Past them
+/// `guard`, the caller's enumeration guard, must pass before one budgeted
+/// path-avoidance sweep ([`definitely_levelwise_budgeted`]) of that
+/// predicate decides, so there is one checkpoint to resume. On ±1 steps
+/// both predicates leave the same cuts to sweep; Theorem 7 only adds the
+/// final-cut short-circuit (a final sum past `K` decides `true`).
 ///
 /// # Errors
 ///
-/// [`DetectError::CheckpointMismatch`] on a foreign `resume`.
+/// [`DetectError::CheckpointMismatch`] on a foreign `resume`, or
+/// `guard`'s refusal.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn definitely_exact_sum_budgeted(
     comp: &Computation,
     var: &IntVariable,
@@ -235,6 +244,7 @@ pub(crate) fn definitely_exact_sum_budgeted(
     budget: &Budget,
     meter: &BudgetMeter,
     resume: Option<&Checkpoint>,
+    guard: impl FnOnce() -> Result<(), DetectError>,
 ) -> Result<Verdict<bool>, DetectError> {
     let initial = var.sum_at(&comp.initial_cut());
     // The sums a run must reach to meet K.
@@ -250,15 +260,9 @@ pub(crate) fn definitely_exact_sum_budgeted(
     let ((min, _), (max, _)) = sum_extremes(comp, var);
     if k < min || k > max {
         // No cut attains K at all, so no run passes through it.
-        return Ok(Verdict::Decided(
-            false,
-            Progress {
-                nodes_explored: meter.nodes(),
-                sum_interval: Some((min, max)),
-                ..Progress::default()
-            },
-        ));
+        return Ok(decided_in(false, meter, (min, max)));
     }
+    guard()?;
     let verdict = definitely_levelwise_budgeted(
         comp,
         |c| holds(var.sum_at(c)),
@@ -267,13 +271,7 @@ pub(crate) fn definitely_exact_sum_budgeted(
         meter,
         resume,
     )?;
-    Ok(match verdict {
-        Verdict::Unknown(mut partial) => {
-            partial.progress.sum_interval = Some((min, max));
-            Verdict::Unknown(partial)
-        }
-        decided => decided,
-    })
+    Ok(with_interval(verdict, (min, max)))
 }
 
 #[cfg(test)]
@@ -359,15 +357,24 @@ mod tests {
         let x = IntVariable::new(&comp, vec![vec![0, 1, 2]]);
         let none = Budget::unlimited().with_max_nodes(0);
         let meter = BudgetMeter::new();
-        let verdict = definitely_exact_sum_budgeted(&comp, &x, 1, 0, &none, &meter, None).unwrap();
+        let verdict =
+            definitely_exact_sum_budgeted(&comp, &x, 1, 0, &none, &meter, None, || Ok(())).unwrap();
         assert_eq!(verdict.value(), Some(&true));
         assert_eq!(meter.nodes(), 0);
         // A step of 2 can jump over Σ = 1: the same short-circuit must not
         // apply, and the sweep answers instead.
         let y = IntVariable::new(&comp, vec![vec![0, 2, 2]]);
-        let verdict =
-            definitely_exact_sum_budgeted(&comp, &y, 1, 0, &Budget::unlimited(), &meter, None)
-                .unwrap();
+        let verdict = definitely_exact_sum_budgeted(
+            &comp,
+            &y,
+            1,
+            0,
+            &Budget::unlimited(),
+            &meter,
+            None,
+            || Ok(()),
+        )
+        .unwrap();
         assert_eq!(verdict.value(), Some(&false));
     }
 
@@ -385,7 +392,7 @@ mod tests {
             };
             for k in -3..=3 {
                 let fast = sequential(|t, b, m| {
-                    definitely_exact_sum_budgeted(&comp, &x, k, t, b, m, None)
+                    definitely_exact_sum_budgeted(&comp, &x, k, t, b, m, None, || Ok(()))
                 });
                 let slow = definitely_by_enumeration(&comp, |c| x.sum_at(c) == k);
                 assert_eq!(fast, slow, "round {round}, k={k}");
@@ -404,7 +411,7 @@ mod tests {
             let x = gen::random_unit_int_variable(&mut rng, &comp);
             for k in -2..=2 {
                 let fast = sequential(|t, b, m| {
-                    definitely_exact_sum_budgeted(&comp, &x, k, t, b, m, None)
+                    definitely_exact_sum_budgeted(&comp, &x, k, t, b, m, None, || Ok(()))
                 });
                 let slow = definitely_by_enumeration(&comp, |c| x.sum_at(c) == k);
                 assert_eq!(fast, slow, "round {round}, k={k}");

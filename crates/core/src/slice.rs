@@ -728,8 +728,8 @@ pub fn cnf_envelope(
 ///
 /// **Precondition**: every `predicate`-cut must satisfy the regular
 /// envelope the slice was built for (`Φ ⇒ B`). Then no witness is ever
-/// filtered out, every surviving level is canonically sorted, and the
-/// verdict **and witness** are byte-identical to the unsliced engine at
+/// filtered out, each level's least Φ-cut is the unsliced level's, and
+/// the verdict **and witness** are byte-identical to the unsliced engine at
 /// every thread count. On resume, pass a slice built for the same
 /// envelope.
 ///

@@ -11,6 +11,11 @@
 //! the kernel's row reads and dominance batches are thread-count
 //! invariant too, and equal to one full `CutIter` walk's. The planner's
 //! Definitely sweeps take the caller's thread count, so they fan out too.
+//!
+//! A counting global allocator pins the sweeps' allocations: a level is
+//! a few flat runs and each worker probes on one scratch cut, so a
+//! witness-free sweep allocates O(levels + chunks) times, not once per
+//! cut.
 
 use std::sync::Mutex;
 
@@ -93,6 +98,49 @@ fn waves_at_two_threads(comp: &Computation) -> u64 {
 
 #[test]
 fn level_sweeps_do_the_same_exact_work_at_every_thread_count() {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    /// Counts allocations on every thread, pool workers included, while
+    /// `ON` is set. Both atomics publish no other data: `Relaxed` will do.
+    struct Counting;
+    static ON: AtomicBool = AtomicBool::new(false);
+    static ALLOCS: AtomicU64 = AtomicU64::new(0);
+    fn note() {
+        if ON.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    // SAFETY: every method passes its arguments unchanged to `System`,
+    // so `System`'s guarantees are this allocator's.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note();
+            System.alloc(layout)
+        }
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note();
+            System.alloc_zeroed(layout)
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note();
+            System.realloc(ptr, layout, new_size)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
+    /// Allocations made while `f` runs.
+    fn allocations(f: impl FnOnce()) -> u64 {
+        ALLOCS.store(0, Ordering::SeqCst);
+        ON.store(true, Ordering::SeqCst);
+        f();
+        ON.store(false, Ordering::SeqCst);
+        ALLOCS.load(Ordering::SeqCst)
+    }
+
     let mut rng = rand::rngs::StdRng::seed_from_u64(1517);
     // Random computations wide enough that the middle levels pass the
     // sequential cutoff, so 2, 4 and 8 threads really fan out.
@@ -195,4 +243,50 @@ fn level_sweeps_do_the_same_exact_work_at_every_thread_count() {
         "the verdict is thread-count invariant"
     );
     assert!(waves > 0, "the planner's Definitely(Σ = K) sweep fans out");
+
+    // Allocations of witness-free sweeps over 7⁵ = 16807 cuts in 31
+    // levels. The pool is warm by now, so no thread is spawned while
+    // counting.
+    let mut b = ComputationBuilder::new(5);
+    for p in 0..5 {
+        for _ in 0..6 {
+            b.append(p);
+        }
+    }
+    let grid = b.build().unwrap();
+    let (widths, _) = lattice_shape(&grid);
+    let cuts: usize = widths.iter().sum();
+    let chunks: usize = widths.iter().map(|w| w.div_ceil(64)).sum();
+    assert_eq!(cuts, 16807);
+    for threads in [0, 2] {
+        let possibly = allocations(|| {
+            let verdict = possibly_by_enumeration_budgeted(
+                &grid,
+                |_| false,
+                threads,
+                &Budget::unlimited(),
+                &BudgetMeter::new(),
+                None,
+            );
+            assert_eq!(verdict.unwrap().value(), Some(&None));
+        });
+        let definitely = allocations(|| {
+            let verdict = definitely_levelwise_budgeted(
+                &grid,
+                |_| false,
+                threads,
+                &Budget::unlimited(),
+                &BudgetMeter::new(),
+                None,
+            );
+            assert_eq!(verdict.unwrap().value(), Some(&false));
+        });
+        for (sweep, allocs) in [("Possibly", possibly), ("Definitely", definitely)] {
+            let at = format!("{sweep} sweep, threads {threads}: {allocs} allocations");
+            // Per level: each worker's scratch and run growth, the join
+            // and the pool's wave. Per chunk: at most one allocation.
+            assert!(allocs <= (20 * widths.len() + chunks) as u64, "{at}");
+            assert!(allocs < cuts as u64 / 8, "{at}");
+        }
+    }
 }
