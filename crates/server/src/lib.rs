@@ -39,6 +39,7 @@
 
 #![warn(missing_docs)]
 
+mod codec;
 mod crc32;
 
 pub mod chaos;

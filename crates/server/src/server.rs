@@ -62,7 +62,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gpd::online::{ConjunctiveMonitor, MonitorSnapshot, Observation};
+use gpd::online::{ConjunctiveMonitor, Observation};
 use gpd_computation::VectorClock;
 
 use crate::liveness::SlicerRegistry;
@@ -70,7 +70,7 @@ use crate::protocol::{
     parse_message, valid_tenant_name, AckStatus, Message, ServerStats, SlicerVerdict,
     TenantStatsRow, DEFAULT_TENANT, MAX_FRAME,
 };
-use crate::wal::{FsyncPolicy, Wal, WalConfig, WalRecord};
+use crate::wal::{with_cap, FsyncPolicy, Wal, WalConfig, WalRecord};
 
 /// Server tunables.
 #[derive(Debug, Clone)]
@@ -156,64 +156,23 @@ impl Tenant {
         let mut config = template.clone();
         config.dir = tenant_dir(&template.dir, name);
         let (wal, recovery) = Wal::open(config)?;
-        let mut tenant = Tenant {
+        let stats = TenantStatsRow {
+            tenant: name.to_string(),
+            replayed: recovery.records.len() as u64,
+            recovered_truncated_bytes: recovery.truncated_bytes,
+            recovered_dropped_segments: recovery.dropped_segments,
+            ..TenantStatsRow::default()
+        };
+        let (initial, monitor) = recovery.replay(queue_cap).unzip();
+        Ok(Tenant {
             wal,
-            monitor: None,
-            initial: None,
-            stats: TenantStatsRow {
-                tenant: name.to_string(),
-                replayed: recovery.records.len() as u64,
-                recovered_truncated_bytes: recovery.truncated_bytes,
-                recovered_dropped_segments: recovery.dropped_segments,
-                ..TenantStatsRow::default()
-            },
+            monitor,
+            initial,
+            stats,
             events_since_snapshot: 0,
             slicers: SlicerRegistry::new(),
             last_scrub: Instant::now(),
-        };
-        // Deterministic replay: the log records every accepted
-        // observation in apply order (with snapshots as reset points),
-        // so replaying rebuilds the exact monitor the crashed server
-        // had at its last durable append. Records are consumed: each
-        // clock buffer moves into the monitor and is freed when its
-        // state is eliminated.
-        for record in recovery.records {
-            match record {
-                WalRecord::Init { initial } => {
-                    tenant.monitor = Some(with_cap(
-                        ConjunctiveMonitor::with_initial(&initial),
-                        queue_cap,
-                    ));
-                    tenant.initial = Some(initial);
-                }
-                WalRecord::Event { process, clock } => {
-                    if let Some(m) = tenant.monitor.as_mut() {
-                        // Logged events were accepted once; replay
-                        // cannot overflow a queue that held them.
-                        let _ = m.try_observe(process as usize, VectorClock::from(clock));
-                    }
-                }
-                WalRecord::Snapshot {
-                    initial,
-                    latest,
-                    queues,
-                    witness,
-                } => {
-                    let snapshot = MonitorSnapshot {
-                        latest,
-                        queues: queues
-                            .into_iter()
-                            .map(|q| q.into_iter().map(VectorClock::from).collect())
-                            .collect(),
-                        witness: witness.map(|w| w.into_iter().map(VectorClock::from).collect()),
-                    };
-                    tenant.monitor =
-                        Some(with_cap(ConjunctiveMonitor::restore(snapshot), queue_cap));
-                    tenant.initial = Some(initial);
-                }
-            }
-        }
-        Ok(tenant)
+        })
     }
 
     fn witness(&self) -> Option<Vec<Vec<u32>>> {
@@ -282,18 +241,9 @@ impl Tenant {
         let (Some(monitor), Some(initial)) = (self.monitor.as_ref(), self.initial.as_ref()) else {
             return Ok(());
         };
-        let snapshot = monitor.snapshot();
         let record = WalRecord::Snapshot {
             initial: initial.clone(),
-            latest: snapshot.latest,
-            queues: snapshot
-                .queues
-                .into_iter()
-                .map(|q| q.into_iter().map(|c| c.as_slice().to_vec()).collect())
-                .collect(),
-            witness: snapshot
-                .witness
-                .map(|w| w.into_iter().map(|c| c.as_slice().to_vec()).collect()),
+            snapshot: monitor.snapshot(),
         };
         self.wal.compact(&record)?;
         self.stats.snapshots += 1;
@@ -338,13 +288,6 @@ impl Tenant {
                 report.corrupt_segments
             )),
         }
-    }
-}
-
-fn with_cap(monitor: ConjunctiveMonitor, cap: Option<usize>) -> ConjunctiveMonitor {
-    match cap {
-        Some(cap) => monitor.with_queue_cap(cap),
-        None => monitor,
     }
 }
 
@@ -1261,10 +1204,7 @@ fn handle_event(
                 t.stats.rejected += 1;
                 AckStatus::Rejected
             } else {
-                let record = WalRecord::Event {
-                    process,
-                    clock: clock.clone(),
-                };
+                let record = WalRecord::Event { process, clock };
                 match append(&mut t, conn, &record) {
                     Err(None) => return,
                     Err(Some(_)) => {

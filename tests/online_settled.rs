@@ -305,16 +305,9 @@ fn an_unsettled_wal_snapshot_recovers_like_a_fresh_replay() {
     let dir = tmp_dir("wal");
     let tenant_dir = dir.join("tenants").join("default");
     let (mut wal, _) = Wal::open(WalConfig::new(&tenant_dir)).unwrap();
-    let snapshot = former.snapshot();
     wal.append(&WalRecord::Snapshot {
         initial: vec![false; 3],
-        latest: snapshot.latest,
-        queues: former
-            .queues
-            .iter()
-            .map(|q| q.iter().cloned().collect())
-            .collect(),
-        witness: None,
+        snapshot: former.snapshot(),
     })
     .unwrap();
     wal.sync().unwrap();

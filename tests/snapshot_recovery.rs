@@ -9,8 +9,9 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use gpd_server::client::{ClientConfig, FeedClient};
+use gpd_server::protocol::{read_message, write_message, Message, DEFAULT_TENANT};
 use gpd_server::server::{self, ServerConfig};
-use gpd_server::wal::{self, FsyncPolicy, WalConfig};
+use gpd_server::wal::{self, FsyncPolicy, Wal, WalConfig, WalRecord};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -218,5 +219,85 @@ fn group_commit_policy_preserves_the_verdict() {
     let summary = handle.wait();
     assert_eq!(summary.witness, base.witness);
     assert!(summary.tenants[0].snapshots >= 1, "{:?}", summary.tenants);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The sorted `*.wal` names in `dir` (none when it does not exist).
+fn segments(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+        .filter(|name| name.ends_with(".wal"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// The server's high-water marks for the default tenant, as a resuming
+/// client's `Hello` receives them.
+fn resume_marks(addr: std::net::SocketAddr) -> Vec<Option<u32>> {
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    let hello = Message::Hello {
+        tenant: DEFAULT_TENANT.to_string(),
+        initial: vec![false; N],
+    };
+    write_message(&mut stream, &hello).unwrap();
+    match read_message(&mut stream).unwrap() {
+        Message::HelloAck { high_water } => high_water,
+        other => panic!("expected HelloAck, got {other:?}"),
+    }
+}
+
+/// A pre-multi-tenant log (segments at the WAL root) moves into the
+/// default tenant's namespace at startup and replays to the verdict
+/// and high-water marks of the unmigrated log; a second restart moves
+/// nothing.
+#[test]
+fn a_legacy_root_log_migrates_into_the_default_tenant() {
+    let dir = tmp_dir("legacy");
+    let legacy = WalConfig::new(&dir).with_segment_bytes(256);
+    let (mut log, _) = Wal::open(legacy.clone()).unwrap();
+    log.append(&WalRecord::Init {
+        initial: vec![false; N],
+    })
+    .unwrap();
+    for (p, clock) in generated_events() {
+        log.append(&WalRecord::Event {
+            process: p as u32,
+            clock,
+        })
+        .unwrap();
+    }
+    drop(log);
+    let moved = segments(&dir);
+    assert!(moved.len() > 1, "{moved:?}");
+    let (_, recovery) = Wal::open(legacy).unwrap();
+    let records = recovery.records.len() as u64;
+    let (_, monitor) = recovery.replay(None).unwrap();
+    let witness = monitor
+        .witness()
+        .map(|cut| cut.iter().map(|c| c.as_slice().to_vec()).collect());
+    assert!(witness.is_some());
+    let marks: Vec<Option<u32>> = (0..N).map(|p| monitor.high_water(p)).collect();
+
+    let default_dir = dir.join("tenants").join(DEFAULT_TENANT);
+    let mut config = server_config(&dir, FsyncPolicy::Always);
+    config.snapshot_every = None;
+    for start in ["first", "second"] {
+        let handle = server::start("127.0.0.1:0", config.clone()).unwrap();
+        assert_eq!(segments(&dir), Vec::<String>::new(), "{start} start");
+        assert_eq!(segments(&default_dir), moved, "{start} start");
+        assert_eq!(
+            handle.replayed_records(),
+            vec![(DEFAULT_TENANT.to_string(), records)],
+            "{start} start"
+        );
+        assert_eq!(resume_marks(handle.local_addr()), marks, "{start} start");
+        let client = FeedClient::new(client_config(handle.local_addr()));
+        assert_eq!(client.query_verdict().unwrap(), witness, "{start} start");
+        client.shutdown().unwrap();
+        handle.wait();
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -21,7 +21,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gpd::online::{ConjunctiveMonitor, MonitorSnapshot};
+use gpd::online::ConjunctiveMonitor;
 use gpd_computation::VectorClock;
 use gpd_server::client::{ClientConfig, FeedClient};
 use gpd_server::protocol::{read_message, write_message, AckStatus, Message};
@@ -56,56 +56,17 @@ fn wal_config(vfs: &FaultVfs) -> WalConfig {
         .with_segment_bytes(96)
 }
 
-/// The server-side snapshot encoding (mirrors `Tenant::compact`).
+/// The snapshot record `Tenant::compact` writes.
 fn snapshot_record(monitor: &ConjunctiveMonitor, initial: &[bool]) -> WalRecord {
-    let snapshot = monitor.snapshot();
     WalRecord::Snapshot {
         initial: initial.to_vec(),
-        latest: snapshot.latest,
-        queues: snapshot
-            .queues
-            .into_iter()
-            .map(|q| q.into_iter().map(|c| c.as_slice().to_vec()).collect())
-            .collect(),
-        witness: snapshot
-            .witness
-            .map(|w| w.into_iter().map(|c| c.as_slice().to_vec()).collect()),
+        snapshot: monitor.snapshot(),
     }
 }
 
-/// Replays recovered records exactly the way `Tenant::open` does.
-fn recover_monitor(recovery: &Recovery) -> Option<ConjunctiveMonitor> {
-    let mut monitor = None;
-    for record in &recovery.records {
-        match record {
-            WalRecord::Init { initial } => {
-                monitor = Some(ConjunctiveMonitor::with_initial(initial));
-            }
-            WalRecord::Event { process, clock } => {
-                if let Some(m) = monitor.as_mut() {
-                    let _ = m.try_observe(*process as usize, VectorClock::from(clock.clone()));
-                }
-            }
-            WalRecord::Snapshot {
-                latest,
-                queues,
-                witness,
-                ..
-            } => {
-                monitor = Some(ConjunctiveMonitor::restore(MonitorSnapshot {
-                    latest: latest.clone(),
-                    queues: queues
-                        .iter()
-                        .map(|q| q.iter().cloned().map(VectorClock::from).collect())
-                        .collect(),
-                    witness: witness
-                        .as_ref()
-                        .map(|w| w.iter().cloned().map(VectorClock::from).collect()),
-                }));
-            }
-        }
-    }
-    monitor
+/// The monitor `Tenant::open` recovers (without a queue cap).
+fn recover_monitor(recovery: Recovery) -> Option<ConjunctiveMonitor> {
+    recovery.replay(None).map(|(_, monitor)| monitor)
 }
 
 fn witness_of(monitor: &ConjunctiveMonitor) -> Option<Vec<Vec<u32>>> {
@@ -173,7 +134,13 @@ fn check_recovery(
 ) {
     let (_, recovery) =
         Wal::open(wal_config(image)).unwrap_or_else(|e| panic!("{tag}: recovery errored: {e}"));
-    let monitor = recover_monitor(&recovery);
+    let found = format!(
+        "{} records, {}B truncated, {} segments dropped",
+        recovery.records.len(),
+        recovery.truncated_bytes,
+        recovery.dropped_segments,
+    );
+    let monitor = recover_monitor(recovery);
     for (p, &want) in acked.iter().enumerate() {
         if want.is_none() {
             continue;
@@ -182,10 +149,7 @@ fn check_recovery(
         assert!(
             got >= want,
             "{tag}: acked event lost — process {p} acked up to {want:?}, recovered {got:?} \
-             (recovery: {} records, {}B truncated, {} segments dropped)",
-            recovery.records.len(),
-            recovery.truncated_bytes,
-            recovery.dropped_segments,
+             (recovery: {found})",
         );
     }
     // At-least-once redelivery of the whole stream: the verdict must
@@ -358,7 +322,7 @@ proptest! {
         let acked = run_workload(&vfs);
         let (_, recovery) = Wal::open(wal_config(&vfs.crash(CrashStyle::Strict)))
             .expect("recovery must not error");
-        let monitor = recover_monitor(&recovery);
+        let monitor = recover_monitor(recovery);
         for (p, &want) in acked.iter().enumerate() {
             if want.is_none() { continue; }
             let got = monitor.as_ref().and_then(|m| m.high_water(p));
@@ -545,7 +509,7 @@ fn fsync_failure_withholds_acks_and_quarantines() {
     let image = vfs.crash(CrashStyle::Strict);
     let config = WalConfig::new("/srv/tenants/acme").with_vfs(Arc::new(image));
     let (_, recovery) = Wal::open(config).unwrap();
-    let monitor = recover_monitor(&recovery).expect("init must have survived");
+    let monitor = recover_monitor(recovery).expect("init must have survived");
     assert_eq!(monitor.high_water(0), Some(1), "acked event lost");
 }
 
@@ -609,6 +573,6 @@ fn background_scrub_heals_bit_rot_from_the_live_monitor() {
     // snapshot reproduces the witness with no corrupt bytes left.
     let (_, recovery) =
         Wal::open(WalConfig::new("/srv/tenants/acme").with_vfs(Arc::new(vfs))).unwrap();
-    let monitor = recover_monitor(&recovery).expect("snapshot must recover");
+    let monitor = recover_monitor(recovery).expect("snapshot must recover");
     assert!(monitor.witness().is_some());
 }
