@@ -26,6 +26,14 @@
 //!    containing every `B`-cut ([`Slice`]). Its least element `m` and
 //!    greatest element `M` bound every `B`-cut: `m ≤ C ≤ M`.
 //!
+//! Both rest on one repair fixpoint, run from a worklist of the
+//! processes whose frontier entry moved, so it reads one clock row per
+//! forced advance rather than all `n` rows per pass. `J` is monotone
+//! along each process, so [`Slice::build_budgeted`] computes it in one
+//! sweep per process: `J(e)` is the fixpoint above `J(pred) ⊔ vc(e)`,
+//! continuing from where the predecessor's fixpoint stopped
+//! (docs/ALGORITHMS.md §12).
+//!
 //! The *SliceReduce* pre-pass exploits (2) for an arbitrary predicate
 //! `Φ` that *implies* a regular envelope `B` (e.g. the unit clauses of a
 //! CNF): every `Φ`-cut is a `B`-cut, hence lies inside the slice window.
@@ -124,8 +132,10 @@ pub struct RegularPredicate {
     /// always `shape[p] + 1` when present.
     local: Vec<Option<Vec<bool>>>,
     channels: Vec<ChannelConstraint>,
-    /// Channel positions of the computation this predicate was built for.
-    index: ChannelIndex,
+    /// Channel positions of the computation this predicate was built
+    /// for; built by the first [`require_channel`](Self::require_channel),
+    /// so predicates without channels never index the messages.
+    index: Option<ChannelIndex>,
 }
 
 impl RegularPredicate {
@@ -139,7 +149,7 @@ impl RegularPredicate {
             shape: (0..n).map(|p| comp.events_on(p)).collect(),
             local: vec![None; n],
             channels: Vec::new(),
-            index: ChannelIndex::new(comp),
+            index: None,
         }
     }
 
@@ -185,12 +195,15 @@ impl RegularPredicate {
     }
 
     /// Adds a bound on the messages in flight from `from` to `to`.
+    /// `comp` must be the computation the predicate was built for; the
+    /// first channel bound indexes its messages.
     ///
     /// # Panics
     ///
     /// Panics if the endpoints coincide or are out of range.
     pub fn require_channel(
         mut self,
+        comp: &Computation,
         from: impl Into<ProcessId>,
         to: impl Into<ProcessId>,
         op: ChannelOp,
@@ -202,6 +215,7 @@ impl RegularPredicate {
             from.index() < self.shape.len() && to.index() < self.shape.len(),
             "channel endpoint out of range"
         );
+        self.index.get_or_insert_with(|| ChannelIndex::new(comp));
         self.channels.push(ChannelConstraint {
             from,
             to,
@@ -223,6 +237,13 @@ impl RegularPredicate {
             .fold(Self::unconstrained(comp), |pred, &(p, positive)| {
                 pred.require_literal(var, p, positive)
             })
+    }
+
+    /// The channel positions; built whenever a channel bound exists.
+    fn index(&self) -> &ChannelIndex {
+        self.index
+            .as_ref()
+            .expect("a channel bound indexed the messages")
     }
 
     /// Whether the predicate has no channel constraints (a conjunction
@@ -249,7 +270,7 @@ impl RegularPredicate {
             });
         local_ok
             && self.channels.iter().all(|c| {
-                let in_flight = self.index.in_flight(c.from, c.to, frontier);
+                let in_flight = self.index().in_flight(c.from, c.to, frontier);
                 match c.op {
                     ChannelOp::AtMost => in_flight <= i64::from(c.bound),
                     ChannelOp::AtLeast => in_flight >= i64::from(c.bound),
@@ -258,155 +279,259 @@ impl RegularPredicate {
     }
 }
 
-/// The least `B`-cut whose frontier dominates `start`, or `None` if no
-/// `B`-cut lies above `start`. A repair fixpoint: each pass advances
-/// frontier entries that *every* `B`-cut above the current frontier is
-/// forced to advance — consistency closure (a frontier event pulls in
-/// its causal past), local membership (skip to the next allowed state),
-/// and channel bounds (an overfull channel forces the next receive, an
-/// underfull one the next send). Every step is forced and strictly
-/// increases one entry, so the fixpoint is the least `B`-cut above
-/// `start` and terminates within `event_count` advances.
-fn lub(comp: &Computation, pred: &RegularPredicate, start: &[u32]) -> Option<Vec<u32>> {
-    let n = comp.process_count();
-    debug_assert_eq!(start.len(), n);
-    let mut f = start.to_vec();
-    loop {
-        let mut changed = false;
-        // Local membership: advance each process to its next allowed
-        // state (possibly the current one).
-        for p in 0..n {
-            if let Some(allowed) = &pred.local[p] {
-                match allowed[f[p] as usize..].iter().position(|&ok| ok) {
-                    Some(0) => {}
-                    Some(off) => {
-                        f[p] += off as u32;
-                        changed = true;
-                    }
-                    None => return None,
+/// A channel bound's verdict on a frontier during a fixpoint: it holds,
+/// it forces one process to a new entry, or no cut on that side of the
+/// frontier satisfies it. Each forced move is forced on every `B`-cut
+/// on that side, whether or not the frontier is consistent yet.
+enum Repair {
+    Holds,
+    Move(usize, u32),
+    Unsat,
+}
+
+impl ChannelConstraint {
+    fn touches(&self, p: usize) -> bool {
+        self.from.index() == p || self.to.index() == p
+    }
+
+    /// Sends executed at `f`'s sender entry, receives at its receiver
+    /// entry, and the bound.
+    fn counts(&self, index: &ChannelIndex, f: &[u32]) -> (i64, i64, i64) {
+        let sent = index.sent_until(self.from, self.to, f[self.from.index()]);
+        let received = index.received_until(self.from, self.to, f[self.to.index()]);
+        (i64::from(sent), i64::from(received), i64::from(self.bound))
+    }
+
+    /// The advance every `B`-cut above `f` makes for this bound.
+    fn raise(&self, index: &ChannelIndex, f: &[u32]) -> Repair {
+        let (sent, received, bound) = self.counts(index, f);
+        match self.op {
+            // Any B-cut above f keeps at least `sent` sends, so it must
+            // have executed the (sent − bound)-th receive.
+            ChannelOp::AtMost if sent - received > bound => {
+                let recvs = index.receive_positions(self.from, self.to);
+                Repair::Move(self.to.index(), recvs[(sent - bound) as usize - 1])
+            }
+            // At least `received + bound` sends are forced.
+            ChannelOp::AtLeast if sent - received < bound => {
+                let sends = index.send_positions(self.from, self.to);
+                match sends.get((received + bound) as usize - 1) {
+                    Some(&pos) => Repair::Move(self.from.index(), pos),
+                    None => Repair::Unsat,
                 }
             }
+            _ => Repair::Holds,
         }
-        // Consistency closure: each frontier event's clock row is a
-        // lower bound on any consistent cut containing it.
-        for p in 0..n {
-            if f[p] == 0 {
-                continue;
+    }
+
+    /// The retreat every `B`-cut below `f` makes for this bound.
+    fn lower(&self, index: &ChannelIndex, f: &[u32]) -> Repair {
+        let (sent, received, bound) = self.counts(index, f);
+        match self.op {
+            // Any B-cut below f has at most `received` receives, hence at
+            // most `received + bound` sends: stop just before the next.
+            ChannelOp::AtMost if sent - received > bound => {
+                let sends = index.send_positions(self.from, self.to);
+                Repair::Move(self.from.index(), sends[(received + bound) as usize] - 1)
             }
-            let e = comp.event_at(p, f[p]).expect("frontier within range");
-            for (q, fq) in f.iter_mut().enumerate() {
-                let need = comp.clock_component(e, q);
-                if *fq < need {
-                    *fq = need;
-                    changed = true;
+            // A B-cut below f has at most `sent` sends, so it needs
+            // `received ≤ sent − bound`.
+            ChannelOp::AtLeast if sent - received < bound => {
+                if sent < bound {
+                    return Repair::Unsat;
                 }
+                let recvs = index.receive_positions(self.from, self.to);
+                Repair::Move(self.to.index(), recvs[(sent - bound) as usize] - 1)
             }
-        }
-        for c in &pred.channels {
-            let sent = i64::from(pred.index.sent_until(c.from, c.to, f[c.from.index()]));
-            let received = i64::from(pred.index.received_until(c.from, c.to, f[c.to.index()]));
-            let bound = i64::from(c.bound);
-            match c.op {
-                ChannelOp::AtMost if sent - received > bound => {
-                    // Any B-cut above f keeps at least `sent` sends, so it
-                    // must have executed the (sent − bound)-th receive.
-                    let r = (sent - bound) as usize;
-                    let pos = pred.index.receive_positions(c.from, c.to)[r - 1];
-                    debug_assert!(pos > f[c.to.index()]);
-                    f[c.to.index()] = pos;
-                    changed = true;
-                }
-                ChannelOp::AtLeast if sent - received < bound => {
-                    // At least `received + bound` sends are forced.
-                    let s = (received + bound) as usize;
-                    let sends = pred.index.send_positions(c.from, c.to);
-                    if s > sends.len() {
-                        return None;
-                    }
-                    let pos = sends[s - 1];
-                    debug_assert!(pos > f[c.from.index()]);
-                    f[c.from.index()] = pos;
-                    changed = true;
-                }
-                _ => {}
-            }
-        }
-        if !changed {
-            return Some(f);
+            _ => Repair::Holds,
         }
     }
 }
 
-/// The greatest `B`-cut whose frontier is dominated by `start`, or
-/// `None` if no `B`-cut lies below `start`. The order dual of [`lub`]:
-/// every retreat is forced on every `B`-cut below the current frontier,
-/// so the fixpoint is the greatest such cut.
-fn glb(comp: &Computation, pred: &RegularPredicate, start: &[u32]) -> Option<Vec<u32>> {
-    let n = comp.process_count();
-    debug_assert_eq!(start.len(), n);
-    let mut f = start.to_vec();
-    loop {
-        let mut changed = false;
-        // Local membership: retreat to the greatest allowed state.
-        for p in 0..n {
-            if let Some(allowed) = &pred.local[p] {
-                match allowed[..=f[p] as usize].iter().rposition(|&ok| ok) {
-                    Some(k) if k as u32 == f[p] => {}
-                    Some(k) => {
-                        f[p] = k as u32;
-                        changed = true;
-                    }
-                    None => return None,
-                }
-            }
-        }
-        // Consistency: a frontier event whose past exceeds the frontier
-        // cannot be in any consistent cut below it.
-        for p in 0..n {
-            while f[p] > 0 {
-                let e = comp.event_at(p, f[p]).expect("frontier within range");
-                if (0..n).any(|q| comp.clock_component(e, q) > f[q]) {
-                    f[p] -= 1;
-                    changed = true;
-                } else {
-                    break;
-                }
-            }
-        }
-        for c in &pred.channels {
-            let sent = i64::from(pred.index.sent_until(c.from, c.to, f[c.from.index()]));
-            let received = i64::from(pred.index.received_until(c.from, c.to, f[c.to.index()]));
-            let bound = i64::from(c.bound);
-            match c.op {
-                ChannelOp::AtMost if sent - received > bound => {
-                    // Any B-cut below f has at most `received` receives,
-                    // hence at most `received + bound` sends: stop just
-                    // before the one after that.
-                    let s_max = (received + bound) as usize;
-                    let sends = pred.index.send_positions(c.from, c.to);
-                    debug_assert!(sends.len() > s_max);
-                    f[c.from.index()] = sends[s_max] - 1;
-                    changed = true;
-                }
-                ChannelOp::AtLeast if sent - received < bound => {
-                    // A B-cut below f has at most `sent` sends, so it
-                    // needs `received ≤ sent − bound`.
-                    if sent < bound {
-                        return None;
-                    }
-                    let r_max = (sent - bound) as usize;
-                    let recvs = pred.index.receive_positions(c.from, c.to);
-                    debug_assert!(recvs.len() > r_max);
-                    f[c.to.index()] = recvs[r_max] - 1;
-                    changed = true;
-                }
-                _ => {}
-            }
-        }
-        if !changed {
-            return Some(f);
+/// The state of one worklist fixpoint: the frontier under repair and
+/// the processes whose entry moved since their checks last ran. O(n)
+/// words; a slice build reuses one across all of its `J` fixpoints.
+struct Worklist {
+    f: Vec<u32>,
+    queue: Vec<usize>,
+    queued: Vec<bool>,
+    /// `f[p]` moved for a reason other than consistency, so its frontier
+    /// event's clock row is not yet reconciled with the frontier.
+    stale: Vec<bool>,
+    /// [`glb`] only: `f[p]` fell since the other frontier events were
+    /// checked against it.
+    lowered: Vec<bool>,
+}
+
+impl Worklist {
+    /// A fixpoint from the consistent frontier `start`, with every
+    /// process queued for its local and channel checks.
+    fn new(start: Vec<u32>) -> Self {
+        let n = start.len();
+        Worklist {
+            f: start,
+            queue: (0..n).rev().collect(),
+            queued: vec![true; n],
+            stale: vec![false; n],
+            lowered: vec![false; n],
         }
     }
+
+    fn push(&mut self, p: usize) {
+        if !self.queued[p] {
+            self.queued[p] = true;
+            self.queue.push(p);
+        }
+    }
+
+    /// Takes the next process to check with its `stale` and `lowered`
+    /// flags, clearing them.
+    fn pop(&mut self) -> Option<(usize, bool, bool)> {
+        let p = self.queue.pop()?;
+        self.queued[p] = false;
+        let stale = std::mem::take(&mut self.stale[p]);
+        Some((p, stale, std::mem::take(&mut self.lowered[p])))
+    }
+
+    /// Joins a consistent cut's frontier (an event's clock row) into
+    /// `f`. The entries it raises name events inside that cut, so their
+    /// rows are already dominated: they are queued, not stale.
+    fn join(&mut self, row: &[u32]) {
+        for (q, &need) in row.iter().enumerate() {
+            if self.f[q] < need {
+                self.f[q] = need;
+                self.push(q);
+            }
+        }
+    }
+
+    /// Moves `f[p]` to `to` for a channel bound and queues it.
+    fn force(&mut self, p: usize, to: u32) {
+        self.f[p] = to;
+        self.stale[p] = true;
+        self.lowered[p] = true;
+        self.push(p);
+    }
+
+    /// Empties the queue after a fixpoint found no `B`-cut.
+    fn abandon(&mut self) -> bool {
+        while self.pop().is_some() {}
+        false
+    }
+}
+
+/// Raises `w.f` to the least `B`-cut above it; `false` (with `w.f`
+/// undefined) if no `B`-cut lies above it. Every move is forced on every
+/// `B`-cut above the frontier — consistency (a frontier event pulls in
+/// its causal past), local membership (skip to the next allowed state)
+/// and channel bounds (an overfull channel forces the next receive, an
+/// underfull one the next send) — so the fixpoint is the least `B`-cut
+/// above the start.
+///
+/// Only queued processes are re-checked: a popped process's local
+/// membership, its clock row only if it moved for a local or channel
+/// reason (a join lands inside a cut the frontier already holds), and
+/// the channel bounds it is an endpoint of. So a fixpoint reads at most
+/// one clock row per advance. Precondition: every process whose check
+/// may fail is queued, and marked stale if the frontier does not yet
+/// dominate its frontier event's row.
+fn lub(comp: &Computation, pred: &RegularPredicate, w: &mut Worklist) -> bool {
+    while let Some((p, mut stale, _)) = w.pop() {
+        if let Some(allowed) = &pred.local[p] {
+            match allowed[w.f[p] as usize..].iter().position(|&ok| ok) {
+                Some(0) => {}
+                Some(off) => {
+                    w.f[p] += off as u32;
+                    stale = true;
+                }
+                None => return w.abandon(),
+            }
+        }
+        if stale {
+            let e = comp
+                .event_at(p, w.f[p])
+                .expect("a raised entry names an event");
+            w.join(comp.clock(e).as_slice());
+        }
+        for c in pred.channels.iter().filter(|c| c.touches(p)) {
+            match c.raise(pred.index(), &w.f) {
+                Repair::Holds => {}
+                Repair::Move(q, pos) => w.force(q, pos),
+                Repair::Unsat => return w.abandon(),
+            }
+        }
+    }
+    true
+}
+
+/// Lowers `w.f` to the greatest `B`-cut below it; `false` if no `B`-cut
+/// lies below it. The order dual of [`lub`]: every retreat is forced on
+/// every `B`-cut below the frontier. A stale process retreats until its
+/// frontier event's clock row fits the frontier, and a retreat of `p`
+/// re-checks only the other frontier events' entries for `p`.
+fn glb(comp: &Computation, pred: &RegularPredicate, w: &mut Worklist) -> bool {
+    while let Some((p, mut stale, mut lowered)) = w.pop() {
+        loop {
+            if let Some(allowed) = &pred.local[p] {
+                match allowed[..=w.f[p] as usize].iter().rposition(|&ok| ok) {
+                    Some(k) if k as u32 == w.f[p] => {}
+                    Some(k) => {
+                        w.f[p] = k as u32;
+                        (stale, lowered) = (true, true);
+                    }
+                    None => return w.abandon(),
+                }
+            }
+            // A frontier event whose past exceeds the frontier lies in
+            // no consistent cut below it.
+            if !stale || w.f[p] == 0 {
+                break;
+            }
+            let e = comp.event_at(p, w.f[p]).expect("frontier within range");
+            stale = comp
+                .clock(e)
+                .as_slice()
+                .iter()
+                .zip(&w.f)
+                .any(|(&need, &fq)| need > fq);
+            if !stale {
+                break;
+            }
+            w.f[p] -= 1;
+            lowered = true;
+        }
+        if lowered {
+            for r in (0..w.f.len()).filter(|&r| r != p) {
+                let Some(e) = comp.event_at(r, w.f[r]) else {
+                    continue;
+                };
+                if comp.clock_component(e, p) > w.f[p] {
+                    w.stale[r] = true;
+                    w.push(r);
+                }
+            }
+        }
+        for c in pred.channels.iter().filter(|c| c.touches(p)) {
+            match c.lower(pred.index(), &w.f) {
+                Repair::Holds => {}
+                Repair::Move(q, pos) => w.force(q, pos),
+                Repair::Unsat => return w.abandon(),
+            }
+        }
+    }
+    true
+}
+
+/// The least `B`-cut, or `None` if the predicate is unsatisfiable.
+fn least_b_cut(comp: &Computation, pred: &RegularPredicate) -> Option<Vec<u32>> {
+    let mut w = Worklist::new(vec![0; comp.process_count()]);
+    lub(comp, pred, &mut w).then_some(w.f)
+}
+
+/// The greatest `B`-cut, or `None` if the predicate is unsatisfiable.
+fn greatest_b_cut(comp: &Computation, pred: &RegularPredicate) -> Option<Vec<u32>> {
+    let mut w = Worklist::new(comp.final_cut().frontier().to_vec());
+    glb(comp, pred, &mut w).then_some(w.f)
 }
 
 /// Decides `Possibly(B)` for a regular predicate exactly, in polynomial
@@ -416,7 +541,7 @@ fn glb(comp: &Computation, pred: &RegularPredicate, start: &[u32]) -> Option<Vec
 /// to the first witness of sequential enumeration *and* to the budgeted
 /// canonical sweep's witness at any thread count.
 pub fn possibly_slice(comp: &Computation, pred: &RegularPredicate) -> Option<Cut> {
-    lub(comp, pred, &vec![0; comp.process_count()]).map(Cut::from_frontier)
+    least_b_cut(comp, pred).map(Cut::from_frontier)
 }
 
 /// Decides `Definitely(B)` for a regular predicate exactly.
@@ -431,14 +556,14 @@ pub fn possibly_slice(comp: &Computation, pred: &RegularPredicate) -> Option<Cut
 /// `false` without sweeping the upper lattice.
 pub fn definitely_slice(comp: &Computation, pred: &RegularPredicate) -> bool {
     let n = comp.process_count();
-    let Some(least) = lub(comp, pred, &vec![0; n]) else {
+    let Some(least) = least_b_cut(comp, pred) else {
         return false;
     };
     if least.iter().all(|&f| f == 0) {
         return true; // B(⊥): every run starts in B.
     }
     let top = comp.final_cut();
-    let greatest = glb(comp, pred, top.frontier()).expect("a B-cut exists, so a greatest one does");
+    let greatest = greatest_b_cut(comp, pred).expect("a B-cut exists, so a greatest one does");
     if greatest == top.frontier() {
         return true; // B(⊤): every run ends in B.
     }
@@ -533,7 +658,8 @@ impl Slice {
         };
         check()?;
         meter.charge(1);
-        let Some(least) = lub(comp, pred, &vec![0; n]) else {
+        let mut w = Worklist::new(vec![0; n]);
+        if !lub(comp, pred, &mut w) {
             counters::record_slice(events as u64, 0);
             return Ok(Slice {
                 least: None,
@@ -543,20 +669,56 @@ impl Slice {
                 classes: 0,
                 n,
             });
-        };
+        }
+        let least = w.f.clone();
         check()?;
         meter.charge(1);
-        let greatest = glb(comp, pred, comp.final_cut().frontier())
-            .expect("a B-cut exists, so a greatest one does");
+        let greatest = greatest_b_cut(comp, pred).expect("a B-cut exists, so a greatest one does");
+        // One monotone sweep per process. J(e) is the least B-cut above
+        // J(pred) ⊔ vc(e), where pred is e's process predecessor (m for
+        // the first event): every B-cut containing e contains pred, so it
+        // lies above J(pred). That seed is a consistent cut, and vc(e) is
+        // vc(pred) ⊔ its senders' rows ⊔ e itself, so only the senders'
+        // rows are read. If J(pred) is None, so is every later J on the
+        // process.
         let mut jmat = vec![0u32; events * n];
         let mut has_j = vec![false; events];
-        for e in comp.events() {
-            check()?;
-            meter.charge(1);
-            let seed = comp.least_cut_containing(e);
-            if let Some(j) = lub(comp, pred, seed.frontier()) {
-                jmat[e.index() * n..(e.index() + 1) * n].copy_from_slice(&j);
-                has_j[e.index()] = true;
+        for p in 0..n {
+            w.f.copy_from_slice(&least);
+            let mut alive = true;
+            for (&e, k) in comp.events_of(p).iter().zip(1u32..) {
+                check()?;
+                meter.charge(1);
+                if !alive {
+                    continue;
+                }
+                for &s in comp.message_predecessors(e) {
+                    w.join(comp.clock(s).as_slice());
+                }
+                if w.f[p] < k {
+                    w.f[p] = k;
+                    w.push(p);
+                }
+                alive = lub(comp, pred, &mut w);
+                if alive {
+                    let row = e.index() * n..(e.index() + 1) * n;
+                    debug_assert!(
+                        (0..n).all(|q| {
+                            let base = match comp.predecessor_on_process(e) {
+                                Some(d) => jmat[d.index() * n + q],
+                                None => least[q],
+                            };
+                            w.f[q] >= base.max(comp.clock_component(e, q))
+                        }),
+                        "J(e) contains e and dominates its seed"
+                    );
+                    debug_assert!(
+                        pred.holds(&Cut::from_frontier(w.f.clone())),
+                        "J(e) is a B-cut"
+                    );
+                    jmat[row].copy_from_slice(&w.f);
+                    has_j[e.index()] = true;
+                }
             }
         }
         let classes = {
@@ -842,6 +1004,7 @@ mod tests {
         definitely_by_enumeration, definitely_levelwise_budgeted, possibly_by_enumeration,
         possibly_by_enumeration_budgeted,
     };
+    use crate::predicate::CnfClause;
     use gpd_computation::{gen, ComputationBuilder};
     use rand::{Rng, SeedableRng};
 
@@ -877,10 +1040,198 @@ mod tests {
                 } else {
                     ChannelOp::AtLeast
                 };
-                pred = pred.require_channel(from, to, op, rng.gen_range(0..3));
+                pred = pred.require_channel(comp, from, to, op, rng.gen_range(0..3));
             }
         }
         pred
+    }
+
+    /// The from-scratch `lub` the worklist replaced, kept as its oracle:
+    /// every pass re-checks every process and re-joins every frontier
+    /// event's clock row.
+    fn scratch_lub(comp: &Computation, pred: &RegularPredicate, start: &[u32]) -> Option<Vec<u32>> {
+        let n = comp.process_count();
+        let mut f = start.to_vec();
+        loop {
+            let mut changed = false;
+            for p in 0..n {
+                if let Some(allowed) = &pred.local[p] {
+                    let off = allowed[f[p] as usize..].iter().position(|&ok| ok)?;
+                    f[p] += off as u32;
+                    changed |= off > 0;
+                }
+            }
+            for p in 0..n {
+                if let Some(e) = comp.event_at(p, f[p]) {
+                    for (q, fq) in f.iter_mut().enumerate() {
+                        let need = comp.clock_component(e, q);
+                        if *fq < need {
+                            *fq = need;
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            for c in &pred.channels {
+                let index = pred.index();
+                let sent = i64::from(index.sent_until(c.from, c.to, f[c.from.index()]));
+                let received = i64::from(index.received_until(c.from, c.to, f[c.to.index()]));
+                let bound = i64::from(c.bound);
+                match c.op {
+                    ChannelOp::AtMost if sent - received > bound => {
+                        let r = (sent - bound) as usize;
+                        f[c.to.index()] = index.receive_positions(c.from, c.to)[r - 1];
+                        changed = true;
+                    }
+                    ChannelOp::AtLeast if sent - received < bound => {
+                        let s = (received + bound) as usize;
+                        f[c.from.index()] = *index.send_positions(c.from, c.to).get(s - 1)?;
+                        changed = true;
+                    }
+                    _ => {}
+                }
+            }
+            if !changed {
+                return Some(f);
+            }
+        }
+    }
+
+    /// The from-scratch `glb`, the order dual of [`scratch_lub`].
+    fn scratch_glb(comp: &Computation, pred: &RegularPredicate, start: &[u32]) -> Option<Vec<u32>> {
+        let n = comp.process_count();
+        let mut f = start.to_vec();
+        loop {
+            let mut changed = false;
+            for p in 0..n {
+                if let Some(allowed) = &pred.local[p] {
+                    let k = allowed[..=f[p] as usize].iter().rposition(|&ok| ok)? as u32;
+                    changed |= k != f[p];
+                    f[p] = k;
+                }
+            }
+            for p in 0..n {
+                while let Some(e) = comp.event_at(p, f[p]) {
+                    if !(0..n).any(|q| comp.clock_component(e, q) > f[q]) {
+                        break;
+                    }
+                    f[p] -= 1;
+                    changed = true;
+                }
+            }
+            for c in &pred.channels {
+                let index = pred.index();
+                let sent = i64::from(index.sent_until(c.from, c.to, f[c.from.index()]));
+                let received = i64::from(index.received_until(c.from, c.to, f[c.to.index()]));
+                let bound = i64::from(c.bound);
+                match c.op {
+                    ChannelOp::AtMost if sent - received > bound => {
+                        let s_max = (received + bound) as usize;
+                        f[c.from.index()] = index.send_positions(c.from, c.to)[s_max] - 1;
+                        changed = true;
+                    }
+                    ChannelOp::AtLeast if sent - received < bound => {
+                        if sent < bound {
+                            return None;
+                        }
+                        let r_max = (sent - bound) as usize;
+                        f[c.to.index()] = index.receive_positions(c.from, c.to)[r_max] - 1;
+                        changed = true;
+                    }
+                    _ => {}
+                }
+            }
+            if !changed {
+                return Some(f);
+            }
+        }
+    }
+
+    /// The slice built the from-scratch way: `m`, `M`, and `J(e)` by
+    /// [`scratch_lub`] from each event's clock row.
+    fn scratch_slice(comp: &Computation, pred: &RegularPredicate) -> Slice {
+        let n = comp.process_count();
+        let least = scratch_lub(comp, pred, &vec![0; n]);
+        let greatest = least
+            .as_ref()
+            .and_then(|_| scratch_glb(comp, pred, comp.final_cut().frontier()));
+        let mut jmat = vec![0u32; comp.event_count() * n];
+        let mut has_j = vec![false; comp.event_count()];
+        if least.is_some() {
+            for e in comp.events() {
+                let start: Vec<u32> = (0..n).map(|q| comp.clock_component(e, q)).collect();
+                if let Some(j) = scratch_lub(comp, pred, &start) {
+                    jmat[e.index() * n..(e.index() + 1) * n].copy_from_slice(&j);
+                    has_j[e.index()] = true;
+                }
+            }
+        }
+        let classes = (0..has_j.len())
+            .filter(|&e| has_j[e])
+            .map(|e| &jmat[e * n..(e + 1) * n])
+            .collect::<HashSet<_>>()
+            .len();
+        Slice {
+            jmat: if least.is_some() { jmat } else { Vec::new() },
+            least: least.map(Cut::from_frontier),
+            greatest: greatest.map(Cut::from_frontier),
+            has_j,
+            classes,
+            n,
+        }
+    }
+
+    /// The worklist slice equals the from-scratch one field by field —
+    /// `m`, `M`, the `J` matrix, `has_j` and the class count — on random
+    /// computations and regular predicates with up to three channel
+    /// bounds, and `possibly_slice`/`definitely_slice` use the same `m`.
+    #[test]
+    fn sweep_matches_the_from_scratch_fixpoints() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(60607);
+        for round in 0..400 {
+            let n = rng.gen_range(1..8);
+            let m = rng.gen_range(1..8);
+            let msgs = if n > 1 { rng.gen_range(0..3 * n) } else { 0 };
+            let comp = gen::random_computation(&mut rng, n, m, msgs);
+            let density = [0.4, 0.6, 0.8, 0.95][round % 4];
+            let mut pred = random_regular(&mut rng, &comp, density);
+            for &(s, r) in comp.messages().iter().skip(1).take(rng.gen_range(0..3)) {
+                let op = [ChannelOp::AtMost, ChannelOp::AtLeast][rng.gen_range(0..2)];
+                let (from, to) = (comp.process_of(s), comp.process_of(r));
+                pred = pred.require_channel(&comp, from, to, op, rng.gen_range(0..3));
+            }
+            let fast = Slice::build(&comp, &pred);
+            let slow = scratch_slice(&comp, &pred);
+            assert_eq!(fast.least, slow.least, "round {round}: m");
+            assert_eq!(fast.greatest, slow.greatest, "round {round}: M");
+            assert_eq!(fast.jmat, slow.jmat, "round {round}: J matrix");
+            assert_eq!(fast.has_j, slow.has_j, "round {round}: has_j");
+            assert_eq!(fast.classes, slow.classes, "round {round}: classes");
+            assert_eq!(possibly_slice(&comp, &pred), slow.least, "round {round}");
+        }
+    }
+
+    /// Only a channel bound indexes the computation's messages: local
+    /// conjunctions and CNF envelopes never build a `ChannelIndex`.
+    #[test]
+    fn predicates_without_channels_build_no_channel_index() {
+        let comp = gadget();
+        let x = BoolVariable::new(
+            &comp,
+            vec![vec![false, true, true], vec![true, true, false]],
+        );
+        let literals = [(ProcessId::new(0), true), (ProcessId::new(1), true)];
+        assert!(RegularPredicate::conjunction(&comp, &x, &literals)
+            .index
+            .is_none());
+        let units = SingularCnf::new(vec![CnfClause::new(vec![literals[0]])]);
+        let env = cnf_envelope(&comp, &x, &units).expect("a unit clause");
+        assert!(env.index.is_none());
+        let wide = SingularCnf::new(vec![CnfClause::new(literals.to_vec())]);
+        assert!(cnf_envelope(&comp, &x, &wide).is_none());
+        let bounded = env.require_channel(&comp, 1, 0, ChannelOp::AtMost, 0);
+        assert!(bounded.index.is_some());
+        assert!(Slice::build(&comp, &bounded).least().is_some());
     }
 
     #[test]
@@ -909,16 +1260,26 @@ mod tests {
     #[test]
     fn channel_bounds_move_both_fixpoints() {
         let comp = gadget();
-        let empty =
-            RegularPredicate::unconstrained(&comp).require_channel(1, 0, ChannelOp::AtMost, 0);
+        let empty = RegularPredicate::unconstrained(&comp).require_channel(
+            &comp,
+            1,
+            0,
+            ChannelOp::AtMost,
+            0,
+        );
         // ⊥ has nothing in flight; the least cut is ⊥ itself.
         assert_eq!(possibly_slice(&comp, &empty).unwrap().frontier(), &[0, 0]);
         // Greatest cut with an empty channel is ⊤ (message delivered).
         let slice = Slice::build(&comp, &empty);
         assert_eq!(slice.greatest().unwrap().frontier(), &[2, 2]);
 
-        let full =
-            RegularPredicate::unconstrained(&comp).require_channel(1, 0, ChannelOp::AtLeast, 1);
+        let full = RegularPredicate::unconstrained(&comp).require_channel(
+            &comp,
+            1,
+            0,
+            ChannelOp::AtLeast,
+            1,
+        );
         // The send (b2) must have happened, the receive (a2) must not.
         let least = possibly_slice(&comp, &full).unwrap();
         assert_eq!(least.frontier(), &[0, 2]);

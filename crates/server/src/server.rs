@@ -163,7 +163,10 @@ impl Tenant {
             recovered_dropped_segments: recovery.dropped_segments,
             ..TenantStatsRow::default()
         };
-        let (initial, monitor) = recovery.replay(queue_cap).unzip();
+        let (initial, monitor) = recovery
+            .replay(queue_cap)
+            .map_err(|e| std::io::Error::new(e.kind(), format!("tenant {name:?}: {e}")))?
+            .unzip();
         Ok(Tenant {
             wal,
             monitor,

@@ -53,8 +53,8 @@
 //!    the partial frame away; the log stays usable and old segments
 //!    stay intact, so the host can reject the one event and continue.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::Read;
+use std::fs::{self, File};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -273,9 +273,18 @@ impl Recovery {
     /// in apply order, with snapshots as reset points, so the replay is
     /// deterministic. Records are consumed: each clock buffer moves into
     /// the monitor and is freed when its state is eliminated.
-    pub fn replay(self, queue_cap: Option<usize>) -> Option<(Vec<bool>, ConjunctiveMonitor)> {
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`], naming the record's index, when
+    /// an `Event` record's process or clock length does not fit the
+    /// monitor: a CRC-valid record the server would have refused.
+    pub fn replay(
+        self,
+        queue_cap: Option<usize>,
+    ) -> io::Result<Option<(Vec<bool>, ConjunctiveMonitor)>> {
         let mut state = None;
-        for record in self.records {
+        for (index, record) in self.records.into_iter().enumerate() {
             match record {
                 WalRecord::Init { initial } => {
                     let monitor = with_cap(ConjunctiveMonitor::with_initial(&initial), queue_cap);
@@ -283,6 +292,17 @@ impl Recovery {
                 }
                 WalRecord::Event { process, clock } => {
                     if let Some((_, monitor)) = state.as_mut() {
+                        let n = monitor.process_count();
+                        if process as usize >= n || clock.len() != n {
+                            return Err(io::Error::new(
+                                io::ErrorKind::InvalidData,
+                                format!(
+                                    "WAL record {index}: event of process {process} with a \
+                                     clock of length {} in a {n}-process log",
+                                    clock.len()
+                                ),
+                            ));
+                        }
                         // Logged events were accepted once; replay
                         // cannot overflow a queue that held them.
                         let _ = monitor.try_observe(process as usize, VectorClock::from(clock));
@@ -296,7 +316,7 @@ impl Recovery {
                 }
             }
         }
-        state
+        Ok(state)
     }
 }
 
@@ -758,51 +778,47 @@ pub fn concatenated_bytes(dir: &Path) -> std::io::Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Rewrites `dir` to hold exactly the first `keep` bytes of the
-/// concatenated log, preserving the segment boundaries the original had
-/// — the moral equivalent of `kill -9` after the `keep`-th byte reached
-/// disk.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error.
-pub fn truncate_at(dir: &Path, segment_bytes_hint: &[u64], keep: u64) -> std::io::Result<()> {
-    let mut remaining = keep;
-    let mut indices: Vec<u64> = fs::read_dir(dir)?
-        .filter_map(|entry| {
-            let name = entry.ok()?.file_name();
-            let name = name.to_str()?;
-            name.strip_suffix(".wal")?.parse().ok()
-        })
-        .collect();
-    indices.sort_unstable();
-    let _ = segment_bytes_hint;
-    for index in indices {
-        let path = segment_path(dir, index);
-        let len = fs::metadata(&path)?.len();
-        if remaining >= len {
-            remaining -= len;
-            continue;
-        }
-        if remaining == 0 {
-            fs::remove_file(&path)?;
-        } else {
-            OpenOptions::new()
-                .write(true)
-                .open(&path)?
-                .set_len(remaining)?;
-            remaining = 0;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::fs::OpenOptions;
+
+    /// Rewrites `dir` to hold exactly the first `keep` bytes of the
+    /// concatenated log, keeping the segment boundaries it had: the
+    /// moral equivalent of `kill -9` after the `keep`-th byte reached
+    /// disk.
+    fn truncate_at(dir: &Path, keep: u64) -> io::Result<()> {
+        let mut remaining = keep;
+        let mut indices: Vec<u64> = fs::read_dir(dir)?
+            .filter_map(|entry| {
+                let name = entry.ok()?.file_name();
+                let name = name.to_str()?;
+                name.strip_suffix(".wal")?.parse().ok()
+            })
+            .collect();
+        indices.sort_unstable();
+        for index in indices {
+            let path = segment_path(dir, index);
+            let len = fs::metadata(&path)?.len();
+            if remaining >= len {
+                remaining -= len;
+                continue;
+            }
+            if remaining == 0 {
+                fs::remove_file(&path)?;
+            } else {
+                OpenOptions::new()
+                    .write(true)
+                    .open(&path)?
+                    .set_len(remaining)?;
+                remaining = 0;
+            }
+        }
+        Ok(())
+    }
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -892,26 +908,26 @@ mod tests {
             wal.append(r).unwrap();
         }
         drop(wal);
+        // The writer's own segments, so each tear falls where a crash
+        // would leave it, in any segment.
+        let segments: Vec<(PathBuf, Vec<u8>)> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let bytes = fs::read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        assert!(segments.len() > 2, "96-byte segments must rotate");
         let full = concatenated_bytes(&dir).unwrap();
-        let backup = full.clone();
         for keep in 0..=full.len() as u64 {
             // Restore the pristine log, then tear it at `keep`.
             let _ = fs::remove_dir_all(&dir);
             fs::create_dir_all(&dir).unwrap();
-            let mut written = 0usize;
-            let mut index = 0u64;
-            while written < backup.len() {
-                let chunk = (backup.len() - written).min(96);
-                // Re-split exactly as the writer did: segments close at
-                // a frame boundary, so replaying the original segment
-                // lengths requires scanning; instead write one big
-                // segment — recovery semantics are identical.
-                let _ = chunk;
-                fs::write(segment_path(&dir, index), &backup[written..]).unwrap();
-                written = backup.len();
-                index += 1;
+            for (path, bytes) in &segments {
+                fs::write(path, bytes).unwrap();
             }
-            truncate_at(&dir, &[], keep).unwrap();
+            truncate_at(&dir, keep).unwrap();
             let (_, rec) = Wal::open(config.clone()).unwrap();
             // The recovered records are a prefix of the originals.
             assert!(rec.records.len() <= records.len());
@@ -1188,7 +1204,7 @@ mod tests {
             let _ = fs::remove_dir_all(&dir);
             fs::create_dir_all(&dir).unwrap();
             fs::write(segment_path(&dir, first_index), &backup).unwrap();
-            truncate_at(&dir, &[], keep).unwrap();
+            truncate_at(&dir, keep).unwrap();
             let (_, rec) = Wal::open(config.clone()).unwrap();
             assert!(rec.records.len() <= expect.len());
             assert_eq!(rec.records[..], expect[..rec.records.len()], "keep={keep}");

@@ -40,6 +40,7 @@ fn random_regular<R: Rng>(rng: &mut R, comp: &Computation, density: f64) -> Regu
                 ChannelOp::AtLeast
             };
             pred = pred.require_channel(
+                comp,
                 comp.process_of(s),
                 comp.process_of(r),
                 op,
@@ -112,6 +113,53 @@ proptest! {
             .unwrap();
             prop_assert_eq!(sweep.value(), Some(&oracle), "threads {}", threads);
         }
+    }
+
+    /// `Slice::build`'s worklist sweep equals the slice read off the
+    /// enumerated lattice: `J(e)` is the meet of the `B`-cuts containing
+    /// `e` (absent when none does), `m` and `M` are the meet and join of
+    /// all `B`-cuts, and the classes are the distinct `J` values.
+    #[test]
+    fn slice_matches_the_enumerated_b_cuts(
+        seed in any::<u64>(),
+        n in 1usize..5,
+        m in 1usize..5,
+        msgs in 0usize..8,
+        density in 0.3f64..0.95,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let msgs = if n > 1 { msgs } else { 0 };
+        let comp = gen::random_computation(&mut rng, n, m, msgs);
+        let pred = random_regular(&mut rng, &comp, density);
+        let b_cuts: Vec<Vec<u32>> = comp
+            .consistent_cuts()
+            .filter(|c| pred.holds(c))
+            .map(|c| c.frontier().to_vec())
+            .collect();
+        let fold = |cuts: &mut dyn Iterator<Item = &Vec<u32>>, pick: fn(u32, u32) -> u32| {
+            cuts.fold(None, |acc: Option<Vec<u32>>, f| match acc {
+                None => Some(f.clone()),
+                Some(a) => Some(a.iter().zip(f).map(|(&x, &y)| pick(x, y)).collect()),
+            })
+        };
+        let slice = Slice::build(&comp, &pred);
+        prop_assert_eq!(
+            slice.least().map(|c| c.frontier().to_vec()),
+            fold(&mut b_cuts.iter(), u32::min)
+        );
+        prop_assert_eq!(
+            slice.greatest().map(|c| c.frontier().to_vec()),
+            fold(&mut b_cuts.iter(), u32::max)
+        );
+        let mut classes = std::collections::HashSet::new();
+        for e in comp.events() {
+            let (p, k) = (comp.process_of(e).index(), comp.local_index(e));
+            let j = fold(&mut b_cuts.iter().filter(|f| f[p] >= k), u32::min);
+            prop_assert_eq!(slice.j(e), j.as_deref(), "J({:?})", e);
+            classes.extend(j);
+        }
+        prop_assert_eq!(slice.nodes_before(), comp.event_count());
+        prop_assert_eq!(slice.nodes_after(), classes.len());
     }
 
     /// Slice-then-enumerate is byte-identical to plain enumeration — the

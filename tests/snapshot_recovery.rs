@@ -274,7 +274,7 @@ fn a_legacy_root_log_migrates_into_the_default_tenant() {
     assert!(moved.len() > 1, "{moved:?}");
     let (_, recovery) = Wal::open(legacy).unwrap();
     let records = recovery.records.len() as u64;
-    let (_, monitor) = recovery.replay(None).unwrap();
+    let (_, monitor) = recovery.replay(None).unwrap().unwrap();
     let witness = monitor
         .witness()
         .map(|cut| cut.iter().map(|c| c.as_slice().to_vec()).collect());
@@ -300,4 +300,68 @@ fn a_legacy_root_log_migrates_into_the_default_tenant() {
         handle.wait();
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Starts a server on a `tenant` log holding a two-process `Init`, one
+/// well-formed event and then `bad`, and returns the error `start` gives.
+fn start_error_on(tenant: &str, bad: WalRecord) -> std::io::Error {
+    let dir = tmp_dir(tenant);
+    let (mut log, _) = Wal::open(WalConfig::new(dir.join("tenants").join(tenant))).unwrap();
+    for record in [
+        WalRecord::Init {
+            initial: vec![false; 2],
+        },
+        WalRecord::Event {
+            process: 0,
+            clock: vec![1, 0],
+        },
+        bad,
+    ] {
+        log.append(&record).unwrap();
+    }
+    drop(log);
+    let started = server::start("127.0.0.1:0", server_config(&dir, FsyncPolicy::Always));
+    let _ = std::fs::remove_dir_all(&dir);
+    match started {
+        Ok(_) => panic!("start accepted a malformed {tenant} record"),
+        Err(e) => e,
+    }
+}
+
+/// A CRC-valid `Event` record naming a process the log does not have
+/// fails `start` with `InvalidData` naming the tenant and the record.
+#[test]
+fn an_event_record_from_an_unknown_process_fails_start() {
+    let err = start_error_on(
+        "far",
+        WalRecord::Event {
+            process: 5,
+            clock: vec![1, 0],
+        },
+    );
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let text = err.to_string();
+    assert!(
+        text.contains("\"far\"") && text.contains("record 2"),
+        "{text}"
+    );
+}
+
+/// A CRC-valid `Event` record whose clock is not one entry per process
+/// fails `start` with `InvalidData` naming the tenant and the record.
+#[test]
+fn an_event_record_with_a_wrong_length_clock_fails_start() {
+    let err = start_error_on(
+        "wide",
+        WalRecord::Event {
+            process: 1,
+            clock: vec![1, 1, 0],
+        },
+    );
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let text = err.to_string();
+    assert!(
+        text.contains("\"wide\"") && text.contains("record 2"),
+        "{text}"
+    );
 }

@@ -66,7 +66,10 @@ fn snapshot_record(monitor: &ConjunctiveMonitor, initial: &[bool]) -> WalRecord 
 
 /// The monitor `Tenant::open` recovers (without a queue cap).
 fn recover_monitor(recovery: Recovery) -> Option<ConjunctiveMonitor> {
-    recovery.replay(None).map(|(_, monitor)| monitor)
+    let replayed = recovery
+        .replay(None)
+        .expect("logged events fit the monitor");
+    replayed.map(|(_, monitor)| monitor)
 }
 
 fn witness_of(monitor: &ConjunctiveMonitor) -> Option<Vec<Vec<u32>>> {
