@@ -1325,6 +1325,10 @@ mod tests {
             r##"Err(Unknown("node cap reached; 4 nodes explored, 1 lattice levels swept witness-free, attainable sums lie in [74, 300]; checkpoint written to $DIR/exact-def.ckpt (resume with --resume $DIR/exact-def.ckpt)"))"##),
         (&["$DIR/bank.trace", "--pred", "sum balance == 250", "--definitely", "--resume", "$DIR/exact-def.ckpt", "--threads", "2"],
             r##"Ok("Definitely(sum balance == 250): false\n")"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance == 150", "--max-nodes", "200", "--checkpoint", "$DIR/pruned.ckpt"],
+            r##"Err(Unknown("node cap reached; 210 nodes explored, 8 lattice levels swept witness-free, attainable sums lie in [74, 300]; checkpoint written to $DIR/pruned.ckpt (resume with --resume $DIR/pruned.ckpt)"))"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance == 150", "--resume", "$DIR/pruned.ckpt", "--threads", "2"],
+            r##"Ok("Possibly(sum balance == 150): false\n")"##),
         (&["$DIR/vote.trace", "--pred", "count voted exactly 2", "--definitely", "--max-nodes", "2", "--checkpoint", "$DIR/count.ckpt"],
             r##"Err(Unknown("node cap reached; 4 nodes explored, 1 lattice levels swept witness-free; checkpoint written to $DIR/count.ckpt (resume with --resume $DIR/count.ckpt)"))"##),
         (&["$DIR/vote.trace", "--pred", "count voted exactly 2", "--definitely", "--resume", "$DIR/count.ckpt", "--threads", "2"],
@@ -1472,6 +1476,14 @@ mod tests {
             r##"Ok("Definitely(sum balance == 250): false (by enumeration)\n")"##),
         (&["$DIR/bank.trace", "--pred", "sum balance == 250", "--max-nodes", "1000000000"],
             r##"Ok("Possibly(sum balance == 250): false\n")"##),
+        // The suffix bounds decide these within a cap the plain sweeps
+        // exceed (541, 376 and 314 nodes).
+        (&["$DIR/bank.trace", "--pred", "sum balance == 150", "--max-nodes", "500"],
+            r##"Ok("Possibly(sum balance == 150): false\n")"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance == 150", "--definitely", "--max-nodes", "320"],
+            r##"Ok("Definitely(sum balance == 150): false\n")"##),
+        (&["$DIR/bank.trace", "--pred", "sum balance < 150", "--definitely", "--max-nodes", "280"],
+            r##"Ok("Definitely(sum balance < 150): false\n")"##),
         (&["$DIR/bank.trace", "--pred", "sum balance == 250", "--stats"],
             r##"Ok("Possibly(sum balance == 250): false (by enumeration)\nengine: exact-sum-enumeration\nscan stats: # scan runs, # pair checks, # forces evaluations\nkernel stats: # clock-row reads, # cut-successor allocations, # vector-clock allocations\nparallel stats: # pool waves, # threads spawned, # batched dominance passes\ntiming-dependent: # steals\nslice stats: # nodes before, # after\nmonitor stats: # observed, # duplicate, # stale deliveries, peak queue depth #\n")"##),
         (&["$DIR/bigbank.trace", "--pred", "sum balance == 1200"],

@@ -10,8 +10,8 @@
 //! | Possibly(singular CNF) | `singular-ordered` (§3.2) when receive- or send-ordered, else `singular-chains` (§3.3); a resumed `singular-subsets` checkpoint stays there |
 //! | Definitely(singular CNF) | `definitely-levelwise-sliced`, or `definitely-levelwise` without a slice |
 //! | Possibly(Σ relop K) | `possibly-sum` (one max-flow) |
-//! | Definitely(Σ relop K) | `definitely-sum` (endpoint and max-flow short-circuits, then the level sweep, past the enumeration guard) |
-//! | Possibly/Definitely(Σ = K) | `possibly-exact-sum` / `definitely-exact-sum` (Theorem 7 for ±1 steps; larger steps under a budget enumerate within it); [`EXACT_SUM_ENUMERATION`] for larger steps without a budget |
+//! | Definitely(Σ relop K) | `definitely-sum` (endpoint and max-flow short-circuits, then the level sweep, past the enumeration guard, ending `false` at a reachable cut whose suffix bounds miss the target) |
+//! | Possibly/Definitely(Σ = K) | [`POSSIBLY_EXACT_SUM`] / `definitely-exact-sum` (Theorem 7 for ±1 steps; larger steps under a budget sweep within it, the Possibly sweep pruned to the cuts whose suffix bounds admit `K` and the Definitely sweep ending at a reachable cut whose bounds miss it); [`EXACT_SUM_ENUMERATION`] for larger steps without a budget, through the same sweeps |
 //! | Possibly(symmetric) | `possibly-symmetric` (Theorem 7 per count) |
 //! | Definitely(symmetric) | `definitely-levelwise` |
 //!
@@ -34,8 +34,9 @@ use crate::conjunctive::{definitely_conjunctive, possibly_conjunctive};
 use crate::enumerate::{definitely_levelwise_budgeted, DEFINITELY_LEVELWISE};
 use crate::predicate::{Relop, SingularCnf};
 use crate::relational::{
-    definitely_exact_sum_budgeted, definitely_sum_short_circuit, possibly_exact_sum_budgeted,
-    possibly_sum, NotUnitStepError,
+    definitely_exact_sum_budgeted, definitely_sum_short_circuit, definitely_sum_sweep,
+    possibly_exact_sum_budgeted, possibly_sum, sums_satisfying, NotUnitStepError,
+    POSSIBLY_EXACT_SUM,
 };
 use crate::singular::dispatch;
 use crate::slice::{
@@ -322,8 +323,8 @@ pub fn detect(query: &Query<'_>, options: &Options) -> Result<Report, DetectErro
                     Some(holds) => decided(Answer::Holds(holds)),
                     None => {
                         guard("Definitely(sum relop)")?;
-                        let holds = |cut: &Cut| relop.eval(var.sum_at(cut), k);
-                        definitely_levelwise_budgeted(comp, holds, threads, budget, &meter, resume)?
+                        let target = sums_satisfying(relop, k);
+                        definitely_sum_sweep(comp, var, target, threads, budget, &meter, resume)?
                             .map(Answer::Holds)
                     }
                 };
@@ -345,7 +346,7 @@ pub fn detect(query: &Query<'_>, options: &Options) -> Result<Report, DetectErro
                 EXACT_SUM_ENUMERATION
             } else {
                 match modality {
-                    Modality::Possibly => "possibly-exact-sum",
+                    Modality::Possibly => POSSIBLY_EXACT_SUM,
                     Modality::Definitely => "definitely-exact-sum",
                 }
             };

@@ -16,8 +16,11 @@
 //! its canonical parent, so the workers' runs are just concatenated, and
 //! probes it on the way for the level's lowest sorted witness. Its
 //! Definitely body keeps only the level's reachable `¬Φ` cuts, sorted
-//! per worker and merged without duplicates. Both bodies take an
-//! optional slice window, which the [`crate::slice`] entries pass.
+//! per worker and merged without duplicates. Both bodies take a window:
+//! the Possibly body expands only a down-set of the lattice, and the
+//! Definitely body decides `false` once a reachable `¬Φ` cut has no Φ-cut
+//! above it. The [`crate::slice`] entries and the exact and relational
+//! sums of [`crate::relational`] pass one.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Mutex;
@@ -28,7 +31,6 @@ use crate::budget::{
     catch_detect, problem_fingerprint, Budget, BudgetMeter, Checkpoint, DetectError, ExhaustReason,
     Partial, Progress, Verdict,
 };
-use crate::slice::Slice;
 
 /// Decides `Possibly(Φ)` by enumerating consistent cuts breadth-first;
 /// returns the first (smallest) witness cut.
@@ -480,11 +482,10 @@ fn expand_chunks<S: Send>(
 ///
 /// Each cut of the next level is generated **exactly once**, from its
 /// canonical parent (see [`canonical_child`]) — no visited set, no
-/// dedup, no sort — and `keep` (the slice window, a down-set, so it
-/// holds every canonical parent of a kept cut) and Φ are evaluated as it
-/// is generated. One node is charged per enabled edge examined and one
-/// per cut probed, so `meter` observes the same total at every thread
-/// count. The least hit is the lowest sorted Φ-cut of the level at every
+/// dedup, no sort — and `keep` (a down-set, so it holds every canonical
+/// parent of a kept cut) and Φ are evaluated as it is generated. One
+/// node is charged per enabled edge examined and one per cut probed, so
+/// `meter` observes the same total at every thread count. The least hit is the lowest sorted Φ-cut of the level at every
 /// thread count. The width cap is checked on the whole level, before any
 /// hit is reported, so a `Width` verdict is thread-count invariant too.
 #[allow(clippy::too_many_arguments)]
@@ -570,27 +571,32 @@ where
 }
 
 /// One step of the Definitely sweep: the successors of the flat `level`
-/// (records without masks) that pass `keep`, sorted and deduplicated.
+/// (records without masks) that pass `keep`, sorted and deduplicated,
+/// and whether `escapes` holds for one of them.
 ///
 /// The canonical-parent rule does not apply here: the `¬Φ`-filtered
 /// level need not contain a cut's canonical parent, so a cut may be
 /// reached only through another of its parents. Each worker therefore
 /// records every successor, sorts and dedups its own run, and evaluates
-/// `keep` once per distinct cut of the run, on one scratch [`Cut`]; the
-/// merge drops cuts that several workers reached. One node is charged
-/// per enabled edge, at every thread count; the width cap is checked on
-/// the merged level.
-fn definitely_step<K>(
+/// `keep` (then `escapes`, on a kept cut) once per distinct cut of the
+/// run, on one scratch [`Cut`]; the merge drops cuts that several
+/// workers reached. One node is charged per enabled edge, at every
+/// thread count; the width cap is checked on the merged level, before
+/// the escape is reported.
+#[allow(clippy::too_many_arguments)]
+fn definitely_step<K, E>(
     comp: &Computation,
     layout: &Layout,
     threads: usize,
     level: &[u64],
     keep: &K,
+    escapes: &E,
     budget: &Budget,
     meter: &BudgetMeter,
-) -> Result<Vec<u64>, ExhaustReason>
+) -> Result<(Vec<u64>, bool), ExhaustReason>
 where
     K: Fn(&Cut) -> bool + Sync,
+    E: Fn(&[u32]) -> bool + Sync,
 {
     let (n, stride) = (layout.procs, layout.stride);
     let runs = expand_chunks(
@@ -598,9 +604,17 @@ where
         layout.len(level),
         budget,
         meter,
-        // Worker state: its run, the parent frontier, and a scratch cut.
-        &|| (Vec::new(), vec![0; n], Cut::from_frontier(vec![0; n])),
-        &|(run, g, child), i| {
+        // Worker state: its run, the parent frontier, a scratch cut, and
+        // whether a kept cut of its run escapes.
+        &|| {
+            (
+                Vec::new(),
+                vec![0; n],
+                Cut::from_frontier(vec![0; n]),
+                false,
+            )
+        },
+        &|(run, g, child, _), i| {
             layout.frontier(&level[i * stride..][..stride], g);
             child.frontier_mut().copy_from_slice(g);
             let mut explored = 0u64;
@@ -615,20 +629,23 @@ where
         // The raw run repeats cuts and holds Φ-cuts, so it is no subset
         // of the next level: only the merged level's width is exact.
         &|_| 0,
-        &|(run, _, cut)| {
+        &|(run, _, cut, escaped)| {
             layout.sort(run);
             layout.dedup(run);
             layout.retain(run, |_, rec| {
                 layout.frontier(rec, cut.frontier_mut());
-                keep(cut)
+                let kept = keep(cut);
+                *escaped |= kept && escapes(cut.frontier());
+                kept
             });
         },
     )?;
-    let next = layout.merge(runs.into_iter().map(|(run, _, _)| run).collect());
+    let escaped = runs.iter().any(|&(.., escaped)| escaped);
+    let next = layout.merge(runs.into_iter().map(|(run, ..)| run).collect());
     if budget.width_exceeded(layout.len(&next)) {
         return Err(ExhaustReason::Width);
     }
-    Ok(next)
+    Ok((next, escaped))
 }
 
 /// Builds the `Unknown` verdict for a level sweep stopped at `level`
@@ -656,7 +673,7 @@ pub(crate) fn unknown_at_level<T>(
 }
 
 /// The lattice level of a frontier: its event count.
-fn level_of(frontier: &[u32]) -> u32 {
+pub(crate) fn level_of(frontier: &[u32]) -> u32 {
     frontier.iter().map(|&f| f as u64).sum::<u64>() as u32
 }
 
@@ -693,10 +710,11 @@ pub fn possibly_by_enumeration_budgeted<F>(
 where
     F: Fn(&Cut) -> bool + Sync,
 {
+    let top = comp.final_cut().event_count() as u32;
     possibly_sweep(
         POSSIBLY_ENUMERATE,
         comp,
-        None,
+        Some((|_: &[u32]| true, top)),
         predicate,
         threads,
         budget,
@@ -705,16 +723,24 @@ where
     )
 }
 
-/// The Possibly level sweep behind [`possibly_by_enumeration_budgeted`]
-/// and its sliced entry, checkpointing under `engine`. A `slice` window
-/// keeps only cuts `≤ M` — the downward closure of the slice, which
-/// keeps the level BFS connected — and ends the sweep at level `|M|`; an
-/// empty slice decides `None` without touching the lattice.
+/// The Possibly level sweep behind [`possibly_by_enumeration_budgeted`],
+/// its sliced entry and the large-step exact sum, checkpointing under
+/// `engine`.
+///
+/// `window` is `(keep, top)`: the sweep expands only the cuts `keep`
+/// holds and stops at level `top`, past which `keep` holds none. `keep`
+/// must be a down-set of the lattice, so it holds the canonical parent of
+/// every cut it holds and the kept cuts stay connected level to level,
+/// and it must hold every Φ-cut; then the verdict and the witness are the
+/// unwindowed sweep's. The slice keeps the cuts `≤ M` up to level `|M|`;
+/// the exact sum keeps the cuts some cut above which can sum to `K`. A
+/// `None` window holds no cut: it decides `None` without touching the
+/// lattice.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn possibly_sweep<F>(
+pub(crate) fn possibly_sweep<F, K>(
     engine: &str,
     comp: &Computation,
-    slice: Option<&Slice>,
+    window: Option<(K, u32)>,
     predicate: F,
     threads: usize,
     budget: &Budget,
@@ -723,22 +749,17 @@ pub(crate) fn possibly_sweep<F>(
 ) -> Result<Verdict<Option<Cut>>, DetectError>
 where
     F: Fn(&Cut) -> bool + Sync,
+    K: Fn(&[u32]) -> bool + Sync,
 {
     let problem = problem_fingerprint(comp);
     let (k0, mut level0) = match resume {
         None => (0u32, vec![comp.initial_cut()]),
         Some(cp) => cp.restore_level(engine, problem, comp)?,
     };
-    let hi = match slice.map(Slice::window) {
-        None => None,
-        // Unsatisfiable envelope: no Φ-cut exists anywhere.
-        Some(None) => return Ok(Verdict::Decided(None, Progress::with_nodes(meter))),
-        Some(Some((_, hi))) => Some(hi),
+    let Some((keep, top)) = window else {
+        return Ok(Verdict::Decided(None, Progress::with_nodes(meter)));
     };
     catch_detect(move || {
-        // Beyond level |M| every cut violates the envelope.
-        let cap = hi.map_or(comp.final_cut().event_count() as u32, level_of);
-        let keep = |f: &[u32]| hi.is_none_or(|hi| f.iter().zip(hi).all(|(f, h)| f <= h));
         let frontiers = |level: &[Cut]| level.iter().map(|c| c.frontier().to_vec()).collect();
         let mut k = k0;
         match probe_level_budgeted(&predicate, threads, &level0, budget, meter) {
@@ -759,7 +780,7 @@ where
         }
         // Invariant: `level` holds every kept cut with k events, with its
         // removable mask, and none of them satisfies Φ.
-        while k < cap {
+        while k < top {
             match possibly_step(
                 comp, &layout, threads, &level, &keep, &predicate, budget, meter,
             ) {
@@ -767,7 +788,11 @@ where
                     return Verdict::Decided(Some(witness), Progress::with_nodes(meter))
                 }
                 Ok((next, None)) if next.is_empty() => {
-                    debug_assert!(hi.is_some(), "non-final levels always have successors");
+                    // A kept final cut would keep the whole lattice.
+                    debug_assert!(
+                        !keep(comp.final_cut().frontier()),
+                        "only a window without the final cut runs dry early"
+                    );
                     break;
                 }
                 Ok((next, None)) => {
@@ -835,7 +860,7 @@ where
     definitely_sweep(
         DEFINITELY_LEVELWISE,
         comp,
-        None,
+        Some((0, |_: &[u32]| false)),
         predicate,
         threads,
         budget,
@@ -844,17 +869,25 @@ where
     )
 }
 
-/// The Definitely level sweep behind [`definitely_levelwise_budgeted`]
-/// and its sliced entry, checkpointing under `engine`. A `slice` window
-/// `[m, M]` keeps successors below level `|m|` without evaluating `Φ`
-/// (no cut there can satisfy the envelope), and a sweep still alive past
-/// level `|M|` decides `false` at once (its `¬Φ` path can run to the
-/// final cut untouched); an empty slice decides `false` at once.
+/// The Definitely level sweep behind [`definitely_levelwise_budgeted`],
+/// its sliced entry and the sums, checkpointing under `engine`.
+///
+/// `window` is `(skip_below, escapes)`. Below level `skip_below` no cut
+/// satisfies Φ, so successors there are kept without evaluating it.
+/// `escapes(G)` may hold only when no cut `≥ G` satisfies Φ: a completed
+/// level holding such a reachable `¬Φ` cut decides `false` at once, since
+/// its `¬Φ` path can run on to the final cut. The check runs on the
+/// merged level, after its budget gates, so an interrupted level never
+/// decides and the answer is the same at every thread count; the levels
+/// themselves are the plain sweep's, so checkpoints stay interchangeable
+/// with it. The slice skips below level `|m|` and escapes past `|M|`;
+/// the sums escape where the cut's suffix bounds miss the target. A
+/// `None` window holds no Φ-cut: it decides `false` at once.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn definitely_sweep<F>(
+pub(crate) fn definitely_sweep<F, E>(
     engine: &str,
     comp: &Computation,
-    slice: Option<&Slice>,
+    window: Option<(u32, E)>,
     predicate: F,
     threads: usize,
     budget: &Budget,
@@ -863,18 +896,17 @@ pub(crate) fn definitely_sweep<F>(
 ) -> Result<Verdict<bool>, DetectError>
 where
     F: Fn(&Cut) -> bool + Sync,
+    E: Fn(&[u32]) -> bool + Sync,
 {
     let problem = problem_fingerprint(comp);
     let resumed = resume
         .map(|cp| cp.restore_level(engine, problem, comp))
         .transpose()?;
     let total = comp.final_cut().event_count() as u32;
-    let (skip_below, cap) = match slice.map(Slice::window) {
-        None => (0, total),
-        // No cut satisfies the envelope, so none satisfies Φ; the
-        // (possibly empty) run to the final cut avoids Φ throughout.
-        Some(None) => return Ok(Verdict::Decided(false, Progress::with_nodes(meter))),
-        Some(Some((lo, hi))) => (level_of(lo), level_of(hi)),
+    // No Φ-cut at all: the (possibly empty) run to the final cut avoids Φ
+    // throughout.
+    let Some((skip_below, escapes)) = window else {
+        return Ok(Verdict::Decided(false, Progress::with_nodes(meter)));
     };
     catch_detect(move || {
         let (mut k, start) = match resumed {
@@ -899,19 +931,20 @@ where
         while k < total {
             let skip_eval = k + 1 < skip_below;
             let keep = |c: &Cut| skip_eval || !predicate(c);
-            match definitely_step(comp, &layout, threads, &level, &keep, budget, meter) {
-                Ok(next) if next.is_empty() => {
+            let step = definitely_step(
+                comp, &layout, threads, &level, &keep, &escapes, budget, meter,
+            );
+            match step {
+                Ok((next, _)) if next.is_empty() => {
                     // Every surviving run hit Φ.
                     return Verdict::Decided(true, Progress::with_nodes(meter));
                 }
-                Ok(next) => {
+                // A ¬Φ path escaped: everything above it is ¬Φ too, so
+                // some run avoids Φ entirely.
+                Ok((_, true)) => return Verdict::Decided(false, Progress::with_nodes(meter)),
+                Ok((next, false)) => {
                     k += 1;
                     level = next;
-                    if k > cap {
-                        // A ¬Φ path escaped past |M|: everything above is
-                        // ¬Φ too, so some run avoids Φ entirely.
-                        return Verdict::Decided(false, Progress::with_nodes(meter));
-                    }
                 }
                 Err(reason) => {
                     let frontiers = layout.frontiers(&level);
@@ -1168,16 +1201,19 @@ mod tests {
                     .expect("unlimited budgets never exhaust");
                     assert!(hit.is_none());
                     a = next;
-                    b = definitely_step(
+                    let escaped;
+                    (b, escaped) = definitely_step(
                         &comp,
                         &plain,
                         threads,
                         &b,
                         &|_| true,
+                        &|_: &[u32]| false,
                         &budget,
                         &definitely,
                     )
                     .expect("unlimited budgets never exhaust");
+                    assert!(!escaped);
                 }
                 assert!(
                     a.is_empty() && b.is_empty(),

@@ -1,15 +1,22 @@
-//! The polynomial short-circuits of exact `Definitely(Σ relop K)`.
+//! The polynomial short-circuits and the bounded sweep of exact
+//! `Definitely(Σ relop K)`.
 //!
 //! `Definitely(Φ)` fails iff some run dodges Φ from the initial to the
 //! final cut, i.e. iff the `¬Φ` cuts contain a bottom-to-top lattice
 //! path. [`crate::detect()`] answers that exactly with the `¬Φ` level
 //! sweep of [`crate::enumerate`] — worst-case exponential, like the
 //! prior-work algorithms the paper builds Theorem 7 on are not — after
-//! the short-circuits here, which make common cases cheap.
+//! the short-circuits here, which make common cases cheap. The sweep here
+//! ends early at a reachable cut whose suffix bounds rule Φ out above it.
 
-use gpd_computation::{Computation, IntVariable};
+use std::ops::RangeInclusive;
 
+use gpd_computation::{Computation, Cut, IntVariable};
+
+use crate::budget::{Budget, BudgetMeter, Checkpoint, DetectError, Verdict};
+use crate::enumerate::{definitely_sweep, DEFINITELY_LEVELWISE};
 use crate::predicate::Relop;
+use crate::relational::exact::SumBounds;
 use crate::relational::optimize::{max_sum_cut, min_sum_cut};
 
 /// The polynomial short-circuits of `Definitely(Σxᵢ relop K)`: `true` if
@@ -33,6 +40,47 @@ pub(crate) fn definitely_sum_short_circuit(
         Relop::Gt | Relop::Ge => max_sum_cut(comp, var).0,
     };
     (!relop.eval(extreme, k)).then_some(false)
+}
+
+/// The sums `s` with `s relop k`. Past [`definitely_sum_short_circuit`]
+/// some cut's sum is one of them, so `k ± 1` cannot overflow there.
+pub(crate) fn sums_satisfying(relop: Relop, k: i64) -> RangeInclusive<i64> {
+    match relop {
+        Relop::Lt => i64::MIN..=k - 1,
+        Relop::Le => i64::MIN..=k,
+        Relop::Gt => k + 1..=i64::MAX,
+        Relop::Ge => k..=i64::MAX,
+    }
+}
+
+/// `Definitely(Σxᵢ ∈ target)` by the budgeted `¬Φ` level sweep, which
+/// decides `false` as soon as a completed level holds a reachable cut
+/// whose [`SumBounds`] interval misses `target`: no cut above it
+/// satisfies Φ, so its `¬Φ` path runs on to the final cut. The levels are
+/// the plain sweep's, so the checkpoints keep its engine name,
+/// [`DEFINITELY_LEVELWISE`].
+pub(crate) fn definitely_sum_sweep(
+    comp: &Computation,
+    var: &IntVariable,
+    target: RangeInclusive<i64>,
+    threads: usize,
+    budget: &Budget,
+    meter: &BudgetMeter,
+    resume: Option<&Checkpoint>,
+) -> Result<Verdict<bool>, DetectError> {
+    let bounds = SumBounds::new(var);
+    let escapes = |f: &[u32]| !bounds.admits(f, &target);
+    let holds = |c: &Cut| target.contains(&var.sum_at(c));
+    definitely_sweep(
+        DEFINITELY_LEVELWISE,
+        comp,
+        Some((0, escapes)),
+        holds,
+        threads,
+        budget,
+        meter,
+        resume,
+    )
 }
 
 #[cfg(test)]

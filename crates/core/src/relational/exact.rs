@@ -1,13 +1,68 @@
-//! Exact-sum detection under the ±1-step restriction (§4.2, Theorems
-//! 4–7).
+//! Exact-sum detection (§4.2): Theorems 4–7 under the ±1-step
+//! restriction, and for larger steps a lattice sweep pruned by
+//! per-process suffix bounds.
 
 use std::cmp::Ordering;
+use std::ops::RangeInclusive;
 
 use gpd_computation::{Computation, Cut, IntVariable};
 
 use crate::budget::{Budget, BudgetMeter, Checkpoint, DetectError, Progress, Verdict};
-use crate::enumerate::{definitely_levelwise_budgeted, possibly_by_enumeration_budgeted};
+use crate::enumerate::{definitely_levelwise_budgeted, possibly_sweep, POSSIBLY_ENUMERATE};
+use crate::relational::definitely::definitely_sum_sweep;
 use crate::relational::optimize::{max_sum_cut, min_sum_cut, sum_extremes};
+
+/// Engine name embedded in the checkpoints of
+/// [`possibly_exact_sum_budgeted`]'s pruned sweep. Its levels hold only
+/// the cuts whose suffix bounds admit `K`, so the unpruned sweep of
+/// [`crate::enumerate::possibly_by_enumeration_budgeted`] refuses them.
+pub const POSSIBLY_EXACT_SUM: &str = "possibly-exact-sum";
+
+/// Per-process suffix bounds of an integer variable: `suffix[p][j]` is
+/// the least and the greatest value of `x_p` over `p`'s states `≥ j`.
+/// Every cut `H ≥ G` then sums to within [`SumBounds::interval`] of `G`.
+/// An interval only shrinks going up the lattice, and a cut's own sum
+/// lies in its own interval.
+pub(crate) struct SumBounds {
+    suffix: Vec<Vec<(i64, i64)>>,
+}
+
+impl SumBounds {
+    pub(crate) fn new(var: &IntVariable) -> Self {
+        let suffix = var
+            .tracks()
+            .iter()
+            .map(|track| {
+                let mut bound = (i64::MAX, i64::MIN);
+                let mut suffix: Vec<_> = (track.iter().rev())
+                    .map(|&x| {
+                        bound = (bound.0.min(x), bound.1.max(x));
+                        bound
+                    })
+                    .collect();
+                suffix.reverse();
+                suffix
+            })
+            .collect();
+        SumBounds { suffix }
+    }
+
+    /// `[Σ_p min_{j ≥ G[p]} x_p(j), Σ_p max_{j ≥ G[p]} x_p(j)]` for the cut
+    /// `G` with `frontier`: it holds the sum of every cut `≥ G`.
+    pub(crate) fn interval(&self, frontier: &[u32]) -> (i64, i64) {
+        (self.suffix.iter().zip(frontier)).fold((0, 0), |(lo, hi), (suffix, &f)| {
+            let (min, max) = suffix[f as usize];
+            (lo + min, hi + max)
+        })
+    }
+
+    /// Whether the interval of `frontier` meets `target`: otherwise no cut
+    /// at or above it sums into `target`.
+    pub(crate) fn admits(&self, frontier: &[u32], target: &RangeInclusive<i64>) -> bool {
+        let (lo, hi) = self.interval(frontier);
+        lo <= *target.end() && *target.start() <= hi
+    }
+}
 
 /// Error: some event changes its variable by more than one, so the
 /// polynomial exact-sum algorithms do not apply (Theorem 2 makes the
@@ -158,9 +213,20 @@ pub(crate) fn exact_sum_witness(
 /// NP-complete, Theorem 2) the closure network still prunes for free: any
 /// cut's sum lies in `[min Σ, max Σ]`, so `K` outside that interval is
 /// `Decided(None)` immediately, the interval reported as
-/// [`Progress::sum_interval`]. Only `K` strictly inside the interval
-/// falls through to the budgeted lattice enumeration, whose `Unknown`
-/// verdicts also carry the interval as the best-known bound.
+/// [`Progress::sum_interval`]. Only `K` inside the interval falls through
+/// to the budgeted lattice sweep, whose `Unknown` verdicts also carry the
+/// interval as the best-known bound.
+///
+/// The sweep keeps a cut `G` only while `K` lies in its suffix-bound
+/// interval `[Σ_p min_{j ≥ G[p]} x_p(j), Σ_p max_{j ≥ G[p]} x_p(j)]`:
+/// otherwise no cut above `G` sums to `K`, and every cut the sweep would
+/// reach from `G` lies above it. The kept cuts form a down-set holding
+/// every cut that sums to `K`, so the verdict and the least sorted
+/// witness are the unpruned sweep's at every thread count; only the work
+/// falls. Its checkpoints carry the engine name [`POSSIBLY_EXACT_SUM`].
+/// It also resumes a [`POSSIBLY_ENUMERATE`] checkpoint, a whole lattice
+/// level: that holds the pruned level, and a cut outside the pruned level
+/// has no kept child, so the next level is the pruned one.
 ///
 /// # Errors
 ///
@@ -181,13 +247,25 @@ pub fn possibly_exact_sum_budgeted(
             if k < min || k > max {
                 return Ok(decided_in(None, meter, (min, max)));
             }
-            let verdict = possibly_by_enumeration_budgeted(
+            // A whole-level checkpoint of the unpruned sweep resumes here.
+            let whole_level = resume.filter(|cp| cp.detector() == POSSIBLY_ENUMERATE);
+            let relabeled = whole_level.cloned().map(|mut cp| {
+                if let Checkpoint::Level { detector, .. } = &mut cp {
+                    *detector = POSSIBLY_EXACT_SUM.to_string();
+                }
+                cp
+            });
+            let bounds = SumBounds::new(var);
+            let keep = |f: &[u32]| bounds.admits(f, &(k..=k));
+            let verdict = possibly_sweep(
+                POSSIBLY_EXACT_SUM,
                 comp,
+                Some((keep, comp.final_cut().event_count() as u32)),
                 |c| var.sum_at(c) == k,
                 threads,
                 budget,
                 meter,
-                resume,
+                relabeled.as_ref().or(resume),
             )?;
             Ok(with_interval(verdict, (min, max)))
         }
@@ -229,7 +307,10 @@ fn with_interval<T>(verdict: Verdict<T>, interval: (i64, i64)) -> Verdict<T> {
 /// path-avoidance sweep ([`definitely_levelwise_budgeted`]) of that
 /// predicate decides, so there is one checkpoint to resume. On ±1 steps
 /// both predicates leave the same cuts to sweep; Theorem 7 only adds the
-/// final-cut short-circuit (a final sum past `K` decides `true`).
+/// final-cut short-circuit (a final sum past `K` decides `true`). With
+/// larger steps the sweep also decides `false` as soon as a completed
+/// level holds a reachable cut whose [`SumBounds`] interval misses `K`
+/// ([`definitely_sum_sweep`]). The ±1 sweep keeps the plain sweep.
 ///
 /// # Errors
 ///
@@ -263,14 +344,12 @@ pub(crate) fn definitely_exact_sum_budgeted(
         return Ok(decided_in(false, meter, (min, max)));
     }
     guard()?;
-    let verdict = definitely_levelwise_budgeted(
-        comp,
-        |c| holds(var.sum_at(c)),
-        threads,
-        budget,
-        meter,
-        resume,
-    )?;
+    let verdict = if var.max_step() <= 1 {
+        let holds = |c: &Cut| holds(var.sum_at(c));
+        definitely_levelwise_budgeted(comp, holds, threads, budget, meter, resume)?
+    } else {
+        definitely_sum_sweep(comp, var, target, threads, budget, meter, resume)?
+    };
     Ok(with_interval(verdict, (min, max)))
 }
 
@@ -278,8 +357,13 @@ pub(crate) fn definitely_exact_sum_budgeted(
 mod tests {
     use super::*;
     use crate::budget::sequential;
-    use crate::enumerate::{definitely_by_enumeration, possibly_by_enumeration};
+    use crate::enumerate::{
+        definitely_by_enumeration, possibly_by_enumeration, possibly_by_enumeration_budgeted,
+    };
+    use crate::predicate::Relop;
+    use crate::relational::{definitely_sum_short_circuit, sums_satisfying};
     use gpd_computation::{gen, ComputationBuilder};
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
     #[test]
@@ -415,6 +499,98 @@ mod tests {
                 });
                 let slow = definitely_by_enumeration(&comp, |c| x.sum_at(c) == k);
                 assert_eq!(fast, slow, "round {round}, k={k}");
+            }
+        }
+    }
+
+    /// A random walk per process whose steps lie in `-step..=step`, with
+    /// at least one step of exactly `step`, so the variable is not ±1.
+    fn random_walk(rng: &mut impl Rng, comp: &Computation, step: i64) -> IntVariable {
+        let mut tracks: Vec<Vec<i64>> = (0..comp.process_count())
+            .map(|p| {
+                let mut x = rng.gen_range(-step..=step);
+                let mut track = vec![x];
+                for _ in 0..comp.events_on(p) {
+                    x += rng.gen_range(-step..=step);
+                    track.push(x);
+                }
+                track
+            })
+            .collect();
+        let p = (0..tracks.len())
+            .find(|&p| tracks[p].len() > 1)
+            .expect("an event");
+        let lift = step - (tracks[p][1] - tracks[p][0]);
+        tracks[p][1..].iter_mut().for_each(|x| *x += lift);
+        IntVariable::new(comp, tracks)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The suffix bounds hold every cut's own sum and shrink along
+        /// every lattice edge, so pruning by them is a down-set that keeps
+        /// every Φ-cut: the pruned Possibly sweep answers exactly what the
+        /// unpruned one does, witness included, in no more nodes, and the
+        /// Definitely sweeps' early exit answers what the oracle does, at
+        /// every thread count.
+        #[test]
+        fn suffix_bounds_prune_no_witness(
+            seed in any::<u64>(),
+            n in 1usize..5,
+            m in 1usize..5,
+            msgs in 0usize..6,
+            step in 2i64..=3,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let msgs = if n > 1 { msgs } else { 0 };
+            let comp = gen::random_computation(&mut rng, n, m, msgs);
+            let x = random_walk(&mut rng, &comp, step);
+            prop_assert_eq!(x.max_step(), step);
+            let bounds = SumBounds::new(&x);
+            let mut succs = Vec::new();
+            for cut in comp.consistent_cuts() {
+                let (lo, hi) = bounds.interval(cut.frontier());
+                prop_assert!((lo..=hi).contains(&x.sum_at(&cut)), "{:?}", cut);
+                comp.cut_successors_into(&cut, &mut succs);
+                for next in succs.drain(..) {
+                    let (next_lo, next_hi) = bounds.interval(next.frontier());
+                    prop_assert!(lo <= next_lo && next_hi <= hi, "{:?}", next);
+                }
+            }
+            let (min, max) = bounds.interval(comp.initial_cut().frontier());
+            let unlimited = Budget::unlimited();
+            for k in min - 1..=max + 1 {
+                let whole = BudgetMeter::new();
+                let expected = possibly_by_enumeration_budgeted(
+                    &comp, |c| x.sum_at(c) == k, 0, &unlimited, &whole, None,
+                ).unwrap();
+                let definitely = definitely_by_enumeration(&comp, |c| x.sum_at(c) == k);
+                for threads in [0, 1, 2] {
+                    let at = format!("k={k}, threads={threads}");
+                    let pruned = BudgetMeter::new();
+                    let verdict = possibly_exact_sum_budgeted(
+                        &comp, &x, k, threads, &unlimited, &pruned, None,
+                    ).unwrap();
+                    prop_assert_eq!(verdict.value(), expected.value(), "{}", at);
+                    prop_assert!(pruned.nodes() <= whole.nodes(), "{}", at);
+                    let verdict = definitely_exact_sum_budgeted(
+                        &comp, &x, k, threads, &unlimited, &BudgetMeter::new(), None, || Ok(()),
+                    ).unwrap();
+                    prop_assert_eq!(verdict.value(), Some(&definitely), "{}", at);
+                    for relop in [Relop::Lt, Relop::Le, Relop::Gt, Relop::Ge] {
+                        let holds = |c: &Cut| relop.eval(x.sum_at(c), k);
+                        if definitely_sum_short_circuit(&comp, &x, relop, k).is_some() {
+                            continue;
+                        }
+                        let verdict = definitely_sum_sweep(
+                            &comp, &x, sums_satisfying(relop, k), threads, &unlimited,
+                            &BudgetMeter::new(), None,
+                        ).unwrap();
+                        let expected = definitely_by_enumeration(&comp, holds);
+                        prop_assert_eq!(verdict.value(), Some(&expected), "{} {}", at, relop);
+                    }
+                }
             }
         }
     }

@@ -11,7 +11,8 @@
 //! * [`possibly_exact_sum_budgeted`] — `Possibly(Σxᵢ = K)`: under the
 //!   ±1-step restriction the paper's Theorem 7(1) reduction, with the
 //!   Theorem 4 path walk producing the witness cut; for larger steps a
-//!   budgeted lattice enumeration inside the closure bounds.
+//!   budgeted lattice enumeration inside the closure bounds, pruned to
+//!   the cuts whose per-process suffix bounds still admit `K`.
 //! * `Definitely(Σxᵢ = K)` (Theorem 7(2) for ±1 steps) and exact
 //!   `Definitely(Σ relop K)` run polynomial short-circuits, then a lattice
 //!   path-avoidance sweep (worst-case exponential; the paper defers these
@@ -25,7 +26,7 @@ mod definitely;
 mod exact;
 mod optimize;
 
-pub(crate) use definitely::definitely_sum_short_circuit;
-pub use exact::possibly_exact_sum_budgeted;
+pub(crate) use definitely::{definitely_sum_short_circuit, definitely_sum_sweep, sums_satisfying};
 pub(crate) use exact::{definitely_exact_sum_budgeted, exact_sum_witness, NotUnitStepError};
+pub use exact::{possibly_exact_sum_budgeted, POSSIBLY_EXACT_SUM};
 pub use optimize::{max_sum_cut, min_sum_cut, possibly_sum, sum_extremes};

@@ -66,7 +66,7 @@ use crate::budget::{
 };
 use crate::conjunctive::definitely_conjunctive;
 use crate::counters;
-use crate::enumerate::{definitely_sweep, possibly_sweep};
+use crate::enumerate::{definitely_sweep, level_of, possibly_sweep};
 use crate::predicate::SingularCnf;
 use crate::singular::dispatch;
 
@@ -911,10 +911,15 @@ pub fn possibly_by_enumeration_sliced_budgeted<F>(
 where
     F: Fn(&Cut) -> bool + Sync,
 {
+    // The downward closure of the slice, up to level |M|.
+    let window = slice.window().map(|(_, hi)| {
+        let below = move |f: &[u32]| f.iter().zip(hi).all(|(f, h)| f <= h);
+        (below, level_of(hi))
+    });
     possibly_sweep(
         POSSIBLY_ENUMERATE_SLICED,
         comp,
-        Some(slice),
+        window,
         predicate,
         threads,
         budget,
@@ -948,10 +953,15 @@ pub fn definitely_levelwise_sliced_budgeted<F>(
 where
     F: Fn(&Cut) -> bool + Sync,
 {
+    // No Φ-cut lies below level |m|, nor above a cut past level |M|.
+    let window = slice.window().map(|(lo, hi)| {
+        let top = level_of(hi);
+        (level_of(lo), move |f: &[u32]| level_of(f) > top)
+    });
     definitely_sweep(
         DEFINITELY_LEVELWISE_SLICED,
         comp,
-        Some(slice),
+        window,
         predicate,
         threads,
         budget,

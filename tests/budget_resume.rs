@@ -8,11 +8,15 @@ use std::time::Duration;
 
 use gpd::enumerate::{
     definitely_levelwise_budgeted, possibly_by_enumeration, possibly_by_enumeration_budgeted,
+    POSSIBLY_ENUMERATE,
 };
+use gpd::relational::{possibly_exact_sum_budgeted, POSSIBLY_EXACT_SUM};
 use gpd::singular::possibly_singular_subsets_budgeted;
 use gpd::slice::{cnf_envelope, possibly_by_enumeration_sliced_budgeted, Slice};
 use gpd::{Budget, BudgetMeter, Checkpoint, CnfClause, DetectError, SingularCnf, Verdict};
-use gpd_computation::{BoolVariable, Computation, ComputationBuilder, Cut, ProcessId};
+use gpd_computation::{BoolVariable, Computation, ComputationBuilder, Cut, IntVariable, ProcessId};
+use gpd_sim::protocols::BankBranch;
+use gpd_sim::{SimConfig, Simulation};
 
 /// The E5 "wide unsat" workload shape from the benchmark harness
 /// (`gpd_bench::wide_unsat_singular_workload` with `groups = 0`),
@@ -378,4 +382,168 @@ fn width_cap_reports_width_exhaustion() {
                 .unwrap(),
         )
     });
+}
+
+/// A seeded bank of `branches` branches: balances move by up to 50 per
+/// event, so exact sums take the pruned sweep of
+/// `possibly_exact_sum_budgeted`.
+fn bank(branches: usize) -> (Computation, IntVariable) {
+    let network = BankBranch::network(branches, 100, 3, 50);
+    let trace = Simulation::new(network, SimConfig::new(19)).run();
+    let balance = trace.int_var("balance").expect("bank balance").clone();
+    (trace.computation, balance)
+}
+
+/// The least sum between the extremes that no cut attains (the sweep
+/// must then visit everything it keeps), and a median attained sum.
+fn unattained_and_attained(comp: &Computation, var: &IntVariable) -> (i64, i64) {
+    let sums: std::collections::BTreeSet<i64> =
+        comp.consistent_cuts().map(|c| var.sum_at(&c)).collect();
+    let (lo, hi) = (*sums.first().unwrap(), *sums.last().unwrap());
+    let unattained = (lo..=hi).find(|v| !sums.contains(v)).expect("steps of 50");
+    (unattained, *sums.iter().nth(sums.len() / 2).unwrap())
+}
+
+/// The exact sum's pruned sweep under `budget`, from `resume`.
+fn exact_sum(
+    comp: &Computation,
+    var: &IntVariable,
+    k: i64,
+    threads: usize,
+    budget: &Budget,
+    resume: Option<&Checkpoint>,
+) -> Verdict<Option<Cut>> {
+    let meter = BudgetMeter::new();
+    possibly_exact_sum_budgeted(comp, var, k, threads, budget, &meter, resume)
+        .expect("own checkpoints resume")
+}
+
+#[test]
+fn exact_sum_node_cap_resume_chain_reaches_the_uninterrupted_outcome() {
+    // Lattice levels up to 767 wide, past the sequential cutoff.
+    let (comp, balance) = bank(6);
+    let (unattained, attained) = unattained_and_attained(&comp, &balance);
+    for k in [unattained, attained] {
+        for threads in [0usize, 1, 2] {
+            let at = format!("k={k}, threads={threads}");
+            let meter = BudgetMeter::new();
+            let reference = possibly_exact_sum_budgeted(
+                &comp,
+                &balance,
+                k,
+                threads,
+                &Budget::unlimited(),
+                &meter,
+                None,
+            )
+            .unwrap();
+            assert!(reference.is_decided(), "{at}");
+            assert_eq!(reference.value().unwrap().is_some(), k == attained, "{at}");
+            // A leg must be able to finish the widest level it resumes at:
+            // the cap is checked before every chunk, so a smaller one
+            // would stop each leg where the last one stopped.
+            let leg = Budget::unlimited().with_max_nodes(meter.nodes() / 4);
+            let mut verdict = exact_sum(&comp, &balance, k, threads, &leg, None);
+            let mut legs = 1;
+            while let Some(cp) = verdict.checkpoint().cloned() {
+                assert_eq!(cp.detector(), POSSIBLY_EXACT_SUM, "{at}");
+                let cp = Checkpoint::from_text(&cp.to_text()).expect("own output parses");
+                verdict = exact_sum(&comp, &balance, k, threads, &leg, Some(&cp));
+                legs += 1;
+                assert!(legs < 10_000, "{at}: resume chain must terminate");
+            }
+            assert!(
+                legs > 1,
+                "{at}: a quarter of the work cannot finish in one go"
+            );
+            // Byte-identical verdict and witness.
+            assert_eq!(verdict.value(), reference.value(), "{at}");
+        }
+    }
+}
+
+#[test]
+fn exact_sum_checkpoints_are_refused_by_the_unpruned_sweep() {
+    let (comp, balance) = bank(4);
+    let (k, _) = unattained_and_attained(&comp, &balance);
+    let sums_to_k = |c: &Cut| balance.sum_at(c) == k;
+    let capped = Budget::unlimited().with_max_nodes(40);
+    let pruned = exact_sum(&comp, &balance, k, 0, &capped, None);
+    let cp = pruned.checkpoint().expect("40 nodes cannot finish");
+    assert_eq!(cp.detector(), POSSIBLY_EXACT_SUM);
+    // A pruned level is not a whole lattice level.
+    let meter = BudgetMeter::new();
+    let err = possibly_by_enumeration_budgeted(
+        &comp,
+        sums_to_k,
+        0,
+        &Budget::unlimited(),
+        &meter,
+        Some(cp),
+    )
+    .unwrap_err();
+    assert!(matches!(err, DetectError::CheckpointMismatch(_)), "{err:?}");
+
+    // The other way round is sound: a whole level of the unpruned sweep,
+    // as the exact sum wrote it before the pruning, holds the pruned
+    // level, and resumes to the uninterrupted outcome at every thread
+    // count, its next checkpoint under the pruned sweep's name.
+    let meter = BudgetMeter::new();
+    let whole = possibly_by_enumeration_budgeted(&comp, sums_to_k, 0, &capped, &meter, None)
+        .unwrap()
+        .checkpoint()
+        .expect("40 nodes cannot finish")
+        .clone();
+    assert_eq!(whole.detector(), POSSIBLY_ENUMERATE);
+    let whole = Checkpoint::from_text(&whole.to_text()).expect("own output parses");
+    for threads in [0usize, 1, 2] {
+        let reference = exact_sum(&comp, &balance, k, threads, &Budget::unlimited(), None);
+        let resumed = exact_sum(
+            &comp,
+            &balance,
+            k,
+            threads,
+            &Budget::unlimited(),
+            Some(&whole),
+        );
+        assert_eq!(resumed.value(), reference.value(), "threads={threads}");
+        let next = exact_sum(&comp, &balance, k, threads, &capped, Some(&whole));
+        let next = next.checkpoint().expect("one more capped leg stops again");
+        assert_eq!(next.detector(), POSSIBLY_EXACT_SUM, "threads={threads}");
+    }
+}
+
+#[test]
+fn exact_sum_pruning_explores_fewer_nodes_at_every_thread_count() {
+    // 17850 cuts in levels up to 767 wide.
+    let (comp, balance) = bank(6);
+    let (k, _) = unattained_and_attained(&comp, &balance);
+    let unlimited = Budget::unlimited();
+    let meter = BudgetMeter::new();
+    let unpruned = possibly_by_enumeration_budgeted(
+        &comp,
+        |c| balance.sum_at(c) == k,
+        0,
+        &unlimited,
+        &meter,
+        None,
+    )
+    .unwrap();
+    assert_eq!(unpruned.value(), Some(&None));
+    let unpruned = meter.nodes();
+    let mut pruned = None;
+    for threads in [0usize, 1, 2, 4] {
+        let meter = BudgetMeter::new();
+        let verdict =
+            possibly_exact_sum_budgeted(&comp, &balance, k, threads, &unlimited, &meter, None)
+                .unwrap();
+        assert_eq!(verdict.value(), Some(&None), "threads={threads}");
+        let nodes = meter.nodes();
+        assert_eq!(*pruned.get_or_insert(nodes), nodes, "threads={threads}");
+    }
+    let pruned = pruned.unwrap();
+    assert!(
+        pruned < unpruned,
+        "pruned {pruned} vs unpruned {unpruned} nodes"
+    );
 }
