@@ -1189,6 +1189,43 @@ mod tests {
     }
 
     #[test]
+    fn a_resume_chain_under_a_tiny_node_cap_reaches_the_verdict() {
+        // 21 events, 22 lattice levels. Every resumed leg sweeps at least
+        // one level before its node cap can trip, so the chain ends
+        // within one leg per level plus the first.
+        let path = temp_trace("resume-chain", "bank", &["--n", "3"]);
+        let ckpt = format!("{path}.ckpt");
+        for (modality, answer) in [
+            (None, "Possibly(sum balance == 150): false\n"),
+            (
+                Some("--definitely"),
+                "Definitely(sum balance == 150): false\n",
+            ),
+        ] {
+            let leg = |resume: bool| {
+                let mut a = vec![path.as_str(), "--pred", "sum balance == 150"];
+                a.extend(modality);
+                a.extend(["--max-nodes", "5", "--checkpoint", &ckpt]);
+                if resume {
+                    a.extend(["--resume", &ckpt]);
+                }
+                detect(&args(&a))
+            };
+            let mut outcome = leg(false);
+            let mut legs = 1;
+            while let Err(CliError::Unknown(msg)) = &outcome {
+                assert!(msg.contains("node cap"), "{msg}");
+                assert!(legs <= 22, "{modality:?}: leg {legs} did not finish");
+                outcome = leg(true);
+                legs += 1;
+            }
+            assert_eq!(outcome.unwrap(), answer, "{modality:?} after {legs} legs");
+        }
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&ckpt).ok();
+    }
+
+    #[test]
     fn budget_stats_and_polynomial_resume_rejection() {
         let path = temp_trace("budget-stats", "voting", &["--n", "3"]);
         let out = detect(&args(&[

@@ -93,6 +93,13 @@ impl Budget {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
+    /// The gate of a level sweep's first level. A resumed leg lifts the
+    /// node cap there, so every leg of a resume chain sweeps a level.
+    pub(crate) fn first_level(self, resumed: bool) -> Self {
+        let max_nodes = self.max_nodes.filter(|_| !resumed);
+        Budget { max_nodes, ..self }
+    }
+
     pub(crate) fn nodes_exceeded(&self, nodes: u64) -> bool {
         self.max_nodes.is_some_and(|cap| nodes >= cap)
     }

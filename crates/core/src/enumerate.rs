@@ -121,10 +121,11 @@ pub const DEFINITELY_LEVELWISE: &str = "definitely-levelwise";
 /// chunk — budget gates and counter flushes happen on chunk boundaries.
 const LEVEL_BLOCK: usize = 64;
 
-/// Levels with fewer cuts than this are expanded on the caller's thread
-/// whatever the thread count: waking the pool costs more than such a
-/// level's whole expansion.
-const SEQUENTIAL_CUTOFF: usize = 512;
+/// Levels with fewer cuts than this, less than two full chunks, are
+/// expanded on the caller's thread whatever the thread count. Every
+/// wider level fans out: the pool's helper spins between a sweep's
+/// waves, so handing it a chunk costs no wake-up.
+const SEQUENTIAL_CUTOFF: usize = 2 * LEVEL_BLOCK;
 
 /// Records `reason` as the sweep's halt cause (first writer wins) and
 /// cancels the fan-out so the other workers drain out.
@@ -759,10 +760,11 @@ where
     let Some((keep, top)) = window else {
         return Ok(Verdict::Decided(None, Progress::with_nodes(meter)));
     };
+    let first = budget.first_level(resume.is_some());
     catch_detect(move || {
         let frontiers = |level: &[Cut]| level.iter().map(|c| c.frontier().to_vec()).collect();
         let mut k = k0;
-        match probe_level_budgeted(&predicate, threads, &level0, budget, meter) {
+        match probe_level_budgeted(&predicate, threads, &level0, &first, meter) {
             Ok(Some(witness)) => {
                 return Verdict::Decided(Some(witness), Progress::with_nodes(meter))
             }
@@ -781,8 +783,9 @@ where
         // Invariant: `level` holds every kept cut with k events, with its
         // removable mask, and none of them satisfies Φ.
         while k < top {
+            let gate = if k == k0 { &first } else { budget };
             match possibly_step(
-                comp, &layout, threads, &level, &keep, &predicate, budget, meter,
+                comp, &layout, threads, &level, &keep, &predicate, gate, meter,
             ) {
                 Ok((_, Some(witness))) => {
                     return Verdict::Decided(Some(witness), Progress::with_nodes(meter))
@@ -908,6 +911,7 @@ where
     let Some((skip_below, escapes)) = window else {
         return Ok(Verdict::Decided(false, Progress::with_nodes(meter)));
     };
+    let first = budget.first_level(resumed.is_some());
     catch_detect(move || {
         let (mut k, start) = match resumed {
             Some(state) => state,
@@ -928,12 +932,13 @@ where
         // Invariant: `level` holds the ¬Φ cuts with k events reachable
         // from the initial cut through ¬Φ cuts only (equal to *all*
         // reachable cuts while k < |m|, where Φ cannot hold).
+        let k0 = k;
         while k < total {
             let skip_eval = k + 1 < skip_below;
             let keep = |c: &Cut| skip_eval || !predicate(c);
-            let step = definitely_step(
-                comp, &layout, threads, &level, &keep, &escapes, budget, meter,
-            );
+            let gate = if k == k0 { &first } else { budget };
+            let step =
+                definitely_step(comp, &layout, threads, &level, &keep, &escapes, gate, meter);
             match step {
                 Ok((next, _)) if next.is_empty() => {
                     // Every surviving run hit Φ.

@@ -21,9 +21,12 @@
 //! pool, no atomics traffic and *identical iteration order* to the
 //! historical sequential code — default behavior is unchanged. For
 //! `threads ≥ 2`, the fan-out runs on the persistent process-global
-//! worker pool (`crate::pool`): threads are spawned once per process
-//! and parked between waves, so a level-synchronous sweep no longer pays
-//! a spawn/join cycle per lattice level. A fan-out uses at most
+//! worker pool (`crate::pool`): threads are spawned once per process,
+//! and an idle one spins briefly for the next wave before it parks on a
+//! condvar, so a level-synchronous sweep pays neither a spawn/join cycle
+//! nor, while its waves come close together, a wake-up per lattice
+//! level. A helper that has not started by the time the caller's own
+//! share drained the work is not waited for. A fan-out uses at most
 //! `threads`, its work items, and twice the hardware parallelism
 //! (`max_workers`, probed once per process and shared with the pool).
 //!
@@ -88,13 +91,18 @@ impl Cancellation {
     }
 }
 
+/// The hardware parallelism, probed once per process: the probe reads
+/// cgroup files and would otherwise cost every fan-out tens of
+/// microseconds.
+pub(crate) fn hardware_threads() -> usize {
+    static HW: OnceLock<usize> = OnceLock::new();
+    *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get().max(1)))
+}
+
 /// The most workers one fan-out may use: twice the hardware parallelism.
-/// The hardware is probed once per process, since the probe reads cgroup
-/// files and would otherwise cost every fan-out tens of microseconds.
 /// The pool shares this cap, so a pool at capacity can serve any fan-out.
 pub(crate) fn max_workers() -> usize {
-    static MAX: OnceLock<usize> = OnceLock::new();
-    *MAX.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get().max(1)) * 2)
+    hardware_threads() * 2
 }
 
 /// Caps the requested worker count to the actual work and the machine.

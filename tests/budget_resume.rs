@@ -6,6 +6,7 @@
 
 use std::time::Duration;
 
+use gpd::detect::{Modality, Options, Predicate, Query};
 use gpd::enumerate::{
     definitely_levelwise_budgeted, possibly_by_enumeration, possibly_by_enumeration_budgeted,
     POSSIBLY_ENUMERATE,
@@ -439,9 +440,8 @@ fn exact_sum_node_cap_resume_chain_reaches_the_uninterrupted_outcome() {
             .unwrap();
             assert!(reference.is_decided(), "{at}");
             assert_eq!(reference.value().unwrap().is_some(), k == attained, "{at}");
-            // A leg must be able to finish the widest level it resumes at:
-            // the cap is checked before every chunk, so a smaller one
-            // would stop each leg where the last one stopped.
+            // Legs of a quarter of the work; `one_node_resume_chains_…`
+            // below takes the cap down to one node.
             let leg = Budget::unlimited().with_max_nodes(meter.nodes() / 4);
             let mut verdict = exact_sum(&comp, &balance, k, threads, &leg, None);
             let mut legs = 1;
@@ -546,4 +546,91 @@ fn exact_sum_pruning_explores_fewer_nodes_at_every_thread_count() {
         pruned < unpruned,
         "pruned {pruned} vs unpruned {unpruned} nodes"
     );
+}
+
+/// Runs `run` under a one-node cap, then resumes it from each checkpoint
+/// until it decides. A leg arms its node cap only after its first level,
+/// so every resumed leg sweeps at least one level: the chain ends within
+/// one leg per lattice level plus the first, on the uninterrupted
+/// verdict and witness.
+fn one_node_chain<T: PartialEq + std::fmt::Debug>(
+    run: impl Fn(&Budget, Option<&Checkpoint>) -> Verdict<T>,
+    levels: usize,
+    at: &str,
+) {
+    let reference = run(&Budget::unlimited(), None);
+    assert!(reference.is_decided(), "{at}");
+    let one = Budget::unlimited().with_max_nodes(1);
+    let mut verdict = run(&one, None);
+    let mut legs = 1;
+    while let Some(cp) = verdict.checkpoint().cloned() {
+        assert!(legs <= levels, "{at}: leg {legs} did not decide");
+        let cp = Checkpoint::from_text(&cp.to_text()).expect("own output parses");
+        verdict = run(&one, Some(&cp));
+        legs += 1;
+    }
+    assert!(legs > 2, "{at}: a one-node cap decided in {legs} legs");
+    assert_eq!(verdict.value(), reference.value(), "{at}");
+}
+
+#[test]
+fn one_node_resume_chains_reach_the_uninterrupted_outcome() {
+    // A 6⁴-cut grid: levels up to 146 wide, past two chunks.
+    let mut b = ComputationBuilder::new(4);
+    for p in 0..4 {
+        for _ in 0..5 {
+            b.append(p);
+        }
+    }
+    let grid = b.build().unwrap();
+    let all_three = |cut: &Cut| cut.frontier().iter().all(|&f| f >= 3);
+    let (comp, balance) = bank(4);
+    let (unattained, attained) = unattained_and_attained(&comp, &balance);
+    let levels = |comp: &Computation| comp.final_cut().event_count() + 1;
+    for threads in [0usize, 1, 2] {
+        let at = format!("threads={threads}");
+        one_node_chain(
+            |budget, resume| {
+                let meter = BudgetMeter::new();
+                possibly_by_enumeration_budgeted(&grid, all_three, threads, budget, &meter, resume)
+                    .unwrap()
+            },
+            levels(&grid),
+            &format!("plain Possibly, {at}"),
+        );
+        one_node_chain(
+            |budget, resume| {
+                let meter = BudgetMeter::new();
+                definitely_levelwise_budgeted(&grid, all_three, threads, budget, &meter, resume)
+                    .unwrap()
+            },
+            levels(&grid),
+            &format!("plain Definitely, {at}"),
+        );
+        for k in [unattained, attained] {
+            one_node_chain(
+                |budget, resume| exact_sum(&comp, &balance, k, threads, budget, resume),
+                levels(&comp),
+                &format!("pruned exact sum {k}, {at}"),
+            );
+            one_node_chain(
+                |budget, resume| {
+                    let query = Query {
+                        comp: &comp,
+                        predicate: Predicate::ExactSum { var: &balance, k },
+                        modality: Modality::Definitely,
+                    };
+                    let options = Options {
+                        threads,
+                        budget: Some(*budget),
+                        resume: resume.cloned(),
+                        ..Options::default()
+                    };
+                    gpd::detect(&query, &options).unwrap().verdict
+                },
+                levels(&comp),
+                &format!("Definitely(Σ = {k}), {at}"),
+            );
+        }
+    }
 }

@@ -80,6 +80,17 @@ fn definitely_work(comp: &Computation, threads: usize) -> (u64, (u64, u64)) {
     (meter.nodes(), kernel)
 }
 
+/// `procs` processes of `events` internal events each: a grid lattice.
+fn grid(procs: usize, events: usize) -> Computation {
+    let mut b = ComputationBuilder::new(procs);
+    for p in 0..procs {
+        for _ in 0..events {
+            b.append(p);
+        }
+    }
+    b.build().unwrap()
+}
+
 /// Pool waves one 2-thread Possibly sweep hands out.
 fn waves_at_two_threads(comp: &Computation) -> u64 {
     let before = counters::snapshot();
@@ -194,31 +205,31 @@ fn level_sweeps_do_the_same_exact_work_at_every_thread_count() {
         }
     }
 
-    // Levels past the cutoff fan out at 2 threads; a lattice whose
-    // levels all sit below it never touches the pool.
+    // Levels past the cutoff of two full chunks (128 cuts) fan out at 2
+    // threads; a lattice whose levels all sit below it never touches the
+    // pool.
     assert!(waves_at_two_threads(&comps[0]) > 0, "wide levels fan out");
-    let mut b = ComputationBuilder::new(3);
-    for p in 0..3 {
-        for _ in 0..5 {
-            b.append(p);
-        }
-    }
-    let narrow = b.build().unwrap();
+    let middle = grid(4, 5);
+    let widest = *lattice_shape(&middle).0.iter().max().unwrap();
+    assert!((128..512).contains(&widest), "widest level {widest}");
+    assert!(
+        waves_at_two_threads(&middle) > 0,
+        "levels under 512 fan out"
+    );
+    let narrow = grid(3, 5);
     assert!(lattice_shape(&narrow).0.iter().all(|&w| w < 64));
     assert_eq!(waves_at_two_threads(&narrow), 0, "narrow levels stay put");
+    let two_chunks = grid(3, 9);
+    let widest = *lattice_shape(&two_chunks).0.iter().max().unwrap();
+    assert!((65..128).contains(&widest), "widest level {widest}");
+    assert_eq!(waves_at_two_threads(&two_chunks), 0, "two chunks stay put");
 
     // An unbudgeted ±1 Definitely(Σ = K) through the planner. Six
     // processes each raise x once and lower it again: both endpoints sum
     // to 0 and the closure bound reaches 6, so no short-circuit decides
     // Σ = 6 and the sweep runs, over levels wide enough to fan out. A run
     // that lowers each x before the next rises avoids 6.
-    let mut b = ComputationBuilder::new(6);
-    for p in 0..6 {
-        for _ in 0..3 {
-            b.append(p);
-        }
-    }
-    let fan = b.build().unwrap();
+    let fan = grid(6, 3);
     let x = IntVariable::new(&fan, vec![vec![0, 1, 0, 0]; 6]);
     let definitely_six = |threads| {
         let query = Query {
@@ -247,13 +258,7 @@ fn level_sweeps_do_the_same_exact_work_at_every_thread_count() {
     // Allocations of witness-free sweeps over 7⁵ = 16807 cuts in 31
     // levels. The pool is warm by now, so no thread is spawned while
     // counting.
-    let mut b = ComputationBuilder::new(5);
-    for p in 0..5 {
-        for _ in 0..6 {
-            b.append(p);
-        }
-    }
-    let grid = b.build().unwrap();
+    let grid = grid(5, 6);
     let (widths, _) = lattice_shape(&grid);
     let cuts: usize = widths.iter().sum();
     let chunks: usize = widths.iter().map(|w| w.div_ceil(64)).sum();
