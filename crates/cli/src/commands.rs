@@ -1226,6 +1226,49 @@ mod tests {
     }
 
     #[test]
+    fn a_cnf_resume_chain_ends_when_the_slice_build_spends_the_cap() {
+        // 68 events: the envelope's slice build alone charges 70 nodes, so
+        // under a 5-node cap it exhausts and the unsliced odometer runs on
+        // a spent meter. Each leg still completes a wave: 2 combinations,
+        // so the chain ends within 3 legs.
+        let path = std::env::temp_dir()
+            .join(format!(
+                "gpd-cli-test-cnf-chain-{}.trace",
+                std::process::id()
+            ))
+            .to_string_lossy()
+            .to_string();
+        simulate(&args(&["mutex", "--n", "4", "--seed", "3", "-o", &path])).unwrap();
+        let ckpt = format!("{path}.ckpt");
+        let pred = "cnf requesting@0 & in_cs@1 | requesting@2 & requesting@3";
+        for slice in ["auto", "force"] {
+            let leg = |resume: bool| {
+                let mut a = vec![path.as_str(), "--pred", pred, "--slice", slice];
+                a.extend(["--max-nodes", "5", "--checkpoint", &ckpt]);
+                if resume {
+                    a.extend(["--resume", &ckpt]);
+                }
+                detect(&args(&a))
+            };
+            let mut outcome = leg(false);
+            let mut legs = 1;
+            while let Err(CliError::Unknown(msg)) = &outcome {
+                assert!(msg.contains("node cap"), "{msg}");
+                assert!(legs < 3, "--slice {slice}: leg {legs} did not finish");
+                outcome = leg(true);
+                legs += 1;
+            }
+            assert_eq!(
+                outcome.unwrap(),
+                format!("Possibly({pred}): true\nwitness cut: [2, 0, 3, 2]\n"),
+                "--slice {slice} after {legs} legs"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&ckpt).ok();
+    }
+
+    #[test]
     fn budget_stats_and_polynomial_resume_rejection() {
         let path = temp_trace("budget-stats", "voting", &["--n", "3"]);
         let out = detect(&args(&[

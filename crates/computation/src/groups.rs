@@ -399,6 +399,49 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The §3.2 scan is sound because of Property P: if succ(e) ≤ f
+        /// for events e, f on different meta-processes, then succ(e) ≤ g
+        /// for every event g of f's meta-process that is σ-later than f.
+        #[test]
+        fn property_p_holds_on_receive_ordered_computations(
+            seed in any::<u64>(),
+            m in 1usize..5,
+            msgs in 0usize..10,
+        ) {
+            // Receives restricted to one process per group ⇒ receive-ordered.
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let comp =
+                crate::gen::random_computation_with_receivers(&mut rng, 6, m, msgs, Some(&[0, 3]));
+            let grouping = Grouping::new(vec![
+                vec![0.into(), 1.into(), 2.into()],
+                vec![3.into(), 4.into(), 5.into()],
+            ]);
+            prop_assert!(grouping.is_ordered(&comp, OrderingKind::ReceiveOrdered));
+            let lin = grouping.linearize(&comp, OrderingKind::ReceiveOrdered).unwrap();
+
+            for e in comp.events() {
+                let Some(se) = comp.successor_on_process(e) else { continue };
+                let ge = grouping.group_of(comp.process_of(e));
+                for gi in (0..grouping.group_count()).filter(|&gi| Some(gi) != ge) {
+                    let events = grouping.events_of_group(&comp, gi);
+                    for &f in events.iter().filter(|&&f| comp.leq(se, f)) {
+                        for &g in &events {
+                            if lin.position(g) > lin.position(f) {
+                                prop_assert!(
+                                    comp.leq(se, g),
+                                    "Property P violated: succ({e:?}) ≤ {f:?} but not ≤ {g:?}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Two groups of two processes; receives in each group land on a
     /// single process, so the computation is receive-ordered.
     fn receive_ordered_sample() -> Computation {

@@ -55,7 +55,8 @@
 //! lowest sorted cut of a level, however generated. Cancellation only
 //! stops work that cannot change the answer — after a panic, which is
 //! re-raised anyway, or a budget trip, whose partial wave or level the
-//! caller discards. `tests/parallel_agreement.rs` asserts the contract.
+//! caller discards. `tests/detect_matrix.rs` asserts the contract in
+//! every cell and engine column.
 //!
 //! # Panic isolation
 //!

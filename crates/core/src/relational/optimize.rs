@@ -164,6 +164,7 @@ pub fn possibly_sum(comp: &Computation, var: &IntVariable, relop: Relop, k: i64)
 mod tests {
     use super::*;
     use gpd_computation::{gen, ComputationBuilder};
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
     #[test]
@@ -233,6 +234,68 @@ mod tests {
             assert_eq!(min, brute_min, "round {round}");
             assert_eq!(x.sum_at(&cmax), max, "round {round}");
             assert_eq!(x.sum_at(&cmin), min, "round {round}");
+        }
+    }
+
+    /// The meet (pointwise least frontier) of every consistent cut whose
+    /// sum is `target`: the least cut attaining it.
+    fn meet_of_cuts_summing_to(comp: &Computation, x: &IntVariable, target: i64) -> Cut {
+        let mut meet: Option<Vec<u32>> = None;
+        for cut in comp.consistent_cuts().filter(|c| x.sum_at(c) == target) {
+            let frontier = cut.frontier();
+            meet = Some(match meet {
+                None => frontier.to_vec(),
+                Some(m) => m.iter().zip(frontier).map(|(&a, &b)| a.min(b)).collect(),
+            });
+        }
+        Cut::from_frontier(meet.expect("an extreme is attained by some cut"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The witness contract of the extreme sums, independent of the
+        /// max-flow engine: the cuts attaining an extreme are closed under
+        /// meet, and the witness is their meet, the least of them.
+        #[test]
+        fn extreme_witnesses_are_the_meet_of_attaining_cuts(
+            seed in any::<u64>(),
+            n in 1usize..5,
+            m in 1usize..6,
+            amplitude in 1i64..6,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let msgs = if n > 1 { (n * m) / 3 } else { 0 };
+            let comp = gen::random_computation(&mut rng, n, m, msgs);
+            let x = gen::random_int_variable(&mut rng, &comp, amplitude);
+            let (max, cmax) = max_sum_cut(&comp, &x);
+            let (min, cmin) = min_sum_cut(&comp, &x);
+            prop_assert_eq!(&cmax, &meet_of_cuts_summing_to(&comp, &x, max));
+            prop_assert_eq!(&cmin, &meet_of_cuts_summing_to(&comp, &x, min));
+            prop_assert_eq!(sum_extremes(&comp, &x), ((min, cmin), (max, cmax)));
+        }
+
+        #[test]
+        fn flow_extremes_match_enumeration(
+            seed in any::<u64>(),
+            n in 1usize..5,
+            m in 1usize..6,
+            amplitude in 1i64..6,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let msgs = if n > 1 { (n * m) / 3 } else { 0 };
+            let comp = gen::random_computation(&mut rng, n, m, msgs);
+            let x = gen::random_int_variable(&mut rng, &comp, amplitude);
+            let (bmin, bmax) = comp
+                .consistent_cuts()
+                .map(|c| x.sum_at(&c))
+                .fold((i64::MAX, i64::MIN), |(lo, hi), s| (lo.min(s), hi.max(s)));
+            let (max, cmax) = max_sum_cut(&comp, &x);
+            let (min, cmin) = min_sum_cut(&comp, &x);
+            prop_assert_eq!(max, bmax);
+            prop_assert_eq!(min, bmin);
+            prop_assert_eq!(x.sum_at(&cmax), max);
+            prop_assert_eq!(x.sum_at(&cmin), min);
         }
     }
 

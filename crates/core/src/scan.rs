@@ -420,8 +420,10 @@ struct BlockResult {
 /// crossed; by confluence of the scan the resumed walk finds the same
 /// lowest-index witness — which is why interrupted-then-resumed verdicts
 /// and witnesses are byte-identical to uninterrupted ones at every
-/// thread count. The node cap is only checked *between* waves, so every
-/// resumed call completes at least one wave: chained tiny-budget resumes
+/// thread count. The node cap is checked after each wave, and before the
+/// first only when the walk is not `resumed`: a resumed call completes
+/// at least one wave even when the caller's meter is already past the
+/// cap (a slice build may have spent it), so chained tiny-budget resumes
 /// always terminate.
 fn scan_combinations_budgeted(
     comp: &Computation,
@@ -430,6 +432,7 @@ fn scan_combinations_budgeted(
     budget: &Budget,
     meter: &BudgetMeter,
     start: u64,
+    resumed: bool,
 ) -> Result<Option<Vec<Candidate>>, (u64, ExhaustReason)> {
     let total = odometer.total;
     let workers = threads.max(1);
@@ -439,12 +442,12 @@ fn scan_combinations_budgeted(
     // lead block — with one worker, the whole wave.
     let mut walker = (PrefixScan::new(comp), Vec::new());
     let mut at = start.min(total as u64) as usize;
+    if !resumed && budget.nodes_exceeded(meter.nodes()) {
+        return Err((at as u64, ExhaustReason::Nodes));
+    }
     while at < total {
         if budget.deadline_exceeded() {
             return Err((at as u64, ExhaustReason::Deadline));
-        }
-        if budget.nodes_exceeded(meter.nodes()) {
-            return Err((at as u64, ExhaustReason::Nodes));
         }
         let end = at.saturating_add(wave).min(total);
         let best = AtomicU64::new(u64::MAX);
@@ -489,6 +492,9 @@ fn scan_combinations_budgeted(
             return Ok(Some(heads));
         }
         at = reach;
+        if at < total && budget.nodes_exceeded(meter.nodes()) {
+            return Err((at as u64, ExhaustReason::Nodes));
+        }
     }
     Ok(None)
 }
@@ -591,7 +597,9 @@ pub(crate) fn run_odometer(
         Some(cp) => cp.restore_odometer(detector, problem, total)?,
     };
     catch_detect(move || {
-        let outcome = scan_combinations_budgeted(comp, threads, &odometer, budget, meter, start);
+        let resumed = resume.is_some();
+        let outcome =
+            scan_combinations_budgeted(comp, threads, &odometer, budget, meter, start, resumed);
         let progress = |eliminated| Progress {
             nodes_explored: meter.nodes(),
             combinations_eliminated: eliminated,
@@ -751,8 +759,16 @@ mod tests {
     ) -> Option<Vec<Candidate>> {
         let odometer = Odometer::new(choices);
         let meter = BudgetMeter::new();
-        scan_combinations_budgeted(comp, threads, &odometer, &Budget::unlimited(), &meter, 0)
-            .expect("unlimited budgets never interrupt")
+        scan_combinations_budgeted(
+            comp,
+            threads,
+            &odometer,
+            &Budget::unlimited(),
+            &meter,
+            0,
+            false,
+        )
+        .expect("unlimited budgets never interrupt")
     }
 
     /// The seed odometer walk: from-scratch restart scan per combination.

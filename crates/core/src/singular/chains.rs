@@ -269,6 +269,44 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A clause's chains never outnumber its literals, so the chain
+        /// odometer never has more combinations than the subset one: its
+        /// states split into at most one chain per process, or none when
+        /// the clause has no true state.
+        #[test]
+        fn chain_combinations_never_exceed_subset_combinations(
+            seed in any::<u64>(),
+            n in 2usize..6,
+            m in 1usize..5,
+            msgs in 0usize..8,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let comp = gen::random_computation(&mut rng, n, m, msgs);
+            let x = gen::random_bool_variable(&mut rng, &comp, 0.5);
+            // Up to three clauses of 1–3 shuffled processes.
+            let mut procs: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                procs.swap(i, rng.gen_range(0..=i));
+            }
+            let mut clauses = Vec::new();
+            let mut rest = procs.as_slice();
+            while !rest.is_empty() && clauses.len() < 3 {
+                let (now, later) = rest.split_at(rng.gen_range(1..=rest.len().min(3)));
+                let literals = now.iter().map(|&p| (ProcessId::new(p), rng.gen_bool(0.5)));
+                clauses.push(CnfClause::new(literals.collect()));
+                rest = later;
+            }
+            let phi = SingularCnf::new(clauses);
+            let cover = chain_cover_sizes(&comp, &x, &phi);
+            for (c, clause) in cover.iter().zip(phi.clauses()) {
+                prop_assert!(*c <= clause.literals().len());
+            }
+        }
+    }
+
     #[test]
     fn chain_cover_is_one_when_states_are_ordered() {
         // p0 sends to p1 between their true states: the two literal-true

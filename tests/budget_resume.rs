@@ -4,6 +4,8 @@
 //! witness — **byte-for-byte**, at every thread count. Partial bounds
 //! carried by `Unknown` verdicts are sound.
 
+mod support;
+
 use std::time::Duration;
 
 use gpd::detect::{Modality, Options, Predicate, Query};
@@ -15,39 +17,9 @@ use gpd::relational::{possibly_exact_sum_budgeted, POSSIBLY_EXACT_SUM};
 use gpd::singular::possibly_singular_subsets_budgeted;
 use gpd::slice::{cnf_envelope, possibly_by_enumeration_sliced_budgeted, Slice};
 use gpd::{Budget, BudgetMeter, Checkpoint, CnfClause, DetectError, SingularCnf, Verdict};
-use gpd_computation::{BoolVariable, Computation, ComputationBuilder, Cut, IntVariable, ProcessId};
+use gpd_computation::{Computation, ComputationBuilder, Cut, IntVariable, ProcessId};
 use gpd_sim::protocols::BankBranch;
 use gpd_sim::{SimConfig, Simulation};
-
-/// The E5 "wide unsat" workload shape from the benchmark harness
-/// (`gpd_bench::wide_unsat_singular_workload` with `groups = 0`),
-/// rebuilt locally: a 4-process conflict gadget whose only candidate
-/// true-states are mutually inconsistent through one message, padded
-/// with `pad` internal events per process so the cut lattice is large
-/// enough that a short deadline reliably interrupts the sweep.
-fn wide_unsat(pad: usize) -> (Computation, BoolVariable, SingularCnf) {
-    let mut b = ComputationBuilder::new(4);
-    let _u1 = b.append(2);
-    let u2 = b.append(2);
-    let _e01 = b.append(0);
-    let e02 = b.append(0);
-    b.message(u2, e02).expect("distinct processes");
-    for p in 0..4 {
-        for _ in 0..pad {
-            b.append(p);
-        }
-    }
-    let comp = b.build().expect("single forward message");
-    let mut tracks: Vec<Vec<bool>> = (0..4).map(|p| vec![false; comp.events_on(p) + 1]).collect();
-    tracks[0][2] = true; // after e02
-    tracks[2][1] = true; // after u1
-    let var = BoolVariable::new(&comp, tracks);
-    let predicate = SingularCnf::new(vec![
-        CnfClause::new(vec![(ProcessId::new(0), true)]),
-        CnfClause::new(vec![(ProcessId::new(2), true)]),
-    ]);
-    (comp, var, predicate)
-}
 
 /// Drives a budgeted enumeration to completion by resuming from each
 /// checkpoint with the same per-leg budget, counting the legs.
@@ -79,7 +51,7 @@ fn resume_to_completion<F: Fn(&Cut) -> bool + Sync>(
 
 #[test]
 fn deadline_interrupt_then_unlimited_resume_is_byte_identical() {
-    let (comp, var, phi) = wide_unsat(18);
+    let (comp, var, phi) = support::wide_unsat(18, 0, 0, 1);
     let predicate = |cut: &Cut| phi.eval(&var, cut);
     for threads in [1usize, 2, 4] {
         // Uninterrupted reference run.
@@ -195,7 +167,7 @@ fn unknown_bounds_are_sound() {
 
 #[test]
 fn odometer_engine_resumes_to_the_unbudgeted_verdict() {
-    let (comp, var, phi) = wide_unsat(2);
+    let (comp, var, phi) = support::wide_unsat(2, 0, 0, 1);
     let (unlimited, meter) = (Budget::unlimited(), BudgetMeter::new());
     let unbudgeted =
         possibly_singular_subsets_budgeted(&comp, &var, &phi, 0, &unlimited, &meter, None).unwrap();
@@ -278,7 +250,7 @@ fn panicking_predicate_is_contained_at_every_thread_count() {
 
 #[test]
 fn checkpoints_roundtrip_and_reject_tampering() {
-    let (comp, var, phi) = wide_unsat(4);
+    let (comp, var, phi) = support::wide_unsat(4, 0, 0, 1);
     let predicate = |cut: &Cut| phi.eval(&var, cut);
     let budget = Budget::unlimited().with_max_nodes(5);
     let meter = BudgetMeter::new();
@@ -298,7 +270,7 @@ fn checkpoints_roundtrip_and_reject_tampering() {
     assert!(Checkpoint::from_text(&tampered).is_err());
 
     // A checkpoint from one computation is rejected by another.
-    let (other, other_var, other_phi) = wide_unsat(5);
+    let (other, other_var, other_phi) = support::wide_unsat(5, 0, 0, 1);
     let other_pred = |cut: &Cut| other_phi.eval(&other_var, cut);
     let meter = BudgetMeter::new();
     let err = possibly_by_enumeration_budgeted(
@@ -344,7 +316,7 @@ fn width_outcome<T: std::fmt::Debug>(
 
 #[test]
 fn width_cap_reports_width_exhaustion() {
-    let (comp, var, phi) = wide_unsat(8);
+    let (comp, var, phi) = support::wide_unsat(8, 0, 0, 1);
     let predicate = |cut: &Cut| phi.eval(&var, cut);
     // Φ implies its first unit clause, whose slice window is not empty.
     let first = SingularCnf::new(vec![CnfClause::new(vec![(ProcessId::new(0), true)])]);

@@ -5,6 +5,8 @@
 //! every thread count — the slice may only shrink the work, never bend
 //! the answer (docs/ALGORITHMS.md §12).
 
+mod support;
+
 use gpd::enumerate::{
     definitely_by_enumeration, definitely_levelwise_budgeted, possibly_by_enumeration,
     possibly_by_enumeration_budgeted,
@@ -16,7 +18,7 @@ use gpd::slice::{
     ChannelOp, RegularPredicate, Slice,
 };
 use gpd::{Budget, BudgetMeter, Checkpoint, CnfClause, SingularCnf, Verdict};
-use gpd_computation::{gen, BoolVariable, Computation, ComputationBuilder, Cut, ProcessId};
+use gpd_computation::{gen, BoolVariable, Computation, Cut, ProcessId};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -49,31 +51,6 @@ fn random_regular<R: Rng>(rng: &mut R, comp: &Computation, density: f64) -> Regu
         }
     }
     pred
-}
-
-/// A random singular CNF whose first clause is a **unit** clause, so the
-/// pre-pass always has a regular envelope to slice on.
-fn random_cnf_with_units<R: Rng>(rng: &mut R, n: usize) -> SingularCnf {
-    let mut procs: Vec<usize> = (0..n).collect();
-    for i in (1..procs.len()).rev() {
-        procs.swap(i, rng.gen_range(0..=i));
-    }
-    let mut clauses = vec![CnfClause::new(vec![(
-        ProcessId::new(procs[0]),
-        rng.gen_bool(0.5),
-    )])];
-    let mut rest = &procs[1..];
-    while !rest.is_empty() && clauses.len() < 3 {
-        let k = rng.gen_range(1..=rest.len().min(3));
-        let (now, later) = rest.split_at(k);
-        clauses.push(CnfClause::new(
-            now.iter()
-                .map(|&p| (ProcessId::new(p), rng.gen_bool(0.5)))
-                .collect(),
-        ));
-        rest = later;
-    }
-    SingularCnf::new(clauses)
 }
 
 proptest! {
@@ -176,7 +153,7 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let comp = gen::random_computation(&mut rng, n, m, msgs);
         let x = gen::random_bool_variable(&mut rng, &comp, density);
-        let phi = random_cnf_with_units(&mut rng, n);
+        let phi = support::singular_cnf(&mut rng, n, 3, true);
         let env = cnf_envelope(&comp, &x, &phi).expect("first clause is a unit clause");
         let slice = Slice::build(&comp, &env);
 
@@ -221,7 +198,7 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let comp = gen::random_computation(&mut rng, n, m, msgs);
         let x = gen::random_bool_variable(&mut rng, &comp, density);
-        let phi = random_cnf_with_units(&mut rng, n);
+        let phi = support::singular_cnf(&mut rng, n, 3, true);
         let env = cnf_envelope(&comp, &x, &phi).expect("first clause is a unit clause");
         let slice = Slice::build(&comp, &env);
 
@@ -239,30 +216,6 @@ proptest! {
             );
         }
     }
-}
-
-/// `chain` processes of `links` events each, totally ordered by one
-/// message chain through them, plus `free` independent processes of 7
-/// events: records of several words, levels as wide as the free
-/// processes' state space.
-fn chain_plus_free(chain: usize, links: usize, free: usize) -> Computation {
-    let mut b = ComputationBuilder::new(chain + free);
-    let mut last = None;
-    for p in 0..chain {
-        for i in 0..links {
-            let e = b.append(p);
-            if let (0, Some(s)) = (i, last) {
-                b.message(s, e).expect("distinct processes");
-            }
-            last = Some(e);
-        }
-    }
-    for p in chain..chain + free {
-        for _ in 0..7 {
-            b.append(p);
-        }
-    }
-    b.build().expect("a forward chain")
 }
 
 /// A CNF whose unit clause on the last (free) process gives the
@@ -284,9 +237,12 @@ fn wide_cnf<R: Rng>(rng: &mut R, n: usize) -> SingularCnf {
 #[test]
 fn sliced_sweeps_over_wide_records_are_byte_identical() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(3303);
-    for (i, comp) in [chain_plus_free(68, 2, 2), chain_plus_free(30, 2, 3)]
-        .iter()
-        .enumerate()
+    for (i, comp) in [
+        support::chain_plus_free(68, 2, 2),
+        support::chain_plus_free(30, 2, 3),
+    ]
+    .iter()
+    .enumerate()
     {
         let n = comp.process_count();
         for round in 0..4 {
@@ -346,7 +302,7 @@ fn sliced_sweeps_over_wide_records_are_byte_identical() {
 /// verdict and witness at every thread count.
 #[test]
 fn sliced_sweeps_resume_mid_sweep_checkpoints() {
-    let comp = chain_plus_free(30, 2, 3);
+    let comp = support::chain_plus_free(30, 2, 3);
     // Φ = x@32 ∧ (x@31 ∨ x@4), true only at states 3 and 5 of the free
     // processes 32 and 31: Possibly finds it on level 8, and Definitely
     // must sweep ¬Φ almost to the top of the window before deciding.
