@@ -8,11 +8,12 @@
 //! boolean changes by at most one per event, Theorem 7 detects each
 //! disjunct in polynomial time.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 use gpd_computation::{BoolVariable, Computation, Cut, IntVariable};
 
-use crate::relational::{exact_sum_witness, sum_extremes};
+use crate::relational::{exact_sum_witness, max_sum_cut, min_sum_cut};
 
 /// A symmetric predicate over the per-process booleans, specified by the
 /// set of true-variable counts at which it holds.
@@ -104,12 +105,14 @@ pub fn indicator_variable(comp: &Computation, var: &BoolVariable) -> IntVariable
     )
 }
 
-/// Decides `Possibly(Φ)` for a symmetric predicate in polynomial time:
-/// one [`sum_extremes`] call (one flow network, solved for both
-/// extremes) bounds the attainable counts (`Possibly(Σ = j)` iff
-/// `min ≤ j ≤ max`, by Theorem 7), and the first accepted count in range
-/// is materialized as a witness cut by the Theorem 4 walk toward the
-/// extreme cut on its side of the initial count.
+/// Decides `Possibly(Φ)` for a symmetric predicate in polynomial time.
+/// By Theorem 7, `Possibly(Σ = j)` holds iff `j` lies between the
+/// initial count `s₀` and the extreme count on `j`'s side of it, so each
+/// accepted count, in increasing order, needs at most one closure solve:
+/// none for `j = s₀`, [`max_sum_cut`] above it and [`min_sum_cut`] below,
+/// each solved once, when first needed. The first count in range is
+/// materialized as a witness cut by the Theorem 4 walk toward that
+/// extreme cut.
 ///
 /// # Example
 ///
@@ -132,17 +135,17 @@ pub fn possibly_symmetric(
     predicate: &SymmetricPredicate,
 ) -> Option<Cut> {
     let indicator = indicator_variable(comp, var);
-    let (min, max) = sum_extremes(comp, &indicator);
-    let j = *predicate
-        .counts
-        .iter()
-        .find(|&&j| min.0 <= j as i64 && j as i64 <= max.0)? as i64;
-    let toward = if indicator.sum_at(&comp.initial_cut()) < j {
-        &max
-    } else {
-        &min
-    };
-    exact_sum_witness(comp, &indicator, j, toward)
+    let s0 = indicator.sum_at(&comp.initial_cut());
+    let (mut min, mut max) = (None, None);
+    predicate.counts.iter().find_map(|&j| {
+        let j = i64::from(j);
+        let extreme = match j.cmp(&s0) {
+            Ordering::Equal => return Some(comp.initial_cut()),
+            Ordering::Greater => max.get_or_insert_with(|| max_sum_cut(comp, &indicator)),
+            Ordering::Less => min.get_or_insert_with(|| min_sum_cut(comp, &indicator)),
+        };
+        exact_sum_witness(comp, &indicator, j, extreme)
+    })
 }
 
 #[cfg(test)]
@@ -150,8 +153,77 @@ mod tests {
     use super::*;
     use crate::detect::{detect, Answer, Modality, Options, Predicate, Query};
     use crate::enumerate::{definitely_by_enumeration, possibly_by_enumeration};
+    use crate::relational::sum_extremes;
     use gpd_computation::{gen, ComputationBuilder};
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+
+    /// The two-sided decision the one-sided solves replaced, kept as
+    /// their oracle: one [`sum_extremes`] call bounds the attainable
+    /// counts, and the first accepted count in range walks toward the
+    /// extreme cut on its side of the initial count.
+    fn possibly_symmetric_two_sided(
+        comp: &Computation,
+        var: &BoolVariable,
+        predicate: &SymmetricPredicate,
+    ) -> Option<Cut> {
+        let indicator = indicator_variable(comp, var);
+        let (min, max) = sum_extremes(comp, &indicator);
+        let j = *predicate
+            .counts
+            .iter()
+            .find(|&&j| min.0 <= j as i64 && j as i64 <= max.0)? as i64;
+        let toward = if indicator.sum_at(&comp.initial_cut()) < j {
+            &max
+        } else {
+            &min
+        };
+        exact_sum_witness(comp, &indicator, j, toward)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Counts below, at and above the initial count, alone and in
+        /// named and random sets: the one-sided solves return the
+        /// two-sided reference's verdict and witness.
+        #[test]
+        fn one_sided_solves_match_the_two_sided_reference(
+            seed in any::<u64>(),
+            n in 1usize..7,
+            events in 0usize..8,
+            messages in 0usize..10,
+            density in 0.0f64..1.0,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let messages = if n > 1 && events > 0 { messages } else { 0 };
+            let comp = gen::random_computation(&mut rng, n, events, messages);
+            let x = gen::random_bool_variable(&mut rng, &comp, density);
+            let (n, initial) = (n as u32, comp.initial_cut());
+            let s0 = (0..comp.process_count())
+                .filter(|&p| x.value_at(&initial, p))
+                .count() as u32;
+            let preds = [
+                SymmetricPredicate::exactly(s0.saturating_sub(1)),
+                SymmetricPredicate::exactly(s0),
+                SymmetricPredicate::exactly(s0 + 1),
+                SymmetricPredicate::exactly(rng.gen_range(0..=n)),
+                SymmetricPredicate::exclusive_or(n),
+                SymmetricPredicate::not_all_equal(n),
+                SymmetricPredicate::absence_of_simple_majority(n),
+                SymmetricPredicate::new((0..=n + 1).filter(|_| rng.gen_bool(0.4))),
+                SymmetricPredicate::new((0..=n).filter(|&j| j != s0 && rng.gen_bool(0.5))),
+            ];
+            for phi in &preds {
+                prop_assert_eq!(
+                    possibly_symmetric(&comp, &x, phi),
+                    possibly_symmetric_two_sided(&comp, &x, phi),
+                    "{:?}",
+                    phi
+                );
+            }
+        }
+    }
 
     /// `Definitely(phi)` as `gpd::detect` plans it: the level sweep.
     fn definitely_by_planner(

@@ -31,15 +31,16 @@ pub struct Closure {
 ///
 /// The empty set is always a closure, so the returned weight is ≥ 0.
 ///
-/// **Edge order affects speed only.** The solve is warm-started by a
-/// greedy pass (see the crate docs) that takes, for each vertex `v`, the
-/// first listed edge `(u, v)` as `v`'s chain edge: it tries the other
-/// edges into `v` first, then that one, and forwards whatever it could
-/// not route along it. Listing an event DAG's process-chain edges
-/// (`successor → predecessor`) before its message edges (`receive →
-/// send`), as `gpd::relational` does, makes that the process chain, so a
-/// send's weight goes to its receive first. Any order gives the same
-/// closure, since any preflow is a valid start.
+/// **Edge order affects speed only.** When some |weight| exceeds 1, the
+/// solve is warm-started by a greedy pass (see the crate docs) that
+/// takes, for each vertex `v`, the first listed edge `(u, v)` as `v`'s
+/// chain edge: it tries the other edges into `v` first, then that one,
+/// and forwards whatever it could not route along it. Listing an event
+/// DAG's process-chain edges (`successor → predecessor`) before its
+/// message edges (`receive → send`), as `gpd::relational` does, makes
+/// that the process chain, so a send's weight goes to its receive
+/// first. Any order gives the same closure, since any preflow is a
+/// valid start.
 ///
 /// # Panics
 ///
@@ -144,7 +145,7 @@ fn reversed_network(weights: &[i64], edges: &[(usize, usize)]) -> Network {
 fn solve(net: &mut Network, source: usize, sink: usize, weights: &[i64], sign: i64) -> Closure {
     let n = weights.len();
     let positive_total: i64 = weights.iter().map(|&w| (sign * w).max(0)).sum();
-    let preflow = net.max_preflow(source, sink);
+    let preflow = net.max_preflow(source, sink, warm_start(weights));
     let members: Vec<usize> = preflow.sink_side.into_iter().filter(|&v| v < n).collect();
     let weight = positive_total - preflow.flow;
     debug_assert_eq!(
@@ -153,6 +154,12 @@ fn solve(net: &mut Network, source: usize, sink: usize, weights: &[i64], sign: i
         "closure weight differs from the flow's"
     );
     Closure { weight, members }
+}
+
+/// Whether a solve of `weights`, of either sign, seeds the greedy
+/// preflow: only when some |weight| exceeds 1 (see the crate docs).
+fn warm_start(weights: &[i64]) -> bool {
+    weights.iter().any(|w| w.unsigned_abs() > 1)
 }
 
 #[cfg(test)]
@@ -396,6 +403,55 @@ mod tests {
         (weights, edges)
     }
 
+    /// Indicator-shaped closure instances: the 0/±1 increments of an
+    /// `in_cs` flag under a token-passing mutex on `chains` processes,
+    /// over `events` steps. The holder receives the token at one step,
+    /// enters at its next (+1), and exits at a later one (−1), sending
+    /// the token to another process. Every other step has weight 0 and
+    /// receives a pending request, or one time in four sends one to
+    /// another process. Edges are listed as [`bank_transfers`] lists
+    /// them.
+    fn mutex_indicator(seed: u64, chains: usize, events: usize) -> (Vec<i64>, Vec<(usize, usize)>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut last: Vec<Option<usize>> = vec![None; chains];
+        let mut requests: Vec<Vec<usize>> = vec![Vec::new(); chains];
+        let (mut holder, mut inside, mut token) = (0, false, None);
+        let (mut weights, mut edges, mut messages) = (Vec::new(), Vec::new(), Vec::new());
+        for v in 0..events {
+            let p = rng.gen_range(0..chains);
+            let received = if p == holder { token.take() } else { None };
+            let weight = if let Some(send) = received {
+                messages.push((v, send));
+                0
+            } else if p != holder {
+                0
+            } else if !inside {
+                inside = true;
+                1
+            } else if rng.gen_bool(0.5) {
+                holder = (p + rng.gen_range(1..chains.max(2))) % chains;
+                (inside, token) = (false, Some(v));
+                -1
+            } else {
+                0
+            };
+            if weight == 0 && received.is_none() {
+                if let Some(send) = requests[p].pop() {
+                    messages.push((v, send));
+                } else if chains > 1 && rng.gen_bool(0.25) {
+                    requests[(p + rng.gen_range(1..chains)) % chains].push(v);
+                }
+            }
+            weights.push(weight);
+            if let Some(u) = last[p].replace(v) {
+                edges.push((v, u));
+            }
+        }
+        edges.extend(messages);
+        (weights, edges)
+    }
+
     /// `run` applied to both solves of [`weight_closure_extremes`]: the
     /// maximizing side, then the minimizing side on the rewound,
     /// reversed network.
@@ -417,9 +473,8 @@ mod tests {
     /// Work counts of both solves of [`weight_closure_extremes`], warm
     /// or cold.
     fn extremes_work(weights: &[i64], edges: &[(usize, usize)], warm: bool) -> (Work, Work) {
-        extremes(weights, edges, |net, source, sink| match warm {
-            true => net.max_preflow(source, sink).work,
-            false => net.max_preflow_cold(source, sink).work,
+        extremes(weights, edges, |net, source, sink| {
+            net.max_preflow(source, sink, warm).work
         })
     }
 
@@ -428,7 +483,7 @@ mod tests {
     fn cold_closure(weights: &[i64], edges: &[(usize, usize)]) -> Closure {
         let n = weights.len();
         let positive_total: i64 = weights.iter().map(|&w| w.max(0)).sum();
-        let preflow = reversed_network(weights, edges).max_preflow_cold(n + 1, n);
+        let preflow = reversed_network(weights, edges).max_preflow(n + 1, n, false);
         Closure {
             weight: positive_total - preflow.flow,
             members: preflow.sink_side.into_iter().filter(|&v| v < n).collect(),
@@ -477,6 +532,33 @@ mod tests {
             assert!(cold_max.discharges > 0);
             assert_eq!(extremes_work(&weights, &edges, true), (max, min));
             assert_eq!(extremes_work(&weights, &edges, false), (cold_max, cold_min));
+        }
+    }
+
+    /// The seeding rule on unit weights: every shipped solve of an
+    /// indicator network does exactly the cold start's work, on both
+    /// sides.
+    #[test]
+    fn unit_weight_solves_start_cold() {
+        for seed in 1..=8 {
+            let (weights, edges) = mutex_indicator(seed, 8, 5000);
+            assert!(weights.iter().all(|w| w.abs() <= 1));
+            let shipped = extremes(&weights, &edges, |net, source, sink| {
+                net.max_preflow(source, sink, warm_start(&weights)).work
+            });
+            assert_eq!(
+                shipped,
+                extremes_work(&weights, &edges, false),
+                "seed {seed}"
+            );
+            // Seeded, the maximizing side forwards each exit's unit down
+            // its own chain, away from the next holder's entry, and
+            // discharges it back at many times the cold start's work.
+            let (warm_max, _) = extremes_work(&weights, &edges, true);
+            assert!(
+                warm_max.discharges > 10 * shipped.0.discharges,
+                "seed {seed}"
+            );
         }
     }
 

@@ -15,18 +15,24 @@
 //!
 //! **Warm start.** Push-relabel may start from any preflow with valid
 //! labels, and one global relabel makes any preflow's labels valid. So
-//! every run first saturates the source arcs and then routes what it can
-//! greedily, in one pass over the unbounded arcs in Kahn order: a vertex
-//! holding excess drains it into its own arc to the sink, then into the
-//! sink arcs of the vertices its unbounded arcs reach (every arc but the
-//! first, then the first), and forwards the rest along its first
-//! unbounded arc. On a closure network built from a computation, the
-//! first unbounded arc of an event is its process-chain arc and the
+//! a seeded run first saturates the source arcs and then routes what it
+//! can greedily, in one pass over the unbounded arcs in Kahn order: a
+//! vertex holding excess drains it into its own arc to the sink, then
+//! into the sink arcs of the vertices its unbounded arcs reach (every
+//! arc but the first, then the first), and forwards the rest along its
+//! first unbounded arc. On a closure network built from a computation,
+//! the first unbounded arc of an event is its process-chain arc and the
 //! others are its message arcs, so a withdrawal's excess goes straight
 //! to its deposit. Discharging then only moves the excess the pass left
 //! over. The seeding changes the work, never the answer: the maximum
-//! flow value and the vertices that can reach the sink are properties of
-//! the network, the same for every maximum preflow.
+//! flow value and the vertices that can reach the sink are properties
+//! of the network, the same for every maximum preflow.
+//!
+//! The caller decides whether a run seeds. Closure solves seed only when
+//! some |weight| exceeds 1: on a 0/±1 indicator network the pass
+//! forwards single units down chains that cannot drain them, and
+//! discharging them back costs more than a cold start (the maximizing
+//! `in_cs` solve of a mutex trace takes 0.17 ms cold and 1.0 ms warm).
 
 /// Sentinel capacity treated as unbounded.
 pub(crate) const INF_CAP: i64 = i64::MAX / 4;
@@ -145,23 +151,18 @@ impl Network {
     }
 
     /// Runs phase 1 from `source` to `sink`, warm-started by the greedy
-    /// seeding pass (see the module docs), consuming residual capacity in
-    /// place.
+    /// seeding pass (see the module docs) when `seed` is set and cold
+    /// otherwise, consuming residual capacity in place.
     ///
     /// # Panics
     ///
     /// Panics if `source == sink` or either is out of range.
-    pub(crate) fn max_preflow(&mut self, source: usize, sink: usize) -> Preflow {
+    pub(crate) fn max_preflow(&mut self, source: usize, sink: usize, seed: bool) -> Preflow {
         let mut run = PushRelabel::new(self, source, sink);
-        run.seed();
+        if seed {
+            run.seed();
+        }
         run.finish()
-    }
-
-    /// [`max_preflow`](Self::max_preflow) without the seeding pass: the
-    /// cold start the warm start's work counts are compared against.
-    #[cfg(test)]
-    pub(crate) fn max_preflow_cold(&mut self, source: usize, sink: usize) -> Preflow {
-        PushRelabel::new(self, source, sink).finish()
     }
 
     /// The excess the seeding pass leaves on vertices other than the
@@ -614,7 +615,7 @@ mod tests {
             (3, 5, 20),
             (4, 5, 4),
         ];
-        let run = Network::new(6, &arcs).max_preflow(0, 5);
+        let run = Network::new(6, &arcs).max_preflow(0, 5, true);
         assert_eq!(run.flow, 23);
         assert_eq!(run.sink_side, vec![3, 5]);
     }
@@ -622,7 +623,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid terminals")]
     fn same_source_and_sink_panics() {
-        Network::new(2, &[(0, 1, 1)]).max_preflow(1, 1);
+        Network::new(2, &[(0, 1, 1)]).max_preflow(1, 1, false);
     }
 
     #[test]
@@ -654,10 +655,10 @@ mod tests {
             let expected = dinic.max_flow(s, t);
             let Preflow {
                 flow, sink_side, ..
-            } = Network::new(n, &arcs).max_preflow(s, t);
+            } = Network::new(n, &arcs).max_preflow(s, t, true);
             assert_eq!(flow, expected, "arcs {arcs:?}");
             assert_eq!(
-                Network::new(n, &arcs).max_preflow_cold(s, t).sink_side,
+                Network::new(n, &arcs).max_preflow(s, t, false).sink_side,
                 sink_side,
                 "arcs {arcs:?}"
             );
