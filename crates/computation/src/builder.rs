@@ -112,12 +112,21 @@ impl ComputationBuilder {
             self.proc_len.len()
         );
         let id = EventId::new(self.event_proc.len());
-        let local = &mut self.proc_len[p.index()];
-        *local += 1;
-        self.event_local.push(*local);
-        self.event_proc.push(p);
-        self.kinds.push(EventKind::Internal);
+        self.append_run(p.index(), 1);
         id
+    }
+
+    /// Appends `count` events at the end of `process`'s local
+    /// computation in one step, as `count` [`append`](Self::append)
+    /// calls would.
+    pub(crate) fn append_run(&mut self, process: usize, count: usize) {
+        let local = self.proc_len[process];
+        self.proc_len[process] = local + u32::try_from(count).expect("event count fits in u32");
+        self.event_local.extend(local + 1..=self.proc_len[process]);
+        self.event_proc
+            .extend(std::iter::repeat_n(ProcessId::new(process), count));
+        self.kinds
+            .extend(std::iter::repeat_n(EventKind::Internal, count));
     }
 
     /// Records a message sent at `send` and received at `receive`. An
@@ -148,24 +157,21 @@ impl ComputationBuilder {
         Ok(())
     }
 
-    /// Finalizes the computation: checks acyclicity and computes
-    /// Fidge–Mattern vector clocks for every event, filled directly into
-    /// the flat row-major clock matrix.
+    /// Finalizes the computation: checks acyclicity and records an
+    /// order in which every event follows its causal predecessors. The
+    /// [`Computation`] fills its Fidge–Mattern clock matrix on the first
+    /// clock read by replaying that order, never here.
     ///
-    /// One linear pass, O(n·|E| + |M|), with a constant number of
+    /// One linear pass, O(|E| + |M|), with a constant number of
     /// allocations whatever the size: the per-process event lists and
     /// the message predecessor/successor lists are each one counting
     /// sort into CSR form (messages in insertion order), handed to the
-    /// [`Computation`] as built. Rows are then filled by a cursor sweep,
-    /// not in a precomputed topological order: each process keeps a
-    /// cursor on its next event, each event a count of senders whose rows are not yet
-    /// final, and a worklist holds the processes whose next event has
-    /// none left. Finishing an event copies its program-order
-    /// predecessor's row, max-merges its senders' rows, sets its own
-    /// component, and queues the process of any receiver that becomes
-    /// ready at the head of its process. Clocks do not depend on the
-    /// visiting order, so the matrix is the one any topological order
-    /// would give.
+    /// [`Computation`] as built. Events are finished by a cursor sweep:
+    /// each process keeps a cursor on its next event, each event a count
+    /// of senders not yet finished, and a worklist holds the processes
+    /// whose next event has none left. Finishing an event appends it to
+    /// the order and queues the process of any receiver that becomes
+    /// ready at the head of its process.
     ///
     /// # Errors
     ///
@@ -190,36 +196,26 @@ impl ComputationBuilder {
             self.messages.iter().map(|&(s, r)| (s.index(), r)),
         );
 
-        // pending[e]: senders of e's messages whose rows are not final.
+        // pending[e]: senders of e's messages not yet finished.
         let mut pending: Vec<u32> = (0..event_count).map(|e| preds.len_of(e)).collect();
         let mut cursor = vec![0u32; n];
         // A process is queued only while its head event is ready and
         // the stack is drained before the next start, so it never holds
         // more than `n` entries.
         let mut ready: Vec<usize> = Vec::with_capacity(n);
-        let mut matrix = vec![0u32; event_count * n];
-        let mut finished = 0;
+        let mut order: Vec<EventId> = Vec::with_capacity(event_count);
         for start in 0..n {
             ready.push(start);
             while let Some(p) = ready.pop() {
                 let line = procs.list(p);
                 let mut k = cursor[p] as usize;
                 while let Some(&e) = line.get(k) {
-                    let e = e.index();
-                    if pending[e] != 0 {
+                    if pending[e.index()] != 0 {
                         break;
                     }
-                    let row = e * n;
-                    if k > 0 {
-                        let prev = line[k - 1].index() * n;
-                        matrix.copy_within(prev..prev + n, row);
-                    }
-                    for s in preds.list(e) {
-                        max_merge(&mut matrix, row, s.index() * n, n);
-                    }
+                    order.push(e);
                     k += 1;
-                    matrix[row + p] = k as u32;
-                    for r in succs.list(e) {
+                    for r in succs.list(e.index()) {
                         let r = r.index();
                         pending[r] -= 1;
                         let q = self.event_proc[r].index();
@@ -228,30 +224,13 @@ impl ComputationBuilder {
                         }
                     }
                 }
-                finished += k - cursor[p] as usize;
                 cursor[p] = k as u32;
             }
         }
-        if finished < event_count {
+        if order.len() < event_count {
             return Err(BuildError::Cycle);
         }
-        if cfg!(debug_assertions) {
-            debug_assert!(pending.iter().all(|&c| c == 0), "a sender left unfinished");
-            for p in 0..n {
-                let line = procs.list(p);
-                for (k, e) in line.iter().enumerate() {
-                    let row = &matrix[e.index() * n..][..n];
-                    debug_assert_eq!(row[p], self.event_local[e.index()], "own component");
-                    if k > 0 {
-                        let prev = &matrix[line[k - 1].index() * n..][..n];
-                        debug_assert!(
-                            prev.iter().zip(row).all(|(a, b)| a <= b),
-                            "row of {e:?} does not dominate its predecessor's"
-                        );
-                    }
-                }
-            }
-        }
+        debug_assert!(pending.iter().all(|&c| c == 0), "a sender left unfinished");
 
         Ok(Computation::from_parts(
             procs,
@@ -261,23 +240,8 @@ impl ComputationBuilder {
             self.messages,
             preds,
             succs,
-            matrix,
+            order,
         ))
-    }
-}
-
-/// Max-merges row `src` of the row-major `matrix` into row `dst`; the two
-/// rows of width `n` must be distinct.
-fn max_merge(matrix: &mut [u32], dst: usize, src: usize, n: usize) {
-    let (to, from) = if dst < src {
-        let (lo, hi) = matrix.split_at_mut(src);
-        (&mut lo[dst..dst + n], &hi[..n])
-    } else {
-        let (lo, hi) = matrix.split_at_mut(dst);
-        (&mut hi[..n], &lo[src..src + n])
-    };
-    for (t, &f) in to.iter_mut().zip(from) {
-        *t = (*t).max(f);
     }
 }
 

@@ -5,7 +5,9 @@
 //!
 //! * a row-major clock matrix (`event_count × process_count` `u32`s,
 //!   row `e` = `vc(e)`), so order queries stream one cache-resident row
-//!   instead of chasing a `Vec<VectorClock>` pointer per event;
+//!   instead of chasing a `Vec<VectorClock>` pointer per event. The
+//!   first clock read fills it, so questions answered from the event
+//!   DAG alone (max-flow closures, in-degree walks) never allocate it;
 //! * CSR (offset + flat array) adjacency for the per-process event
 //!   sequences and the message predecessor/successor lists;
 //! * branch-free word-parallel row kernels (see `kernel`) for the hot
@@ -14,6 +16,8 @@
 //! The public API is unchanged from the nested layout except that
 //! [`Computation::clock`] returns a borrowing [`ClockRef`] view rather
 //! than `&VectorClock` — no owned clock exists to reference.
+
+use std::sync::OnceLock;
 
 use crate::counters;
 use crate::cut::Cut;
@@ -27,9 +31,9 @@ use crate::vclock::ClockRef;
 /// edges (Lamport's happened-before).
 ///
 /// Constructed with [`ComputationBuilder`](crate::ComputationBuilder);
-/// immutable afterwards. All order queries are answered from precomputed
+/// immutable afterwards. All order queries are answered from
 /// Fidge–Mattern vector clocks in O(1) or O(n), read straight out of a
-/// flat row-major clock matrix.
+/// flat row-major clock matrix that the first clock read fills.
 ///
 /// # Example
 ///
@@ -56,8 +60,10 @@ pub struct Computation {
     preds: Csr,
     /// Event `e`'s message successors (receivers), in message order.
     succs: Csr,
-    /// Row-major clock matrix: `vc(e)[q] = clock_matrix[e·n + q]`.
-    clock_matrix: Box<[u32]>,
+    /// Every event after its causal predecessors, as the build finished them.
+    order: Box<[EventId]>,
+    /// Row-major clock matrix, `vc(e)[q] = clock_matrix[e·n + q]`.
+    clock_matrix: OnceLock<Box<[u32]>>,
 }
 
 /// A compressed-sparse-row family of event lists: list `k` is
@@ -114,9 +120,10 @@ impl Csr {
 }
 
 impl Computation {
-    /// Assembles a computation from the builder's finished columns. The
-    /// three CSR families are taken as built (by [`Csr::group`]), so
-    /// nothing here allocates or walks the events again.
+    /// Assembles a computation from the builder's finished columns and
+    /// finish order. The three CSR families are taken as built (by
+    /// [`Csr::group`]), so nothing here allocates or walks the events
+    /// again.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         procs: Csr,
@@ -126,11 +133,11 @@ impl Computation {
         messages: Vec<(EventId, EventId)>,
         preds: Csr,
         succs: Csr,
-        clock_matrix: Vec<u32>,
+        order: Vec<EventId>,
     ) -> Self {
         let process_count = procs.off.len() - 1;
         let event_count = event_proc.len();
-        debug_assert_eq!(clock_matrix.len(), event_count * process_count);
+        debug_assert_eq!(order.len(), event_count);
         debug_assert_eq!(procs.flat.len(), event_count);
         debug_assert_eq!(preds.off.len(), event_count + 1);
         debug_assert_eq!(succs.off.len(), event_count + 1);
@@ -143,8 +150,52 @@ impl Computation {
             messages: messages.into_boxed_slice(),
             preds,
             succs,
-            clock_matrix: clock_matrix.into_boxed_slice(),
+            order: order.into_boxed_slice(),
+            clock_matrix: OnceLock::new(),
         }
+    }
+
+    /// The clock matrix, filled by the first call (racing callers wait).
+    #[inline]
+    fn clocks(&self) -> &[u32] {
+        self.clock_matrix.get_or_init(|| self.fill_clocks())
+    }
+
+    /// Fills the clock matrix in finish order, one allocation: each row
+    /// copies its program-order predecessor's, max-merges its senders'
+    /// (all final by then) and sets its own component.
+    fn fill_clocks(&self) -> Box<[u32]> {
+        let n = self.process_count;
+        let mut matrix = vec![0u32; self.event_count() * n];
+        for &e in self.order.iter() {
+            let row = e.index() * n;
+            let (head, rest) = matrix.split_at_mut(row);
+            let (cur, tail) = rest.split_at_mut(n);
+            let at = |d: EventId| match d.index() * n {
+                i if i < row => &head[i..i + n],
+                i => &tail[i - row - n..][..n],
+            };
+            if let Some(prev) = self.predecessor_on_process(e) {
+                cur.copy_from_slice(at(prev));
+            }
+            for &s in self.preds.list(e.index()) {
+                cur.iter_mut()
+                    .zip(at(s))
+                    .for_each(|(c, &v)| *c = (*c).max(v));
+            }
+            cur[self.process_of(e).index()] = self.local_index(e);
+        }
+        let below = |d: EventId, e: EventId| {
+            (0..n).all(|q| matrix[d.index() * n + q] <= matrix[e.index() * n + q])
+        };
+        debug_assert!(
+            self.events().all(|e| {
+                self.predecessor_on_process(e).is_none_or(|d| below(d, e))
+                    && self.message_predecessors(e).iter().all(|&s| below(s, e))
+            }),
+            "a clock row does not dominate a predecessor's row"
+        );
+        matrix.into_boxed_slice()
     }
 
     /// The number of processes.
@@ -219,8 +270,7 @@ impl Computation {
     /// The raw clock-matrix row of `e` (uncounted; internal fast path).
     #[inline]
     pub(crate) fn clock_row(&self, e: EventId) -> &[u32] {
-        let start = e.index() * self.process_count;
-        &self.clock_matrix[start..start + self.process_count]
+        &self.clocks()[e.index() * self.process_count..][..self.process_count]
     }
 
     /// The Fidge–Mattern vector clock of an event, as a zero-allocation
@@ -238,7 +288,7 @@ impl Computation {
     /// Panics if `q` is out of range.
     pub fn clock_component(&self, e: EventId, q: usize) -> u32 {
         assert!(q < self.process_count, "process {q} out of range");
-        self.clock_matrix[e.index() * self.process_count + q]
+        self.clocks()[e.index() * self.process_count + q]
     }
 
     /// The event preceding `e` on its process, if any.
@@ -338,7 +388,7 @@ impl Computation {
     /// Panics if the cut's shape does not match the computation.
     pub fn is_consistent(&self, cut: &Cut) -> bool {
         self.check_shape(cut.frontier());
-        let frontier = cut.frontier();
+        let (frontier, clocks) = (cut.frontier(), self.clocks());
         let mut rows = 0u64;
         let mut batches = 0u64;
         let mut ok = true;
@@ -350,7 +400,7 @@ impl Computation {
                 let f = frontier[p];
                 if f != 0 {
                     let e = self.procs.flat[self.procs.off[p] as usize + f as usize - 1];
-                    group[filled] = self.clock_row(e);
+                    group[filled] = &clocks[e.index() * self.process_count..][..self.process_count];
                     filled += 1;
                 }
                 p += 1;
@@ -429,6 +479,7 @@ impl Computation {
     /// Panics if the frontier's shape does not match the computation.
     pub fn for_each_enabled(&self, frontier: &[u32], mut visit: impl FnMut(usize, &[u32])) {
         self.check_shape(frontier);
+        let clocks = self.clocks();
         let mut rows = 0u64;
         let mut batches = 0u64;
         let mut p = 0;
@@ -439,7 +490,8 @@ impl Computation {
             while p < self.process_count && filled < kernel::BATCH {
                 let next = self.procs.off[p] as usize + frontier[p] as usize;
                 if next < self.procs.off[p + 1] as usize {
-                    group[filled] = self.clock_row(self.procs.flat[next]);
+                    let e = self.procs.flat[next].index();
+                    group[filled] = &clocks[e * self.process_count..][..self.process_count];
                     procs[filled] = p;
                     filled += 1;
                 }

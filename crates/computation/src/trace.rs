@@ -23,7 +23,7 @@
 //! allocated per event, so a hostile header cannot force huge
 //! allocations: [`MAX_TRACE_PROCESSES`], [`MAX_TRACE_EVENTS`] on `Σ counts`,
 //! and [`MAX_TRACE_CLOCK_CELLS`] on `processes × Σ counts`, the size of
-//! the vector-clock matrix the build fills.
+//! the vector-clock matrix the first clock read fills.
 //!
 //! [`read_trace`] takes exactly this language:
 //! - Lines end at `\n` and lose leading and trailing Unicode whitespace,
@@ -216,9 +216,7 @@ pub fn read_trace(input: &str) -> Result<Trace, TraceError> {
     b.reserve(events);
     b.reserve_messages(input.len() / 16);
     for p in 0..processes {
-        for _ in first[p]..first[p + 1] {
-            b.append(p);
-        }
+        b.append_run(p, first[p + 1] - first[p]);
     }
     // Endpoints are 1-based; position 0 is the implicit initial event,
     // which cannot send or receive.
@@ -322,15 +320,23 @@ fn words(mut s: &str) -> impl Iterator<Item = &str> {
 
 /// Reads an unsigned number at `b[*i..]` like `str::parse` (digits after
 /// an optional `+`), moving `*i` past it; `None` without digits or on
-/// overflow.
+/// overflow. Digits accumulate unchecked: a run of up to 19 cannot
+/// overflow, so only a longer one is tested, once.
 fn number(b: &[u8], i: &mut usize) -> Option<u64> {
     *i += usize::from(b.get(*i) == Some(&b'+'));
     let (start, mut v) = (*i, 0u64);
     while let Some(&c @ b'0'..=b'9') = b.get(*i) {
-        v = v.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
+        v = v.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
         *i += 1;
     }
-    (*i > start).then_some(v)
+    (*i > start && (*i - start < 20 || fits_u64(&b[start..*i]))).then_some(v)
+}
+
+/// Whether a run of ASCII digits is at most `u64::MAX`.
+#[cold]
+fn fits_u64(digits: &[u8]) -> bool {
+    let significant = &digits[digits.iter().take_while(|&&c| c == b'0').count()..];
+    (significant.len(), significant) <= (20, b"18446744073709551615".as_slice())
 }
 
 /// An `i64` token as `str::parse` reads it: a [`decimal`], or `-` and
@@ -597,7 +603,7 @@ mod tests {
             " ", "  ", "\t", "\x0b", "\x0c", "\r", "\u{a0}", "\u{3000}", "\u{85}",
         ];
         const ENDINGS: [&str; 5] = ["\n", "\r\n", " \n", "\u{a0}\n", "\x0b\n"];
-        const NUMBERS: [&str; 15] = [
+        const NUMBERS: [&str; 25] = [
             "+",
             "-",
             "00",
@@ -605,14 +611,38 @@ mod tests {
             "-0",
             "+7",
             "007",
+            "٣",
+            "999999999",
+            "000000007",
+            "9999999999",
+            "0000000007",
             "4294967295",
             "4294967296",
+            "9999999999999999999",
+            "0000000000000000007",
             "9223372036854775807",
             "9223372036854775808",
             "-9223372036854775808",
             "-9223372036854775809",
+            "00000000000000000007",
             "18446744073709551615",
             "18446744073709551616",
+            "99999999999999999999",
+            "000000000000000000000018446744073709551615",
+        ];
+        /// Whole `p.k` endpoint shapes, swapped in for a number and the
+        /// `.k` after it.
+        const ENDPOINTS: [&str; 10] = [
+            "4294967295.1",
+            "0.4294967296",
+            "1.+1",
+            "1.",
+            ".1",
+            "1..1",
+            "1.٣",
+            "1.\u{a0}1",
+            "1.\u{3000}1",
+            "0000000000000000000001.00000000000000000000004294967295",
         ];
 
         fn written(t: &Trace) -> String {
@@ -668,8 +698,8 @@ mod tests {
                 .collect()
         }
 
-        /// Swaps separators, line endings and numbers of `text` for the
-        /// variants above, each at `rate`.
+        /// Swaps separators, line endings, numbers and endpoints of
+        /// `text` for the variants above, each at `rate`.
         fn decorate(text: &str, rng: &mut StdRng, rate: f64) -> String {
             let mut out = String::with_capacity(2 * text.len());
             let mut chars = text.chars().peekable();
@@ -679,12 +709,19 @@ mod tests {
                 match c {
                     ' ' if hit => out.push_str(SPACES.choose(rng).unwrap()),
                     '\n' if hit => out.push_str(ENDINGS.choose(rng).unwrap()),
-                    '0'..='9' if hit && !prev.is_ascii_digit() => match rng.gen_range(0..3) {
+                    '0'..='9' if hit && !prev.is_ascii_digit() => match rng.gen_range(0..4) {
                         0 => out.extend(['+', c]),
                         1 => out.extend(['0', c]),
-                        _ => {
+                        2 => {
                             out.push_str(NUMBERS.choose(rng).unwrap());
                             while chars.next_if(char::is_ascii_digit).is_some() {}
+                        }
+                        _ => {
+                            out.push_str(ENDPOINTS.choose(rng).unwrap());
+                            while chars.next_if(char::is_ascii_digit).is_some() {}
+                            if chars.next_if_eq(&'.').is_some() {
+                                while chars.next_if(char::is_ascii_digit).is_some() {}
+                            }
                         }
                     },
                     _ => out.push(c),
@@ -781,6 +818,16 @@ mod tests {
                 "message 0.1\u{a0}1.1\u{85}\nend\n",
                 "message 0.1.1 1.1\nend\n",
                 "message 0.1\nend\n",
+                "message 4294967295.1 1.1\nend\n",
+                "message 0.1 1.000000000000000000001\nend\n",
+                "message 0.1 1.0000000000000000000004294967296\nend\n",
+                "message 0.+1 1.\nend\n",
+                "message .1 1.1\nend\n",
+                "message 0..1 1.1\nend\n",
+                "message 0.٣ 1.1\nend\n",
+                "message 0.\u{a0}1 1.1\nend\n",
+                "message 0.99999999999999999999 1.1\nend\n",
+                "intvar x 0: 000000000000000000000009223372036854775807 -00000000000000000000001\nintvar x 1: 0 0\nend\n",
                 "intvar x 0: 9223372036854775807 -9223372036854775808\nintvar x 1: 0 0\nend\n",
                 "intvar x 0: 9223372036854775808 0\nend\n",
                 "intvar x 0: -9223372036854775809 0\nend\n",

@@ -30,3 +30,12 @@ pub(crate) use definitely::{definitely_sum_short_circuit, definitely_sum_sweep, 
 pub(crate) use exact::{definitely_exact_sum_budgeted, exact_sum_witness, NotUnitStepError};
 pub use exact::{possibly_exact_sum_budgeted, POSSIBLY_EXACT_SUM};
 pub use optimize::{max_sum_cut, min_sum_cut, possibly_sum, sum_extremes};
+
+/// Whether `frontier` holds the sender of every message it receives: a
+/// consistent cut, tested without filling the clock matrix.
+fn closed_under_messages(comp: &gpd_computation::Computation, frontier: &[u32]) -> bool {
+    let inside = |e| comp.local_index(e) <= frontier[comp.process_of(e).index()];
+    comp.messages()
+        .iter()
+        .all(|&(s, r)| inside(s) || !inside(r))
+}

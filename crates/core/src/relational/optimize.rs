@@ -43,7 +43,10 @@ fn cut_of_members(comp: &Computation, members: &[usize]) -> Cut {
             .index()] += 1;
     }
     let cut = Cut::from_frontier(frontier);
-    debug_assert!(comp.is_consistent(&cut), "closures are consistent cuts");
+    debug_assert!(
+        super::closed_under_messages(comp, cut.frontier()),
+        "closures are consistent cuts"
+    );
     cut
 }
 

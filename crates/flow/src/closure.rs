@@ -403,6 +403,60 @@ mod tests {
         (weights, edges)
     }
 
+    /// Bank traffic as the simulated `BankBranch` network makes it:
+    /// every branch opens with 100 and, every 1–5 ticks, withdraws up to
+    /// 50 (never more than its balance) for a random other branch, which
+    /// deposits it 1–10 ticks later. Deposits lag the withdrawals that
+    /// fund them, as on the `detect_mix` bank traces. Events are taken
+    /// in time order; edges are listed as [`bank_transfers`] lists them.
+    fn bank_traffic(seed: u64, chains: usize, events: usize) -> (Vec<i64>, Vec<(usize, usize)>) {
+        use rand::{Rng, SeedableRng};
+        use std::cmp::Reverse;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut balance = vec![100i64; chains];
+        let mut last: Vec<Option<usize>> = vec![None; chains];
+        // (tick, branch, the transfer a deposit carries; none for a timer)
+        let mut queue = std::collections::BinaryHeap::new();
+        for p in 0..chains {
+            queue.push(Reverse((rng.gen_range(1..6u64), p, None)));
+        }
+        let (mut weights, mut edges, mut messages) = (Vec::new(), Vec::new(), Vec::new());
+        for v in 0..events {
+            let Some(Reverse((tick, p, transfer))) = queue.pop() else {
+                break;
+            };
+            let weight = match transfer {
+                Some((send, amount)) => {
+                    messages.push((v, send));
+                    amount
+                }
+                None => {
+                    queue.push(Reverse((tick + rng.gen_range(1..6), p, None)));
+                    let amount = balance[p].min(50);
+                    if chains > 1 && amount > 0 {
+                        let amount = rng.gen_range(1..=amount);
+                        let q = (p + rng.gen_range(1..chains)) % chains;
+                        queue.push(Reverse((
+                            tick + rng.gen_range(1..=10),
+                            q,
+                            Some((v, amount)),
+                        )));
+                        -amount
+                    } else {
+                        0
+                    }
+                }
+            };
+            balance[p] += weight;
+            weights.push(weight);
+            if let Some(u) = last[p].replace(v) {
+                edges.push((v, u));
+            }
+        }
+        edges.extend(messages);
+        (weights, edges)
+    }
+
     /// Indicator-shaped closure instances: the 0/±1 increments of an
     /// `in_cs` flag under a token-passing mutex on `chains` processes,
     /// over `events` steps. The holder receives the token at one step,
@@ -533,6 +587,31 @@ mod tests {
             assert_eq!(extremes_work(&weights, &edges, true), (max, min));
             assert_eq!(extremes_work(&weights, &edges, false), (cold_max, cold_min));
         }
+    }
+
+    /// The solves of bank traffic whose deposits lag their withdrawals:
+    /// the seeded minimizing side strands excess that discharging must
+    /// route, unlike [`bank_transfers`]' zero-work instances.
+    #[test]
+    fn lagging_bank_work_is_pinned() {
+        let (weights, edges) = bank_traffic(1, 8, 5000);
+        let work = |pushes, relabels, discharges| Work {
+            pushes,
+            relabels,
+            discharges,
+        };
+        // The greedy pass still finishes the maximizing side, but the
+        // minimizing side strands deposits whose withdrawals come later
+        // on other chains, and discharging has to route them back.
+        assert_eq!(
+            extremes_work(&weights, &edges, true),
+            (work(0, 0, 0), work(10396, 4583, 10209))
+        );
+        let (_, stranded) = extremes(&weights, &edges, Network::seeded_leftover);
+        assert_eq!(
+            stranded, 413,
+            "the seeded minimizing side's stranded excess"
+        );
     }
 
     /// The seeding rule on unit weights: every shipped solve of an

@@ -1,15 +1,17 @@
 //! `ComputationBuilder::build` allocates a constant number of times,
-//! whatever the number of events: the CSR lists, the clock matrix and the
-//! sweep's scratch are each one allocation, and nothing is allocated per
-//! event. A counting global allocator makes this an exact, noise-free
-//! check, so the binary holds this one test and nothing else allocates
-//! while it counts.
+//! whatever the number of events: the CSR lists, the finish order and
+//! the sweep's scratch are each one allocation, and nothing is allocated
+//! per event. The clock matrix is not among them: the first clock read
+//! fills it in one allocation, and later reads allocate nothing. A
+//! counting global allocator makes this an exact, noise-free check, so
+//! the binary holds this one test and nothing else allocates while it
+//! counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use gpd_computation::ComputationBuilder;
+use gpd_computation::{ComputationBuilder, EventId};
 
 struct Counting;
 
@@ -74,15 +76,25 @@ fn token_ring(events: usize) -> ComputationBuilder {
     b
 }
 
-/// The allocator calls (alloc, alloc_zeroed, realloc) made by one build.
-fn build_allocs(b: ComputationBuilder) -> (usize, usize) {
-    let events = b.event_count();
+/// The allocator calls (alloc, alloc_zeroed, realloc) made by `f`.
+fn allocs<T>(f: impl FnOnce() -> T) -> (T, usize) {
     ALLOCS.store(0, Ordering::Relaxed);
     COUNTING.with(|c| c.set(true));
-    let comp = b.build();
+    let out = f();
     COUNTING.with(|c| c.set(false));
-    let count = ALLOCS.load(Ordering::Relaxed);
-    assert_eq!(comp.unwrap().event_count(), events);
+    (out, ALLOCS.load(Ordering::Relaxed))
+}
+
+/// The allocator calls made by one build, then by the first and the
+/// second clock read of what it built.
+fn build_allocs(b: ComputationBuilder) -> (usize, usize) {
+    let events = b.event_count();
+    let (comp, count) = allocs(|| b.build().unwrap());
+    assert_eq!(comp.event_count(), events);
+    let last = EventId::from_index(events - 1);
+    let (_, first_read) = allocs(|| comp.clock_component(last, 0));
+    let (_, second_read) = allocs(|| comp.clock(last).get(1));
+    assert_eq!((first_read, second_read), (1, 0), "clock reads allocated");
     (events, count)
 }
 
@@ -96,9 +108,10 @@ fn build_allocates_a_constant_number_of_times() {
         small, large,
         "build made {small} allocations for {small_events} events, {large} for {large_events}"
     );
-    // Three CSR families of two arrays each, the clock matrix, the
-    // pending counts, the cursors and the worklist, plus one shrinking
-    // realloc for each of the four builder columns handed over as boxed
-    // slices (none of them was reserved to its exact length here).
+    // Three CSR families of two arrays each, the finish order (it took
+    // the clock matrix's place), the pending counts, the cursors and the
+    // worklist, plus one shrinking realloc for each of the four builder
+    // columns handed over as boxed slices (none of them was reserved to
+    // its exact length here).
     assert_eq!(small, 14, "build made {small} allocations");
 }
